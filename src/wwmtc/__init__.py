@@ -8,14 +8,6 @@ arch count and size, and empirical models of the tendon and winch
 nonlinearities, plus a CLI (``wwmtc``) over all of it.
 """
 
-from .actuators import (
-    HysteresisParams,
-    TendonFit,
-    fit_tendon,
-    fit_winch,
-    simulate_winch,
-    tendon_load,
-)
 from .beam import P_MAX, P_STRAIGHT, BeamSolution, solve_beam, solve_p_for_height
 from .design import (
     AchievedMetrics,
@@ -51,9 +43,28 @@ from .muscle import (
     state_at,
     state_for_length,
 )
-from .shooting import shoot_tip
 
 __version__ = "0.1.0"
+
+# The actuator models need numpy, which the geometry and design commands never
+# touch; they load on first access (PEP 562) so those commands start without it.
+_ACTUATOR_NAMES = frozenset({
+    "HysteresisParams",
+    "TendonFit",
+    "fit_tendon",
+    "fit_winch",
+    "simulate_winch",
+    "tendon_load",
+})
+
+
+def __getattr__(name: str):
+    if name in _ACTUATOR_NAMES:
+        from . import actuators
+
+        return getattr(actuators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AchievedMetrics",
@@ -87,7 +98,6 @@ __all__ = [
     "length_range",
     "natural_length",
     "search",
-    "shoot_tip",
     "simulate_winch",
     "solve_beam",
     "solve_p_for_height",

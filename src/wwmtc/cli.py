@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import actuators, design, elliptic, fileio, muscle, svgplot
+from . import design, elliptic, fileio, muscle, svgplot
 from .beam import solve_beam
 from .errors import WwmtcError
 
@@ -206,7 +206,11 @@ def _cmd_design_search(args) -> int:
     return 0
 
 
+# The actuator handlers import their module on call: it pulls in numpy, which
+# the other commands should not pay for at start-up.
 def _cmd_tendon_fit(args) -> int:
+    from . import actuators
+
     _, load, strain, cycle = fileio.read_tendon_csv(args.data)
     fit = actuators.fit_tendon(strain, load, cycle)
     sys.stdout.write(fileio.tendon_fit_to_json(fit))
@@ -214,6 +218,8 @@ def _cmd_tendon_fit(args) -> int:
 
 
 def _cmd_winch_fit(args) -> int:
+    from . import actuators
+
     _, current, tension = fileio.read_winch_csv(args.data)
     params = actuators.fit_winch(current, tension)
     sys.stdout.write(fileio.winch_params_to_json(params))
@@ -221,6 +227,8 @@ def _cmd_winch_fit(args) -> int:
 
 
 def _cmd_winch_simulate(args) -> int:
+    from . import actuators
+
     params, t0 = fileio.read_winch_params(args.params)
     if args.initial_tension is not None:
         t0 = args.initial_tension

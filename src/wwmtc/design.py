@@ -12,7 +12,7 @@ documented sort order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .beam import solve_beam
 from .errors import DomainError
@@ -72,7 +72,6 @@ class DesignResult:
     achieved: AchievedMetrics
     feasible: bool
     L_interval: tuple[float, float]
-    binding: str | None = field(default=None)  # set on infeasibility reports
 
 
 _CONSTRAINT_NAMES = (

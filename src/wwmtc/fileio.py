@@ -8,14 +8,16 @@ significant digits so written files are stable, diffable test fixtures.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .actuators import HysteresisParams, TendonFit
 from .design import DesignResult
 from .errors import DomainError
 from .muscle import DeformationCurve, MuscleSpec, MuscleState
+
+if TYPE_CHECKING:  # numpy comes with these; load it only where data needs it
+    from .actuators import HysteresisParams, TendonFit
 
 CURVE_HEADER = "p,width_mm,length_mm,contraction_mm,psi0_deg"
 TENDON_HEADER = "time_s,load_N,strain,cycle"
@@ -28,24 +30,64 @@ def fmt(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# JSON fields
+# ---------------------------------------------------------------------------
+
+def _read_json_object(path: str | Path, what: str) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DomainError(f"{what} {path} must be a JSON object")
+    return raw
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number as a float; anything else is a DomainError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise DomainError(f"{name}={value!r} must be a finite number")
+
+
+def _integer(value, name: str) -> int:
+    """A JSON number with no fractional part as an int (8.0 counts, 8.7 does not)."""
+    if not _number(value, name).is_integer():
+        raise DomainError(f"{name}={value!r} must be an integer")
+    return int(value)
+
+
+def _pair(value, name: str, convert) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise DomainError(f"{name}={value!r} must be a [min, max] pair")
+    return tuple(convert(v, name) for v in value)
+
+
+# ---------------------------------------------------------------------------
 # muscle specs and curves
 # ---------------------------------------------------------------------------
 
 def read_muscle_spec(path: str | Path) -> MuscleSpec:
     """Load a muscle spec from its JSON file schema."""
+    raw = _read_json_object(path, "muscle spec")
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read muscle spec {path}: {exc}") from exc
-    try:
-        return MuscleSpec(
-            n=int(raw["n"]),
-            L=float(raw["L_mm"]),
-            h0=float(raw["h0_mm"]),
+        fields = dict(
+            n=_integer(raw["n"], "n"),
+            L=_number(raw["L_mm"], "L_mm"),
+            h0=_number(raw["h0_mm"], "h0_mm"),
             kind=str(raw.get("kind", "radial")),
         )
     except KeyError as exc:
         raise DomainError(f"muscle spec {path} missing field {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"muscle spec {path}: {exc}") from exc
+    return MuscleSpec(**fields)
 
 
 def muscle_spec_to_json(spec: MuscleSpec) -> dict:
@@ -53,7 +95,7 @@ def muscle_spec_to_json(spec: MuscleSpec) -> dict:
 
 
 def _state_row(state: MuscleState) -> str:
-    psi0_deg = state.psi0 * 180.0 / np.pi
+    psi0_deg = state.psi0 * 180.0 / math.pi
     return ",".join(
         fmt(v) for v in (state.p, state.width, state.length, state.contraction, psi0_deg)
     )
@@ -81,7 +123,7 @@ def read_curve_csv(path: str | Path, spec: MuscleSpec) -> DeformationCurve:
                 width=width,
                 length=length,
                 contraction=contraction,
-                psi0=psi0_deg * np.pi / 180.0,
+                psi0=psi0_deg * math.pi / 180.0,
             )
         )
     return DeformationCurve(spec=spec, samples=tuple(samples))
@@ -105,21 +147,32 @@ def _read_csv(path: str | Path, expected_header: str) -> list[list[str]]:
 # experiment logs
 # ---------------------------------------------------------------------------
 
-def read_tendon_csv(path: str | Path):
-    """-> (time_s, load_N, strain, cycle) arrays."""
-    rows = _read_csv(path, TENDON_HEADER)
+def _read_numeric_csv(path: str | Path, header: str):
+    """All data rows as one float array, one column per header field."""
+    import numpy as np
+
+    rows = _read_csv(path, header)
     if not rows:
         raise DomainError(f"{path}: no data rows")
-    data = np.array([[float(v) for v in row] for row in rows])
+    columns = header.count(",") + 1
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:  # a non-number, or rows of unequal length
+        raise DomainError(f"{path}: every data row needs {columns} numbers: {exc}") from exc
+    if data.shape[1] != columns:
+        raise DomainError(f"{path}: every data row needs {columns} numbers, got {data.shape[1]}")
+    return data
+
+
+def read_tendon_csv(path: str | Path):
+    """-> (time_s, load_N, strain, cycle) arrays."""
+    data = _read_numeric_csv(path, TENDON_HEADER)
     return data[:, 0], data[:, 1], data[:, 2], data[:, 3].astype(int)
 
 
 def read_winch_csv(path: str | Path):
     """-> (time_s, current_A, tension_N) arrays."""
-    rows = _read_csv(path, WINCH_HEADER)
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
-    data = np.array([[float(v) for v in row] for row in rows])
+    data = _read_numeric_csv(path, WINCH_HEADER)
     return data[:, 0], data[:, 1], data[:, 2]
 
 
@@ -155,6 +208,8 @@ def winch_params_to_json(params: HysteresisParams) -> str:
 
 def read_winch_params(path: str | Path) -> tuple[HysteresisParams, float]:
     """-> (params, initial_tension_N); the initial state defaults to 0."""
+    from .actuators import HysteresisParams
+
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         params = HysteresisParams(c=float(raw["c_N_per_A"]), r=float(raw["r_N"]))
@@ -171,23 +226,25 @@ def read_winch_params(path: str | Path) -> tuple[HysteresisParams, float]:
 def read_design_constraints(path: str | Path):
     from .design import DesignConstraints
 
+    raw = _read_json_object(path, "constraints")
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read constraints {path}: {exc}") from exc
-    try:
-        return DesignConstraints(
-            natural_length_range=tuple(float(v) for v in raw["natural_length_range_mm"]),
-            min_stroke=float(raw["min_stroke_mm"]),
-            max_width_at_full=float(raw["max_width_at_full_mm"]),
-            min_width_at_full=float(raw.get("min_width_at_full_mm", 0.0)),
-            h0=float(raw["h0_mm"]),
-            n_range=tuple(int(v) for v in raw["n_range"]),
-            L_range=tuple(float(v) for v in raw["L_range_mm"]),
+        fields = dict(
+            natural_length_range=_pair(raw["natural_length_range_mm"],
+                                       "natural_length_range_mm", _number),
+            min_stroke=_number(raw["min_stroke_mm"], "min_stroke_mm"),
+            max_width_at_full=_number(raw["max_width_at_full_mm"], "max_width_at_full_mm"),
+            min_width_at_full=_number(raw.get("min_width_at_full_mm", 0.0),
+                                      "min_width_at_full_mm"),
+            h0=_number(raw["h0_mm"], "h0_mm"),
+            n_range=_pair(raw["n_range"], "n_range", _integer),
+            L_range=_pair(raw["L_range_mm"], "L_range_mm", _number),
             kind=str(raw.get("kind", "radial")),
         )
     except KeyError as exc:
         raise DomainError(f"constraints {path} missing field {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"constraints {path}: {exc}") from exc
+    return DesignConstraints(**fields)
 
 
 def design_results_to_json(results: list[DesignResult]) -> str:

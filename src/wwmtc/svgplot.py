@@ -43,6 +43,11 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _escape(text: str) -> str:
+    """Caption text as SVG character data (labels carry user file names)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_line_plot(
     series: list[tuple[str, list[float], list[float]]],
     xlabel: str,
@@ -115,12 +120,12 @@ def render_line_plot(
 
     out.append(
         f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(height - 14)}" '
-        f'font-family="sans-serif" font-size="13" text-anchor="middle">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="13" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="16" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" font-family="sans-serif" '
         f'font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">{_escape(ylabel)}</text>'
     )
 
     for i, (label, xs, ys) in enumerate(series):
@@ -141,7 +146,7 @@ def render_line_plot(
             )
             out.append(
                 f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" font-family="sans-serif" '
-                f'font-size="12">{label}</text>'
+                f'font-size="12">{_escape(label)}</text>'
             )
 
     out.append("</svg>")

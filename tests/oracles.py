@@ -25,7 +25,7 @@ import math
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .errors import DomainError
+from wwmtc.errors import DomainError
 
 # generous cap: a rod that has not turned by 20 lengths is effectively straight
 _S_MAX = 20.0

@@ -20,6 +20,7 @@ from synth import (
     make_winch_data,
 )
 from conftest import DATA_DIR, GOLDEN_DIR
+from oracles import shoot_tip
 
 from wwmtc import elliptic
 from wwmtc.actuators import fit_tendon, fit_winch, simulate_winch
@@ -34,7 +35,6 @@ from wwmtc.muscle import (
     state_at,
     state_for_length,
 )
-from wwmtc.shooting import shoot_tip
 
 from test_design import radial_roundtrip_constraints, random_constraints
 

@@ -8,7 +8,8 @@ import pytest
 from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam, solve_p_for_height
 from wwmtc.elliptic import ellip_f, ellip_k
 from wwmtc.errors import DomainError, OutOfRangeError
-from wwmtc.shooting import shoot_tip
+
+from oracles import shoot_tip
 
 
 def test_straight_strip_boundary_is_exact():

@@ -159,6 +159,23 @@ def test_muscle_curve_svg_overlay(tmp_path, capsys):
     check_golden("muscle_curves.svg", svg.read_bytes())
 
 
+def test_muscle_curve_svg_escapes_markup_in_labels(tmp_path, capsys):
+    from xml.dom import minidom
+
+    odd_spec = tmp_path / "x<&.json"
+    odd_spec.write_bytes((DATA_DIR / "radial.json").read_bytes())
+    svg = tmp_path / "o.svg"
+    code, _, err = run(
+        ["muscle", "curve", "--spec", str(odd_spec),
+         "--spec", str(DATA_DIR / "planar.json"), "--svg", str(svg)],
+        capsys,
+    )
+    assert code == 0, err
+    texts = minidom.parse(str(svg)).getElementsByTagName("text")
+    captions = [t.firstChild.data for t in texts]
+    assert "x<& (radial n=8 L=27)" in captions
+
+
 def test_muscle_curve_two_point_svg(tmp_path, capsys):
     svg = tmp_path / "two.svg"
     code, _, _ = run(
@@ -312,6 +329,93 @@ def test_winch_simulate_loop_closes(tmp_path, capsys):
     n_per = (len(rows) - 1) // 3
     first, last = rows[-n_per - 1], rows[-1]
     assert first[1] == last[1] and first[2] == last[2]
+
+
+# --- malformed input ---------------------------------------------------------------
+
+RADIAL = {"n": 8, "L_mm": 27.0, "h0_mm": 22.0, "kind": "radial"}
+
+
+def assert_bad_input(code: int, err: str) -> None:
+    assert code == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("field, text", [
+    ("L_mm", '"abc"'),
+    ("h0_mm", "NaN"),
+    ("L_mm", "Infinity"),
+    ("L_mm", "null"),
+    ("n", "8.7"),
+    ("n", "true"),
+])
+def test_muscle_spec_rejects_bad_field(tmp_path, capsys, field, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**RADIAL, field: "@"}).replace('"@"', text))
+    code, _, err = run(["muscle", "invert", "--spec", str(spec), "--length", "220"], capsys)
+    assert_bad_input(code, err)
+    assert field in err
+
+
+def test_muscle_spec_integral_float_count_accepted(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**RADIAL, "n": 8.0}))
+    code, out, _ = run(["muscle", "invert", "--spec", str(spec), "--length", "238"], capsys)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "muscle_invert_natural.txt").read_text()
+
+
+def test_muscle_spec_must_be_object(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[8, 27.0, 22.0]")
+    code, _, err = run(["muscle", "invert", "--spec", str(spec), "--length", "220"], capsys)
+    assert_bad_input(code, err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("min_stroke_mm", "abc"),
+    ("n_range", [1, 12.5]),
+    ("n_range", [1]),
+    ("L_range_mm", [10.0, None]),
+    ("natural_length_range_mm", 237.2),
+])
+def test_design_constraints_reject_bad_field(tmp_path, capsys, field, value):
+    raw = json.loads((DATA_DIR / "constraints.json").read_text())
+    raw[field] = value
+    cons = tmp_path / "cons.json"
+    cons.write_text(json.dumps(raw))
+    code, _, err = run(["design", "search", "--constraints", str(cons)], capsys)
+    assert_bad_input(code, err)
+    assert field in err
+
+
+@pytest.mark.parametrize("bad_row", ["0.5,1.0", "0.5,1.0,2.0,3.0", "0.5,abc,2.0"])
+def test_winch_csv_rejects_malformed_row(tmp_path, capsys, bad_row):
+    lines = (DATA_DIR / "winch_bench.csv").read_text().splitlines()
+    lines.insert(3, bad_row)
+    data = tmp_path / "winch.csv"
+    data.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["winch", "fit", "--data", str(data)], capsys)
+    assert_bad_input(code, err)
+    assert "3 numbers" in err
+
+
+def test_winch_csv_rejects_short_rows_throughout(tmp_path, capsys):
+    data = tmp_path / "winch.csv"
+    data.write_text("time_s,current_A,tension_N\n0.0,1.0\n0.1,2.0\n")
+    code, _, err = run(["winch", "fit", "--data", str(data)], capsys)
+    assert_bad_input(code, err)
+    assert "got 2" in err
+
+
+def test_tendon_csv_rejects_ragged_row(tmp_path, capsys):
+    lines = (DATA_DIR / "tendon_bench.csv").read_text().splitlines()
+    lines.insert(2, "0.0,1.0,0.1")
+    data = tmp_path / "tendon.csv"
+    data.write_text("\n".join(lines) + "\n")
+    code, _, err = run(["tendon", "fit", "--data", str(data)], capsys)
+    assert_bad_input(code, err)
+    assert "4 numbers" in err
 
 
 # --- determinism -------------------------------------------------------------------
