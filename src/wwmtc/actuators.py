@@ -173,6 +173,8 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
         raise DomainError(f"gain c={params.c!r} must be positive")
     if params.r < 0.0:
         raise DomainError(f"half-band r={params.r!r} must be >= 0")
+    if not math.isfinite(initial_tension):
+        raise DomainError(f"initial tension {initial_tension!r} must be finite")
     currents = np.asarray(currents, dtype=float)
     if currents.ndim != 1 or currents.size == 0:
         raise DomainError("current series must be a nonempty 1-D array")

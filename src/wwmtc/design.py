@@ -1,25 +1,28 @@
 """Search the (n, L) plane for muscle specs meeting deformation requirements.
 
 The length offset h0 is a fixed input (it is set by hardware, not by the
-deformation model).  For each integer arch count n the feasible set in L is
-located by a fixed 200-step grid scan followed by bisection refinement of
-every feasibility boundary; all constraint functions are monotone in L for
-this model, but the scan handles interval unions anyway.  The whole search
-is a pure deterministic function of its inputs; the per-n scans are
-independent, so callers may shard them across workers and merge by the
-documented sort order.
+deformation model).  Arch height and width scale linearly with L, so with
+ĥ, ŵ = solve_beam(1, p_cap) every constraint margin is affine in L: the
+natural length is n·L + h0, the stroke n·L·(1 − ĥ) and the width L·ŵ.  For
+each integer arch count n the feasible set is therefore one interval, the
+intersection of at most five half-lines with L_range, computed directly.
+When it is empty, the binding constraint is read off at the exact maximin
+of the margins.  The whole search is a pure deterministic function of its
+inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .beam import solve_beam
 from .errors import DomainError
 from .muscle import DEFAULT_P_CAP, KINDS, MuscleSpec, natural_length, state_at
 
-GRID_STEPS = 200
-_REFINE_ITERS = 60
+# most doubles a closed-form interval end may move to reach the margin check
+_SNAP_STEPS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -98,28 +101,6 @@ def _margins(constraints: DesignConstraints, n: int, L: float,
     )
 
 
-def constraint_slopes(constraints: DesignConstraints, n: int,
-                      p_cap: float = DEFAULT_P_CAP) -> tuple[float, ...]:
-    """|d margin / dL| per constraint (the model is affine in L)."""
-    sol = solve_beam(1.0, p_cap)
-    return (n, n, n * (1.0 - sol.h), sol.w, sol.w)
-
-
-def evaluate(constraints: DesignConstraints, n: int, L: float,
-             p_cap: float = DEFAULT_P_CAP) -> tuple[float, ...]:
-    """Constraint margins at one candidate, using the exact forward model."""
-    spec = MuscleSpec(n=n, L=L, h0=constraints.h0, kind=constraints.kind)
-    state = state_at(spec, p_cap)
-    nat = natural_length(spec)
-    return (
-        nat - constraints.natural_length_range[0],
-        constraints.natural_length_range[1] - nat,
-        state.contraction - constraints.min_stroke,
-        constraints.max_width_at_full - state.width,
-        state.width - constraints.min_width_at_full,
-    )
-
-
 def _result_for(constraints: DesignConstraints, n: int, lo: float, hi: float,
                 p_cap: float) -> DesignResult:
     L = 0.5 * (lo + hi)
@@ -134,86 +115,101 @@ def _result_for(constraints: DesignConstraints, n: int, lo: float, hi: float,
                         L_interval=(lo, hi))
 
 
+def _snap(feasible, end: float, outward: float, inward: float) -> float | None:
+    """Walk ``end`` double by double to the outermost one passing ``feasible``.
+
+    Rounding is monotone, so each computed margin is monotone in L and the
+    passing doubles form one run: the walk steps toward ``inward`` until it
+    enters the run, then toward ``outward`` to the run's last double.  The
+    rounding of n·L + h0 blurs a closed-form end over about h0 / (n·L)
+    doubles; after _SNAP_STEPS steps the walk stops where it is, or returns
+    None if it never entered the run.
+    """
+    steps = 0
+    while not feasible(end):
+        if end == inward or steps == _SNAP_STEPS:
+            return None
+        end = math.nextafter(end, inward)
+        steps += 1
+    while end != outward and steps < _SNAP_STEPS:
+        step = math.nextafter(end, outward)
+        if not feasible(step):
+            break
+        end = step
+        steps += 1
+    return end
+
+
+def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
+             w_unit: float) -> tuple[float, float] | str:
+    """Feasible L-interval of arch count n, or the name of its binding constraint.
+
+    Margin i is a_i + b_i·L: a positive slope b_i bounds L from below at
+    -a_i / b_i, a negative one from above.  With no feasible L, the binding
+    constraint is the smallest margin where the smallest margin is largest;
+    that maximin of affine functions over L_range lies at an end of L_range
+    or where two margins cross.
+    """
+    L_min, L_max = constraints.L_range
+    a = _margins(constraints, n, 0.0, h_unit, w_unit)  # intercepts at L = 0
+    b = (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
+    lo, hi = L_min, L_max
+    for a_i, b_i in zip(a, b):
+        if b_i > 0.0:
+            lo = max(lo, -a_i / b_i)
+        elif b_i < 0.0:
+            hi = min(hi, -a_i / b_i)
+        elif a_i < 0.0:
+            hi = -math.inf
+    if lo <= hi:
+        def feasible(L: float) -> bool:
+            return min(_margins(constraints, n, L, h_unit, w_unit)) >= 0.0
+
+        lo = _snap(feasible, lo, L_min, L_max)
+        hi = _snap(feasible, hi, L_max, L_min)
+        if lo is not None and hi is not None:
+            return lo, hi
+    crossings = [(a[j] - a[i]) / (b[i] - b[j])
+                 for i, j in combinations(range(len(a)), 2) if b[i] != b[j]]
+    best = max((_margins(constraints, n, L, h_unit, w_unit)
+                for L in [L_min, L_max, *crossings] if L_min <= L <= L_max), key=min)
+    return _CONSTRAINT_NAMES[best.index(min(best))]
+
+
 def search(constraints: DesignConstraints,
            p_cap: float = DEFAULT_P_CAP) -> list[DesignResult]:
-    """All feasible designs, one per feasible L-interval per arch count.
+    """All feasible designs, one per arch count with a feasible L.
 
-    Results carry the bisection-refined feasible interval and a spec at its
-    midpoint; they are sorted by achieved width at full contraction
-    (ascending: gentlest expansion first), ties broken by (n, L).  An empty
-    list is a valid outcome.  Deterministic for identical inputs.
+    Each result carries the exact feasible L-interval of its arch count,
+    both ends snapped to the outermost doubles that pass the margin check,
+    and a spec at its midpoint.  Results are sorted by achieved width at
+    full contraction (ascending: gentlest expansion first), ties broken by
+    (n, L).  An empty list is a valid outcome.  Deterministic for identical
+    inputs.
     """
     sol = solve_beam(1.0, p_cap)
-    h_unit, w_unit = sol.h, sol.w
-    L_min, L_max = constraints.L_range
-    step = (L_max - L_min) / GRID_STEPS
-
-    def feasible(n: int, L: float) -> bool:
-        return min(_margins(constraints, n, L, h_unit, w_unit)) >= 0.0
-
-    results: list[DesignResult] = []
+    results = []
     for n in range(constraints.n_range[0], constraints.n_range[1] + 1):
-        grid = [L_min + j * step for j in range(GRID_STEPS)] + [L_max]
-        flags = [feasible(n, L) for L in grid]
-        j = 0
-        while j <= GRID_STEPS:
-            if not flags[j]:
-                j += 1
-                continue
-            j_end = j
-            while j_end + 1 <= GRID_STEPS and flags[j_end + 1]:
-                j_end += 1
-            fn = lambda L, n=n: feasible(n, L)
-            lo = _refine(fn, grid[j], grid[j - 1]) if j > 0 else grid[0]
-            hi = (_refine(fn, grid[j_end], grid[j_end + 1])
-                  if j_end < GRID_STEPS else grid[GRID_STEPS])
-            results.append(_result_for(constraints, n, lo, hi, p_cap))
-            j = j_end + 1
-
+        found = _solve_n(constraints, n, sol.h, sol.w)
+        if not isinstance(found, str):
+            results.append(_result_for(constraints, n, *found, p_cap))
     results.sort(key=lambda res: (res.achieved.width_at_full, res.spec.n, res.spec.L))
     return results
-
-
-def _refine(feasible, feasible_pt: float, infeasible_pt: float) -> float:
-    """Bisect a feasibility boundary between the two points.
-
-    Returns the feasible-side estimate, so emitted intervals never extend
-    into infeasible territory.  Works for either boundary orientation.
-    """
-    for _ in range(_REFINE_ITERS):
-        mid = 0.5 * (feasible_pt + infeasible_pt)
-        if feasible(mid):
-            feasible_pt = mid
-        else:
-            infeasible_pt = mid
-    return feasible_pt
 
 
 def infeasibility_report(constraints: DesignConstraints,
                          p_cap: float = DEFAULT_P_CAP) -> dict[int, str]:
     """For each n with no feasible L: the binding (most violated) constraint.
 
-    The binding constraint is read off at the grid point with the best
-    (least bad) margin, which names the requirement that cannot be met even
-    at the most favorable L.
+    The binding constraint is the smallest margin at the exact maximin of
+    the margins over L_range, which names the requirement that cannot be
+    met even at the most favorable L.  Its keys are exactly the arch counts
+    in n_range that ``search`` returns no result for.
     """
     sol = solve_beam(1.0, p_cap)
-    h_unit, w_unit = sol.h, sol.w
-    L_min, L_max = constraints.L_range
-    step = (L_max - L_min) / GRID_STEPS
-    report: dict[int, str] = {}
+    report = {}
     for n in range(constraints.n_range[0], constraints.n_range[1] + 1):
-        best_margin = -float("inf")
-        best_margins: tuple[float, ...] | None = None
-        any_feasible = False
-        for j in range(GRID_STEPS + 1):
-            margins = _margins(constraints, n, L_min + j * step, h_unit, w_unit)
-            worst = min(margins)
-            if worst >= 0.0:
-                any_feasible = True
-                break
-            if worst > best_margin:
-                best_margin, best_margins = worst, margins
-        if not any_feasible and best_margins is not None:
-            report[n] = _CONSTRAINT_NAMES[best_margins.index(min(best_margins))]
+        found = _solve_n(constraints, n, sol.h, sol.w)
+        if isinstance(found, str):
+            report[n] = found
     return report

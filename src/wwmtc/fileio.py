@@ -111,24 +111,6 @@ def state_to_csv(state: MuscleState) -> str:
     return CURVE_HEADER + "\n" + _state_row(state) + "\n"
 
 
-def read_curve_csv(path: str | Path, spec: MuscleSpec) -> DeformationCurve:
-    """Re-parse a written curve CSV (used by round-trip checks)."""
-    rows = _read_csv(path, CURVE_HEADER)
-    samples = []
-    for row in rows:
-        p, width, length, contraction, psi0_deg = map(float, row)
-        samples.append(
-            MuscleState(
-                p=p,
-                width=width,
-                length=length,
-                contraction=contraction,
-                psi0=psi0_deg * math.pi / 180.0,
-            )
-        )
-    return DeformationCurve(spec=spec, samples=tuple(samples))
-
-
 def _read_csv(path: str | Path, expected_header: str) -> list[list[str]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -161,6 +143,8 @@ def _read_numeric_csv(path: str | Path, header: str):
         raise DomainError(f"{path}: every data row needs {columns} numbers: {exc}") from exc
     if data.shape[1] != columns:
         raise DomainError(f"{path}: every data row needs {columns} numbers, got {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise DomainError(f"{path}: every data cell must be a finite number")
     return data
 
 
@@ -210,12 +194,15 @@ def read_winch_params(path: str | Path) -> tuple[HysteresisParams, float]:
     """-> (params, initial_tension_N); the initial state defaults to 0."""
     from .actuators import HysteresisParams
 
+    raw = _read_json_object(path, "winch params")
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        params = HysteresisParams(c=float(raw["c_N_per_A"]), r=float(raw["r_N"]))
-        t0 = float(raw.get("initial_tension_N", 0.0))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"cannot read winch params {path}: {exc}") from exc
+        params = HysteresisParams(c=_number(raw["c_N_per_A"], "c_N_per_A"),
+                                  r=_number(raw["r_N"], "r_N"))
+        t0 = _number(raw.get("initial_tension_N", 0.0), "initial_tension_N")
+    except KeyError as exc:
+        raise DomainError(f"winch params {path} missing field {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"winch params {path}: {exc}") from exc
     return params, t0
 
 

@@ -1,8 +1,9 @@
-"""Independent elastica oracle: direct integration of the rod equations.
+"""Independent oracles for the closed-form fast paths.
 
-This solves the same physical problem as :mod:`wwmtc.beam` — a clamped
-inextensible strip with a transverse point load at the free end — but by
-numerically integrating the planar rod equilibrium equation
+``shoot_tip`` is the elastica oracle: direct integration of the rod
+equations.  It solves the same physical problem as :mod:`wwmtc.beam` — a
+clamped inextensible strip with a transverse point load at the free end —
+but by numerically integrating the planar rod equilibrium equation
 
     psi''(s) = -lambda * cos(psi),   psi(0) = 0,
 
@@ -16,6 +17,10 @@ first integral of the rod equation (moment balance at the clamp) for a
 trajectory whose turning point is at tip angle psi0.  The arc length of
 that first turning point is strictly decreasing in lambda, which gives the
 shooting residual a single bracketed root.
+
+``evaluate`` is the design oracle: it re-checks a candidate through the
+forward model (``state_at`` and ``natural_length``) and never uses the
+affine form of the margins that ``wwmtc.design`` solves.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import math
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from wwmtc.design import DesignConstraints
 from wwmtc.errors import DomainError
+from wwmtc.muscle import DEFAULT_P_CAP, MuscleSpec, natural_length, state_at
 
 # generous cap: a rod that has not turned by 20 lengths is effectively straight
 _S_MAX = 20.0
@@ -89,3 +96,18 @@ def shoot_tip(L: float, psi0: float, rtol: float = 1e-12) -> tuple[float, float,
             f"shooting converged to tip angle {psi_end!r}, wanted {psi0!r}"
         )
     return x_end * L, y_end * L, math.sqrt(lam) / L
+
+
+def evaluate(constraints: DesignConstraints, n: int, L: float,
+             p_cap: float = DEFAULT_P_CAP) -> tuple[float, ...]:
+    """Constraint margins (mm) at one candidate, from the exact forward model."""
+    spec = MuscleSpec(n=n, L=L, h0=constraints.h0, kind=constraints.kind)
+    state = state_at(spec, p_cap)
+    nat = natural_length(spec)
+    return (
+        nat - constraints.natural_length_range[0],
+        constraints.natural_length_range[1] - nat,
+        state.contraction - constraints.min_stroke,
+        constraints.max_width_at_full - state.width,
+        state.width - constraints.min_width_at_full,
+    )

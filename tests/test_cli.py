@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from wwmtc.cli import dispatch
-from wwmtc.fileio import read_curve_csv, read_muscle_spec
+from wwmtc.fileio import CURVE_HEADER, read_muscle_spec
+from wwmtc.muscle import MuscleState
 
 from conftest import DATA_DIR, GOLDEN_DIR
 
@@ -122,17 +123,30 @@ def test_muscle_curve_csv(tmp_path, capsys):
     check_golden("muscle_curve_radial.csv", out_csv.read_bytes())
 
 
+def read_curve_csv(path: Path) -> list[MuscleState]:
+    """Re-parse a written curve CSV into states (psi0 back in radians)."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == CURVE_HEADER
+    states = []
+    for row in rows:
+        p, width, length, contraction, psi0_deg = map(float, row.split(","))
+        states.append(MuscleState(p=p, width=width, length=length,
+                                  contraction=contraction, psi0=math.radians(psi0_deg)))
+    return states
+
+
 def test_muscle_curve_round_trip(tmp_path, capsys):
     # written CSV re-parses to the same states at full printed precision
     out_csv = tmp_path / "c.csv"
     run(["muscle", "curve", "--spec", str(DATA_DIR / "radial.json"),
          "--samples", "25", "--out", str(out_csv)], capsys)
     spec = read_muscle_spec(DATA_DIR / "radial.json")
-    reparsed = read_curve_csv(out_csv, spec)
+    reparsed = read_curve_csv(out_csv)
     from wwmtc.muscle import curve
 
     original = curve(spec, 25)
-    for a, b in zip(original.samples, reparsed.samples):
+    assert len(reparsed) == len(original.samples)
+    for a, b in zip(original.samples, reparsed):
         for field in ("p", "width", "length", "contraction"):
             x, y = getattr(a, field), getattr(b, field)
             assert format(x, ".15g") == format(y, ".15g")
@@ -406,6 +420,49 @@ def test_winch_csv_rejects_short_rows_throughout(tmp_path, capsys):
     code, _, err = run(["winch", "fit", "--data", str(data)], capsys)
     assert_bad_input(code, err)
     assert "got 2" in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_winch_simulate_rejects_non_finite_profile_cell(tmp_path, capsys, cell):
+    lines = (DATA_DIR / "triangle_profile.csv").read_text().splitlines()
+    lines[3] = f"{lines[3].split(',')[0]},{cell},0"
+    profile = tmp_path / "profile.csv"
+    profile.write_text("\n".join(lines) + "\n")
+    code, out, err = run(
+        ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
+         "--profile", str(profile)],
+        capsys,
+    )
+    assert_bad_input(code, err)
+    assert out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("field, text", [
+    ("r_N", "NaN"),
+    ("c_N_per_A", '"20"'),
+    ("initial_tension_N", "true"),
+])
+def test_winch_params_reject_bad_field(tmp_path, capsys, field, text):
+    raw = json.loads((DATA_DIR / "winch_params.json").read_text())
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**raw, field: "@"}).replace('"@"', text))
+    code, _, err = run(
+        ["winch", "simulate", "--params", str(params),
+         "--profile", str(DATA_DIR / "triangle_profile.csv")],
+        capsys,
+    )
+    assert_bad_input(code, err)
+    assert field in err
+
+
+def test_winch_simulate_rejects_non_finite_initial_tension(capsys):
+    code, _, err = run(
+        ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
+         "--profile", str(DATA_DIR / "triangle_profile.csv"), "--initial-tension", "nan"],
+        capsys,
+    )
+    assert_bad_input(code, err)
+    assert "initial tension" in err
 
 
 def test_tendon_csv_rejects_ragged_row(tmp_path, capsys):

@@ -1,18 +1,16 @@
-"""Design search: round trip, soundness, completeness at grid scale."""
+"""Design search: round trip, soundness, exact completeness, properties."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import DATA_DIR
+from oracles import evaluate
 
 from wwmtc.beam import solve_beam
-from wwmtc.design import (
-    GRID_STEPS,
-    DesignConstraints,
-    constraint_slopes,
-    evaluate,
-    infeasibility_report,
-    search,
-)
+from wwmtc.design import DesignConstraints, infeasibility_report, search
 from wwmtc.errors import DomainError
+from wwmtc.fileio import read_design_constraints
 from wwmtc.muscle import DEFAULT_P_CAP, MuscleSpec, natural_length, state_at
 
 PCAP = DEFAULT_P_CAP
@@ -44,6 +42,32 @@ def random_constraints(rng: np.random.Generator) -> DesignConstraints:
         n_range=(1, int(rng.integers(2, 13))),
         L_range=(float(rng.uniform(3.0, 12.0)), float(rng.uniform(30.0, 70.0))),
     )
+
+
+def dense_margin(cons: DesignConstraints, n: int, Ls: np.ndarray) -> np.ndarray:
+    """Smallest constraint margin at each L, in the search's own float operations."""
+    sol = solve_beam(1.0, PCAP)
+    nat = n * Ls + cons.h0
+    stroke = n * Ls * (1.0 - sol.h)
+    width = Ls * sol.w
+    return np.minimum.reduce([
+        nat - cons.natural_length_range[0],
+        cons.natural_length_range[1] - nat,
+        stroke - cons.min_stroke,
+        cons.max_width_at_full - width,
+        width - cons.min_width_at_full,
+    ])
+
+
+def assert_complete(cons: DesignConstraints, results, num: int = 4001) -> None:
+    """Every dense-scan L with margin >= 0 lies in a returned interval."""
+    dense = np.linspace(cons.L_range[0], cons.L_range[1], num)
+    for n in range(cons.n_range[0], cons.n_range[1] + 1):
+        intervals = [r.L_interval for r in results if r.spec.n == n]
+        for L in dense[dense_margin(cons, n, dense) >= 0.0]:
+            assert any(lo - 1e-9 <= L <= hi + 1e-9 for lo, hi in intervals), (
+                f"missed feasible L={L} for n={n}"
+            )
 
 
 def test_radial_round_trip():
@@ -120,32 +144,22 @@ def test_soundness_and_completeness_randomized():
             )
             assert min(mid_margins) >= -1e-6
 
-        # completeness at grid scale: any dense-scan point whose margin beats
-        # the per-n Lipschitz bound of one grid step must fall inside a
-        # returned interval for that n
-        L_min, L_max = cons.L_range
-        grid_step = (L_max - L_min) / GRID_STEPS
-        sol = solve_beam(1.0, PCAP)
-        dense = np.linspace(L_min, L_max, 4001)
-        for n in range(cons.n_range[0], cons.n_range[1] + 1):
-            lipschitz = max(constraint_slopes(cons, n, PCAP))
-            bound = lipschitz * grid_step
-            nat = n * dense + cons.h0
-            stroke = n * dense * (1.0 - sol.h)
-            width = dense * sol.w
-            margin = np.minimum.reduce([
-                nat - cons.natural_length_range[0],
-                cons.natural_length_range[1] - nat,
-                stroke - cons.min_stroke,
-                cons.max_width_at_full - width,
-                width - cons.min_width_at_full,
-            ])
-            strong = dense[margin >= bound]
-            intervals = [r.L_interval for r in results if r.spec.n == n]
-            for L in strong:
-                assert any(lo - 1e-9 <= L <= hi + 1e-9 for lo, hi in intervals), (
-                    f"missed feasible L={L} (margin above {bound}) for n={n}"
-                )
+        # completeness: every dense-scan point with margin >= 0 is covered
+        assert_complete(cons, results)
+
+
+def test_fixture_window_between_old_grid_points():
+    # n = 11 is feasible only for L in about [19.636, 19.709], between the
+    # 200-step grid points 19.6 and 19.8 that the search used to scan
+    cons = read_design_constraints(DATA_DIR / "constraints.json")
+    match = [r for r in search(cons, PCAP) if r.spec.n == 11]
+    assert len(match) == 1
+    res = match[0]
+    lo, hi = res.L_interval
+    assert 19.6 < lo < 19.68 < hi < 19.8
+    for L in (res.spec.L, lo, hi):
+        assert min(evaluate(cons, 11, L, PCAP)) >= -1e-6
+    assert 11 not in infeasibility_report(cons, PCAP)
 
 
 def test_search_deterministic():
@@ -194,3 +208,44 @@ def test_constraint_validation():
             n_range=(0, 2),
             L_range=(1.0, 2.0),
         )
+
+
+# --- properties over random constraint sets --------------------------------------
+
+@st.composite
+def constraint_sets(draw) -> DesignConstraints:
+    nat_lo = draw(st.floats(20.0, 300.0))
+    L_lo = draw(st.floats(2.0, 40.0))
+    n_lo = draw(st.integers(1, 12))
+    return DesignConstraints(
+        natural_length_range=(nat_lo, nat_lo + draw(st.floats(0.0, 150.0))),
+        min_stroke=draw(st.floats(0.0, 80.0)),
+        max_width_at_full=draw(st.floats(0.0, 40.0)),
+        min_width_at_full=draw(st.floats(0.0, 5.0)),
+        h0=draw(st.floats(0.0, 30.0)),
+        n_range=(n_lo, n_lo + draw(st.integers(0, 8))),
+        L_range=(L_lo, L_lo + draw(st.floats(0.0, 60.0))),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(constraint_sets())
+def test_search_and_report_properties(cons):
+    results = search(cons, PCAP)
+    report = infeasibility_report(cons, PCAP)
+
+    # results and report split n_range with no overlap
+    found = [r.spec.n for r in results]
+    assert len(found) == len(set(found))
+    assert not set(found) & set(report)
+    assert set(found) | set(report) == set(range(cons.n_range[0], cons.n_range[1] + 1))
+
+    # every spec and both interval ends re-validate through the forward model
+    for res in results:
+        for L in (res.spec.L, *res.L_interval):
+            assert min(evaluate(cons, res.spec.n, L, PCAP)) >= -1e-6
+
+    # a reported arch count has no dense-scan point with margin >= 0
+    dense = np.linspace(cons.L_range[0], cons.L_range[1], 2001)
+    for n in report:
+        assert not (dense_margin(cons, n, dense) >= 0.0).any(), n
