@@ -21,7 +21,9 @@ from .elliptic import (
     ellip_e,
     ellip_e_complete,
     ellip_f,
+    ellip_fe,
     ellip_k,
+    ellip_ke,
 )
 from .errors import (
     DomainError,
@@ -91,7 +93,9 @@ __all__ = [
     "ellip_e",
     "ellip_e_complete",
     "ellip_f",
+    "ellip_fe",
     "ellip_k",
+    "ellip_ke",
     "fit_tendon",
     "fit_winch",
     "infeasibility_report",

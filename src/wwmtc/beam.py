@@ -29,13 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elliptic import (
-    MODULUS_MAX,
-    ellip_e,
-    ellip_e_complete,
-    ellip_f,
-    ellip_k,
-)
+from .elliptic import MODULUS_MAX, ellip_fe, ellip_ke
 from .errors import DomainError, NumericalInstabilityError, OutOfRangeError
 
 # Shape parameter of the straight (unloaded) strip.
@@ -94,7 +88,9 @@ def solve_beam(L: float, p: float) -> BeamSolution:
         return BeamSolution(w=0.0, h=L, psi0=0.0, k=0.0, phi1=math.pi / 2.0)
 
     phi1 = math.asin(min(1.0, 1.0 / (math.sqrt(2.0) * p)))
-    kL = ellip_k(p) - ellip_f(phi1, p)
+    K, E = ellip_ke(p)
+    F1, E1 = ellip_fe(phi1, p)
+    kL = K - F1
     if kL < 1e-12:
         raise NumericalInstabilityError(
             f"scale factor k*L={kL!r} too small at p={p!r}; "
@@ -104,17 +100,47 @@ def solve_beam(L: float, p: float) -> BeamSolution:
     h = math.sqrt(2.0 * sin_psi0) / k
     # within ~1e-10 of the straight boundary the bracket cancels to noise of
     # order 1e-9*L; clamp so w >= 0 holds there (true w is below the noise)
-    w = max(0.0, (kL - 2.0 * (ellip_e_complete(p) - ellip_e(phi1, p))) / k)
+    w = max(0.0, (kL - 2.0 * (E - E1)) / k)
     psi0 = math.asin(min(1.0, sin_psi0))
     return BeamSolution(w=w, h=h, psi0=psi0, k=k, phi1=phi1)
 
 
+def _height_slope(L: float, p: float, sol: BeamSolution) -> float:
+    """dh/dp at p > P_STRAIGHT, from the fields of ``sol = solve_beam(L, p)``.
+
+    With c = cos(phi1) and E - E(phi1) = k (L - w) / 2, differentiating
+    kL = K(p) - F(phi1(p), p) gives
+    d(kL)/dp = k (L - w) / (2 p (1 - p^2)) - kL / p + c / (1 - p^2) + 1 / (p^2 c),
+    and h = L r / kL with r = sqrt(2 (2 p^2 - 1)) then gives dh/dp.
+    """
+    q = 2.0 * p * p - 1.0
+    c = math.sqrt(q) / (math.sqrt(2.0) * p)
+    one_minus_m = 1.0 - p * p
+    kL = sol.k * L
+    dkL = (sol.k * (L - sol.w) / (2.0 * p * one_minus_m) - kL / p
+           + c / one_minus_m + 1.0 / (p * p * c))
+    r = math.sqrt(2.0 * q)
+    return L * ((4.0 * p / r) / kL - r * dkL / (kL * kL))
+
+
 def solve_p_for_height(L: float, h_target: float) -> float:
-    """Invert h(L, p) for p by bracketed bisection.
+    """Invert h(L, p) for p by a bracketed, safeguarded Newton iteration.
 
     h is strictly decreasing in p on [P_STRAIGHT, P_MAX] (verified by dense
-    sampling in the test suite), so a plain bisection is reliable all the
-    way to the degenerate straight-strip boundary.
+    sampling in the test suite) but flat at the straight end, where L - h
+    grows like (p - P_STRAIGHT)^2.  The iteration therefore runs on
+    g(p) = sqrt(L - h(p)), which is linear there, starting from the linear
+    interpolation of g between the bracket ends.  Each evaluation narrows
+    the bracket; a Newton step that leaves it, or that is longer than half
+    the step before last, is replaced by a bisection step.  Once a Newton
+    step is no longer than 1e-8 (1 - p) and the evaluated p meets h_target
+    to 1e-9 L, the stepped-to p is returned: Newton converges
+    quadratically, so its error is far below an ULP.  (The 1 - p scale
+    keeps the test meaningful next to P_MAX, where h is steep in p.)  If the
+    bracket shrinks to adjacent doubles first, as it can where rounding
+    makes h noisy next to the straight end, the end nearer the target is
+    returned, or NumericalInstabilityError raised when it misses by more
+    than 1e-9 L.
 
     Raises OutOfRangeError when h_target is below the smallest achievable
     height (at p = P_MAX); the error carries the achievable interval.
@@ -135,18 +161,36 @@ def solve_p_for_height(L: float, h_target: float) -> float:
             hi=L,
         )
 
+    g_target = math.sqrt(L - h_target)
     lo, hi = P_STRAIGHT, P_MAX  # h(lo) = L >= h_target >= h(hi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if solve_beam(L, mid).h >= h_target:
-            lo = mid
+    p = P_STRAIGHT + (P_MAX - P_STRAIGHT) * (g_target / math.sqrt(L - h_min))
+    # misses at the bracket ends, for the answer once the bracket is two
+    # adjacent doubles
+    miss_lo, miss_hi = L - h_target, h_min - h_target
+    step = prev = hi - lo
+    while True:
+        sol = solve_beam(L, p)
+        miss = sol.h - h_target
+        if miss >= 0.0:
+            lo, miss_lo = p, miss
         else:
-            hi = mid
-    p = 0.5 * (lo + hi)
-    # the bisection interval is ~1e-19 wide here; this guard only fires if
-    # the monotonicity assumption were ever violated
-    if abs(solve_beam(L, p).h - h_target) > 1e-9 * L:
-        raise NumericalInstabilityError(
-            f"height inversion did not converge at h_target={h_target!r}"
-        )
-    return p
+            hi, miss_hi = p, miss
+        g = math.sqrt(max(L - sol.h, 0.0))
+        slope = _height_slope(L, p, sol) if g > 0.0 else 0.0
+        # Newton on g, whose slope is -h' / (2 g)
+        newton = p + 2.0 * g * (g - g_target) / slope if slope < 0.0 else p
+        if (abs(newton - p) <= 1e-8 * (1.0 - p) and abs(miss) <= 1e-9 * L
+                and lo <= newton <= hi):
+            return newton
+        if lo < newton < hi and abs(newton - p) <= 0.5 * abs(prev):
+            prev, step, p = step, newton - p, newton
+            continue
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            p, miss = (lo, miss_lo) if miss_lo <= -miss_hi else (hi, miss_hi)
+            if abs(miss) > 1e-9 * L:
+                raise NumericalInstabilityError(
+                    f"height inversion did not converge at h_target={h_target!r}"
+                )
+            return p
+        prev, step, p = step, mid - p, mid

@@ -14,16 +14,13 @@ inputs.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import combinations
 
 from .beam import solve_beam
 from .errors import DomainError
 from .muscle import DEFAULT_P_CAP, KINDS, MuscleSpec, natural_length, state_at
-
-# most doubles a closed-form interval end may move to reach the margin check
-_SNAP_STEPS = 1 << 14
-
 
 @dataclass(frozen=True)
 class DesignConstraints:
@@ -115,29 +112,50 @@ def _result_for(constraints: DesignConstraints, n: int, lo: float, hi: float,
                         L_interval=(lo, hi))
 
 
-def _snap(feasible, end: float, outward: float, inward: float) -> float | None:
-    """Walk ``end`` double by double to the outermost one passing ``feasible``.
+def _bits(x: float) -> int:
+    """Position of a nonnegative double in the ordered doubles (its bit pattern)."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
 
-    Rounding is monotone, so each computed margin is monotone in L and the
-    passing doubles form one run: the walk steps toward ``inward`` until it
-    enters the run, then toward ``outward`` to the run's last double.  The
-    rounding of n·L + h0 blurs a closed-form end over about h0 / (n·L)
-    doubles; after _SNAP_STEPS steps the walk stops where it is, or returns
-    None if it never entered the run.
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _snap(passes, end: float, outward: float, inward: float) -> float | None:
+    """Outermost double between ``inward`` and ``outward`` that ``passes``.
+
+    ``passes`` must hold on the inward side of a single boundary and fail
+    on the outward side.  From ``end`` the search heads outward if ``end``
+    passes and inward if not.  Usually the boundary is within one double;
+    otherwise it gallops on (doubling its stride) until it crosses the
+    boundary, then bisects to adjacent doubles.  The bit patterns of
+    positive doubles are ordered like the doubles, so strides are counted
+    over those integers.  Returns None when even ``inward`` fails.
     """
-    steps = 0
-    while not feasible(end):
-        if end == inward or steps == _SNAP_STEPS:
-            return None
-        end = math.nextafter(end, inward)
-        steps += 1
-    while end != outward and steps < _SNAP_STEPS:
-        step = math.nextafter(end, outward)
-        if not feasible(step):
+    ok = passes(end)
+    limit = outward if ok else inward
+    if end == limit:
+        return end if ok else None
+    step = math.nextafter(end, limit)
+    if passes(step) != ok:
+        return end if ok else step
+    sign = 1 if limit > end else -1  # bit order, counted toward limit
+    near, last = sign * _bits(step), sign * _bits(limit)
+    stride = 2
+    while True:
+        if near == last:
+            return limit if ok else None
+        far = min(near + stride, last)
+        if passes(_double(sign * far)) != ok:
             break
-        end = step
-        steps += 1
-    return end
+        near, stride = far, 2 * stride
+    while far - near > 1:  # near is on end's side of the boundary, far beyond
+        mid = (near + far) // 2
+        if passes(_double(sign * mid)) == ok:
+            near = mid
+        else:
+            far = mid
+    return _double(sign * (near if ok else far))
 
 
 def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
@@ -162,12 +180,20 @@ def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
         elif a_i < 0.0:
             hi = -math.inf
     if lo <= hi:
-        def feasible(L: float) -> bool:
-            return min(_margins(constraints, n, L, h_unit, w_unit)) >= 0.0
+        # rounding is monotone, so the computed margins 0, 2 and 4 never
+        # fall as L grows and 1 and 3 never rise (see b): each group passes
+        # on one side of a single boundary
+        def above_floor(L: float) -> bool:
+            m = _margins(constraints, n, L, h_unit, w_unit)
+            return m[0] >= 0.0 and m[2] >= 0.0 and m[4] >= 0.0
 
-        lo = _snap(feasible, lo, L_min, L_max)
-        hi = _snap(feasible, hi, L_max, L_min)
-        if lo is not None and hi is not None:
+        def below_ceiling(L: float) -> bool:
+            m = _margins(constraints, n, L, h_unit, w_unit)
+            return m[1] >= 0.0 and m[3] >= 0.0
+
+        lo = _snap(above_floor, lo, L_min, L_max)
+        hi = _snap(below_ceiling, hi, L_max, L_min)
+        if lo is not None and hi is not None and lo <= hi:
             return lo, hi
     crossings = [(a[j] - a[i]) / (b[i] - b[j])
                  for i, j in combinations(range(len(a)), 2) if b[i] != b[j]]

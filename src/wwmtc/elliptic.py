@@ -7,11 +7,20 @@ which is the only region the downstream beam model evaluates.
 Two independent evaluation routes are provided:
 
 * a fast path built on Carlson symmetric forms (duplication theorem, the
-  SLATEC algorithm), accurate to a few ULP, and
+  SLATEC algorithm; Carlson, Numer. Algorithms 10, 1995), accurate to a few
+  ULP, and
 * ``*_quadrature`` reference implementations that integrate the defining
   integrals with adaptive Simpson quadrature.  These are deliberately kept
   algorithm-independent from the fast path so the two can cross-check each
   other in the test suite.
+
+E needs both R_F and R_D of the same arguments, and the two forms apply the
+same duplication step, so ``_rf_rd`` runs one duplication sequence and
+finishes each form where its own stopping rule first holds.  The pairs
+``ellip_fe`` = (F, E)(phi, p) and ``ellip_ke`` = (K, E)(p) return both
+integrals of one amplitude from that single pass, bit-identical to the
+separate functions; ``ellip_e`` and ``ellip_e_complete`` are their second
+halves, while ``ellip_f`` and ``ellip_k`` keep the cheaper R_F-only loop.
 """
 
 from __future__ import annotations
@@ -54,6 +63,14 @@ _RF_TOL = 1e-4  # deviation threshold; 5th-order tail then contributes < 1 ULP
 _RD_TOL = 1e-4
 
 
+def _rf_series(mu: float, dx: float, dy: float, dz: float) -> float:
+    """R_F from the mean and relative deviations of a converged duplication."""
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    s = 1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0
+    return s / math.sqrt(mu)
+
+
 def _rf(x: float, y: float, z: float) -> float:
     """Carlson R_F(x, y, z) for nonnegative arguments, at most one zero."""
     xm, ym, zm = x, y, z
@@ -68,40 +85,55 @@ def _rf(x: float, y: float, z: float) -> float:
         dy = (mu - ym) / mu
         dz = (mu - zm) / mu
         if max(abs(dx), abs(dy), abs(dz)) < _RF_TOL:
-            break
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    s = 1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0
-    return s / math.sqrt(mu)
+            return _rf_series(mu, dx, dy, dz)
 
 
-def _rd(x: float, y: float, z: float) -> float:
-    """Carlson R_D(x, y, z); z must be positive."""
+def _rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
+    """Carlson R_F(x, y, z) and R_D(x, y, z) from one duplication sequence.
+
+    Both forms apply the same duplication step to the same arguments and
+    differ only in their mean and stopping rule, so one loop serves both:
+    each form is finished at the step where its own rule first holds, which
+    reproduces the two separate loops bit for bit.  z must be positive.
+    """
     xm, ym, zm = x, y, z
     total = 0.0
     pow4 = 1.0
+    rf = rd = None
     while True:
         sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
         lam = sx * (sy + sz) + sy * sz
-        total += pow4 / (sz * (zm + lam))
-        pow4 *= 0.25
+        if rd is None:
+            total += pow4 / (sz * (zm + lam))
+            pow4 *= 0.25
         xm = (xm + lam) * 0.25
         ym = (ym + lam) * 0.25
         zm = (zm + lam) * 0.25
-        mu = (xm + ym + 3.0 * zm) * 0.2
-        dx = (mu - xm) / mu
-        dy = (mu - ym) / mu
-        dz = (mu - zm) / mu
-        if max(abs(dx), abs(dy), abs(dz)) < _RD_TOL:
-            break
-    ea = dx * dy
-    eb = dz * dz
-    ec = ea - eb
-    ed = ea - 6.0 * eb
-    ef = ed + ec + ec
-    s1 = ed * (-3.0 / 14.0 + 0.25 * (9.0 / 22.0) * ed - 1.5 * (3.0 / 26.0) * dz * ef)
-    s2 = dz * ((1.0 / 6.0) * ef + dz * (-(9.0 / 22.0) * ec + dz * (3.0 / 26.0) * ea))
-    return 3.0 * total + pow4 * (1.0 + s1 + s2) / (mu * math.sqrt(mu))
+        if rf is None:
+            mu = (xm + ym + zm) / 3.0
+            dx = (mu - xm) / mu
+            dy = (mu - ym) / mu
+            dz = (mu - zm) / mu
+            if max(abs(dx), abs(dy), abs(dz)) < _RF_TOL:
+                rf = _rf_series(mu, dx, dy, dz)
+        if rd is None:
+            mu = (xm + ym + 3.0 * zm) * 0.2
+            dx = (mu - xm) / mu
+            dy = (mu - ym) / mu
+            dz = (mu - zm) / mu
+            if max(abs(dx), abs(dy), abs(dz)) < _RD_TOL:
+                ea = dx * dy
+                eb = dz * dz
+                ec = ea - eb
+                ed = ea - 6.0 * eb
+                ef = ed + ec + ec
+                s1 = ed * (-3.0 / 14.0 + 0.25 * (9.0 / 22.0) * ed
+                           - 1.5 * (3.0 / 26.0) * dz * ef)
+                s2 = dz * ((1.0 / 6.0) * ef
+                           + dz * (-(9.0 / 22.0) * ec + dz * (3.0 / 26.0) * ea))
+                rd = 3.0 * total + pow4 * (1.0 + s1 + s2) / (mu * math.sqrt(mu))
+        if rf is not None and rd is not None:
+            return rf, rd
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +156,29 @@ def ellip_f(phi: float, p: float) -> float:
     return s * _rf(c * c, 1.0 - ps * ps, 1.0)
 
 
+def ellip_fe(phi: float, p: float) -> tuple[float, float]:
+    """Both incomplete integrals (F(phi, p), E(phi, p)) from one Carlson pass.
+
+    Bit-identical to ``(ellip_f(phi, p), ellip_e(phi, p))``.
+    """
+    phi = _check_amplitude(phi)
+    p = _check_modulus(p)
+    if phi == 0.0:
+        return 0.0, 0.0
+    s = math.sin(phi)
+    c = math.cos(phi)
+    ps = p * s
+    rf, rd = _rf_rd(c * c, 1.0 - ps * ps, 1.0)
+    f = s * rf
+    return f, f - (p * p) * (s * s * s) * rd / 3.0
+
+
 def ellip_e(phi: float, p: float) -> float:
     """Incomplete elliptic integral of the second kind E(phi, p).
 
     Integral of sqrt(1 - p^2 sin^2 theta) for theta in [0, phi].
     """
-    phi = _check_amplitude(phi)
-    p = _check_modulus(p)
-    if phi == 0.0:
-        return 0.0
-    s = math.sin(phi)
-    c = math.cos(phi)
-    ps = p * s
-    y = 1.0 - ps * ps
-    return s * _rf(c * c, y, 1.0) - (p * p) * (s * s * s) * _rd(c * c, y, 1.0) / 3.0
+    return ellip_fe(phi, p)[1]
 
 
 def ellip_k(p: float) -> float:
@@ -146,12 +187,20 @@ def ellip_k(p: float) -> float:
     return _rf(0.0, 1.0 - p * p, 1.0)
 
 
-def ellip_e_complete(p: float) -> float:
-    """Complete elliptic integral of the second kind E(p) = E(pi/2, p)."""
+def ellip_ke(p: float) -> tuple[float, float]:
+    """Both complete integrals (K(p), E(p)) from one Carlson pass.
+
+    Bit-identical to ``(ellip_k(p), ellip_e_complete(p))``.
+    """
     p = _check_modulus(p)
     m = p * p
-    y = 1.0 - m
-    return _rf(0.0, y, 1.0) - m * _rd(0.0, y, 1.0) / 3.0
+    rf, rd = _rf_rd(0.0, 1.0 - m, 1.0)
+    return rf, rf - m * rd / 3.0
+
+
+def ellip_e_complete(p: float) -> float:
+    """Complete elliptic integral of the second kind E(p) = E(pi/2, p)."""
+    return ellip_ke(p)[1]
 
 
 # ---------------------------------------------------------------------------

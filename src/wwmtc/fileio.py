@@ -151,7 +151,10 @@ def _read_numeric_csv(path: str | Path, header: str):
 def read_tendon_csv(path: str | Path):
     """-> (time_s, load_N, strain, cycle) arrays."""
     data = _read_numeric_csv(path, TENDON_HEADER)
-    return data[:, 0], data[:, 1], data[:, 2], data[:, 3].astype(int)
+    cycle = data[:, 3]
+    if (cycle % 1.0).any():
+        raise DomainError(f"{path}: every cycle cell must be a whole number")
+    return data[:, 0], data[:, 1], data[:, 2], cycle.astype(int)
 
 
 def read_winch_csv(path: str | Path):

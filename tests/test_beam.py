@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wwmtc import beam
 from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam, solve_p_for_height
 from wwmtc.elliptic import ellip_f, ellip_k
 from wwmtc.errors import DomainError, OutOfRangeError
@@ -108,6 +109,37 @@ def test_invert_matches_dense_scan():
     p = solve_p_for_height(35.0, 20.0)
     assert p == pytest.approx(0.9891039536956032, abs=1e-6)
     assert solve_beam(35.0, p).h == pytest.approx(20.0, abs=1e-9 * 35.0)
+
+
+def test_invert_kernel_budget(monkeypatch):
+    # every solve_beam call of one inversion, the P_MAX range check included
+    calls = []
+
+    def counted(L, p):
+        calls.append(p)
+        return solve_beam(L, p)
+
+    monkeypatch.setattr(beam, "solve_beam", counted)
+    rng = np.random.default_rng(10)
+    for L in (1.0, 27.0, 35.0, 250.0):
+        for p in rng.uniform(P_STRAIGHT + 1e-3, 0.97, 60):
+            h = solve_beam(L, float(p)).h
+            calls.clear()
+            assert solve_p_for_height(L, h) == pytest.approx(p, abs=1e-9)
+            assert len(calls) <= 10, (L, p, len(calls))
+
+
+def test_invert_extreme_targets_converge():
+    # next to the straight end rounding makes h noisy, next to P_MAX one
+    # ULP of p moves h by ~1e-9 L; both must still meet the 1e-9 L guard
+    for L in (1.0, 27.0, 35.0):
+        h_min = solve_beam(L, P_MAX).h
+        for frac in (1e-16, 1e-13, 1e-10, 1e-7, 1e-4):
+            for h in (L * (1.0 - frac), h_min + (L - h_min) * frac):
+                p = solve_p_for_height(L, h)
+                assert P_STRAIGHT <= p <= P_MAX
+                assert solve_beam(L, p).h == pytest.approx(h, abs=1e-9 * L)
+        assert solve_p_for_height(L, h_min) == P_MAX
 
 
 def test_invert_reports_achievable_minimum():

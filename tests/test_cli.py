@@ -237,6 +237,18 @@ def test_muscle_invert(capsys):
     check_golden("muscle_invert_natural.txt", out.encode())
 
 
+def test_muscle_invert_interior_length(capsys):
+    code, out, _ = run(
+        ["muscle", "invert", "--spec", str(DATA_DIR / "radial.json"),
+         "--length", "220"],
+        capsys,
+    )
+    assert code == 0
+    row = out.strip().split("\n")[1].split(",")
+    assert abs(float(row[0]) - 0.875303679276549) <= 1e-12
+    assert row[2] == "220"
+
+
 def test_muscle_invert_out_of_range(capsys):
     code, _, err = run(
         ["muscle", "invert", "--spec", str(DATA_DIR / "radial.json"),
@@ -473,6 +485,28 @@ def test_tendon_csv_rejects_ragged_row(tmp_path, capsys):
     code, _, err = run(["tendon", "fit", "--data", str(data)], capsys)
     assert_bad_input(code, err)
     assert "4 numbers" in err
+
+
+def test_tendon_csv_rejects_fractional_cycle(tmp_path, capsys):
+    header, *rows = (DATA_DIR / "tendon_bench.csv").read_text().splitlines()
+    shifted = []
+    for row in rows:
+        *cells, cycle = row.split(",")
+        shifted.append(",".join([*cells, repr(int(cycle) + 0.7)]))
+    data = tmp_path / "tendon.csv"
+    data.write_text("\n".join([header, *shifted]) + "\n")
+    code, _, err = run(["tendon", "fit", "--data", str(data)], capsys)
+    assert_bad_input(code, err)
+    assert "cycle" in err
+
+
+def test_tendon_csv_accepts_integral_float_cycle(tmp_path, capsys):
+    header, *rows = (DATA_DIR / "tendon_bench.csv").read_text().splitlines()
+    data = tmp_path / "tendon.csv"
+    data.write_text("\n".join([header, *(row + ".0" for row in rows)]) + "\n")
+    code, out, _ = run(["tendon", "fit", "--data", str(data)], capsys)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "tendon_fit.json").read_text()
 
 
 # --- determinism -------------------------------------------------------------------

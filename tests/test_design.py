@@ -8,7 +8,7 @@ from conftest import DATA_DIR
 from oracles import evaluate
 
 from wwmtc.beam import solve_beam
-from wwmtc.design import DesignConstraints, infeasibility_report, search
+from wwmtc.design import DesignConstraints, _margins, infeasibility_report, search
 from wwmtc.errors import DomainError
 from wwmtc.fileio import read_design_constraints
 from wwmtc.muscle import DEFAULT_P_CAP, MuscleSpec, natural_length, state_at
@@ -160,6 +160,34 @@ def test_fixture_window_between_old_grid_points():
     for L in (res.spec.L, lo, hi):
         assert min(evaluate(cons, 11, L, PCAP)) >= -1e-6
     assert 11 not in infeasibility_report(cons, PCAP)
+
+
+@pytest.mark.parametrize("h0", [1e7, 1e12])
+def test_interval_ends_exact_when_offset_dwarfs_arches(h0):
+    # n·L + h0 rounds to one value over about h0 / (n·L) doubles of L, so
+    # the closed-form ends can sit far from the outermost passing doubles
+    cons = DesignConstraints(
+        natural_length_range=(h0 + 5.3, h0 + 7.1),
+        min_stroke=0.0,
+        max_width_at_full=100.0,
+        h0=h0,
+        n_range=(1, 3),
+        L_range=(0.5, 10.0),
+    )
+    sol = solve_beam(1.0, PCAP)
+    results = search(cons, PCAP)
+    assert sorted(r.spec.n for r in results) == [1, 2, 3]
+    assert infeasibility_report(cons, PCAP) == {}
+    for res in results:
+        n = res.spec.n
+
+        def passes(L):
+            return min(_margins(cons, n, L, sol.h, sol.w)) >= 0.0
+
+        lo, hi = res.L_interval
+        assert passes(lo) and passes(hi)
+        assert not passes(np.nextafter(lo, 0.0))
+        assert not passes(np.nextafter(hi, np.inf))
 
 
 def test_search_deterministic():

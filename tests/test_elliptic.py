@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wwmtc.elliptic import (
     MODULUS_MAX,
@@ -13,8 +14,10 @@ from wwmtc.elliptic import (
     ellip_e_quadrature,
     ellip_f,
     ellip_f_quadrature,
+    ellip_fe,
     ellip_k,
     ellip_k_quadrature,
+    ellip_ke,
 )
 from wwmtc.errors import DomainError
 
@@ -90,6 +93,32 @@ def test_fast_path_matches_quadrature_grid():
         assert rel_err(ellip_e_complete(p), ellip_e_complete_quadrature(p)) < 1e-10
 
 
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(phi=st.floats(0.0, HALF_PI), p=st.floats(0.0, 0.995))
+def test_fast_pairs_match_quadrature(phi, p):
+    f, e = ellip_fe(phi, p)
+    assert rel_err(f, ellip_f_quadrature(phi, p)) < 1e-10
+    assert rel_err(e, ellip_e_quadrature(phi, p)) < 1e-10
+    k, ec = ellip_ke(p)
+    assert rel_err(k, ellip_k_quadrature(p)) < 1e-10
+    assert rel_err(ec, ellip_e_complete_quadrature(p)) < 1e-10
+
+
+# --- fused Carlson pass -------------------------------------------------------
+
+def test_pairs_are_bit_identical_to_single_integrals():
+    # the fused R_F/R_D loop must finish R_F exactly where the standalone
+    # R_F loop of ellip_f and ellip_k stops
+    rng = np.random.default_rng(5)
+    phis = [0.0, 1e-300, 1e-8, HALF_PI, *rng.uniform(0.0, HALF_PI, 400)]
+    ps = [0.0, 1e-8, 1 / math.sqrt(2.0), 0.999999, MODULUS_MAX,
+          *rng.uniform(0.0, MODULUS_MAX, 400)]
+    for phi, p in zip(phis, ps):
+        phi, p = float(phi), float(p)
+        assert ellip_fe(phi, p) == (ellip_f(phi, p), ellip_e(phi, p))
+        assert ellip_ke(p) == (ellip_k(p), ellip_e_complete(p))
+
+
 # --- structural properties ---------------------------------------------------
 
 def test_legendre_relation():
@@ -125,6 +154,10 @@ def test_rejects_bad_modulus(bad_p):
         ellip_k(bad_p)
     with pytest.raises(DomainError):
         ellip_f(0.5, bad_p)
+    with pytest.raises(DomainError):
+        ellip_fe(0.5, bad_p)
+    with pytest.raises(DomainError):
+        ellip_ke(bad_p)
 
 
 @pytest.mark.parametrize("bad_phi", [-0.1, HALF_PI + 0.01, 4.0])
@@ -133,3 +166,5 @@ def test_rejects_bad_amplitude(bad_phi):
         ellip_f(bad_phi, 0.5)
     with pytest.raises(DomainError):
         ellip_e(bad_phi, 0.5)
+    with pytest.raises(DomainError):
+        ellip_fe(bad_phi, 0.5)

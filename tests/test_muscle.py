@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wwmtc.beam import P_STRAIGHT, solve_beam
 from wwmtc.errors import DomainError, OutOfRangeError
@@ -185,3 +186,19 @@ def test_curve_validation(radial_spec):
         curve(radial_spec, 1)
     with pytest.raises(DomainError):
         curve(radial_spec, 10, p_cap=0.5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 40),
+    L=st.floats(0.5, 500.0),
+    h0=st.floats(0.0, 200.0),
+    p_cap=st.floats(0.75, 0.999),
+    u=st.floats(0.0, 1.0),
+)
+def test_length_inversion_round_trip(n, L, h0, p_cap, u):
+    spec = MuscleSpec(n, L, h0)
+    p_lo = P_STRAIGHT + 1e-3
+    p = min(p_lo + u * (p_cap - p_lo), p_cap)
+    back = state_for_length(spec, state_at(spec, p).length, p_cap)
+    assert abs(back.p - p) <= 1e-7
