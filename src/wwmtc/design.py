@@ -17,6 +17,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .beam import solve_beam
 from .errors import DomainError
@@ -136,7 +137,7 @@ def _snap(passes, end: float, outward: float, inward: float) -> float | None:
     limit = outward if ok else inward
     if end == limit:
         return end if ok else None
-    step = math.nextafter(end, limit)
+    step = math.nextafter(end, limit)  # settles most calls without _bits/_double
     if passes(step) != ok:
         return end if ok else step
     sign = 1 if limit > end else -1  # bit order, counted toward limit
@@ -158,6 +159,18 @@ def _snap(passes, end: float, outward: float, inward: float) -> float | None:
     return _double(sign * (near if ok else far))
 
 
+def _slopes(n: int, h_unit: float, w_unit: float) -> tuple[float, ...]:
+    """Slope in L of every margin of ``_margins``."""
+    return (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
+
+
+# Margins that rise with L bound it from below (the floor), falling ones from
+# above (the ceiling).  The signs are the same for every n >= 1, arch height
+# h_unit < 1 and width w_unit > 0, so one sample of the slopes sorts them.
+_FLOOR = itemgetter(*[i for i, b_i in enumerate(_slopes(1, 0.5, 1.0)) if b_i >= 0.0])
+_CEILING = itemgetter(*[i for i, b_i in enumerate(_slopes(1, 0.5, 1.0)) if b_i < 0.0])
+
+
 def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
              w_unit: float) -> tuple[float, float] | str:
     """Feasible L-interval of arch count n, or the name of its binding constraint.
@@ -170,7 +183,7 @@ def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
     """
     L_min, L_max = constraints.L_range
     a = _margins(constraints, n, 0.0, h_unit, w_unit)  # intercepts at L = 0
-    b = (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
+    b = _slopes(n, h_unit, w_unit)
     lo, hi = L_min, L_max
     for a_i, b_i in zip(a, b):
         if b_i > 0.0:
@@ -180,16 +193,14 @@ def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
         elif a_i < 0.0:
             hi = -math.inf
     if lo <= hi:
-        # rounding is monotone, so the computed margins 0, 2 and 4 never
-        # fall as L grows and 1 and 3 never rise (see b): each group passes
-        # on one side of a single boundary
+        # rounding is monotone, so no computed floor margin falls as L grows
+        # and no ceiling margin rises: each group passes on one side of a
+        # single boundary
         def above_floor(L: float) -> bool:
-            m = _margins(constraints, n, L, h_unit, w_unit)
-            return m[0] >= 0.0 and m[2] >= 0.0 and m[4] >= 0.0
+            return min(_FLOOR(_margins(constraints, n, L, h_unit, w_unit))) >= 0.0
 
         def below_ceiling(L: float) -> bool:
-            m = _margins(constraints, n, L, h_unit, w_unit)
-            return m[1] >= 0.0 and m[3] >= 0.0
+            return min(_CEILING(_margins(constraints, n, L, h_unit, w_unit))) >= 0.0
 
         lo = _snap(above_floor, lo, L_min, L_max)
         hi = _snap(below_ceiling, hi, L_max, L_min)

@@ -14,13 +14,13 @@ Two independent evaluation routes are provided:
   algorithm-independent from the fast path so the two can cross-check each
   other in the test suite.
 
-E needs both R_F and R_D of the same arguments, and the two forms apply the
-same duplication step, so ``_rf_rd`` runs one duplication sequence and
-finishes each form where its own stopping rule first holds.  The pairs
-``ellip_fe`` = (F, E)(phi, p) and ``ellip_ke`` = (K, E)(p) return both
-integrals of one amplitude from that single pass, bit-identical to the
-separate functions; ``ellip_e`` and ``ellip_e_complete`` are their second
-halves, while ``ellip_f`` and ``ellip_k`` keep the cheaper R_F-only loop.
+The fast path rests on one kernel, ``_rf_rd``: R_F and R_D apply the same
+duplication step to the same arguments, so a single duplication sequence
+yields both, each form finished where its own stopping rule first holds
+(bit-identical to two separate loops).  The pairs ``ellip_fe`` =
+(F, E)(phi, p) and ``ellip_ke`` = (K, E)(p) return both integrals of one
+amplitude from that single pass; ``ellip_f``, ``ellip_e``, ``ellip_k`` and
+``ellip_e_complete`` are their halves.
 """
 
 from __future__ import annotations
@@ -63,31 +63,6 @@ _RF_TOL = 1e-4  # deviation threshold; 5th-order tail then contributes < 1 ULP
 _RD_TOL = 1e-4
 
 
-def _rf_series(mu: float, dx: float, dy: float, dz: float) -> float:
-    """R_F from the mean and relative deviations of a converged duplication."""
-    e2 = dx * dy - dz * dz
-    e3 = dx * dy * dz
-    s = 1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0
-    return s / math.sqrt(mu)
-
-
-def _rf(x: float, y: float, z: float) -> float:
-    """Carlson R_F(x, y, z) for nonnegative arguments, at most one zero."""
-    xm, ym, zm = x, y, z
-    while True:
-        sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
-        lam = sx * (sy + sz) + sy * sz
-        xm = (xm + lam) * 0.25
-        ym = (ym + lam) * 0.25
-        zm = (zm + lam) * 0.25
-        mu = (xm + ym + zm) / 3.0
-        dx = (mu - xm) / mu
-        dy = (mu - ym) / mu
-        dz = (mu - zm) / mu
-        if max(abs(dx), abs(dy), abs(dz)) < _RF_TOL:
-            return _rf_series(mu, dx, dy, dz)
-
-
 def _rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
     """Carlson R_F(x, y, z) and R_D(x, y, z) from one duplication sequence.
 
@@ -115,7 +90,10 @@ def _rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
             dy = (mu - ym) / mu
             dz = (mu - zm) / mu
             if max(abs(dx), abs(dy), abs(dz)) < _RF_TOL:
-                rf = _rf_series(mu, dx, dy, dz)
+                e2 = dx * dy - dz * dz
+                e3 = dx * dy * dz
+                s = 1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0
+                rf = s / math.sqrt(mu)
         if rd is None:
             mu = (xm + ym + 3.0 * zm) * 0.2
             dx = (mu - xm) / mu
@@ -146,21 +124,11 @@ def ellip_f(phi: float, p: float) -> float:
     Integral of 1/sqrt(1 - p^2 sin^2 theta) for theta in [0, phi],
     with 0 <= phi <= pi/2 and modulus 0 <= p <= MODULUS_MAX.
     """
-    phi = _check_amplitude(phi)
-    p = _check_modulus(p)
-    if phi == 0.0:
-        return 0.0
-    s = math.sin(phi)
-    c = math.cos(phi)
-    ps = p * s
-    return s * _rf(c * c, 1.0 - ps * ps, 1.0)
+    return ellip_fe(phi, p)[0]
 
 
 def ellip_fe(phi: float, p: float) -> tuple[float, float]:
-    """Both incomplete integrals (F(phi, p), E(phi, p)) from one Carlson pass.
-
-    Bit-identical to ``(ellip_f(phi, p), ellip_e(phi, p))``.
-    """
+    """Both incomplete integrals (F(phi, p), E(phi, p)) from one Carlson pass."""
     phi = _check_amplitude(phi)
     p = _check_modulus(p)
     if phi == 0.0:
@@ -183,15 +151,11 @@ def ellip_e(phi: float, p: float) -> float:
 
 def ellip_k(p: float) -> float:
     """Complete elliptic integral of the first kind K(p) = F(pi/2, p)."""
-    p = _check_modulus(p)
-    return _rf(0.0, 1.0 - p * p, 1.0)
+    return ellip_ke(p)[0]
 
 
 def ellip_ke(p: float) -> tuple[float, float]:
-    """Both complete integrals (K(p), E(p)) from one Carlson pass.
-
-    Bit-identical to ``(ellip_k(p), ellip_e_complete(p))``.
-    """
+    """Both complete integrals (K(p), E(p)) from one Carlson pass."""
     p = _check_modulus(p)
     m = p * p
     rf, rd = _rf_rd(0.0, 1.0 - m, 1.0)

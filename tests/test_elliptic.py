@@ -18,6 +18,7 @@ from wwmtc.elliptic import (
     ellip_k,
     ellip_k_quadrature,
     ellip_ke,
+    _rf_rd,
 )
 from wwmtc.errors import DomainError
 
@@ -106,17 +107,60 @@ def test_fast_pairs_match_quadrature(phi, p):
 
 # --- fused Carlson pass -------------------------------------------------------
 
-def test_pairs_are_bit_identical_to_single_integrals():
-    # the fused R_F/R_D loop must finish R_F exactly where the standalone
-    # R_F loop of ellip_f and ellip_k stops
+def _rf_alone(x, y, z):
+    """The SLATEC R_F loop on its own, as it reads without R_D beside it."""
+    while True:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25
+        mu = (x + y + z) / 3.0
+        dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
+        if max(abs(dx), abs(dy), abs(dz)) < 1e-4:
+            break
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(mu)
+
+
+def _rd_alone(x, y, z):
+    """The SLATEC R_D loop on its own."""
+    total, pow4 = 0.0, 1.0
+    while True:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        total += pow4 / (sz * (z + lam))
+        pow4 *= 0.25
+        x, y, z = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25
+        mu = (x + y + 3.0 * z) * 0.2
+        dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
+        if max(abs(dx), abs(dy), abs(dz)) < 1e-4:
+            break
+    ea = dx * dy
+    eb = dz * dz
+    ec = ea - eb
+    ed = ea - 6.0 * eb
+    ef = ed + ec + ec
+    s1 = ed * (-3.0 / 14.0 + 0.25 * (9.0 / 22.0) * ed - 1.5 * (3.0 / 26.0) * dz * ef)
+    s2 = dz * ((1.0 / 6.0) * ef + dz * (-(9.0 / 22.0) * ec + dz * (3.0 / 26.0) * ea))
+    return 3.0 * total + pow4 * (1.0 + s1 + s2) / (mu * math.sqrt(mu))
+
+
+def test_fused_pass_is_bit_identical_to_separate_loops():
+    # the fused loop must finish each form exactly where its own loop stops,
+    # on the argument triples the integrals pass it and on general ones
     rng = np.random.default_rng(5)
-    phis = [0.0, 1e-300, 1e-8, HALF_PI, *rng.uniform(0.0, HALF_PI, 400)]
-    ps = [0.0, 1e-8, 1 / math.sqrt(2.0), 0.999999, MODULUS_MAX,
+    phis = [1e-300, 1e-8, HALF_PI, *rng.uniform(0.0, HALF_PI, 400)]
+    ps = [0.0, 1e-8, 1 / math.sqrt(2.0), MODULUS_MAX,
           *rng.uniform(0.0, MODULUS_MAX, 400)]
+    triples = []
     for phi, p in zip(phis, ps):
-        phi, p = float(phi), float(p)
-        assert ellip_fe(phi, p) == (ellip_f(phi, p), ellip_e(phi, p))
-        assert ellip_ke(p) == (ellip_k(p), ellip_e_complete(p))
+        c, ps_ = math.cos(phi), p * math.sin(phi)
+        triples.append((c * c, 1.0 - ps_ * ps_, 1.0))
+    triples += [(0.0, 1.0 - p * p, 1.0) for p in ps]
+    triples += [tuple(t) for t in 10.0 ** rng.uniform(-6.0, 6.0, (400, 3))]
+    for x, y, z in triples:
+        x, y, z = float(x), float(y), float(z)
+        assert _rf_rd(x, y, z) == (_rf_alone(x, y, z), _rd_alone(x, y, z))
 
 
 # --- structural properties ---------------------------------------------------
