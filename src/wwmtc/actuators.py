@@ -168,46 +168,56 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
     sequence of current values matters, not their timing.  The initial
     tension state is exposed because the operator's memory decides whether
     tension rises immediately with current or sits inside the band first.
+
+    Clamps compose into clamps, clamp(clamp(x, A1, B1), A2, B2) =
+    clamp(x, clamp(A1, A2, B2), clamp(B1, A2, B2)), so the bands are folded
+    by a log-step prefix scan (Hillis & Steele, CACM 29(12), 1986): after
+    the step of stride s, (lo_k, hi_k) is the composition of the clamps
+    k-2s+1 .. k.  Each T_k is then one clamp of the initial tension.  A
+    clamp only selects one of its arguments, so every output is the value
+    the sample-by-sample recursion gives; only the sign of a zero can
+    depend on the order of selection, and it is fixed by ``+ 0.0``: a
+    simulated tension is never -0.0.
     """
-    if params.c <= 0.0:
-        raise DomainError(f"gain c={params.c!r} must be positive")
-    if params.r < 0.0:
-        raise DomainError(f"half-band r={params.r!r} must be >= 0")
+    if not 0.0 < params.c < math.inf:
+        raise DomainError(f"gain c={params.c!r} must be positive and finite")
+    if not 0.0 <= params.r < math.inf:
+        raise DomainError(f"half-band r={params.r!r} must be finite and >= 0")
     if not math.isfinite(initial_tension):
         raise DomainError(f"initial tension {initial_tension!r} must be finite")
     currents = np.asarray(currents, dtype=float)
     if currents.ndim != 1 or currents.size == 0:
         raise DomainError("current series must be a nonempty 1-D array")
-    out = np.empty_like(currents)
-    t = float(initial_tension)
-    c, r = params.c, params.r
-    for k, i in enumerate(currents):
-        lo = c * i - r
-        hi = c * i + r
-        t = lo if t < lo else hi if t > hi else t
-        out[k] = t
-    return out
+    if not np.isfinite(currents).all():
+        raise DomainError("every current must be finite")
+    ideal = params.c * currents
+    lo = ideal - params.r
+    hi = ideal + params.r
+    s = 1
+    while s < lo.size:
+        a, b = lo[s:], hi[s:]
+        folded_lo = np.minimum(np.maximum(lo[:-s], a), b)
+        hi[s:] = np.minimum(np.maximum(hi[:-s], a), b)
+        lo[s:] = folded_lo
+        s *= 2
+    return np.minimum(np.maximum(float(initial_tension), lo), hi) + 0.0
 
 
 def _branches(currents: np.ndarray) -> list[tuple[int, int, int]]:
-    """Maximal monotone runs as (start, stop, direction); stop is inclusive."""
+    """Maximal monotone runs as (start, stop, direction); stop is inclusive.
+
+    Flat steps extend the run they sit in; each run ends at the sample where
+    the next one turns back, which also starts that next run.
+    """
     d = np.sign(np.diff(currents))
-    branches = []
-    cur_dir = 0
-    start = 0
-    for k, dk in enumerate(d):
-        if dk == 0:
-            continue
-        if cur_dir == 0:
-            cur_dir = int(dk)
-            start = k
-        elif dk != cur_dir:
-            branches.append((start, k, cur_dir))
-            cur_dir = int(dk)
-            start = k
-    if cur_dir != 0:
-        branches.append((start, len(currents) - 1, cur_dir))
-    return branches
+    steps = np.flatnonzero(d)
+    if steps.size == 0:
+        return []
+    turns = np.flatnonzero(d[steps[1:]] != d[steps[:-1]]) + 1
+    firsts = steps[np.r_[0, turns]]
+    starts = firsts.tolist()
+    stops = firsts[1:].tolist() + [currents.size - 1]
+    return list(zip(starts, stops, d[firsts].astype(int).tolist()))
 
 
 def fit_winch(currents, tensions) -> HysteresisParams:
@@ -224,6 +234,8 @@ def fit_winch(currents, tensions) -> HysteresisParams:
     tensions = np.asarray(tensions, dtype=float)
     if currents.shape != tensions.shape or currents.ndim != 1:
         raise DomainError("current and tension series must be equal-length 1-D")
+    if not (np.isfinite(currents).all() and np.isfinite(tensions).all()):
+        raise DomainError("every current and tension must be finite")
 
     branches = _branches(currents)
     directions = {d for _, _, d in branches}
@@ -233,28 +245,30 @@ def fit_winch(currents, tensions) -> HysteresisParams:
             "current series"
         )
 
-    pools: dict[int, list[tuple[float, float]]] = {1: [], -1: []}
+    # per direction, the samples of each branch's contact half; branches of
+    # one direction share no sample, so a mask keeps them in branch order
+    contact = {1: np.zeros(currents.size, bool), -1: np.zeros(currents.size, bool)}
     spans: dict[int, list[tuple[float, float]]] = {1: [], -1: []}
     for start, stop, d in branches:
-        idx = np.arange(start, stop + 1)
-        bi, bt = currents[idx], tensions[idx]
+        bi = currents[start:stop + 1]
         lo, hi = float(bi.min()), float(bi.max())
         spans[d].append((lo, hi))
         mid = lo + 0.5 * (hi - lo)
-        sel = bi >= mid if d == 1 else bi <= mid
-        pools[d].extend(zip(bi[sel], bt[sel]))
+        contact[d][start:stop + 1] = bi >= mid if d == 1 else bi <= mid
 
-    if len(pools[1]) < 2 or len(pools[-1]) < 2:
-        raise InsufficientDataError("too few samples per sweep direction to fit")
-
-    def line(points: list[tuple[float, float]]) -> tuple[float, float]:
-        xs = np.array([q[0] for q in points])
-        ys = np.array([q[1] for q in points])
-        slope, intercept = np.polyfit(xs, ys, 1)
+    def line(mask: np.ndarray) -> tuple[float, float]:
+        xs = currents[mask]
+        # one distinct current leaves the slope undetermined (polyfit fails
+        # or returns a minimum-norm guess)
+        if xs.size < 2 or xs.min() == xs.max():
+            raise InsufficientDataError(
+                "too few distinct currents per sweep direction to fit"
+            )
+        slope, intercept = np.polyfit(xs, tensions[mask], 1)
         return float(slope), float(intercept)
 
-    c_up, b_up = line(pools[1])
-    c_dn, b_dn = line(pools[-1])
+    c_up, b_up = line(contact[1])
+    c_dn, b_dn = line(contact[-1])
     if c_up <= 0.0:
         raise FitConvergenceError(
             f"increasing-branch slope {c_up!r} not positive; data does not "

@@ -241,7 +241,7 @@ def _cmd_winch_simulate(args) -> int:
     else:
         sys.stdout.write(csv_text)
     if args.svg:
-        series = [("simulated loop", list(current), list(tension))]
+        series = [("simulated loop", current.tolist(), tension.tolist())]
         _write_text(
             args.svg,
             svgplot.render_line_plot(series, "current [A]", "tension [N]", *SVG_SIZE),

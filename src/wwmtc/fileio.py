@@ -111,36 +111,39 @@ def state_to_csv(state: MuscleState) -> str:
     return CURVE_HEADER + "\n" + _state_row(state) + "\n"
 
 
-def _read_csv(path: str | Path, expected_header: str) -> list[list[str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != expected_header:
-        raise DomainError(
-            f"{path}: expected header {expected_header!r}, got "
-            f"{lines[0].strip() if lines else '<empty>'!r}"
-        )
-    return [ln.split(",") for ln in lines[1:]]
-
-
 # ---------------------------------------------------------------------------
 # experiment logs
 # ---------------------------------------------------------------------------
 
 def _read_numeric_csv(path: str | Path, header: str):
-    """All data rows as one float array, one column per header field."""
+    """All data rows as one float array, one column per header field.
+
+    Blank and whitespace-only lines are skipped.  Cells are parsed in C by
+    ``np.loadtxt``: plain decimal or exponent numbers, no ``#`` comments
+    (``comments=None``), no ``1_0`` digit grouping.
+    """
     import numpy as np
 
-    rows = _read_csv(path, header)
-    if not rows:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != header:
+        raise DomainError(
+            f"{path}: expected header {header!r}, got "
+            f"{lines[0].strip() if lines else '<empty>'!r}"
+        )
+    if len(lines) == 1:
         raise DomainError(f"{path}: no data rows")
     columns = header.count(",") + 1
     try:
-        data = np.array([[float(v) for v in row] for row in rows])
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:  # a non-number, or rows of unequal length
-        raise DomainError(f"{path}: every data row needs {columns} numbers: {exc}") from exc
+        # loadtxt counts rows among the data lines only, and not always from
+        # the same base, so its position would mislead; the cell it names is kept
+        reason = str(exc).partition(" at row ")[0]
+        raise DomainError(f"{path}: every data row needs {columns} numbers: {reason}") from exc
     if data.shape[1] != columns:
         raise DomainError(f"{path}: every data row needs {columns} numbers, got {data.shape[1]}")
     if not np.isfinite(data).all():
@@ -164,10 +167,12 @@ def read_winch_csv(path: str | Path):
 
 
 def winch_series_to_csv(time_s, current_a, tension_n) -> str:
-    lines = [WINCH_HEADER]
-    for t, i, f in zip(time_s, current_a, tension_n):
-        lines.append(f"{fmt(t)},{fmt(i)},{fmt(f)}")
-    return "\n".join(lines) + "\n"
+    # each column becomes Python floats once; "%.15g" renders them exactly as fmt
+    import numpy as np
+
+    rows = zip(*(np.asarray(col, dtype=float).tolist()
+                 for col in (time_s, current_a, tension_n)))
+    return WINCH_HEADER + "\n" + "".join(map("%.15g,%.15g,%.15g\n".__mod__, rows))
 
 
 # ---------------------------------------------------------------------------

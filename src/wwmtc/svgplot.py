@@ -78,12 +78,13 @@ def render_line_plot(
 
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
     def sx(x: float) -> float:
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (x - x_lo) / x_span * plot_w
 
     def sy(y: float) -> float:
-        return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + (y_hi - y) / y_span * plot_h
 
     out = []
     out.append(
@@ -128,9 +129,13 @@ def render_line_plot(
         f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">{_escape(ylabel)}</text>'
     )
 
+    # sx and sy spelled out in the same operation order: a long series then
+    # costs no Python call per coordinate
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+        px = [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs]
+        py = [_MARGIN_TOP + (y_hi - y) / y_span * plot_h for y in ys]
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

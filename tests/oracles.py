@@ -21,6 +21,11 @@ shooting residual a single bracketed root.
 ``evaluate`` is the design oracle: it re-checks a candidate through the
 forward model (``state_at`` and ``natural_length``) and never uses the
 affine form of the margins that ``wwmtc.design`` solves.
+
+``play_operator`` is the winch oracle: the sample-by-sample recursion that
+``wwmtc.actuators.simulate_winch`` replaces with a prefix scan of clamps.
+``branches`` walks the current steps one by one to split a sweep into the
+monotone runs that ``wwmtc.actuators._branches`` finds from array masks.
 """
 
 from __future__ import annotations
@@ -111,3 +116,34 @@ def evaluate(constraints: DesignConstraints, n: int, L: float,
         constraints.max_width_at_full - state.width,
         state.width - constraints.min_width_at_full,
     )
+
+
+def play_operator(c: float, r: float, currents, t0: float) -> list[float]:
+    """T_k = clamp(T_{k-1}, c*I_k - r, c*I_k + r), one sample at a time."""
+    out = []
+    t = t0
+    for i in currents:
+        lo = c * i - r
+        hi = c * i + r
+        t = lo if t < lo else hi if t > hi else t
+        out.append(t)
+    return out
+
+
+def branches(currents) -> list[tuple[int, int, int]]:
+    """Maximal monotone runs as (start, stop, direction); stop is inclusive."""
+    runs = []
+    cur_dir = 0
+    start = 0
+    for k in range(len(currents) - 1):
+        dk = (currents[k + 1] > currents[k]) - (currents[k + 1] < currents[k])
+        if dk == 0:
+            continue
+        if cur_dir == 0:
+            cur_dir, start = dk, k
+        elif dk != cur_dir:
+            runs.append((start, k, cur_dir))
+            cur_dir, start = dk, k
+    if cur_dir != 0:
+        runs.append((start, len(currents) - 1, cur_dir))
+    return runs

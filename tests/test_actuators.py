@@ -1,7 +1,12 @@
 """Actuator models: tendon stiffening fit and winch play-operator hysteresis."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from synth import (
     TENDON_TRUE,
@@ -13,6 +18,7 @@ from synth import (
 from wwmtc.actuators import (
     HysteresisParams,
     TendonFit,
+    _branches,
     fit_tendon,
     fit_winch,
     simulate_winch,
@@ -205,10 +211,81 @@ def test_winch_requires_a_reversal():
         fit_winch(np.linspace(0, 1, 20), np.linspace(0, 20, 20))
 
 
+def test_winch_fit_needs_two_currents_per_direction():
+    # every contact half holds one current (3 up, 0 down): no slope to fit
+    with pytest.raises(InsufficientDataError, match="distinct currents"):
+        fit_winch([0.0, 3.0, 0.0, 3.0, 0.0], [0.0, 60.0, 0.0, 60.0, 0.0])
+
+
 def test_winch_simulate_validation():
-    with pytest.raises(DomainError):
-        simulate_winch(HysteresisParams(c=-1.0, r=0.0), [0.0])
-    with pytest.raises(DomainError):
-        simulate_winch(HysteresisParams(c=1.0, r=-0.5), [0.0])
+    for c, r in ((-1.0, 0.0), (1.0, -0.5), (math.nan, 0.0), (math.inf, 0.0),
+                 (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(DomainError):
+            simulate_winch(HysteresisParams(c=c, r=r), [0.0])
     with pytest.raises(DomainError):
         simulate_winch(WINCH_TRUE, [])
+    for bad in (math.nan, math.inf, -math.inf):
+        # a non-finite current has no band; it must not hold the last tension
+        with pytest.raises(DomainError, match="finite"):
+            simulate_winch(HysteresisParams(c=1.0, r=0.0), [bad, 1.0, bad], 0.5)
+
+
+def test_winch_fit_rejects_non_finite_samples():
+    current, tension = make_winch_data()
+    bad_current, bad_tension = current.copy(), tension.copy()
+    bad_current[7], bad_tension[7] = math.nan, math.inf
+    for args in ((bad_current, tension), (current, bad_tension)):
+        with pytest.raises(DomainError, match="finite"):
+            fit_winch(*args)
+
+
+# --- play-operator properties --------------------------------------------------------
+
+# signed zeros, the smallest subnormal and normal, and small integers that
+# repeat, around a body of ordinary values
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 2.0, 3.0)
+values = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
+gains = st.one_of(st.sampled_from((1.0, 0.5, 20.0, 5e-324)), st.floats(1e-3, 1e3))
+bands = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1.0, 5.0)), st.floats(0.0, 1e3))
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def assert_bits_equal(got: np.ndarray, want) -> None:
+    assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@PROPERTY
+@given(c=gains, r=bands, t0=values, currents=st.lists(values, min_size=1, max_size=70))
+def test_scan_matches_recursion_and_stays_in_band(c, r, t0, currents):
+    out = simulate_winch(HysteresisParams(c=c, r=r), currents, t0)
+    # the recursion plus 0.0: only a zero's sign may differ, and +0.0 fixes it
+    assert_bits_equal(out, np.array(oracles.play_operator(c, r, currents, t0)) + 0.0)
+    assert not np.signbit(out[out == 0.0]).any()
+    # the band |T - cI| <= r as the model rounds it, from the first sample on
+    ideal = c * np.array(currents)
+    assert np.all(ideal - r <= out) and np.all(out <= ideal + r)
+
+
+@PROPERTY
+@given(c=gains, r=bands, t0=values, currents=st.lists(values, min_size=2, max_size=70),
+       where=st.integers(0, 68), u=st.floats(0.0, 1.0))
+def test_rate_independent_under_repeats_and_insertions(c, r, t0, currents, where, u):
+    params = HysteresisParams(c=c, r=r)
+    base = simulate_winch(params, currents, t0)
+    j = where % (len(currents) - 1)
+    a, b = currents[j], currents[j + 1]
+
+    repeated = currents[:j + 1] + [a] + currents[j + 1:]
+    assert_bits_equal(np.delete(simulate_winch(params, repeated, t0), j + 1), base)
+
+    # a value between two neighbours: the pair is a monotone run on its own
+    v = min(max(a + u * (b - a), min(a, b)), max(a, b))
+    inserted = currents[:j + 1] + [v] + currents[j + 1:]
+    assert_bits_equal(np.delete(simulate_winch(params, inserted, t0), j + 1), base)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from((0.0, 1.0, 2.0, 3.0)), min_size=1, max_size=40))
+def test_branches_match_the_step_by_step_scan(currents):
+    # few levels: flat steps, runs of one step and reversals on every sample
+    assert _branches(np.array(currents)) == oracles.branches(currents)

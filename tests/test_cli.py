@@ -426,6 +426,13 @@ def test_winch_csv_rejects_malformed_row(tmp_path, capsys, bad_row):
     assert "3 numbers" in err
 
 
+def test_winch_fit_degenerate_sweep_is_bad_input(tmp_path, capsys):
+    data = tmp_path / "winch.csv"
+    data.write_text("time_s,current_A,tension_N\n0,0,0\n1,3,60\n2,0,0\n3,3,60\n4,0,0\n")
+    code, _, err = run(["winch", "fit", "--data", str(data)], capsys)
+    assert_bad_input(code, err)
+
+
 def test_winch_csv_rejects_short_rows_throughout(tmp_path, capsys):
     data = tmp_path / "winch.csv"
     data.write_text("time_s,current_A,tension_N\n0.0,1.0\n0.1,2.0\n")
@@ -507,6 +514,70 @@ def test_tendon_csv_accepts_integral_float_cycle(tmp_path, capsys):
     code, out, _ = run(["tendon", "fit", "--data", str(data)], capsys)
     assert code == 0
     assert out == (GOLDEN_DIR / "tendon_fit.json").read_text()
+
+
+# Both log readers share one parser.  Per command: argv for a log file, the
+# shipped log, and the golden its output must equal.
+LOG_COMMANDS = {
+    "winch simulate": (
+        lambda path: ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
+                      "--profile", str(path)],
+        "triangle_profile.csv", "winch_simulate.csv",
+    ),
+    "tendon fit": (lambda path: ["tendon", "fit", "--data", str(path)],
+                   "tendon_bench.csv", "tendon_fit.json"),
+}
+
+
+def run_edited_log(tmp_path, capsys, command, edit, newline="\n"):
+    argv, fixture, _ = LOG_COMMANDS[command]
+    lines = (DATA_DIR / fixture).read_text().splitlines()
+    edit(lines)
+    path = tmp_path / fixture
+    path.write_bytes((newline.join(lines) + newline).encode())
+    return run(argv(path), capsys)
+
+
+def comment_line(lines):
+    lines.insert(3, "# a comment line")
+
+
+def ragged_row(lines):
+    lines.insert(3, lines[3].rsplit(",", 1)[0])
+
+
+def trailing_comma(lines):
+    lines[3] += ","
+
+
+def grouped_digits(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",1_0"
+
+
+def blank_line(lines):
+    lines.insert(3, " \t ")
+
+
+def unedited(lines):
+    pass
+
+
+@pytest.mark.parametrize("command", LOG_COMMANDS)
+@pytest.mark.parametrize("edit", [comment_line, ragged_row, trailing_comma, grouped_digits],
+                         ids=lambda edit: edit.__name__)
+def test_log_reader_rejects_malformed_lines(tmp_path, capsys, command, edit):
+    code, out, err = run_edited_log(tmp_path, capsys, command, edit)
+    assert_bad_input(code, err)
+    assert out == "" and "numbers" in err
+
+
+@pytest.mark.parametrize("command", LOG_COMMANDS)
+@pytest.mark.parametrize("edit, newline", [(blank_line, "\n"), (unedited, "\r\n")],
+                         ids=["blank-line", "crlf"])
+def test_log_reader_accepts_blank_lines_and_crlf(tmp_path, capsys, command, edit, newline):
+    code, out, err = run_edited_log(tmp_path, capsys, command, edit, newline)
+    assert code == 0, err
+    assert out == (GOLDEN_DIR / LOG_COMMANDS[command][2]).read_text()
 
 
 # --- determinism -------------------------------------------------------------------
