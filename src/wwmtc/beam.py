@@ -22,6 +22,21 @@ Note the height carries the sqrt(2(2p^2-1))/k expression and the width the
 bracketed one; assigning them the other way round would make the natural
 (zero-load) state come out as h = 0, w = L, which the shooting oracle in the
 test suite disproves.  See tests/test_beam.py::test_matches_shooting_oracle.
+
+The differences K - F(phi1) and E - E(phi1) cancel next to the straight
+end, so they are not evaluated as written.  With q = 2 p^2 - 1, the
+amplitude phi2 with sin(phi2) = s = sqrt(q) / p is the complement of phi1
+in the Legendre addition theorem (DLMF 19.11, cot(phi1) cot(phi2) =
+sqrt(1 - p^2)), which gives
+
+    K - F(phi1) = F(phi2),    E - E(phi1) = E(phi2) - sqrt(2 q) / 2.
+
+Since cos^2(phi2) = (1 - p^2) / p^2 and 1 - p^2 s^2 = 2 (1 - p^2), one
+Carlson pass rf, rd = R_F, R_D((1 - p^2) / p^2, 2 (1 - p^2), 1) yields
+F(phi2) = s rf and E(phi2) = F(phi2) - p^2 s^3 rd / 3, with no amplitude.
+Then k = F(phi2) / L, w = L (F(phi2) - 2 E(phi2) + sqrt(2 q)) / F(phi2)
+and h = sqrt(2) p L / rf: q cancels exactly from h, so h is accurate to a
+few ULP of L all the way to the straight end.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elliptic import MODULUS_MAX, ellip_fe, ellip_ke
+from .elliptic import MODULUS_MAX, _rf_rd
 from .errors import DomainError, NumericalInstabilityError, OutOfRangeError
 
 # Shape parameter of the straight (unloaded) strip.
@@ -50,7 +65,6 @@ class BeamSolution:
     h: float      # tip coordinate along the clamped tangent (arch height)
     psi0: float   # tip rotation relative to the clamped tangent, rad
     k: float      # scale factor sqrt(load/stiffness), 1/mm
-    phi1: float   # lower amplitude limit of the elliptic integrals, rad
 
 
 def _check_shape_param(p: float) -> float:
@@ -83,26 +97,19 @@ def solve_beam(L: float, p: float) -> BeamSolution:
     L = _check_length(L)
     p = _check_shape_param(p)
 
-    sin_psi0 = 2.0 * p * p - 1.0
-    if sin_psi0 <= 0.0:
-        return BeamSolution(w=0.0, h=L, psi0=0.0, k=0.0, phi1=math.pi / 2.0)
+    q = 2.0 * p * p - 1.0  # sin(psi0)
+    if q <= 0.0:
+        return BeamSolution(w=0.0, h=L, psi0=0.0, k=0.0)
 
-    phi1 = math.asin(min(1.0, 1.0 / (math.sqrt(2.0) * p)))
-    K, E = ellip_ke(p)
-    F1, E1 = ellip_fe(phi1, p)
-    kL = K - F1
-    if kL < 1e-12:
-        raise NumericalInstabilityError(
-            f"scale factor k*L={kL!r} too small at p={p!r}; "
-            "result would be dominated by cancellation"
-        )
-    k = kL / L
-    h = math.sqrt(2.0 * sin_psi0) / k
-    # within ~1e-10 of the straight boundary the bracket cancels to noise of
-    # order 1e-9*L; clamp so w >= 0 holds there (true w is below the noise)
-    w = max(0.0, (kL - 2.0 * (E - E1)) / k)
-    psi0 = math.asin(min(1.0, sin_psi0))
-    return BeamSolution(w=w, h=h, psi0=psi0, k=k, phi1=phi1)
+    m1 = (1.0 - p) * (1.0 + p)
+    s = math.sqrt(q) / p
+    rf, rd = _rf_rd(m1 / (p * p), 2.0 * m1, 1.0)
+    F2 = s * rf
+    E2 = F2 - (p * p) * (s * s * s) * rd / 3.0
+    h = math.sqrt(2.0) * p * L / rf
+    w = L * (F2 - 2.0 * E2 + math.sqrt(2.0 * q)) / F2
+    psi0 = math.asin(min(1.0, q))
+    return BeamSolution(w=w, h=h, psi0=psi0, k=F2 / L)
 
 
 def _height_slope(L: float, p: float, sol: BeamSolution) -> float:
@@ -137,8 +144,8 @@ def solve_p_for_height(L: float, h_target: float) -> float:
     to 1e-9 L, the stepped-to p is returned: Newton converges
     quadratically, so its error is far below an ULP.  (The 1 - p scale
     keeps the test meaningful next to P_MAX, where h is steep in p.)  If the
-    bracket shrinks to adjacent doubles first, as it can where rounding
-    makes h noisy next to the straight end, the end nearer the target is
+    bracket shrinks to adjacent doubles first, as it can next to P_MAX,
+    where one ULP of p moves h by ~1e-9 L, the end nearer the target is
     returned, or NumericalInstabilityError raised when it misses by more
     than 1e-9 L.
 

@@ -9,6 +9,7 @@ stderr), 1 unexpected internal fault.  The contraction cap defaults to
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -45,6 +46,7 @@ def _resolve_p_cap(args: argparse.Namespace) -> float:
     return args.p_cap if args.p_cap is not None else _env_p_cap()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wwmtc",

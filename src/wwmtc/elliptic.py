@@ -4,15 +4,10 @@ All functions take the *modulus* p (the integrands contain p^2 sin^2(theta)),
 not the parameter m = p^2.  Amplitudes are restricted to the first quadrant,
 which is the only region the downstream beam model evaluates.
 
-Two independent evaluation routes are provided:
-
-* a fast path built on Carlson symmetric forms (duplication theorem, the
-  SLATEC algorithm; Carlson, Numer. Algorithms 10, 1995), accurate to a few
-  ULP, and
-* ``*_quadrature`` reference implementations that integrate the defining
-  integrals with adaptive Simpson quadrature.  These are deliberately kept
-  algorithm-independent from the fast path so the two can cross-check each
-  other in the test suite.
+Evaluation is built on Carlson symmetric forms (duplication theorem, the
+SLATEC algorithm; Carlson, Numer. Algorithms 10, 1995), accurate to a few
+ULP.  The algorithm-independent references that cross-check it, adaptive
+Simpson quadrature of the defining integrals, live in ``tests/oracles.py``.
 
 The fast path rests on one kernel, ``_rf_rd``: R_F and R_D apply the same
 duplication step to the same arguments, so a single duplication sequence
@@ -165,69 +160,3 @@ def ellip_ke(p: float) -> tuple[float, float]:
 def ellip_e_complete(p: float) -> float:
     """Complete elliptic integral of the second kind E(p) = E(pi/2, p)."""
     return ellip_ke(p)[1]
-
-
-# ---------------------------------------------------------------------------
-# Quadrature reference path
-# ---------------------------------------------------------------------------
-
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature with Richardson extrapolation."""
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (
-            recurse(a, fa, m, fm, lm, flm, left, tol * 0.5, depth - 1)
-            + recurse(m, fm, b, fb, rm, frm, right, tol * 0.5, depth - 1)
-        )
-
-    m = 0.5 * (a + b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, fa, b, fb, m, fm, whole, tol, 48)
-
-
-def ellip_f_quadrature(phi: float, p: float, tol: float = 1e-12) -> float:
-    """F(phi, p) by adaptive Simpson on the defining integral."""
-    phi = _check_amplitude(phi)
-    p = _check_modulus(p)
-    if phi == 0.0:
-        return 0.0
-    m = p * p
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        return 1.0 / math.sqrt(1.0 - m * s * s)
-
-    return _adaptive_simpson(integrand, 0.0, phi, tol)
-
-
-def ellip_e_quadrature(phi: float, p: float, tol: float = 1e-12) -> float:
-    """E(phi, p) by adaptive Simpson on the defining integral."""
-    phi = _check_amplitude(phi)
-    p = _check_modulus(p)
-    if phi == 0.0:
-        return 0.0
-    m = p * p
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        return math.sqrt(1.0 - m * s * s)
-
-    return _adaptive_simpson(integrand, 0.0, phi, tol)
-
-
-def ellip_k_quadrature(p: float, tol: float = 1e-12) -> float:
-    """K(p) by adaptive Simpson."""
-    return ellip_f_quadrature(HALF_PI, p, tol)
-
-
-def ellip_e_complete_quadrature(p: float, tol: float = 1e-12) -> float:
-    """Complete E(p) by adaptive Simpson."""
-    return ellip_e_quadrature(HALF_PI, p, tol)

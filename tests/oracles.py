@@ -18,6 +18,13 @@ trajectory whose turning point is at tip angle psi0.  The arc length of
 that first turning point is strictly decreasing in lambda, which gives the
 shooting residual a single bracketed root.
 
+``ellip_*_quadrature`` are the elliptic-kernel oracles: adaptive Simpson
+quadrature of the defining integrals, with no Carlson forms.
+``beam_reference`` evaluates the closed-form arch solution from its
+definition, K - F(phi1) and E - E(phi1), at 40 significant digits with
+mpmath; it shares no formula or rounding with the single Carlson pass of
+``wwmtc.beam.solve_beam``.
+
 ``evaluate`` is the design oracle: it re-checks a candidate through the
 forward model (``state_at`` and ``natural_length``) and never uses the
 affine form of the margins that ``wwmtc.design`` solves.
@@ -32,10 +39,12 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from wwmtc.design import DesignConstraints
+from wwmtc.elliptic import HALF_PI, _check_amplitude, _check_modulus
 from wwmtc.errors import DomainError
 from wwmtc.muscle import DEFAULT_P_CAP, MuscleSpec, natural_length, state_at
 
@@ -101,6 +110,91 @@ def shoot_tip(L: float, psi0: float, rtol: float = 1e-12) -> tuple[float, float,
             f"shooting converged to tip angle {psi_end!r}, wanted {psi0!r}"
         )
     return x_end * L, y_end * L, math.sqrt(lam) / L
+
+
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson quadrature with Richardson extrapolation."""
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+
+    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+            return left + right + (left + right - whole) / 15.0
+        return (
+            recurse(a, fa, m, fm, lm, flm, left, tol * 0.5, depth - 1)
+            + recurse(m, fm, b, fb, rm, frm, right, tol * 0.5, depth - 1)
+        )
+
+    m = 0.5 * (a + b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return recurse(a, fa, b, fb, m, fm, whole, tol, 48)
+
+
+def ellip_f_quadrature(phi: float, p: float, tol: float = 1e-12) -> float:
+    """F(phi, p) by adaptive Simpson on the defining integral."""
+    phi = _check_amplitude(phi)
+    p = _check_modulus(p)
+    if phi == 0.0:
+        return 0.0
+    m = p * p
+
+    def integrand(theta: float) -> float:
+        s = math.sin(theta)
+        return 1.0 / math.sqrt(1.0 - m * s * s)
+
+    return _adaptive_simpson(integrand, 0.0, phi, tol)
+
+
+def ellip_e_quadrature(phi: float, p: float, tol: float = 1e-12) -> float:
+    """E(phi, p) by adaptive Simpson on the defining integral."""
+    phi = _check_amplitude(phi)
+    p = _check_modulus(p)
+    if phi == 0.0:
+        return 0.0
+    m = p * p
+
+    def integrand(theta: float) -> float:
+        s = math.sin(theta)
+        return math.sqrt(1.0 - m * s * s)
+
+    return _adaptive_simpson(integrand, 0.0, phi, tol)
+
+
+def ellip_k_quadrature(p: float, tol: float = 1e-12) -> float:
+    """K(p) by adaptive Simpson."""
+    return ellip_f_quadrature(HALF_PI, p, tol)
+
+
+def ellip_e_complete_quadrature(p: float, tol: float = 1e-12) -> float:
+    """Complete E(p) by adaptive Simpson."""
+    return ellip_e_quadrature(HALF_PI, p, tol)
+
+
+def beam_reference(L: float, p: float) -> tuple[float, float, float]:
+    """(h, w, k) of ``solve_beam(L, p)`` from the definition, at 40 digits.
+
+    Evaluates phi1 = asin(1/(sqrt(2) p)), kL = K(p) - F(phi1, p) and
+    E(p) - E(phi1, p) in 40-digit arithmetic, so the cancellation of both
+    differences next to the straight end costs nothing at double precision.
+    L and p are taken exactly as the doubles given.  A p at or below the
+    exact 1/sqrt(2), such as the double P_STRAIGHT, is the straight strip
+    (L, 0, 0).
+    """
+    with mpmath.workdps(40):
+        L, p = mpmath.mpf(L), mpmath.mpf(p)
+        m = p * p
+        if 2 * m - 1 <= 0:
+            return float(L), 0.0, 0.0
+        phi1 = mpmath.asin(1 / (mpmath.sqrt(2) * p))
+        kL = mpmath.ellipk(m) - mpmath.ellipf(phi1, m)
+        dE = mpmath.ellipe(m) - mpmath.ellipe(phi1, m)
+        h = L * mpmath.sqrt(2 * (2 * m - 1)) / kL
+        w = L * (kL - 2 * dE) / kL
+        return float(h), float(w), float(kL / L)
 
 
 def evaluate(constraints: DesignConstraints, n: int, L: float,

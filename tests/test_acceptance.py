@@ -20,7 +20,14 @@ from synth import (
     make_winch_data,
 )
 from conftest import DATA_DIR, GOLDEN_DIR
-from oracles import evaluate, shoot_tip
+from oracles import (
+    ellip_e_complete_quadrature,
+    ellip_e_quadrature,
+    ellip_f_quadrature,
+    ellip_k_quadrature,
+    evaluate,
+    shoot_tip,
+)
 
 from wwmtc import elliptic
 from wwmtc.actuators import fit_tendon, fit_winch, simulate_winch
@@ -57,12 +64,12 @@ def test_criterion_1_elliptic_oracle_suite():
     for p in ps:
         for phi in phis:
             assert rel(elliptic.ellip_f(phi, p),
-                       elliptic.ellip_f_quadrature(phi, p)) < 1e-10
+                       ellip_f_quadrature(phi, p)) < 1e-10
             assert rel(elliptic.ellip_e(phi, p),
-                       elliptic.ellip_e_quadrature(phi, p)) < 1e-10
-        assert rel(elliptic.ellip_k(p), elliptic.ellip_k_quadrature(p)) < 1e-10
+                       ellip_e_quadrature(phi, p)) < 1e-10
+        assert rel(elliptic.ellip_k(p), ellip_k_quadrature(p)) < 1e-10
         assert rel(elliptic.ellip_e_complete(p),
-                   elliptic.ellip_e_complete_quadrature(p)) < 1e-10
+                   ellip_e_complete_quadrature(p)) < 1e-10
 
     rng = np.random.default_rng(1)
     for p in rng.uniform(1e-6, 1.0 - 1e-6, 100):

@@ -7,10 +7,10 @@ import pytest
 
 from wwmtc import beam
 from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam, solve_p_for_height
-from wwmtc.elliptic import ellip_f, ellip_k
 from wwmtc.errors import DomainError, OutOfRangeError
+from wwmtc.muscle import DEFAULT_P_CAP
 
-from oracles import shoot_tip
+from oracles import beam_reference, shoot_tip
 
 
 def test_straight_strip_boundary_is_exact():
@@ -60,9 +60,9 @@ def test_solution_invariants():
         assert 0.0 < sol.h <= 27.0
         # tip-angle identity restated exactly
         assert math.sin(sol.psi0) == pytest.approx(2 * p * p - 1 if p > P_STRAIGHT else 0.0, abs=1e-12)
-        # scale-factor identity restated exactly
+        # scale factor against K - F(phi1) evaluated at 40 digits
         assert sol.k * 27.0 == pytest.approx(
-            ellip_k(float(p)) - ellip_f(sol.phi1, float(p)), abs=1e-12
+            beam_reference(27.0, float(p))[2] * 27.0, abs=1e-12
         )
 
 
@@ -82,6 +82,34 @@ def test_height_strictly_decreasing_width_monotone():
     ws = [s.w for s in sols]
     assert all(b < a for a, b in zip(hs, hs[1:]))
     assert all(b >= a for a, b in zip(ws, ws[1:]))
+
+
+def test_height_within_ulps_of_reference():
+    # h = sqrt(2) p L / R_F has no cancellation, even next to the straight end
+    ps = ([P_STRAIGHT + float(d) for d in np.logspace(-14, -1, 50)]
+          + [float(p) for p in np.linspace(P_STRAIGHT, P_MAX, 60)])
+    for L in (1.0, 27.0, 35.0):
+        for p in ps:
+            h_ref = beam_reference(L, p)[0]
+            assert abs(solve_beam(L, p).h - h_ref) <= 4 * math.ulp(L), (L, p)
+
+
+def test_width_matches_reference():
+    for p in np.linspace(P_STRAIGHT, DEFAULT_P_CAP, 100)[1:]:
+        w_ref = beam_reference(27.0, float(p))[1]
+        assert solve_beam(27.0, float(p)).w == pytest.approx(w_ref, rel=1e-13)
+    for d in np.logspace(-8, -1, 50):
+        p = P_STRAIGHT + float(d)
+        w_ref = beam_reference(27.0, p)[1]
+        assert solve_beam(27.0, p).w == pytest.approx(w_ref, rel=1e-7)
+
+
+def test_width_monotone_next_to_straight_end():
+    for L in (1.0, 27.0, 35.0):
+        ws = [solve_beam(L, P_STRAIGHT + float(d)).w for d in np.logspace(-12, -1, 5000)]
+        assert all(b >= a for a, b in zip(ws, ws[1:])), L
+        assert all(solve_beam(L, P_STRAIGHT + float(d)).w >= 0.0
+                   for d in np.logspace(-16, -1, 300)), L
 
 
 def test_scale_equivariance():
@@ -130,8 +158,8 @@ def test_invert_kernel_budget(monkeypatch):
 
 
 def test_invert_extreme_targets_converge():
-    # next to the straight end rounding makes h noisy, next to P_MAX one
-    # ULP of p moves h by ~1e-9 L; both must still meet the 1e-9 L guard
+    # next to P_MAX one ULP of p moves h by ~1e-9 L; targets next to either
+    # end must still meet the 1e-9 L guard
     for L in (1.0, 27.0, 35.0):
         h_min = solve_beam(L, P_MAX).h
         for frac in (1e-16, 1e-13, 1e-10, 1e-7, 1e-4):
@@ -140,6 +168,17 @@ def test_invert_extreme_targets_converge():
                 assert P_STRAIGHT <= p <= P_MAX
                 assert solve_beam(L, p).h == pytest.approx(h, abs=1e-9 * L)
         assert solve_p_for_height(L, h_min) == P_MAX
+
+
+def test_invert_next_to_straight_end():
+    # h is accurate to a few ULP there, so the inverse meets targets to ULPs
+    assert solve_beam(1.0, solve_p_for_height(1.0, 0.9999999999999954)).h == (
+        pytest.approx(0.9999999999999954, abs=16 * math.ulp(1.0)))
+    for L in (1.0, 27.0, 35.0):
+        for f in np.logspace(-15, -4, 400):
+            h = L * (1.0 - float(f))
+            p = solve_p_for_height(L, h)
+            assert abs(solve_beam(L, p).h - h) <= 16 * math.ulp(L), (L, f)
 
 
 def test_invert_reports_achievable_minimum():

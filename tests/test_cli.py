@@ -238,15 +238,18 @@ def test_muscle_invert(capsys):
 
 
 def test_muscle_invert_interior_length(capsys):
-    code, out, _ = run(
-        ["muscle", "invert", "--spec", str(DATA_DIR / "radial.json"),
-         "--length", "220"],
-        capsys,
-    )
-    assert code == 0
-    row = out.strip().split("\n")[1].split(",")
-    assert abs(float(row[0]) - 0.875303679276549) <= 1e-12
-    assert row[2] == "220"
+    # 237.999999999 lies ~1.5e-6 in p from the straight end
+    for length in ("220", "237.999999999"):
+        code, out, _ = run(
+            ["muscle", "invert", "--spec", str(DATA_DIR / "radial.json"),
+             "--length", length],
+            capsys,
+        )
+        assert code == 0
+        row = out.strip().split("\n")[1].split(",")
+        assert row[2] == length
+        if length == "220":
+            assert abs(float(row[0]) - 0.875303679276549) <= 1e-12
 
 
 def test_muscle_invert_out_of_range(capsys):
@@ -310,6 +313,17 @@ def test_tendon_fit(capsys):
     assert obj["b"] == pytest.approx(8.0, rel=1e-6)
     assert obj["eps0"] == pytest.approx(0.02, rel=1e-12)
     check_golden("tendon_fit.json", out.encode())
+
+
+def test_parser_reused_after_bad_argv(capsys):
+    # dispatch builds the parser once per process; a failed parse leaves
+    # nothing behind for the next invocation
+    data = str(DATA_DIR / "tendon_bench.csv")
+    code, out, err = run(["tendon", "fit", "--data", data, "--bogus"], capsys)
+    assert code == 2 and out == "" and "bogus" in err
+    code, out, _ = run(["tendon", "fit", "--data", data], capsys)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "tendon_fit.json").read_text()
 
 
 def test_winch_fit(capsys):

@@ -10,17 +10,20 @@ from wwmtc.elliptic import (
     MODULUS_MAX,
     ellip_e,
     ellip_e_complete,
-    ellip_e_complete_quadrature,
-    ellip_e_quadrature,
     ellip_f,
-    ellip_f_quadrature,
     ellip_fe,
     ellip_k,
-    ellip_k_quadrature,
     ellip_ke,
     _rf_rd,
 )
 from wwmtc.errors import DomainError
+
+from oracles import (
+    ellip_e_complete_quadrature,
+    ellip_e_quadrature,
+    ellip_f_quadrature,
+    ellip_k_quadrature,
+)
 
 HALF_PI = math.pi / 2.0
 

@@ -1,5 +1,7 @@
 """Whole-muscle geometry: published parameter sets, inversion, curve shape."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +133,15 @@ def test_invert_natural_length(radial_spec):
     st = state_for_length(radial_spec, 238.0)
     assert st.p == P_STRAIGHT
     assert st.width == 0.0
+
+
+def test_invert_next_to_natural_length(radial_spec):
+    # small deflection: L - h = 32 L delta^2 / 15 per arch, so a length d
+    # below natural sits at delta = sqrt(15 d / (32 n L))
+    d = 1e-9
+    st = state_for_length(radial_spec, 238.0 - d)
+    delta = math.sqrt(15.0 * d / (32.0 * radial_spec.n * radial_spec.L))
+    assert st.p - P_STRAIGHT == pytest.approx(delta, rel=1e-3)
 
 
 def test_invert_round_trip(radial_spec):
