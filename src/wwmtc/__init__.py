@@ -30,7 +30,6 @@ from .errors import (
     FitConvergenceError,
     InsufficientDataError,
     InsufficientSweepError,
-    NumericalInstabilityError,
     OutOfRangeError,
     WwmtcError,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "MODULUS_MAX",
     "MuscleSpec",
     "MuscleState",
-    "NumericalInstabilityError",
     "OutOfRangeError",
     "P_MAX",
     "P_STRAIGHT",

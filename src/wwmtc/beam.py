@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import MODULUS_MAX, _rf_rd
-from .errors import DomainError, NumericalInstabilityError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError
 
 # Shape parameter of the straight (unloaded) strip.
 P_STRAIGHT = 1.0 / math.sqrt(2.0)
@@ -78,8 +78,8 @@ def _check_shape_param(p: float) -> float:
 
 def _check_length(length: float) -> float:
     length = float(length)
-    if not length > 0.0:
-        raise DomainError(f"beam length L={length!r} must be positive")
+    if not 0.0 < length < math.inf:
+        raise DomainError(f"beam length L={length!r} must be positive and finite")
     return length
 
 
@@ -131,23 +131,21 @@ def _height_slope(L: float, p: float, sol: BeamSolution) -> float:
 
 
 def solve_p_for_height(L: float, h_target: float) -> float:
-    """Invert h(L, p) for p by a bracketed, safeguarded Newton iteration.
+    """Invert h(L, p) for p by Newton's method on sqrt(L - h) in -log(1 - p).
 
-    h is strictly decreasing in p on [P_STRAIGHT, P_MAX] (verified by dense
-    sampling in the test suite) but flat at the straight end, where L - h
-    grows like (p - P_STRAIGHT)^2.  The iteration therefore runs on
-    g(p) = sqrt(L - h(p)), which is linear there, starting from the linear
-    interpolation of g between the bracket ends.  Each evaluation narrows
-    the bracket; a Newton step that leaves it, or that is longer than half
-    the step before last, is replaced by a bisection step.  Once a Newton
-    step is no longer than 1e-8 (1 - p) and the evaluated p meets h_target
-    to 1e-9 L, the stepped-to p is returned: Newton converges
-    quadratically, so its error is far below an ULP.  (The 1 - p scale
-    keeps the test meaningful next to P_MAX, where h is steep in p.)  If the
-    bracket shrinks to adjacent doubles first, as it can next to P_MAX,
-    where one ULP of p moves h by ~1e-9 L, the end nearer the target is
-    returned, or NumericalInstabilityError raised when it misses by more
-    than 1e-9 L.
+    h falls strictly from L at P_STRAIGHT to its minimum at P_MAX.  It is
+    flat at the straight end, where L - h ~ 32 L (p - P_STRAIGHT)^2 / 15,
+    and has a logarithmic singularity in 1 - p next to P_MAX.  Neither end
+    is singular for g = sqrt(L - h) as a function of t = -log(1 - p): g(t)
+    is increasing and concave over the whole range, with a shape that does
+    not depend on L (tests/test_beam.py checks it at 40 digits).  Newton's
+    method from below the root of such a function climbs to the root
+    without passing it, so no bracket is needed.  The start is one Newton
+    step from the straight end, where g = 0 and dg/dp = sqrt(32 L / 15);
+    concavity puts it below the root.  The iteration stops once a step is
+    no longer than 1e-8 in t, which leaves an error far below an ULP of p,
+    or once a step no longer moves p, as next to P_MAX, where one ULP of p
+    moves h by ~1e-9 L.
 
     Raises OutOfRangeError when h_target is below the smallest achievable
     height (at p = P_MAX); the error carries the achievable interval.
@@ -169,35 +167,21 @@ def solve_p_for_height(L: float, h_target: float) -> float:
         )
 
     g_target = math.sqrt(L - h_target)
-    lo, hi = P_STRAIGHT, P_MAX  # h(lo) = L >= h_target >= h(hi)
-    p = P_STRAIGHT + (P_MAX - P_STRAIGHT) * (g_target / math.sqrt(L - h_min))
-    # misses at the bracket ends, for the answer once the bracket is two
-    # adjacent doubles
-    miss_lo, miss_hi = L - h_target, h_min - h_target
-    step = prev = hi - lo
+    # one Newton step in t from g(t(P_STRAIGHT)) = 0
+    t = -math.log1p(-P_STRAIGHT) + g_target / (
+        math.sqrt(32.0 * L / 15.0) * (1.0 - P_STRAIGHT))
+    p = -math.expm1(-t)
     while True:
         sol = solve_beam(L, p)
-        miss = sol.h - h_target
-        if miss >= 0.0:
-            lo, miss_lo = p, miss
-        else:
-            hi, miss_hi = p, miss
         g = math.sqrt(max(L - sol.h, 0.0))
-        slope = _height_slope(L, p, sol) if g > 0.0 else 0.0
-        # Newton on g, whose slope is -h' / (2 g)
-        newton = p + 2.0 * g * (g - g_target) / slope if slope < 0.0 else p
-        if (abs(newton - p) <= 1e-8 * (1.0 - p) and abs(miss) <= 1e-9 * L
-                and lo <= newton <= hi):
-            return newton
-        if lo < newton < hi and abs(newton - p) <= 0.5 * abs(prev):
-            prev, step, p = step, newton - p, newton
-            continue
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            p, miss = (lo, miss_lo) if miss_lo <= -miss_hi else (hi, miss_hi)
-            if abs(miss) > 1e-9 * L:
-                raise NumericalInstabilityError(
-                    f"height inversion did not converge at h_target={h_target!r}"
-                )
+        slope = _height_slope(L, p, sol)
+        if not slope < 0.0:
+            # the slope formula cancels next to the straight end, where the
+            # start already meets the target to rounding, and can give 0
             return p
-        prev, step, p = step, mid - p, mid
+        # dg/dt = -h'(p) (1 - p) / (2 g)
+        dt = 2.0 * g * (g - g_target) / (slope * (1.0 - p))
+        p_next = min(max(-math.expm1(math.log1p(-p) - dt), P_STRAIGHT), P_MAX)
+        if dt <= 1e-8 or p_next == p:
+            return p_next
+        p = p_next

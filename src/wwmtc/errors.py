@@ -21,10 +21,6 @@ class OutOfRangeError(WwmtcError, ValueError):
         self.hi = hi
 
 
-class NumericalInstabilityError(WwmtcError, ArithmeticError):
-    """An intermediate quantity became too ill-conditioned to trust."""
-
-
 class FitConvergenceError(WwmtcError, RuntimeError):
     """An iterative fit exhausted its iteration budget.
 

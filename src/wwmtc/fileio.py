@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .design import DesignResult
+from .design import DesignConstraints, DesignResult
 from .errors import DomainError
 from .muscle import DeformationCurve, MuscleSpec, MuscleState
 
@@ -218,9 +218,7 @@ def read_winch_params(path: str | Path) -> tuple[HysteresisParams, float]:
 # design constraints / results
 # ---------------------------------------------------------------------------
 
-def read_design_constraints(path: str | Path):
-    from .design import DesignConstraints
-
+def read_design_constraints(path: str | Path) -> DesignConstraints:
     raw = _read_json_object(path, "constraints")
     try:
         fields = dict(

@@ -14,6 +14,7 @@ opposed arch pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .beam import P_MAX, P_STRAIGHT, solve_beam, solve_p_for_height
@@ -39,10 +40,10 @@ class MuscleSpec:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"arch count n={self.n!r} must be an integer >= 1")
-        if not self.L > 0.0:
-            raise DomainError(f"beam length L={self.L!r} must be positive")
-        if self.h0 < 0.0:
-            raise DomainError(f"length offset h0={self.h0!r} must be >= 0")
+        if not 0.0 < self.L < math.inf:
+            raise DomainError(f"beam length L={self.L!r} must be positive and finite")
+        if not 0.0 <= self.h0 < math.inf:
+            raise DomainError(f"length offset h0={self.h0!r} must be finite and >= 0")
         if self.kind not in KINDS:
             raise DomainError(f"kind={self.kind!r} must be one of {KINDS}")
 
@@ -113,9 +114,13 @@ def state_for_length(
     """Invert the length map: the state whose length matches the target.
 
     Raises OutOfRangeError (carrying the feasible interval) when the target
-    is outside [length at p_cap, natural length].
+    is outside [length at p_cap, natural length].  The arch height
+    (length_target - h0) / n can round past [h(p_cap), L] at either end of
+    that interval, and the inverse of h(p_cap) past p_cap, so both are
+    clamped.
     """
-    lo, hi = length_range(spec, p_cap)
+    h_cap = solve_beam(spec.L, p_cap).h
+    lo, hi = spec.n * h_cap + spec.h0, natural_length(spec)
     if not lo <= length_target <= hi:
         raise OutOfRangeError(
             f"length {length_target!r} mm unreachable; feasible interval is "
@@ -123,6 +128,5 @@ def state_for_length(
             lo=lo,
             hi=hi,
         )
-    h_target = (length_target - spec.h0) / spec.n
-    p = solve_p_for_height(spec.L, h_target)
-    return state_at(spec, p)
+    h_target = min(max((length_target - spec.h0) / spec.n, h_cap), spec.L)
+    return state_at(spec, min(solve_p_for_height(spec.L, h_target), p_cap))

@@ -25,6 +25,10 @@ definition, K - F(phi1) and E - E(phi1), at 40 significant digits with
 mpmath; it shares no formula or rounding with the single Carlson pass of
 ``wwmtc.beam.solve_beam``.
 
+``arch_gap`` evaluates g = sqrt(1 - h/L) from the same definition as a
+function of t = -log(1 - p), the variable in which
+``wwmtc.beam.solve_p_for_height`` runs Newton's method.
+
 ``evaluate`` is the design oracle: it re-checks a candidate through the
 forward model (``state_at`` and ``natural_length``) and never uses the
 affine form of the margins that ``wwmtc.design`` solves.
@@ -195,6 +199,24 @@ def beam_reference(L: float, p: float) -> tuple[float, float, float]:
         h = L * mpmath.sqrt(2 * (2 * m - 1)) / kL
         w = L * (kL - 2 * dE) / kL
         return float(h), float(w), float(kL / L)
+
+
+def arch_gap(t, dps: int = 40):
+    """g = sqrt(1 - h/L) at p = 1 - exp(-t) from the definition, as an mpf.
+
+    h/L does not depend on L.  Next to the straight end 1 - h/L is of order
+    (p - 1/sqrt(2))^2, so the subtraction cancels about twice as many digits
+    as p - 1/sqrt(2) has leading zeros; the evaluation runs at 2 * dps
+    digits so that g keeps dps of them down to p - 1/sqrt(2) = 1e-20.  t may
+    be any mpmath-convertible number; it is taken at 2 * dps digits.
+    """
+    with mpmath.workdps(2 * dps):
+        t = mpmath.mpf(t)
+        p = -mpmath.expm1(-t)
+        m = p * p
+        phi1 = mpmath.asin(1 / (mpmath.sqrt(2) * p))
+        kL = mpmath.ellipk(m) - mpmath.ellipf(phi1, m)
+        return mpmath.sqrt(1 - mpmath.sqrt(2 * (2 * m - 1)) / kL)
 
 
 def evaluate(constraints: DesignConstraints, n: int, L: float,

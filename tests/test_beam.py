@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam, solve_p_for_height
 from wwmtc.errors import DomainError, OutOfRangeError
 from wwmtc.muscle import DEFAULT_P_CAP
 
-from oracles import beam_reference, shoot_tip
+from oracles import arch_gap, beam_reference, shoot_tip
 
 
 def test_straight_strip_boundary_is_exact():
@@ -155,11 +156,35 @@ def test_invert_kernel_budget(monkeypatch):
             calls.clear()
             assert solve_p_for_height(L, h) == pytest.approx(p, abs=1e-9)
             assert len(calls) <= 10, (L, p, len(calls))
+        # h has a logarithmic singularity in 1 - p next to P_MAX
+        h_min = solve_beam(L, P_MAX).h
+        for u in np.linspace(-16.0, -1.0, 61):
+            h = h_min + (L - h_min) * 10.0 ** float(u)
+            calls.clear()
+            solve_p_for_height(L, h)
+            assert len(calls) <= 10, (L, u, len(calls))
+
+
+def test_height_gap_concave_in_log_variable():
+    # solve_p_for_height needs no bracket because g = sqrt(L - h) is
+    # increasing and concave in t = -log(1 - p) over the whole range (its
+    # shape does not depend on L): chord slopes are positive and decreasing
+    with mpmath.workdps(80):
+        t_lo = -mpmath.log(1 - 1 / mpmath.sqrt(2))
+        t_hi = -mpmath.log1p(-mpmath.mpf(P_MAX))
+        offsets = [mpmath.mpf(10) ** float(e) for e in np.linspace(-12, -1, 23)]
+        ts = sorted([t_lo + d for d in offsets] + [t_hi - d for d in offsets]
+                    + mpmath.linspace(t_lo, t_hi, 50)[1:])
+        gs = [arch_gap(t) for t in ts]
+        slopes = [(g1 - g0) / (t1 - t0)
+                  for t0, t1, g0, g1 in zip(ts, ts[1:], gs, gs[1:])]
+    assert all(s > 0 for s in slopes)
+    assert all(b < a for a, b in zip(slopes, slopes[1:]))
 
 
 def test_invert_extreme_targets_converge():
-    # next to P_MAX one ULP of p moves h by ~1e-9 L; targets next to either
-    # end must still meet the 1e-9 L guard
+    # next to P_MAX one ULP of p moves h by ~1e-9 L, so targets next to
+    # either end are met to 1e-9 L
     for L in (1.0, 27.0, 35.0):
         h_min = solve_beam(L, P_MAX).h
         for frac in (1e-16, 1e-13, 1e-10, 1e-7, 1e-4):
@@ -179,6 +204,13 @@ def test_invert_next_to_straight_end():
             h = L * (1.0 - float(f))
             p = solve_p_for_height(L, h)
             assert abs(solve_beam(L, p).h - h) <= 16 * math.ulp(L), (L, f)
+    # a few ULP below L the height slope cancels to 0 for some L
+    rng = np.random.default_rng(13)
+    for L in [30.546118649399524] + [float(x) for x in 10.0 ** rng.uniform(-3, 3, 2000)]:
+        for k in (1, 2, 3):
+            h = L - k * math.ulp(L)
+            p = solve_p_for_height(L, h)
+            assert abs(solve_beam(L, p).h - h) <= 16 * math.ulp(L), (L, k)
 
 
 def test_invert_reports_achievable_minimum():

@@ -397,6 +397,23 @@ def test_muscle_spec_rejects_bad_field(tmp_path, capsys, field, text):
     assert field in err
 
 
+def test_muscle_invert_at_natural_length_of_any_spec(tmp_path, capsys):
+    # (length - h0) / n rounds to just above L for this spec
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 6, "L_mm": 0.7, "h0_mm": 87.50872873361456}))
+    code, out, err = run(["muscle", "invert", "--spec", str(spec),
+                          "--length", "91.70872873361456"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[1].split(",")[1:] == ["0", "91.7087287336146", "0", "0"]
+
+
+@pytest.mark.parametrize("L", ["inf", "nan"])
+def test_beam_solve_rejects_non_finite_length(capsys, L):
+    code, out, err = run(["beam", "solve", "--L", L, "--p", "0.9"], capsys)
+    assert_bad_input(code, err)
+    assert out == ""
+
+
 def test_muscle_spec_integral_float_count_accepted(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**RADIAL, "n": 8.0}))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wwmtc.beam import P_STRAIGHT, solve_beam
+from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam
 from wwmtc.errors import DomainError, OutOfRangeError
 from wwmtc.muscle import (
     DEFAULT_P_CAP,
@@ -168,6 +168,20 @@ def test_invert_planar_matches_dense_scan(planar_spec):
     assert st.length == pytest.approx(200.0, abs=1e-6)
 
 
+def test_invert_both_ends_of_feasible_interval():
+    # (length - h0) / n can round past [h(p_cap), L]; both ends must invert
+    rng = np.random.default_rng(12)
+    specs = [MuscleSpec(6, 0.7, 87.50872873361456), MuscleSpec(31, 0.7, 0.7)]
+    specs += [MuscleSpec(int(rng.integers(1, 41)), float(10 ** rng.uniform(-1, 2.5)),
+                         float(rng.uniform(0.0, 100.0))) for _ in range(200)]
+    for spec in specs:
+        for p_cap in (DEFAULT_P_CAP, P_MAX):
+            for length in length_range(spec, p_cap):
+                st = state_for_length(spec, length, p_cap)
+                assert P_STRAIGHT <= st.p <= p_cap, (spec, p_cap)
+                assert abs(st.length - length) <= 1e-8 * natural_length(spec), (spec, p_cap)
+
+
 def test_invert_out_of_range_reports_interval(radial_spec):
     lo, hi = length_range(radial_spec)
     assert hi == 238.0
@@ -188,6 +202,9 @@ def test_spec_validation():
         MuscleSpec(8, -1.0, 22.0)
     with pytest.raises(DomainError):
         MuscleSpec(8, 27.0, -0.1)
+    for L, h0 in ((math.inf, 22.0), (math.nan, 22.0), (27.0, math.nan), (27.0, math.inf)):
+        with pytest.raises(DomainError):
+            MuscleSpec(8, L, h0)
     with pytest.raises(DomainError):
         MuscleSpec(8, 27.0, 22.0, kind="spherical")
 
