@@ -140,12 +140,16 @@ def solve_p_for_height(L: float, h_target: float) -> float:
     is increasing and concave over the whole range, with a shape that does
     not depend on L (tests/test_beam.py checks it at 40 digits).  Newton's
     method from below the root of such a function climbs to the root
-    without passing it, so no bracket is needed.  The start is one Newton
-    step from the straight end, where g = 0 and dg/dp = sqrt(32 L / 15);
-    concavity puts it below the root.  The iteration stops once a step is
-    no longer than 1e-8 in t, which leaves an error far below an ULP of p,
-    or once a step no longer moves p, as next to P_MAX, where one ULP of p
-    moves h by ~1e-9 L.
+    without passing it, so no bracket is needed.  The start is a degree-14
+    Chebyshev fit of the root as a function of u = sqrt(1 - h/L), lowered
+    by a fixed margin of 2.5e-5 in t that exceeds the fit's error, so it
+    stays below the root; for p - P_STRAIGHT below ~3e-3, one Newton step
+    from the straight end (g = 0, dg/dp = sqrt(32 L / 15)) is closer, and
+    is taken instead.  From a start that close, the second step is no
+    longer than 1e-8 in t, where the iteration stops with an error far
+    below an ULP of p; it also stops once a step no longer moves p, as next
+    to P_MAX, where one ULP of p moves h by ~1e-9 L.  An inversion thus
+    takes at most two solve_beam calls besides the range check.
 
     Raises OutOfRangeError when h_target is below the smallest achievable
     height (at p = P_MAX); the error carries the achievable interval.
@@ -155,22 +159,68 @@ def solve_p_for_height(L: float, h_target: float) -> float:
     if not 0.0 < h_target <= L:
         raise DomainError(f"target height {h_target!r} must lie in (0, L={L}]")
 
+    if h_target < L:
+        h_min = solve_beam(L, P_MAX).h
+        if h_target < h_min:
+            raise OutOfRangeError(
+                f"target height {h_target!r} below minimum achievable "
+                f"{h_min!r} (heights span [{h_min!r}, {L!r}])",
+                lo=h_min,
+                hi=L,
+            )
+    return _p_for_height(L, h_target)
+
+
+# Start of the Newton iteration in t = -log(1 - p).  h/L does not depend on
+# L, so the root t* is one function of u = sqrt(1 - h/L), from u = 0 at
+# P_STRAIGHT to _U_MAX at P_MAX.  _START_CHEB holds the Chebyshev
+# coefficients, over u in [0, _U_MAX], of f(u) = (t* - t_S)(1 - u) / u with
+# t_S = t(P_STRAIGHT): the factor u makes the start exact to first order at
+# the straight end, and 1 - u cancels the logarithmic growth of t* next to
+# P_MAX.  They interpolate f at the 15 Chebyshev nodes of the first kind,
+# with t* at each node the root of tests/oracles.py::arch_gap(t) = u
+# (mpmath.findroot, 40 digits); _U_MAX is arch_gap at t(P_MAX).  The fit is
+# within 1.1e-5 of t* over the whole range and 2e-6 for p <= 0.97
+# (tests/test_beam.py), so _START_MARGIN keeps the start below the root.
+_T_STRAIGHT = -math.log1p(-P_STRAIGHT)
+_U_MAX = 0.9303595000027977
+_START_CHEB = (
+    1.9128717662932562, -0.4494231277308951, -0.019894831066002823,
+    0.008710755420368789, 0.005393557375818389, 0.0018457293162655235,
+    0.0002480231072679609, -0.00017940180028110054, -0.00018055239534628298,
+    -9.403776809822331e-05, -2.9102169435547017e-05, 9.840216620489526e-07,
+    8.93100552819171e-06, 7.5267408688786305e-06, 3.779641342334706e-06,
+)
+_START_MARGIN = 2.5e-5
+# dt/du at the straight end, where 1 - h/L ~ 32 (p - P_STRAIGHT)^2 / 15
+_STRAIGHT_DT_DU = math.sqrt(15.0 / 32.0) / (1.0 - P_STRAIGHT)
+
+
+def _start(u: float) -> float:
+    """A t below the root t* of sqrt(1 - h/L) = u, for u in [0, _U_MAX].
+
+    The larger of the fit minus its margin and one Newton step from the
+    straight end, which concavity puts below the root and which is the
+    larger of the two for p - P_STRAIGHT below ~3e-3.
+    """
+    x = 2.0 * u / _U_MAX - 1.0
+    b1 = b2 = 0.0
+    for c in _START_CHEB[:0:-1]:  # Clenshaw
+        b1, b2 = 2.0 * x * b1 - b2 + c, b1
+    fit = (x * b1 - b2 + _START_CHEB[0]) * u / (1.0 - u)
+    return _T_STRAIGHT + max(fit - _START_MARGIN, u * _STRAIGHT_DT_DU)
+
+
+def _p_for_height(L: float, h_target: float) -> float:
+    """p with h(L, p) = h_target, for h(L, P_MAX) <= h_target <= L.
+
+    Newton's method on g = sqrt(L - h) in t = -log(1 - p) from _start; see
+    solve_p_for_height.  At most two solve_beam calls; none at h_target == L.
+    """
     if h_target == L:
         return P_STRAIGHT
-    h_min = solve_beam(L, P_MAX).h
-    if h_target < h_min:
-        raise OutOfRangeError(
-            f"target height {h_target!r} below minimum achievable "
-            f"{h_min!r} (heights span [{h_min!r}, {L!r}])",
-            lo=h_min,
-            hi=L,
-        )
-
     g_target = math.sqrt(L - h_target)
-    # one Newton step in t from g(t(P_STRAIGHT)) = 0
-    t = -math.log1p(-P_STRAIGHT) + g_target / (
-        math.sqrt(32.0 * L / 15.0) * (1.0 - P_STRAIGHT))
-    p = -math.expm1(-t)
+    p = -math.expm1(-_start(g_target / math.sqrt(L)))
     while True:
         sol = solve_beam(L, p)
         g = math.sqrt(max(L - sol.h, 0.0))

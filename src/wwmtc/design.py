@@ -42,14 +42,15 @@ class DesignConstraints:
     kind: str = "radial"  # label stamped on emitted specs; no formula effect
 
     def __post_init__(self):
+        # written as "not ... < inf" so that NaN fails every check
         for name in ("natural_length_range", "n_range", "L_range"):
             lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise DomainError(f"{name}={getattr(self, name)!r} must satisfy 0 <= min <= max")
-        if self.min_stroke < 0 or self.max_width_at_full < 0 or self.min_width_at_full < 0:
-            raise DomainError("stroke/width requirements must be >= 0")
-        if self.h0 < 0:
-            raise DomainError(f"h0={self.h0!r} must be >= 0")
+            if not 0.0 <= lo <= hi < math.inf:
+                raise DomainError(
+                    f"{name}={getattr(self, name)!r} must satisfy 0 <= min <= max < inf")
+        for name in ("min_stroke", "max_width_at_full", "min_width_at_full", "h0"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name}={getattr(self, name)!r} must be finite and >= 0")
         if self.L_range[0] <= 0:
             raise DomainError("L_range must be positive")
         if self.n_range[0] < 1:

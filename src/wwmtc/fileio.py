@@ -36,7 +36,9 @@ def fmt(value: float) -> str:
 def _read_json_object(path: str | Path, what: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and integers past Python's
+    # digit limit; RecursionError, arrays nested too deep to parse
+    except (OSError, ValueError, RecursionError) as exc:
         raise DomainError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DomainError(f"{what} {path} must be a JSON object")
@@ -126,7 +128,7 @@ def _read_numeric_csv(path: str | Path, header: str):
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != header:

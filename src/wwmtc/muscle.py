@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .beam import P_MAX, P_STRAIGHT, solve_beam, solve_p_for_height
+from .beam import P_MAX, P_STRAIGHT, _p_for_height, solve_beam
 from .errors import DomainError, OutOfRangeError
 
 # Default contraction cap.  Beyond p ~ 0.97 the tip angle exceeds ~75 deg
@@ -67,6 +67,11 @@ class DeformationCurve:
     samples: tuple[MuscleState, ...]
 
 
+def _check_p_cap(p_cap: float) -> None:
+    if not P_STRAIGHT < p_cap <= P_MAX:
+        raise DomainError(f"p_cap={p_cap!r} must lie in ({P_STRAIGHT!r}, {P_MAX!r}]")
+
+
 def natural_length(spec: MuscleSpec) -> float:
     """Length of the uncontracted muscle: n*L + h0 (all arches straight)."""
     return spec.n * spec.L + spec.h0
@@ -93,8 +98,7 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
     """
     if num_samples < 2:
         raise DomainError(f"num_samples={num_samples!r} must be >= 2")
-    if not P_STRAIGHT < p_cap <= P_MAX:
-        raise DomainError(f"p_cap={p_cap!r} must lie in ({P_STRAIGHT!r}, {P_MAX!r}]")
+    _check_p_cap(p_cap)
     step = (p_cap - P_STRAIGHT) / (num_samples - 1)
     samples = []
     for i in range(num_samples):
@@ -117,8 +121,10 @@ def state_for_length(
     is outside [length at p_cap, natural length].  The arch height
     (length_target - h0) / n can round past [h(p_cap), L] at either end of
     that interval, and the inverse of h(p_cap) past p_cap, so both are
-    clamped.
+    clamped.  At most four solve_beam calls: h(p_cap), two Newton steps
+    and the returned state.
     """
+    _check_p_cap(p_cap)
     h_cap = solve_beam(spec.L, p_cap).h
     lo, hi = spec.n * h_cap + spec.h0, natural_length(spec)
     if not lo <= length_target <= hi:
@@ -129,4 +135,4 @@ def state_for_length(
             hi=hi,
         )
     h_target = min(max((length_target - spec.h0) / spec.n, h_cap), spec.L)
-    return state_at(spec, min(solve_p_for_height(spec.L, h_target), p_cap))
+    return state_at(spec, min(_p_for_height(spec.L, h_target), p_cap))

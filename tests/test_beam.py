@@ -141,7 +141,8 @@ def test_invert_matches_dense_scan():
 
 
 def test_invert_kernel_budget(monkeypatch):
-    # every solve_beam call of one inversion, the P_MAX range check included
+    # every solve_beam call of one inversion, the P_MAX range check included:
+    # the range check and two Newton steps from the fitted start
     calls = []
 
     def counted(L, p):
@@ -155,14 +156,14 @@ def test_invert_kernel_budget(monkeypatch):
             h = solve_beam(L, float(p)).h
             calls.clear()
             assert solve_p_for_height(L, h) == pytest.approx(p, abs=1e-9)
-            assert len(calls) <= 10, (L, p, len(calls))
+            assert len(calls) <= 3, (L, p, len(calls))
         # h has a logarithmic singularity in 1 - p next to P_MAX
         h_min = solve_beam(L, P_MAX).h
         for u in np.linspace(-16.0, -1.0, 61):
             h = h_min + (L - h_min) * 10.0 ** float(u)
             calls.clear()
             solve_p_for_height(L, h)
-            assert len(calls) <= 10, (L, u, len(calls))
+            assert len(calls) <= 3, (L, u, len(calls))
 
 
 def test_height_gap_concave_in_log_variable():
@@ -180,6 +181,27 @@ def test_height_gap_concave_in_log_variable():
                   for t0, t1, g0, g1 in zip(ts, ts[1:], gs, gs[1:])]
     assert all(s > 0 for s in slopes)
     assert all(b < a for a, b in zip(slopes, slopes[1:]))
+
+
+def test_newton_start_below_root():
+    # _start(u) must not exceed the root t* of arch_gap(t) = u, or Newton
+    # could pass the root, and must be within _START_MARGIN plus the fit's
+    # error of it (1.1e-5 over the whole range, 2e-6 for p <= 0.97) for two
+    # Newton steps to meet the stop rule.  g is increasing, so start <= t*
+    # iff arch_gap(start) <= u.
+    t_97 = -math.log1p(-0.97)
+    with mpmath.workdps(80):
+        t_lo = -mpmath.log(1 - 1 / mpmath.sqrt(2))
+        t_hi = -mpmath.log1p(-mpmath.mpf(P_MAX))
+        offsets = [mpmath.mpf(10) ** float(e) for e in np.linspace(-12, -1, 23)]
+        ts = ([t_lo + d for d in offsets] + [t_hi - d for d in offsets]
+              + mpmath.linspace(t_lo, t_hi, 60)[1:-1])
+        for t in ts:
+            u = float(arch_gap(t))
+            start = beam._start(u)
+            assert arch_gap(start) <= u, t
+            err = beam._START_MARGIN + (2e-6 if t < t_97 else 1.1e-5)
+            assert arch_gap(start + err) >= u, t
 
 
 def test_invert_extreme_targets_converge():

@@ -262,6 +262,16 @@ def test_muscle_invert_out_of_range(capsys):
     assert "feasible interval" in err
 
 
+def test_muscle_invert_bad_p_cap_names_flag(capsys):
+    code, _, err = run(
+        ["muscle", "invert", "--spec", str(DATA_DIR / "radial.json"),
+         "--length", "220", "--p-cap", "0.6"],
+        capsys,
+    )
+    assert_bad_input(code, err)
+    assert "p_cap=0.6 must lie in" in err
+
+
 def test_p_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("WWMTC_P_CAP", "0.9")
     code, out, _ = run(
@@ -395,6 +405,19 @@ def test_muscle_spec_rejects_bad_field(tmp_path, capsys, field, text):
     code, _, err = run(["muscle", "invert", "--spec", str(spec), "--length", "220"], capsys)
     assert_bad_input(code, err)
     assert field in err
+
+
+@pytest.mark.parametrize("body", [b"\x80{}", b"[" * 100_000, b'{"n": ' + b"1" * 5000 + b"}"],
+                         ids=["bad-utf8", "deep-nesting", "5000-digit-int"])
+def test_unparsable_input_files_are_bad_input(tmp_path, capsys, body):
+    # each used to escape the readers as an internal error (exit 1)
+    path = tmp_path / "input"
+    path.write_bytes(body)
+    for argv in (["muscle", "invert", "--spec", str(path), "--length", "220"],
+                 ["design", "search", "--constraints", str(path)],
+                 ["winch", "fit", "--data", str(path)]):
+        code, _, err = run(argv, capsys)
+        assert_bad_input(code, err)
 
 
 def test_muscle_invert_at_natural_length_of_any_spec(tmp_path, capsys):

@@ -277,3 +277,30 @@ def test_search_and_report_properties(cons):
     dense = np.linspace(cons.L_range[0], cons.L_range[1], 2001)
     for n in report:
         assert not (dense_margin(cons, n, dense) >= 0.0).any(), n
+
+
+VALID_FIELDS = dict(natural_length_range=(237.2, 238.8), min_stroke=65.8,
+                    max_width_at_full=17.5, h0=22.0, n_range=(1, 12), L_range=(10.0, 50.0))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("h0", float("nan")),
+    ("min_stroke", float("nan")),
+    ("max_width_at_full", float("inf")),
+    ("min_width_at_full", float("nan")),
+    ("L_range", (10.0, float("nan"))),
+    ("L_range", (float("nan"), 50.0)),
+    ("natural_length_range", (237.2, float("inf"))),
+])
+def test_constraint_validation_rejects_non_finite(field, value):
+    # NaN used to pass every "< 0" check: h0 = nan was accepted and blamed
+    # on natural_length_min for every n
+    with pytest.raises(DomainError, match=field):
+        DesignConstraints(**{**VALID_FIELDS, field: value})
+
+
+def test_constraint_validation_rejects_nan_stroke_and_range():
+    # search used to raise a bare ValueError from max() on these
+    with pytest.raises(DomainError):
+        DesignConstraints(**{**VALID_FIELDS, "min_stroke": float("nan"),
+                             "L_range": (10.0, float("nan"))})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wwmtc import beam, muscle
 from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam
 from wwmtc.errors import DomainError, OutOfRangeError
 from wwmtc.muscle import (
@@ -180,6 +181,52 @@ def test_invert_both_ends_of_feasible_interval():
                 st = state_for_length(spec, length, p_cap)
                 assert P_STRAIGHT <= st.p <= p_cap, (spec, p_cap)
                 assert abs(st.length - length) <= 1e-8 * natural_length(spec), (spec, p_cap)
+
+
+def test_invert_round_trip_length_miss():
+    # targets like the geometry benchmark's; the Newton start before the
+    # fitted one missed these by up to 6 ULP of the length
+    rng = np.random.default_rng(14)
+    for _ in range(1000):
+        spec = MuscleSpec(int(rng.integers(4, 11)), float(rng.uniform(15.0, 40.0)),
+                          float(rng.uniform(5.0, 25.0)))
+        length = state_at(spec, float(rng.uniform(P_STRAIGHT + 1e-3, DEFAULT_P_CAP))).length
+        miss = abs(state_for_length(spec, length).length - length)
+        assert miss <= 6 * math.ulp(length), (spec, length)
+
+
+def test_invert_kernel_budget(monkeypatch):
+    # h(p_cap), two Newton steps and the returned state, at both ends of the
+    # feasible interval and next to them as well as inside it
+    calls = []
+
+    def counted(L, p):
+        calls.append(p)
+        return solve_beam(L, p)
+
+    monkeypatch.setattr(beam, "solve_beam", counted)
+    monkeypatch.setattr(muscle, "solve_beam", counted)
+    rng = np.random.default_rng(15)
+    specs = [MuscleSpec(8, 27.0, 22.0), MuscleSpec(6, 0.7, 87.50872873361456)]
+    specs += [MuscleSpec(int(rng.integers(1, 41)), float(10 ** rng.uniform(-1, 2.5)),
+                         float(rng.uniform(0.0, 100.0))) for _ in range(40)]
+    for spec in specs:
+        for p_cap in (0.75, DEFAULT_P_CAP, P_MAX):
+            lo, hi = length_range(spec, p_cap)
+            targets = [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo),
+                       lo + (hi - lo) * 1e-12, hi - (hi - lo) * 1e-12]
+            targets += [float(x) for x in rng.uniform(lo, hi, 20)]
+            for length in targets:
+                calls.clear()
+                state_for_length(spec, length, p_cap)
+                assert len(calls) <= 4, (spec, p_cap, length, len(calls))
+
+
+def test_invert_rejects_bad_p_cap(radial_spec):
+    # the same rule as curve's; p_cap = P_STRAIGHT is no cap at all
+    for p_cap in (0.6, P_STRAIGHT, 1.0, math.nan):
+        with pytest.raises(DomainError, match="p_cap="):
+            state_for_length(radial_spec, 238.0, p_cap)
 
 
 def test_invert_out_of_range_reports_interval(radial_spec):
