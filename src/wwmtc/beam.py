@@ -41,6 +41,7 @@ few ULP of L all the way to the straight end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,6 +131,28 @@ def _height_slope(L: float, p: float, sol: BeamSolution) -> float:
     return L * ((4.0 * p / r) / kL - r * dkL / (kL * kL))
 
 
+@functools.lru_cache(maxsize=8)
+def _rf_at(p: float) -> float:
+    """R_F of solve_beam's Carlson pass at p, cached: it does not depend on L.
+
+    The arguments are solve_beam's, written the same way, so the value is
+    the same double.  The callers invert at a handful of fixed caps, which
+    the small cache holds.
+    """
+    m1 = (1.0 - p) * (1.0 + p)
+    return _rf_rd(m1 / (p * p), 2.0 * m1, 1.0)[0]
+
+
+def _height(L: float, p: float) -> float:
+    """solve_beam(L, p).h, the same double, from the cached R_F at p.
+
+    For a valid L and p; neither is checked.
+    """
+    if 2.0 * p * p - 1.0 <= 0.0:
+        return L
+    return math.sqrt(2.0) * p * L / _rf_at(p)
+
+
 def solve_p_for_height(L: float, h_target: float) -> float:
     """Invert h(L, p) for p by Newton's method on sqrt(L - h) in -log(1 - p).
 
@@ -140,16 +163,18 @@ def solve_p_for_height(L: float, h_target: float) -> float:
     is increasing and concave over the whole range, with a shape that does
     not depend on L (tests/test_beam.py checks it at 40 digits).  Newton's
     method from below the root of such a function climbs to the root
-    without passing it, so no bracket is needed.  The start is a degree-14
-    Chebyshev fit of the root as a function of u = sqrt(1 - h/L), lowered
-    by a fixed margin of 2.5e-5 in t that exceeds the fit's error, so it
-    stays below the root; for p - P_STRAIGHT below ~3e-3, one Newton step
-    from the straight end (g = 0, dg/dp = sqrt(32 L / 15)) is closer, and
-    is taken instead.  From a start that close, the second step is no
-    longer than 1e-8 in t, where the iteration stops with an error far
-    below an ULP of p; it also stops once a step no longer moves p, as next
-    to P_MAX, where one ULP of p moves h by ~1e-9 L.  An inversion thus
-    takes at most two solve_beam calls besides the range check.
+    without passing it, so no bracket is needed.  The start is a degree-40
+    Chebyshev interpolant of the root as a function of u = sqrt(1 - h/L),
+    lowered by a margin of 5e-12 in t plus eight ULPs of p, which exceeds
+    the interpolant's error, so it stays below the root; for
+    p - P_STRAIGHT below ~2e-6, one Newton step from the straight end
+    (g = 0, dg/dp = sqrt(32 L / 15)) is closer, and is taken instead.  From
+    a start that close, the first step is no longer than 1e-8 in t, where
+    the iteration stops with an error far below an ULP of p.  Within
+    ~1e-7 of P_MAX eight ULPs of p exceed 1e-8 in t, and the iteration stops
+    at its second step, or once a step no longer moves p.  An inversion
+    thus takes one solve_beam call, two next to P_MAX, and the range check
+    at P_MAX none once its Carlson pass is cached.
 
     Raises OutOfRangeError when h_target is below the smallest achievable
     height (at p = P_MAX); the error carries the achievable interval.
@@ -160,7 +185,7 @@ def solve_p_for_height(L: float, h_target: float) -> float:
         raise DomainError(f"target height {h_target!r} must lie in (0, L={L}]")
 
     if h_target < L:
-        h_min = solve_beam(L, P_MAX).h
+        h_min = _height(L, P_MAX)
         if h_target < h_min:
             raise OutOfRangeError(
                 f"target height {h_target!r} below minimum achievable "
@@ -177,21 +202,33 @@ def solve_p_for_height(L: float, h_target: float) -> float:
 # coefficients, over u in [0, _U_MAX], of f(u) = (t* - t_S)(1 - u) / u with
 # t_S = t(P_STRAIGHT): the factor u makes the start exact to first order at
 # the straight end, and 1 - u cancels the logarithmic growth of t* next to
-# P_MAX.  They interpolate f at the 15 Chebyshev nodes of the first kind,
-# with t* at each node the root of tests/oracles.py::arch_gap(t) = u
-# (mpmath.findroot, 40 digits); _U_MAX is arch_gap at t(P_MAX).  The fit is
-# within 1.1e-5 of t* over the whole range and 2e-6 for p <= 0.97
-# (tests/test_beam.py), so _START_MARGIN keeps the start below the root.
+# P_MAX.  They interpolate f at the 41 Chebyshev nodes of the first kind,
+# with t* at each node the root of arch_gap(t) = u at 40 digits
+# (tests/oracles.py::start_coefficients rebuilds them); _U_MAX is arch_gap
+# at t(P_MAX).  The interpolant is within 2e-13 of t* for p <= 0.97 and
+# 1.5e-12 over the whole range (tests/test_beam.py), so _START_MARGIN and
+# _START_ULPS ULPs of p, for the rounding of the start to a double p, keep
+# the start below the root.
 _T_STRAIGHT = -math.log1p(-P_STRAIGHT)
 _U_MAX = 0.9303595000027977
 _START_CHEB = (
-    1.9128717662932562, -0.4494231277308951, -0.019894831066002823,
-    0.008710755420368789, 0.005393557375818389, 0.0018457293162655235,
-    0.0002480231072679609, -0.00017940180028110054, -0.00018055239534628298,
-    -9.403776809822331e-05, -2.9102169435547017e-05, 9.840216620489526e-07,
-    8.93100552819171e-06, 7.5267408688786305e-06, 3.779641342334706e-06,
+    1.9128717659597265, -0.44942312833608283, -0.01989483135294769,
+    0.008710756097402126, 0.005393560227422513, 0.001845735971152229,
+    0.0002480346428627225, -0.00017938737884940588, -0.0001805448024480537,
+    -9.406053212857195e-05, -2.9196079953740975e-05, 7.706691372227206e-07,
+    8.584479682817621e-06, 7.165791361129714e-06, 3.816232510738432e-06,
+    1.3001424240709803e-06, 3.6591180457021654e-08, -3.609494920108551e-07,
+    -3.465258586011384e-07, -2.1335266129475829e-07, -9.391099717427137e-08,
+    -2.2765271752564844e-08, 7.590253211776003e-09, 1.4416731323341242e-08,
+    1.1528962641155595e-08, 6.6490901620224245e-09, 2.855460114476024e-09,
+    7.100718391916683e-10, -1.9102932781819825e-10, -4.0327952934434827e-10,
+    -3.335293230544447e-10, -2.0190708470165365e-10, -9.591348900457978e-11,
+    -3.3035019767442046e-11, -3.850476178604176e-12, 5.8048627293855455e-12,
+    6.644418306680205e-12, 4.7182284569711584e-12, 2.668904028639396e-12,
+    1.2643591591535572e-12, 4.692030065775403e-13,
 )
-_START_MARGIN = 2.5e-5
+_START_MARGIN = 5e-12
+_START_ULPS = 8.0
 # dt/du at the straight end, where 1 - h/L ~ 32 (p - P_STRAIGHT)^2 / 15
 _STRAIGHT_DT_DU = math.sqrt(15.0 / 32.0) / (1.0 - P_STRAIGHT)
 
@@ -199,23 +236,26 @@ _STRAIGHT_DT_DU = math.sqrt(15.0 / 32.0) / (1.0 - P_STRAIGHT)
 def _start(u: float) -> float:
     """A t below the root t* of sqrt(1 - h/L) = u, for u in [0, _U_MAX].
 
-    The larger of the fit minus its margin and one Newton step from the
-    straight end, which concavity puts below the root and which is the
-    larger of the two for p - P_STRAIGHT below ~3e-3.
+    The larger of the interpolant minus its margin and one Newton step from
+    the straight end, which concavity puts below the root and which is the
+    larger of the two for p - P_STRAIGHT below ~2e-6.
     """
     x = 2.0 * u / _U_MAX - 1.0
     b1 = b2 = 0.0
     for c in _START_CHEB[:0:-1]:  # Clenshaw
         b1, b2 = 2.0 * x * b1 - b2 + c, b1
-    fit = (x * b1 - b2 + _START_CHEB[0]) * u / (1.0 - u)
-    return _T_STRAIGHT + max(fit - _START_MARGIN, u * _STRAIGHT_DT_DU)
+    t = _T_STRAIGHT + (x * b1 - b2 + _START_CHEB[0]) * u / (1.0 - u)
+    # an ULP of p = 1 - exp(-t), which lies in [1/2, 1), is 2^-53 exp(t) in t
+    margin = _START_MARGIN + _START_ULPS * math.ulp(0.5) * math.exp(t)
+    return max(t - margin, _T_STRAIGHT + u * _STRAIGHT_DT_DU)
 
 
 def _p_for_height(L: float, h_target: float) -> float:
     """p with h(L, p) = h_target, for h(L, P_MAX) <= h_target <= L.
 
     Newton's method on g = sqrt(L - h) in t = -log(1 - p) from _start; see
-    solve_p_for_height.  At most two solve_beam calls; none at h_target == L.
+    solve_p_for_height.  One solve_beam call, two within ~1e-7 of P_MAX;
+    none at h_target == L.
     """
     if h_target == L:
         return P_STRAIGHT

@@ -46,9 +46,43 @@ def _resolve_p_cap(args: argparse.Namespace) -> float:
     return args.p_cap if args.p_cap is not None else _env_p_cap()
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are WwmtcError, so that dispatch
+    reports bad argv in one line; add_subparsers makes its sub-parsers of
+    the same class."""
+
+    def error(self, message: str):
+        raise WwmtcError(f"{self.prog}: {message}")
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with ``--opt -1e+16`` written as ``--opt=-1e+16``.
+
+    argparse takes a token that starts with '-' for an option unless it
+    looks like -5 or -.5, so -1e+16 or -inf would never reach the option
+    before it; attached with '=' they do.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _is_number(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wwmtc",
         description="Deformation model, actuator fits and design search for "
         "wire-wound expanding muscle actuators.",
@@ -265,13 +299,12 @@ _HANDLERS = {
 
 def dispatch(argv: list[str] | None = None) -> int:
     """Parse and run one invocation; returns the process exit code."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(_attach_negative_numbers(argv))
         return _HANDLERS[(args.group, args.command)](args)
+    except SystemExit as exc:  # --help, printed on stdout
+        return int(exc.code or 0)
     except WwmtcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

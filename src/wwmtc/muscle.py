@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .beam import P_MAX, P_STRAIGHT, _p_for_height, solve_beam
+from .beam import P_MAX, P_STRAIGHT, _height, _p_for_height, solve_beam
 from .errors import DomainError, OutOfRangeError
 
 # Default contraction cap.  Beyond p ~ 0.97 the tip angle exceeds ~75 deg
@@ -121,11 +121,13 @@ def state_for_length(
     is outside [length at p_cap, natural length].  The arch height
     (length_target - h0) / n can round past [h(p_cap), L] at either end of
     that interval, and the inverse of h(p_cap) past p_cap, so both are
-    clamped.  At most four solve_beam calls: h(p_cap), two Newton steps
-    and the returned state.
+    clamped.  Two solve_beam calls, one Newton step and the returned state,
+    and a second Newton step within ~1e-7 of P_MAX.  h(p_cap) comes from
+    the Carlson pass that beam caches per p: one more pass while p_cap is
+    not in the cache.
     """
     _check_p_cap(p_cap)
-    h_cap = solve_beam(spec.L, p_cap).h
+    h_cap = _height(spec.L, p_cap)
     lo, hi = spec.n * h_cap + spec.h0, natural_length(spec)
     if not lo <= length_target <= hi:
         raise OutOfRangeError(

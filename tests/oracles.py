@@ -27,7 +27,8 @@ mpmath; it shares no formula or rounding with the single Carlson pass of
 
 ``arch_gap`` evaluates g = sqrt(1 - h/L) from the same definition as a
 function of t = -log(1 - p), the variable in which
-``wwmtc.beam.solve_p_for_height`` runs Newton's method.
+``wwmtc.beam.solve_p_for_height`` runs Newton's method, and
+``start_coefficients`` rebuilds that method's start from its roots.
 
 ``evaluate`` is the design oracle: it re-checks a candidate through the
 forward model (``state_at`` and ``natural_length``) and never uses the
@@ -47,6 +48,7 @@ import mpmath
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from wwmtc.beam import P_MAX
 from wwmtc.design import DesignConstraints
 from wwmtc.elliptic import HALF_PI, _check_amplitude, _check_modulus
 from wwmtc.errors import DomainError
@@ -217,6 +219,33 @@ def arch_gap(t, dps: int = 40):
         phi1 = mpmath.asin(1 / (mpmath.sqrt(2) * p))
         kL = mpmath.ellipk(m) - mpmath.ellipf(phi1, m)
         return mpmath.sqrt(1 - mpmath.sqrt(2 * (2 * m - 1)) / kL)
+
+
+def start_coefficients(degree: int, u_max: float, dps: int = 40) -> tuple[float, ...]:
+    """Chebyshev interpolant of f(u) = (t* - t_S)(1 - u) / u on [0, u_max].
+
+    t* is the root of arch_gap(t) = u and t_S = -log(1 - 1/sqrt(2)); the
+    interpolation points are the degree + 1 Chebyshev nodes of the first
+    kind.  Each root is bracketed between t_S and t(P_MAX) and found at dps
+    digits, and the coefficients are summed at dps digits and rounded once,
+    which reproduces ``wwmtc.beam._START_CHEB`` for degree 40 and
+    u_max = ``wwmtc.beam._U_MAX``.  c_0 carries the usual factor 1/2, so
+    f = sum c_k T_k(2 u / u_max - 1).
+    """
+    n = degree + 1
+    with mpmath.workdps(dps):
+        t_s = -mpmath.log(1 - 1 / mpmath.sqrt(2))
+        bracket = (t_s + mpmath.mpf(10) ** -dps, -mpmath.log1p(-mpmath.mpf(P_MAX)))
+        angles = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+        values = []
+        for a in angles:
+            u = mpmath.mpf(u_max) * (mpmath.cos(a) + 1) / 2
+            t = mpmath.findroot(lambda t: arch_gap(t, dps) - u, bracket, solver="anderson")
+            values.append((t - t_s) * (1 - u) / u)
+        return tuple(
+            float(sum(f * mpmath.cos(k * a) for f, a in zip(values, angles)) * (2 if k else 1) / n)
+            for k in range(n)
+        )
 
 
 def evaluate(constraints: DesignConstraints, n: int, L: float,

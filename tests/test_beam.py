@@ -11,7 +11,7 @@ from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam, solve_p_for_height
 from wwmtc.errors import DomainError, OutOfRangeError
 from wwmtc.muscle import DEFAULT_P_CAP
 
-from oracles import arch_gap, beam_reference, shoot_tip
+from oracles import arch_gap, beam_reference, shoot_tip, start_coefficients
 
 
 def test_straight_strip_boundary_is_exact():
@@ -95,6 +95,21 @@ def test_height_within_ulps_of_reference():
             assert abs(solve_beam(L, p).h - h_ref) <= 4 * math.ulp(L), (L, p)
 
 
+def test_cached_height_is_solve_beam_height():
+    # h at a cap comes from a cached Carlson pass: the same double for every L
+    rng = np.random.default_rng(16)
+    ps = [P_STRAIGHT, math.nextafter(P_STRAIGHT, 1.0), 0.75, 0.97, P_MAX]
+    ps += [float(p) for p in rng.uniform(P_STRAIGHT, P_MAX, 20)]
+    for L in np.logspace(-3, 3, 25):
+        for p in ps:
+            assert beam._height(float(L), p) == solve_beam(float(L), p).h, (L, p)
+    info = beam._rf_at.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    for p in rng.uniform(P_STRAIGHT, P_MAX, 200):
+        beam._height(1.0, float(p))
+    assert beam._rf_at.cache_info().currsize <= info.maxsize
+
+
 def test_width_matches_reference():
     for p in np.linspace(P_STRAIGHT, DEFAULT_P_CAP, 100)[1:]:
         w_ref = beam_reference(27.0, float(p))[1]
@@ -141,29 +156,37 @@ def test_invert_matches_dense_scan():
 
 
 def test_invert_kernel_budget(monkeypatch):
-    # every solve_beam call of one inversion, the P_MAX range check included:
-    # the range check and two Newton steps from the fitted start
+    # every Carlson pass of one inversion, the P_MAX range check included:
+    # the range check's pass is cached, so a cold inversion makes one more
+    # than a warm one, which makes one Newton solve from the interpolated
+    # start, two next to P_MAX where eight ULPs of p exceed the 1e-8 stop
     calls = []
 
-    def counted(L, p):
-        calls.append(p)
-        return solve_beam(L, p)
+    def counted(x, y, z):
+        calls.append(x)
+        return rf_rd(x, y, z)
 
-    monkeypatch.setattr(beam, "solve_beam", counted)
+    rf_rd = beam._rf_rd
+    monkeypatch.setattr(beam, "_rf_rd", counted)
+    beam._rf_at.cache_clear()
+    h = solve_beam(27.0, 0.85).h
+    calls.clear()
+    solve_p_for_height(27.0, h)
+    assert len(calls) == 2
     rng = np.random.default_rng(10)
     for L in (1.0, 27.0, 35.0, 250.0):
         for p in rng.uniform(P_STRAIGHT + 1e-3, 0.97, 60):
             h = solve_beam(L, float(p)).h
             calls.clear()
             assert solve_p_for_height(L, h) == pytest.approx(p, abs=1e-9)
-            assert len(calls) <= 3, (L, p, len(calls))
+            assert len(calls) == 1, (L, p, len(calls))
         # h has a logarithmic singularity in 1 - p next to P_MAX
         h_min = solve_beam(L, P_MAX).h
         for u in np.linspace(-16.0, -1.0, 61):
             h = h_min + (L - h_min) * 10.0 ** float(u)
             calls.clear()
             solve_p_for_height(L, h)
-            assert len(calls) <= 3, (L, u, len(calls))
+            assert len(calls) <= 2, (L, u, len(calls))
 
 
 def test_height_gap_concave_in_log_variable():
@@ -185,10 +208,11 @@ def test_height_gap_concave_in_log_variable():
 
 def test_newton_start_below_root():
     # _start(u) must not exceed the root t* of arch_gap(t) = u, or Newton
-    # could pass the root, and must be within _START_MARGIN plus the fit's
-    # error of it (1.1e-5 over the whole range, 2e-6 for p <= 0.97) for two
-    # Newton steps to meet the stop rule.  g is increasing, so start <= t*
-    # iff arch_gap(start) <= u.
+    # could pass the root, and must be within its margin plus the
+    # interpolant's error of it (1.5e-12 over the whole range, 2e-13 for
+    # p <= 0.97) for the first Newton step to meet the 1e-8 stop rule.  g is
+    # increasing, so start <= t* iff arch_gap(start) <= u; the start rounded
+    # to a double p, which the iteration begins from, is below the root too.
     t_97 = -math.log1p(-0.97)
     with mpmath.workdps(80):
         t_lo = -mpmath.log(1 - 1 / mpmath.sqrt(2))
@@ -200,8 +224,18 @@ def test_newton_start_below_root():
             u = float(arch_gap(t))
             start = beam._start(u)
             assert arch_gap(start) <= u, t
-            err = beam._START_MARGIN + (2e-6 if t < t_97 else 1.1e-5)
+            p = -math.expm1(-start)
+            assert arch_gap(-mpmath.log1p(-mpmath.mpf(p))) <= u, t
+            margin = beam._START_MARGIN + beam._START_ULPS * math.ulp(p) / (1.0 - p)
+            err = margin + (2e-13 if t < t_97 else 1.5e-12)
             assert arch_gap(start + err) >= u, t
+
+
+def test_start_coefficients_rebuild():
+    # the committed interpolant is the generator's output, bit for bit, and
+    # _U_MAX is arch_gap at t(P_MAX)
+    assert start_coefficients(40, beam._U_MAX) == beam._START_CHEB
+    assert float(arch_gap(-mpmath.log1p(-mpmath.mpf(P_MAX)))) == beam._U_MAX
 
 
 def test_invert_extreme_targets_converge():

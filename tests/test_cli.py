@@ -102,6 +102,39 @@ def test_unknown_flag_rejected(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["beam", "solve", "--L", "27", "--p", "0.8", "--bogus", "1"],
+    ["beam", "solve", "--p", "0.8"],
+    ["muscle", "invert", "--spec", str(DATA_DIR / "radial.json"), "--length", "abc"],
+    ["muscle"],
+    [],
+    ["muscle", "bend"],
+    ["muscle", "invert", "--spec"],
+])
+def test_bad_argv_is_one_line(capsys, argv):
+    # argparse's usage line is not printed: the contract is one line
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: wwmtc") and err.count("\n") == 1, err
+
+
+def test_negative_numbers_with_exponents_parse(capsys):
+    # argparse alone takes -1e+16 for an option ("expected one argument")
+    spec = str(DATA_DIR / "radial.json")
+    for value in ("-1e+16", "-inf", "-2.5E-3"):
+        for argv in (["muscle", "invert", "--spec", spec, "--length", value],
+                     ["muscle", "invert", "--spec", spec, "--len", value]):
+            code, _, err = run(argv, capsys)
+            assert code == 2 and "unreachable" in err, (argv, err)
+    code, _, err = run(["elliptic", "eval", "--kind", "F", "--p", "0.5", "--phi", "-1e-1"],
+                       capsys)
+    assert code == 2 and "phi=-0.1" in err
+    code, out, _ = run(["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
+                        "--profile", str(DATA_DIR / "triangle_profile.csv"),
+                        "--initial-tension", "-1e+1"], capsys)
+    assert code == 0 and out.split("\n")[1] == "0,0,-5"
+
+
 # --- muscle ------------------------------------------------------------------------
 
 def test_muscle_curve_csv(tmp_path, capsys):
@@ -661,5 +694,7 @@ def test_byte_identical_reruns(tmp_path, capsys):
 
 
 def test_help_exits_zero(capsys):
-    assert dispatch(["--help"]) == 0
-    capsys.readouterr()
+    for argv in (["--help"], ["muscle", "invert", "-h"]):
+        assert dispatch(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: wwmtc") and captured.err == ""

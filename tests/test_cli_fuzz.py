@@ -1,4 +1,4 @@
-"""CLI exit-code contract under fuzzed input files.
+"""CLI exit-code contract under fuzzed argv and input files.
 
 Every input a user can hand the CLI must end in exit 0, or in exit 2 with
 exactly one line on stderr; exit 1 is kept for internal faults.  The cases
@@ -9,8 +9,10 @@ and run in-process through ``cli.dispatch``.
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -139,3 +141,90 @@ def test_winch_simulate_fuzzed_inputs(params, profile):
     run_with_files(lambda f: ["winch", "simulate", "--params", str(f["p.json"]),
                               "--profile", str(f["w.csv"])],
                    {"p.json": params, "w.csv": profile})
+
+
+# --- argv ----------------------------------------------------------------------
+
+number_tokens = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0", "0", "-1e+16", "1e-300", "-5",
+                     "-.5", "1e999", "0x10", "1_0", "abc", "", " 2", "--", "-"]),
+)
+
+
+def number_near(lo: float, hi: float):
+    """Mostly a value in [lo, hi], so that some cases run to the end."""
+    near = st.floats(lo, hi).map(repr)
+    return st.one_of(near, near, near, number_tokens)
+
+
+def argv_case(tmp: Path):
+    """(argv, WWMTC_P_CAP): a command, or part of one or an unknown one,
+    with its flags mostly present, some values bad or missing, and a few
+    unknown flags; --samples stays small, since a curve is that long."""
+    def files(*names):
+        return st.sampled_from([str(DATA_DIR / name) for name in names])
+
+    outs = st.sampled_from([str(tmp / "out.txt"), str(tmp), str(tmp / "no" / "dir.txt")])
+    p_cap = number_near(0.72, 0.99)
+    flags = {
+        ("elliptic", "eval"): {"--kind": st.sampled_from(["F", "E", "K", "Ec", "G"]),
+                               "--phi": number_near(0.1, 1.5), "--p": number_near(0.1, 0.9)},
+        ("beam", "solve"): {"--L": number_near(0.5, 50.0), "--p": number_near(0.72, 0.99),
+                            "--json": None},
+        ("muscle", "curve"): {
+            "--spec": files("radial.json", "planar.json", "missing.json", "."),
+            "--samples": st.integers(-3, 60).map(str) | st.sampled_from(["1e3", "nan", "-1e+2"]),
+            "--out": outs, "--svg": outs, "--p-cap": p_cap},
+        ("muscle", "invert"): {"--spec": files("radial.json", "planar.json", "missing.json"),
+                               "--length": number_near(175.0, 237.0), "--p-cap": p_cap},
+        ("design", "search"): {"--constraints": files("constraints.json", "radial.json"),
+                               "--out": outs, "--csv": outs, "--p-cap": p_cap},
+        ("tendon", "fit"): {"--data": files("tendon_bench.csv", "winch_bench.csv")},
+        ("winch", "fit"): {"--data": files("winch_bench.csv", "tendon_bench.csv")},
+        ("winch", "simulate"): {
+            "--params": files("winch_params.json", "radial.json"),
+            "--profile": files("triangle_profile.csv", "tendon_bench.csv"),
+            "--out": outs, "--svg": outs, "--initial-tension": number_near(-9.0, 9.0)},
+        ("winch", "bogus"): {}, ("bogus", "fit"): {},
+    }
+
+    @st.composite
+    def case(draw):
+        def option(flag, values):
+            if values is None:
+                return [flag]
+            form = draw(st.integers(0, 5))  # two tokens, --flag=value or no value
+            return [flag, draw(values)] if form < 4 else [f"{flag}={draw(values)}"] if form == 4 \
+                else [flag]
+
+        command = draw(st.sampled_from(sorted(flags)))
+        table = flags[command]
+        groups = [option(flag, values) for flag, values in table.items()
+                  if draw(st.integers(0, 5)) < 5]
+        extra = draw(st.lists(st.sampled_from(["--bogus", "-x", "--help", *table]), max_size=2))
+        groups += [option(flag, table.get(flag, number_tokens)) for flag in extra]
+        argv = list(command[:draw(st.sampled_from([2, 2, 2, 2, 2, 2, 1, 0]))])
+        for group in draw(st.permutations(groups)):
+            argv += group
+        return argv, draw(st.none() | p_cap)
+
+    return case()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_argv(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, env = data.draw(argv_case(Path(tmp)))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            os.environ.pop("WWMTC_P_CAP", None)
+            if env is not None:
+                os.environ["WWMTC_P_CAP"] = env
+            code = dispatch(argv)
+    err = err.getvalue()
+    assert code == 0 or (code == 2 and err.startswith("error:") and err.count("\n") == 1), (
+        argv, env, code, err)
