@@ -177,7 +177,9 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
     clamp only selects one of its arguments, so every output is the value
     the sample-by-sample recursion gives; only the sign of a zero can
     depend on the order of selection, and it is fixed by ``+ 0.0``: a
-    simulated tension is never -0.0.
+    simulated tension is never -0.0.  A band c*I +- r past the range of
+    doubles gives an infinite tension, without a numpy warning; the
+    writers in fileio reject it.
     """
     if not 0.0 < params.c < math.inf:
         raise DomainError(f"gain c={params.c!r} must be positive and finite")
@@ -190,9 +192,10 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
         raise DomainError("current series must be a nonempty 1-D array")
     if not np.isfinite(currents).all():
         raise DomainError("every current must be finite")
-    ideal = params.c * currents
-    lo = ideal - params.r
-    hi = ideal + params.r
+    with np.errstate(over="ignore"):
+        ideal = params.c * currents
+        lo = ideal - params.r
+        hi = ideal + params.r
     s = 1
     while s < lo.size:
         a, b = lo[s:], hi[s:]

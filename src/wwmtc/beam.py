@@ -154,27 +154,25 @@ def _height(L: float, p: float) -> float:
 
 
 def solve_p_for_height(L: float, h_target: float) -> float:
-    """Invert h(L, p) for p by Newton's method on sqrt(L - h) in -log(1 - p).
+    """Invert h(L, p) for p by one Newton step on sqrt(L - h) in -log(1 - p).
 
     h falls strictly from L at P_STRAIGHT to its minimum at P_MAX.  It is
     flat at the straight end, where L - h ~ 32 L (p - P_STRAIGHT)^2 / 15,
     and has a logarithmic singularity in 1 - p next to P_MAX.  Neither end
     is singular for g = sqrt(L - h) as a function of t = -log(1 - p): g(t)
     is increasing and concave over the whole range, with a shape that does
-    not depend on L (tests/test_beam.py checks it at 40 digits).  Newton's
-    method from below the root of such a function climbs to the root
-    without passing it, so no bracket is needed.  The start is a degree-40
-    Chebyshev interpolant of the root as a function of u = sqrt(1 - h/L),
-    lowered by a margin of 5e-12 in t plus eight ULPs of p, which exceeds
-    the interpolant's error, so it stays below the root; for
-    p - P_STRAIGHT below ~2e-6, one Newton step from the straight end
-    (g = 0, dg/dp = sqrt(32 L / 15)) is closer, and is taken instead.  From
-    a start that close, the first step is no longer than 1e-8 in t, where
-    the iteration stops with an error far below an ULP of p.  Within
-    ~1e-7 of P_MAX eight ULPs of p exceed 1e-8 in t, and the iteration stops
-    at its second step, or once a step no longer moves p.  An inversion
-    thus takes one solve_beam call, two next to P_MAX, and the range check
-    at P_MAX none once its Carlson pass is cached.
+    not depend on L (tests/test_beam.py checks it at 40 digits).  A Newton
+    step from below the root of such a function lands at or below the root,
+    so no bracket is needed.  The start is a degree-40 Chebyshev
+    interpolant of the root as a function of u = sqrt(1 - h/L), lowered by
+    a margin of 5e-12 in t plus eight ULPs of p, which exceeds the
+    interpolant's error, so it stays below the root; for p - P_STRAIGHT
+    below ~2e-6, one Newton step from the straight end (g = 0,
+    dg/dp = sqrt(32 L / 15)) is closer, and is taken instead.  From a start
+    that close, one Newton step, quadratic in the start's error, leaves an
+    error far below an ULP of p, so exactly one is taken, next to P_MAX and
+    next to L too.  An inversion thus takes one solve_beam call, and the
+    range check at P_MAX none once its Carlson pass is cached.
 
     Raises OutOfRangeError when h_target is below the smallest achievable
     height (at p = P_MAX); the error carries the achievable interval.
@@ -196,7 +194,7 @@ def solve_p_for_height(L: float, h_target: float) -> float:
     return _p_for_height(L, h_target)
 
 
-# Start of the Newton iteration in t = -log(1 - p).  h/L does not depend on
+# Start of the Newton step in t = -log(1 - p).  h/L does not depend on
 # L, so the root t* is one function of u = sqrt(1 - h/L), from u = 0 at
 # P_STRAIGHT to _U_MAX at P_MAX.  _START_CHEB holds the Chebyshev
 # coefficients, over u in [0, _U_MAX], of f(u) = (t* - t_S)(1 - u) / u with
@@ -208,7 +206,7 @@ def solve_p_for_height(L: float, h_target: float) -> float:
 # at t(P_MAX).  The interpolant is within 2e-13 of t* for p <= 0.97 and
 # 1.5e-12 over the whole range (tests/test_beam.py), so _START_MARGIN and
 # _START_ULPS ULPs of p, for the rounding of the start to a double p, keep
-# the start below the root.
+# the start below the root, and with it the one Newton step taken from it.
 _T_STRAIGHT = -math.log1p(-P_STRAIGHT)
 _U_MAX = 0.9303595000027977
 _START_CHEB = (
@@ -253,25 +251,20 @@ def _start(u: float) -> float:
 def _p_for_height(L: float, h_target: float) -> float:
     """p with h(L, p) = h_target, for h(L, P_MAX) <= h_target <= L.
 
-    Newton's method on g = sqrt(L - h) in t = -log(1 - p) from _start; see
-    solve_p_for_height.  One solve_beam call, two within ~1e-7 of P_MAX;
-    none at h_target == L.
+    One Newton step on g = sqrt(L - h) in t = -log(1 - p) from _start; see
+    solve_p_for_height.  One solve_beam call; none at h_target == L.
     """
     if h_target == L:
         return P_STRAIGHT
     g_target = math.sqrt(L - h_target)
     p = -math.expm1(-_start(g_target / math.sqrt(L)))
-    while True:
-        sol = solve_beam(L, p)
-        g = math.sqrt(max(L - sol.h, 0.0))
-        slope = _height_slope(L, p, sol)
-        if not slope < 0.0:
-            # the slope formula cancels next to the straight end, where the
-            # start already meets the target to rounding, and can give 0
-            return p
-        # dg/dt = -h'(p) (1 - p) / (2 g)
-        dt = 2.0 * g * (g - g_target) / (slope * (1.0 - p))
-        p_next = min(max(-math.expm1(math.log1p(-p) - dt), P_STRAIGHT), P_MAX)
-        if dt <= 1e-8 or p_next == p:
-            return p_next
-        p = p_next
+    sol = solve_beam(L, p)
+    slope = _height_slope(L, p, sol)
+    if not slope < 0.0:
+        # the slope formula cancels next to the straight end, where the
+        # start already meets the target to rounding, and can give 0
+        return p
+    g = math.sqrt(max(L - sol.h, 0.0))
+    # dg/dt = -h'(p) (1 - p) / (2 g)
+    dt = 2.0 * g * (g - g_target) / (slope * (1.0 - p))
+    return min(max(-math.expm1(math.log1p(-p) - dt), P_STRAIGHT), P_MAX)

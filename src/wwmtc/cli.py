@@ -170,18 +170,10 @@ def _cmd_elliptic_eval(args) -> int:
 
 def _cmd_beam_solve(args) -> int:
     sol = solve_beam(args.L, args.p)
-    psi0_deg = sol.psi0 * 180.0 / math.pi
     if args.json:
-        import json
-
-        print(json.dumps({
-            "w_mm": sol.w,
-            "h_mm": sol.h,
-            "psi0_rad": sol.psi0,
-            "psi0_deg": psi0_deg,
-            "k_per_mm": sol.k,
-        }, indent=2))
+        sys.stdout.write(fileio.beam_solution_to_json(sol))
     else:
+        psi0_deg = sol.psi0 * 180.0 / math.pi
         print(
             f"w_mm={fileio.fmt(sol.w)} h_mm={fileio.fmt(sol.h)} "
             f"psi0_deg={fileio.fmt(psi0_deg)} psi0_rad={fileio.fmt(sol.psi0)} "

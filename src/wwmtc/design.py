@@ -21,7 +21,8 @@ from operator import itemgetter
 
 from .beam import solve_beam
 from .errors import DomainError
-from .muscle import DEFAULT_P_CAP, KINDS, MuscleSpec, natural_length, state_at
+from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap, natural_length,
+                     state_at)
 
 @dataclass(frozen=True)
 class DesignConstraints:
@@ -223,8 +224,9 @@ def search(constraints: DesignConstraints,
     and a spec at its midpoint.  Results are sorted by achieved width at
     full contraction (ascending: gentlest expansion first), ties broken by
     (n, L).  An empty list is a valid outcome.  Deterministic for identical
-    inputs.
+    inputs.  p_cap obeys the same rule as in muscle.curve.
     """
+    _check_p_cap(p_cap)
     sol = solve_beam(1.0, p_cap)
     results = []
     for n in range(constraints.n_range[0], constraints.n_range[1] + 1):
@@ -244,6 +246,7 @@ def infeasibility_report(constraints: DesignConstraints,
     met even at the most favorable L.  Its keys are exactly the arch counts
     in n_range that ``search`` returns no result for.
     """
+    _check_p_cap(p_cap)
     sol = solve_beam(1.0, p_cap)
     report = {}
     for n in range(constraints.n_range[0], constraints.n_range[1] + 1):

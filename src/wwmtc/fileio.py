@@ -3,6 +3,9 @@
 CSV dialect everywhere: comma separator, ``.`` decimal point, mandatory
 header row, UTF-8, LF line endings.  Numbers are printed with 15
 significant digits so written files are stable, diffable test fixtures.
+Every written number is finite: the writers check each value or array they
+format and raise DomainError on inf or NaN, which a finite input yields only
+past the range of doubles (for example k = 1/L for L = 1e-320).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .beam import BeamSolution
 from .design import DesignConstraints, DesignResult
 from .errors import DomainError
 from .muscle import DeformationCurve, MuscleSpec, MuscleState
@@ -24,9 +28,24 @@ TENDON_HEADER = "time_s,load_N,strain,cycle"
 WINCH_HEADER = "time_s,current_A,tension_N"
 
 
+_NOT_FINITE = ("a result is not a finite number; the inputs are too large or "
+               "too small for double precision")
+
+
 def fmt(value: float) -> str:
-    """Render a number at the package-wide 15-significant-digit precision."""
-    return format(float(value), ".15g")
+    """Render a finite number at the package-wide 15-significant-digit precision."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(_NOT_FINITE)
+    return format(value, ".15g")
+
+
+def _json_text(obj) -> str:
+    """obj as indented JSON text; NaN and infinities are not JSON, and rejected."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(_NOT_FINITE) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +113,16 @@ def read_muscle_spec(path: str | Path) -> MuscleSpec:
 
 def muscle_spec_to_json(spec: MuscleSpec) -> dict:
     return {"n": spec.n, "L_mm": spec.L, "h0_mm": spec.h0, "kind": spec.kind}
+
+
+def beam_solution_to_json(sol: BeamSolution) -> str:
+    return _json_text({
+        "w_mm": sol.w,
+        "h_mm": sol.h,
+        "psi0_rad": sol.psi0,
+        "psi0_deg": sol.psi0 * 180.0 / math.pi,
+        "k_per_mm": sol.k,
+    })
 
 
 def _state_row(state: MuscleState) -> str:
@@ -172,8 +201,10 @@ def winch_series_to_csv(time_s, current_a, tension_n) -> str:
     # each column becomes Python floats once; "%.15g" renders them exactly as fmt
     import numpy as np
 
-    rows = zip(*(np.asarray(col, dtype=float).tolist()
-                 for col in (time_s, current_a, tension_n)))
+    cols = [np.asarray(col, dtype=float) for col in (time_s, current_a, tension_n)]
+    if not all(np.isfinite(col).all() for col in cols):
+        raise DomainError(_NOT_FINITE)
+    rows = zip(*(col.tolist() for col in cols))
     return WINCH_HEADER + "\n" + "".join(map("%.15g,%.15g,%.15g\n".__mod__, rows))
 
 
@@ -188,7 +219,7 @@ def tendon_fit_to_json(fit: TendonFit) -> str:
         "eps0": float(fit.eps0),
         "rms_residual_N": float(fit.rms_residual),
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_text(obj)
 
 
 def winch_params_to_json(params: HysteresisParams) -> str:
@@ -197,7 +228,7 @@ def winch_params_to_json(params: HysteresisParams) -> str:
         "r_N": float(params.r),
         "rms_residual_N": float(params.rms_residual),
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_text(obj)
 
 
 def read_winch_params(path: str | Path) -> tuple[HysteresisParams, float]:
@@ -257,7 +288,7 @@ def design_results_to_json(results: list[DesignResult]) -> str:
                 "L_interval_mm": list(res.L_interval),
             }
         )
-    return json.dumps(out, indent=2) + "\n"
+    return _json_text(out)
 
 
 DESIGN_CSV_HEADER = (

@@ -121,10 +121,10 @@ def state_for_length(
     is outside [length at p_cap, natural length].  The arch height
     (length_target - h0) / n can round past [h(p_cap), L] at either end of
     that interval, and the inverse of h(p_cap) past p_cap, so both are
-    clamped.  Two solve_beam calls, one Newton step and the returned state,
-    and a second Newton step within ~1e-7 of P_MAX.  h(p_cap) comes from
-    the Carlson pass that beam caches per p: one more pass while p_cap is
-    not in the cache.
+    clamped.  Two solve_beam calls for every target, one Newton step and
+    the returned state (no Newton step at the natural length).  h(p_cap)
+    comes from the Carlson pass that beam caches per p: one more pass while
+    p_cap is not in the cache.
     """
     _check_p_cap(p_cap)
     h_cap = _height(spec.L, p_cap)

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 24.0
 _MARGIN_BOTTOM = 56.0
+
+
+_NOT_FINITE = "cannot plot a value that is not a finite number"
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -79,6 +84,10 @@ def render_line_plot(
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
     x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    # an infinite value, or a NaN that min or max met first, makes a span
+    # infinite or NaN; a later NaN shows in the sum of the pixel coordinates
+    if not (math.isfinite(x_span) and math.isfinite(y_span)):
+        raise DomainError(_NOT_FINITE)
 
     def sx(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / x_span * plot_w
@@ -135,6 +144,8 @@ def render_line_plot(
         color = _PALETTE[i % len(_PALETTE)]
         px = [_MARGIN_LEFT + (x - x_lo) / x_span * plot_w for x in xs]
         py = [_MARGIN_TOP + (y_hi - y) / y_span * plot_h for y in ys]
+        if not math.isfinite(sum(px) + sum(py)):
+            raise DomainError(_NOT_FINITE)
         pts = " ".join(map("%.2f,%.2f".__mod__, zip(px, py)))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

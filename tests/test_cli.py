@@ -305,6 +305,19 @@ def test_muscle_invert_bad_p_cap_names_flag(capsys):
     assert "p_cap=0.6 must lie in" in err
 
 
+@pytest.mark.parametrize("p_cap", ["0.7071067811865475", "0.70710678118650"])
+def test_design_search_bad_p_cap_is_one_line(capsys, p_cap):
+    # the same rule and message as muscle curve and invert
+    code, out, err = run(
+        ["design", "search", "--constraints", str(DATA_DIR / "constraints.json"),
+         "--p-cap", p_cap],
+        capsys,
+    )
+    assert_bad_input(code, err)
+    assert f"p_cap={float(p_cap)!r} must lie in" in err
+    assert out == ""
+
+
 def test_p_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("WWMTC_P_CAP", "0.9")
     code, out, _ = run(
@@ -451,6 +464,32 @@ def test_unparsable_input_files_are_bad_input(tmp_path, capsys, body):
                  ["winch", "fit", "--data", str(path)]):
         code, _, err = run(argv, capsys)
         assert_bad_input(code, err)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning is a second stderr line
+@pytest.mark.parametrize("argv", [
+    ["beam", "solve", "--L", "1e-320", "--p", "0.8"],  # k = inf
+    ["beam", "solve", "--L", "1e-320", "--p", "0.8", "--json"],  # not JSON
+    ["beam", "solve", "--L", "1.7e308", "--p", "0.999"],  # w = h = inf
+    ["muscle", "curve", "--spec", "{huge}"],  # length inf, contraction nan
+    ["muscle", "curve", "--spec", "{huge}", "--svg", "{out}"],
+    ["winch", "simulate", "--params", "{params}", "--profile", "{profile}"],
+    ["winch", "simulate", "--params", "{params}", "--profile", "{profile}",
+     "--out", "{out}", "--svg", "{out}.svg"],
+], ids=["beam-k", "beam-json", "beam-wh", "curve-csv", "curve-svg", "winch-stdout",
+        "winch-files"])
+def test_overflowing_results_are_bad_input(tmp_path, capsys, argv):
+    # finite inputs whose results overflow used to print inf or nan with exit 0
+    files = {"huge": tmp_path / "huge.json", "params": tmp_path / "params.json",
+             "profile": tmp_path / "profile.csv", "out": tmp_path / "out"}
+    files["huge"].write_text(json.dumps({"n": 8, "L_mm": 1e308, "h0_mm": 22}))
+    files["params"].write_text(json.dumps({"c_N_per_A": 1e300, "r_N": 1.0}))
+    files["profile"].write_text("time_s,current_A,tension_N\n0,0,0\n1,1e10,0\n2,-1e10,0\n")
+    code, out, err = run([arg.format(**files) for arg in argv], capsys)
+    assert_bad_input(code, err)
+    assert "finite number" in err
+    assert out == ""
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_muscle_invert_at_natural_length_of_any_spec(tmp_path, capsys):

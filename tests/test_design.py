@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA_DIR
 from oracles import evaluate
 
-from wwmtc.beam import solve_beam
+from wwmtc.beam import P_STRAIGHT, solve_beam
 from wwmtc.design import DesignConstraints, _margins, infeasibility_report, search
 from wwmtc.errors import DomainError
 from wwmtc.fileio import read_design_constraints
@@ -304,3 +304,13 @@ def test_constraint_validation_rejects_nan_stroke_and_range():
     with pytest.raises(DomainError):
         DesignConstraints(**{**VALID_FIELDS, "min_stroke": float("nan"),
                              "L_range": (10.0, float("nan"))})
+
+
+@pytest.mark.parametrize("p_cap", [0.6, P_STRAIGHT, 0.70710678118650, 1.0, float("nan")])
+def test_search_and_report_reject_bad_p_cap(p_cap):
+    # the rule of muscle.curve and state_for_length: p_cap = P_STRAIGHT, or a
+    # value below it that solve_beam's boundary tolerance lets through, is no cap
+    cons = radial_roundtrip_constraints()
+    for fn in (search, infeasibility_report):
+        with pytest.raises(DomainError, match="p_cap="):
+            fn(cons, p_cap)

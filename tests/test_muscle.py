@@ -196,11 +196,9 @@ def test_invert_round_trip_length_miss():
 
 
 def test_invert_kernel_budget(monkeypatch):
-    # Carlson passes per inversion: one Newton solve and the returned state
-    # inside the feasible interval; a second Newton solve within ~1e-7 of
-    # P_MAX, where eight ULPs of p exceed the 1e-8 stop, and a few ULPs
-    # below L, where the height's rounding is as large as L - h; one more
-    # for h(p_cap) when its pass is not cached
+    # Carlson passes per inversion: the solve of the one Newton step and the
+    # returned state, for every cap and at both ends of the feasible
+    # interval; one more for h(p_cap) when its pass is not cached
     calls = []
 
     def counted(x, y, z):
@@ -223,8 +221,7 @@ def test_invert_kernel_budget(monkeypatch):
             for i, length in enumerate(inner + ends):
                 calls.clear()
                 state_for_length(spec, length, p_cap)
-                budget = (2 if p_cap < P_MAX and i < len(inner) else 3) + (i == 0)
-                assert len(calls) <= budget, (spec, p_cap, length, len(calls))
+                assert len(calls) <= 2 + (i == 0), (spec, p_cap, length, len(calls))
 
 
 def test_invert_rejects_bad_p_cap(radial_spec):
