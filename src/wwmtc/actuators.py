@@ -14,7 +14,9 @@ the data formats are defined in :mod:`wwmtc.fileio`.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +79,8 @@ def _lm_fit_exponential(strain: np.ndarray, load: np.ndarray, eps0: float,
 
     a, b = a0, b0
     f, resid = cost(a, b)
+    if not math.isfinite(f):
+        raise DomainError("loads too large to fit: their squared residuals overflow a double")
     lam = _LM_LAMBDA0
     for _ in range(_LM_MAX_ITER):
         eb = np.exp(b * u)
@@ -153,7 +157,10 @@ def fit_tendon(strain, load, cycle) -> TendonFit:
             f"need at least 3 post-first-cycle samples, got {s.size}"
         )
     a0 = max(float(P.max()), 1e-9)
-    a, b, rms = _lm_fit_exponential(s, P, eps0, a0=a0, b0=1.0)
+    # the start's cost is finite, so a trial step whose model overflows costs
+    # inf or nan and is rejected: numpy's flags for it carry no news
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, rms = _lm_fit_exponential(s, P, eps0, a0=a0, b0=1.0)
     return TendonFit(a=a, b=b, eps0=eps0, rms_residual=rms)
 
 
@@ -223,6 +230,19 @@ def _branches(currents: np.ndarray) -> list[tuple[int, int, int]]:
     return list(zip(starts, stops, d[firsts].astype(int).tolist()))
 
 
+@contextlib.contextmanager
+def _double_faults_as_domain_errors(what: str):
+    """numpy overflow, invalid results and rank loss as one DomainError."""
+    try:
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            yield
+    except (FloatingPointError, np.exceptions.RankWarning) as exc:
+        raise DomainError(f"{what} past the range or precision of doubles: {exc}") from exc
+
+
+@_double_faults_as_domain_errors("winch data")
 def fit_winch(currents, tensions) -> HysteresisParams:
     """Identify (c, r) of the play operator from an up-down sweep.
 

@@ -152,6 +152,18 @@ def _write_text(path: str, text: str) -> None:
         raise WwmtcError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_outputs(out: str | None, csv_text: str | None,
+                   svg: str | None, svg_text: str | None) -> None:
+    """CSV text to --out or stdout, SVG text to --svg; a None text is skipped."""
+    if csv_text is not None:
+        if out:
+            _write_text(out, csv_text)
+        else:
+            sys.stdout.write(csv_text)
+    if svg_text is not None:
+        _write_text(svg, svg_text)
+
+
 def _cmd_elliptic_eval(args) -> int:
     needs_phi = args.kind in ("F", "E")
     if needs_phi and args.phi is None:
@@ -187,15 +199,12 @@ def _cmd_muscle_curve(args) -> int:
     specs = [fileio.read_muscle_spec(path) for path in args.spec]
     curves = [muscle.curve(spec, args.samples, p_cap) for spec in specs]
 
+    # every output is rendered before any is written: bad input writes nothing
+    csv_text = svg_text = None
     if args.out or not args.svg:
         if len(curves) != 1:
             raise WwmtcError("CSV output needs exactly one --spec (SVG supports overlays)")
         csv_text = fileio.curve_to_csv(curves[0])
-        if args.out:
-            _write_text(args.out, csv_text)
-        else:
-            sys.stdout.write(csv_text)
-
     if args.svg:
         series = []
         for path, spec, cur in zip(args.spec, specs, curves):
@@ -203,10 +212,8 @@ def _cmd_muscle_curve(args) -> int:
             xs = [s.length for s in cur.samples]
             ys = [s.width for s in cur.samples]
             series.append((label, xs, ys))
-        _write_text(
-            args.svg,
-            svgplot.render_line_plot(series, "length [mm]", "width [mm]", *SVG_SIZE),
-        )
+        svg_text = svgplot.render_line_plot(series, "length [mm]", "width [mm]", *SVG_SIZE)
+    _write_outputs(args.out, csv_text, args.svg, svg_text)
     return 0
 
 
@@ -264,16 +271,11 @@ def _cmd_winch_simulate(args) -> int:
     time_s, current, _ = fileio.read_winch_csv(args.profile)
     tension = actuators.simulate_winch(params, current, initial_tension=t0)
     csv_text = fileio.winch_series_to_csv(time_s, current, tension)
-    if args.out:
-        _write_text(args.out, csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    svg_text = None
     if args.svg:
         series = [("simulated loop", current.tolist(), tension.tolist())]
-        _write_text(
-            args.svg,
-            svgplot.render_line_plot(series, "current [A]", "tension [N]", *SVG_SIZE),
-        )
+        svg_text = svgplot.render_line_plot(series, "current [A]", "tension [N]", *SVG_SIZE)
+    _write_outputs(args.out, csv_text, args.svg, svg_text)
     return 0
 
 

@@ -11,11 +11,11 @@ Simpson quadrature of the defining integrals, live in ``tests/oracles.py``.
 
 The fast path rests on one kernel, ``_rf_rd``: R_F and R_D apply the same
 duplication step to the same arguments, so a single duplication sequence
-yields both, each form finished where its own stopping rule first holds
-(bit-identical to two separate loops).  The pairs ``ellip_fe`` =
-(F, E)(phi, p) and ``ellip_ke`` = (K, E)(p) return both integrals of one
-amplitude from that single pass; ``ellip_f``, ``ellip_e``, ``ellip_k`` and
-``ellip_e_complete`` are their halves.
+with one stop rule, SLATEC's R_F rule, yields both: each form sums its own
+series at that step.  The pairs ``ellip_fe`` = (F, E)(phi, p) and
+``ellip_ke`` = (K, E)(p) return both integrals of one amplitude from that
+single pass; ``ellip_f``, ``ellip_e``, ``ellip_k`` and ``ellip_e_complete``
+are their halves.
 """
 
 from __future__ import annotations
@@ -54,59 +54,50 @@ def _check_amplitude(phi: float) -> float:
 # Carlson symmetric forms
 # ---------------------------------------------------------------------------
 
-_RF_TOL = 1e-4  # deviation threshold; 5th-order tail then contributes < 1 ULP
-_RD_TOL = 1e-4
+_TOL = 1e-4  # deviation threshold; 5th-order tail then contributes < 1 ULP
 
 
 def _rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
     """Carlson R_F(x, y, z) and R_D(x, y, z) from one duplication sequence.
 
-    Both forms apply the same duplication step to the same arguments and
-    differ only in their mean and stopping rule, so one loop serves both:
-    each form is finished at the step where its own rule first holds, which
-    reproduces the two separate loops bit for bit.  z must be positive.
+    Both forms apply the same duplication step to the same arguments, so one
+    loop with one stop rule serves both: SLATEC's R_F rule on the plain mean,
+    after which each form sums its own series at that step.  z must be
+    positive.
     """
-    xm, ym, zm = x, y, z
     total = 0.0
     pow4 = 1.0
-    rf = rd = None
     while True:
-        sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
         lam = sx * (sy + sz) + sy * sz
-        if rd is None:
-            total += pow4 / (sz * (zm + lam))
-            pow4 *= 0.25
-        xm = (xm + lam) * 0.25
-        ym = (ym + lam) * 0.25
-        zm = (zm + lam) * 0.25
-        if rf is None:
-            mu = (xm + ym + zm) / 3.0
-            dx = (mu - xm) / mu
-            dy = (mu - ym) / mu
-            dz = (mu - zm) / mu
-            if max(abs(dx), abs(dy), abs(dz)) < _RF_TOL:
-                e2 = dx * dy - dz * dz
-                e3 = dx * dy * dz
-                s = 1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0
-                rf = s / math.sqrt(mu)
-        if rd is None:
-            mu = (xm + ym + 3.0 * zm) * 0.2
-            dx = (mu - xm) / mu
-            dy = (mu - ym) / mu
-            dz = (mu - zm) / mu
-            if max(abs(dx), abs(dy), abs(dz)) < _RD_TOL:
-                ea = dx * dy
-                eb = dz * dz
-                ec = ea - eb
-                ed = ea - 6.0 * eb
-                ef = ed + ec + ec
-                s1 = ed * (-3.0 / 14.0 + 0.25 * (9.0 / 22.0) * ed
-                           - 1.5 * (3.0 / 26.0) * dz * ef)
-                s2 = dz * ((1.0 / 6.0) * ef
-                           + dz * (-(9.0 / 22.0) * ec + dz * (3.0 / 26.0) * ea))
-                rd = 3.0 * total + pow4 * (1.0 + s1 + s2) / (mu * math.sqrt(mu))
-        if rf is not None and rd is not None:
-            return rf, rd
+        total += pow4 / (sz * (z + lam))
+        pow4 *= 0.25
+        x = (x + lam) * 0.25
+        y = (y + lam) * 0.25
+        z = (z + lam) * 0.25
+        mu = (x + y + z) / 3.0
+        dx = (mu - x) / mu
+        dy = (mu - y) / mu
+        dz = (mu - z) / mu
+        if max(abs(dx), abs(dy), abs(dz)) < _TOL:
+            break
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(mu)
+    # R_D's mean (x + y + 3z)/5 is mu*(1 - 0.4*dz), so its deviations are
+    # (d - 0.4*dz)/(1 - 0.4*dz), below 1.4*_TOL: its series needs no more steps
+    mu = (x + y + 3.0 * z) * 0.2
+    dx = (mu - x) / mu
+    dy = (mu - y) / mu
+    dz = (mu - z) / mu
+    ea = dx * dy
+    eb = dz * dz
+    ec = ea - eb
+    ed = ea - 6.0 * eb
+    ef = ed + ec + ec
+    s1 = ed * (-3.0 / 14.0 + 0.25 * (9.0 / 22.0) * ed - 1.5 * (3.0 / 26.0) * dz * ef)
+    s2 = dz * ((1.0 / 6.0) * ef + dz * (-(9.0 / 22.0) * ec + dz * (3.0 / 26.0) * ea))
+    return rf, 3.0 * total + pow4 * (1.0 + s1 + s2) / (mu * math.sqrt(mu))
 
 
 # ---------------------------------------------------------------------------

@@ -186,8 +186,10 @@ def read_tendon_csv(path: str | Path):
     """-> (time_s, load_N, strain, cycle) arrays."""
     data = _read_numeric_csv(path, TENDON_HEADER)
     cycle = data[:, 3]
-    if (cycle % 1.0).any():
-        raise DomainError(f"{path}: every cycle cell must be a whole number")
+    # cycle numbers become int64s, which hold whole numbers below 2**63
+    if (cycle % 1.0).any() or not (abs(cycle) < 2.0 ** 63).all():
+        raise DomainError(f"{path}: every cycle cell must be a whole number "
+                          "of magnitude below 2**63")
     return data[:, 0], data[:, 1], data[:, 2], cycle.astype(int)
 
 

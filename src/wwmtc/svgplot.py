@@ -67,10 +67,10 @@ def render_line_plot(
         xlabel/ylabel: axis captions, units included by the caller.
     """
     if not series:
-        raise ValueError("need at least one series to plot")
+        raise DomainError("need at least one series to plot")
     for label, xs, ys in series:
         if len(xs) != len(ys) or len(xs) < 2:
-            raise ValueError(f"series {label!r} needs >= 2 paired points")
+            raise DomainError(f"series {label!r} needs >= 2 paired points")
 
     x_lo = min(min(xs) for _, xs, _ in series)
     x_hi = max(max(xs) for _, xs, _ in series)

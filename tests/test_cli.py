@@ -610,6 +610,22 @@ def test_winch_simulate_rejects_non_finite_initial_tension(capsys):
     assert "initial tension" in err
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "files"])
+def test_winch_simulate_one_row_svg_is_bad_input(tmp_path, capsys, to_file):
+    # a one-point loop cannot be plotted; the CSV used to be written first,
+    # then an internal error
+    profile = tmp_path / "one.csv"
+    profile.write_text("time_s,current_A,tension_N\n0,1,0\n")
+    argv = ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
+            "--profile", str(profile), "--svg", str(tmp_path / "z.svg")]
+    if to_file:
+        argv += ["--out", str(tmp_path / "z.csv")]
+    code, out, err = run(argv, capsys)
+    assert_bad_input(code, err)
+    assert out == ""
+    assert not list(tmp_path.glob("z*"))
+
+
 def test_tendon_csv_rejects_ragged_row(tmp_path, capsys):
     lines = (DATA_DIR / "tendon_bench.csv").read_text().splitlines()
     lines.insert(2, "0.0,1.0,0.1")
@@ -640,6 +656,44 @@ def test_tendon_csv_accepts_integral_float_cycle(tmp_path, capsys):
     code, out, _ = run(["tendon", "fit", "--data", str(data)], capsys)
     assert code == 0
     assert out == (GOLDEN_DIR / "tendon_fit.json").read_text()
+
+
+def edited_log(tmp_path, fixture, edit):
+    """The shipped log with edit(*cells) applied to the numbers of each row."""
+    header, *rows = (DATA_DIR / fixture).read_text().splitlines()
+    edited = [",".join(map(repr, edit(*map(float, row.split(","))))) for row in rows]
+    path = tmp_path / fixture
+    path.write_text("\n".join([header, *edited]) + "\n")
+    return path
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning is a second stderr line
+@pytest.mark.parametrize("command, fixture, edit", [
+    ("tendon", "tendon_bench.csv", lambda t, load, strain, c: (t, 1e300 * strain, strain, c)),
+    ("winch", "winch_bench.csv", lambda t, i, tension: (t, 1e300 * i, tension / 35 * 1e308)),
+    ("winch", "winch_bench.csv", lambda t, i, tension: (t, i, tension / 35 * 1e308)),
+    # the 0.025 A steps become steps of one ULP of 1e6
+    ("winch", "winch_bench.csv",
+     lambda t, i, tension: (t, 1e6 + math.ulp(1e6) * round(i / 0.025), tension)),
+], ids=["tendon-loads", "winch-both", "winch-tensions", "winch-close-currents"])
+def test_fits_past_double_range_are_bad_input(tmp_path, capsys, command, fixture, edit):
+    # each used to print numpy warnings before its error line, and the close
+    # currents gave a fit from a rank-deficient polyfit with exit 0
+    code, out, err = run([command, "fit", "--data", str(edited_log(tmp_path, fixture, edit))],
+                         capsys)
+    assert_bad_input(code, err)
+    assert out == ""
+
+
+@pytest.mark.filterwarnings("error")  # a numpy cast warning is a second stderr line
+def test_tendon_csv_rejects_cycle_past_int64(tmp_path, capsys):
+    # these used to become int64 garbage, and the fit then reported no
+    # loading cycle after the first
+    data = edited_log(tmp_path, "tendon_bench.csv",
+                      lambda t, load, strain, c: (t, load, strain, (c + 1) * 1e300))
+    code, out, err = run(["tendon", "fit", "--data", str(data)], capsys)
+    assert_bad_input(code, err)
+    assert out == "" and "cycle" in err
 
 
 # Both log readers share one parser.  Per command: argv for a log file, the

@@ -1,7 +1,9 @@
 """Elliptic kernels: trivial identities, quadrature-oracle agreement, properties."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,45 +127,49 @@ def _rf_alone(x, y, z):
     return (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(mu)
 
 
-def _rd_alone(x, y, z):
-    """The SLATEC R_D loop on its own."""
-    total, pow4 = 0.0, 1.0
-    while True:
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * (sy + sz) + sy * sz
-        total += pow4 / (sz * (z + lam))
-        pow4 *= 0.25
-        x, y, z = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25
-        mu = (x + y + 3.0 * z) * 0.2
-        dx, dy, dz = (mu - x) / mu, (mu - y) / mu, (mu - z) / mu
-        if max(abs(dx), abs(dy), abs(dz)) < 1e-4:
-            break
-    ea = dx * dy
-    eb = dz * dz
-    ec = ea - eb
-    ed = ea - 6.0 * eb
-    ef = ed + ec + ec
-    s1 = ed * (-3.0 / 14.0 + 0.25 * (9.0 / 22.0) * ed - 1.5 * (3.0 / 26.0) * dz * ef)
-    s2 = dz * ((1.0 / 6.0) * ef + dz * (-(9.0 / 22.0) * ec + dz * (3.0 / 26.0) * ea))
-    return 3.0 * total + pow4 * (1.0 + s1 + s2) / (mu * math.sqrt(mu))
+def _carlson_triples():
+    """~1 200 fixed (x, y, z): the integrals' argument families and general ones.
 
-
-def test_fused_pass_is_bit_identical_to_separate_loops():
-    # the fused loop must finish each form exactly where its own loop stops,
-    # on the argument triples the integrals pass it and on general ones
+    Beam arguments (m1/p^2, 2 m1, 1) dense at both ends of p, Legendre
+    (cos^2 phi, 1 - p^2 sin^2 phi, 1), complete (0, 1 - p^2, 1) and general
+    10^U(-6, 6) triples.
+    """
     rng = np.random.default_rng(5)
-    phis = [1e-300, 1e-8, HALF_PI, *rng.uniform(0.0, HALF_PI, 400)]
-    ps = [0.0, 1e-8, 1 / math.sqrt(2.0), MODULUS_MAX,
-          *rng.uniform(0.0, MODULUS_MAX, 400)]
+    p_straight = 1.0 / math.sqrt(2.0)
+    ps = [p_straight + 1e-16, 0.85, MODULUS_MAX,
+          *(p_straight + 10.0 ** rng.uniform(-16.0, -0.54, 100)),
+          *(1.0 - 10.0 ** rng.uniform(-9.0, -0.54, 100)),
+          *rng.uniform(p_straight, MODULUS_MAX, 100)]
     triples = []
+    for p in ps:
+        m1 = (1.0 - p) * (1.0 + p)
+        triples.append((m1 / (p * p), 2.0 * m1, 1.0))
+    phis = [1e-300, 1e-8, HALF_PI, *rng.uniform(0.0, HALF_PI, 300)]
+    ps = [0.0, 1e-8, 1 / math.sqrt(2.0), MODULUS_MAX, *rng.uniform(0.0, MODULUS_MAX, 300)]
     for phi, p in zip(phis, ps):
         c, ps_ = math.cos(phi), p * math.sin(phi)
         triples.append((c * c, 1.0 - ps_ * ps_, 1.0))
     triples += [(0.0, 1.0 - p * p, 1.0) for p in ps]
-    triples += [tuple(t) for t in 10.0 ** rng.uniform(-6.0, 6.0, (400, 3))]
-    for x, y, z in triples:
-        x, y, z = float(x), float(y), float(z)
-        assert _rf_rd(x, y, z) == (_rf_alone(x, y, z), _rd_alone(x, y, z))
+    triples += [tuple(t) for t in 10.0 ** rng.uniform(-6.0, 6.0, (300, 3))]
+    return [tuple(map(float, t)) for t in triples]
+
+
+def test_fused_pass_rf_is_bit_identical_to_slatec_loop():
+    # R_F stops at SLATEC's step through SLATEC's expressions
+    for x, y, z in _carlson_triples():
+        assert _rf_rd(x, y, z)[0] == _rf_alone(x, y, z)
+
+
+def test_fused_pass_matches_mpmath():
+    # R_D, summed at R_F's stop, and R_F to a few ULP of 40-digit values
+    bound = 5.0 * sys.float_info.epsilon
+    with mpmath.workdps(40):
+        for x, y, z in _carlson_triples():
+            rf, rd = _rf_rd(x, y, z)
+            ref_f = mpmath.elliprf(x, y, z)
+            ref_d = mpmath.elliprd(x, y, z)
+            assert abs((rf - ref_f) / ref_f) < bound, (x, y, z)
+            assert abs((rd - ref_d) / ref_d) < bound, (x, y, z)
 
 
 # --- structural properties ---------------------------------------------------
