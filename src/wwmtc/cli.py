@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 bad input or domain error (one-line message on
 stderr), 1 unexpected internal fault.  The contraction cap defaults to
 0.97 and can be overridden by the WWMTC_P_CAP environment variable or a
 ``--p-cap`` flag (the flag wins).
+
+Each handler only renders its outputs; dispatch writes them, the files
+first, then stdout, then stderr.  A file that cannot be written, or that two
+outputs name, exits 2 with no stdout and leaves no file the run created.
 """
 
 from __future__ import annotations
@@ -22,28 +26,19 @@ from .errors import WwmtcError
 SVG_SIZE = (800, 600)
 
 
-def _env_p_cap() -> float:
-    raw = os.environ.get("WWMTC_P_CAP")
-    if raw is None:
-        return muscle.DEFAULT_P_CAP
+def _add_p_cap(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p-cap", type=float, help="shape-parameter cap for full "
+                        "contraction (default 0.97, env WWMTC_P_CAP)")
+
+
+def _resolve_p_cap(args: argparse.Namespace) -> float:
+    if args.p_cap is not None:
+        return args.p_cap
+    raw = os.environ.get("WWMTC_P_CAP", repr(muscle.DEFAULT_P_CAP))
     try:
         return float(raw)
     except ValueError as exc:
         raise WwmtcError(f"WWMTC_P_CAP={raw!r} is not a number") from exc
-
-
-def _add_p_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--p-cap",
-        type=float,
-        default=None,
-        help="shape-parameter cap for full contraction (default 0.97, "
-        "env WWMTC_P_CAP)",
-    )
-
-
-def _resolve_p_cap(args: argparse.Namespace) -> float:
-    return args.p_cap if args.p_cap is not None else _env_p_cap()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,10 +63,13 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
 
     argparse takes a token that starts with '-' for an option unless it
     looks like -5 or -.5, so -1e+16 or -inf would never reach the option
-    before it; attached with '=' they do.
+    before it; attached with '=' they do.  ``--opt=--`` is rejected here:
+    argparse drops that '--' and stores an empty list, unconverted.
     """
     out: list[str] = []
     for token in argv:
+        if token.endswith("=--") and token.startswith("--"):
+            raise WwmtcError(f"wwmtc: argument {token[:-3]}: expected one argument")
         if (out and out[-1].startswith("--") and "=" not in out[-1]
                 and token.startswith("-") and _is_number(token)):
             out[-1] += "=" + token
@@ -145,123 +143,121 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: str, text: str) -> None:
+_STDERR = object()  # destination of the diagnostic lines of a run
+
+# A handler's rendered outputs, each written whole by _write: (path, text) for
+# a file, (None, text) for stdout and (_STDERR, text) for stderr.
+Outputs = list[tuple[object, str]]
+
+
+def _write(outputs: Outputs) -> None:
+    """Write every file, then stdout, then stderr, each in the given order.
+
+    A file that cannot be written, or that two outputs name, is bad input:
+    then nothing goes to stdout and the files this call created are
+    removed; a path that existed before is left in place.
+    """
+    files = [(dest, text) for dest, text in outputs if isinstance(dest, str)]
+    real = [os.path.realpath(dest) for dest, _ in files]
+    for i, (dest, _) in enumerate(files):
+        if real[i] in real[:i]:
+            raise WwmtcError(f"cannot write {dest}: two outputs name the same file")
+    created = []
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="")
+        for dest, text in files:
+            try:
+                stream = open(dest, "x", encoding="utf-8", newline="")
+                created.append(dest)
+            except FileExistsError:
+                stream = open(dest, "w", encoding="utf-8", newline="")
+            with stream:
+                stream.write(text)
     except OSError as exc:
-        raise WwmtcError(f"cannot write {path}: {exc}") from exc
+        for path in created:
+            os.remove(path)
+        raise WwmtcError(f"cannot write {dest}: {exc}") from exc
+    for stream, dest in ((sys.stdout, None), (sys.stderr, _STDERR)):
+        stream.write("".join(text for to, text in outputs if to is dest))
 
 
-def _write_outputs(out: str | None, csv_text: str | None,
-                   svg: str | None, svg_text: str | None) -> None:
-    """CSV text to --out or stdout, SVG text to --svg; a None text is skipped."""
-    if csv_text is not None:
-        if out:
-            _write_text(out, csv_text)
-        else:
-            sys.stdout.write(csv_text)
-    if svg_text is not None:
-        _write_text(svg, svg_text)
-
-
-def _cmd_elliptic_eval(args) -> int:
+def _cmd_elliptic_eval(args) -> Outputs:
     needs_phi = args.kind in ("F", "E")
     if needs_phi and args.phi is None:
         raise WwmtcError(f"--phi is required for kind {args.kind}")
     if not needs_phi and args.phi is not None:
         raise WwmtcError(f"--phi is meaningless for kind {args.kind}")
-    fn = {
-        "F": lambda: elliptic.ellip_f(args.phi, args.p),
-        "E": lambda: elliptic.ellip_e(args.phi, args.p),
-        "K": lambda: elliptic.ellip_k(args.p),
-        "Ec": lambda: elliptic.ellip_e_complete(args.p),
-    }[args.kind]
-    print(fileio.fmt(fn()))
-    return 0
+    fn = {"F": elliptic.ellip_f, "E": elliptic.ellip_e,
+          "K": elliptic.ellip_k, "Ec": elliptic.ellip_e_complete}[args.kind]
+    value = fn(args.phi, args.p) if needs_phi else fn(args.p)
+    return [(None, fileio.fmt(value) + "\n")]
 
 
-def _cmd_beam_solve(args) -> int:
+def _cmd_beam_solve(args) -> Outputs:
     sol = solve_beam(args.L, args.p)
     if args.json:
-        sys.stdout.write(fileio.beam_solution_to_json(sol))
-    else:
-        psi0_deg = sol.psi0 * 180.0 / math.pi
-        print(
-            f"w_mm={fileio.fmt(sol.w)} h_mm={fileio.fmt(sol.h)} "
-            f"psi0_deg={fileio.fmt(psi0_deg)} psi0_rad={fileio.fmt(sol.psi0)} "
-            f"k_per_mm={fileio.fmt(sol.k)}"
-        )
-    return 0
+        return [(None, fileio.beam_solution_to_json(sol))]
+    psi0_deg = sol.psi0 * 180.0 / math.pi
+    return [(None,
+             f"w_mm={fileio.fmt(sol.w)} h_mm={fileio.fmt(sol.h)} "
+             f"psi0_deg={fileio.fmt(psi0_deg)} psi0_rad={fileio.fmt(sol.psi0)} "
+             f"k_per_mm={fileio.fmt(sol.k)}\n")]
 
 
-def _cmd_muscle_curve(args) -> int:
+def _cmd_muscle_curve(args) -> Outputs:
     p_cap = _resolve_p_cap(args)
     specs = [fileio.read_muscle_spec(path) for path in args.spec]
     curves = [muscle.curve(spec, args.samples, p_cap) for spec in specs]
-
-    # every output is rendered before any is written: bad input writes nothing
-    csv_text = svg_text = None
+    outputs = []
     if args.out or not args.svg:
         if len(curves) != 1:
             raise WwmtcError("CSV output needs exactly one --spec (SVG supports overlays)")
-        csv_text = fileio.curve_to_csv(curves[0])
+        outputs.append((args.out or None, fileio.curve_to_csv(curves[0])))
     if args.svg:
-        series = []
-        for path, spec, cur in zip(args.spec, specs, curves):
-            label = f"{Path(path).stem} ({spec.kind} n={spec.n} L={fileio.fmt(spec.L)})"
-            xs = [s.length for s in cur.samples]
-            ys = [s.width for s in cur.samples]
-            series.append((label, xs, ys))
-        svg_text = svgplot.render_line_plot(series, "length [mm]", "width [mm]", *SVG_SIZE)
-    _write_outputs(args.out, csv_text, args.svg, svg_text)
-    return 0
+        series = [(f"{Path(path).stem} ({spec.kind} n={spec.n} L={fileio.fmt(spec.L)})",
+                   [s.length for s in cur.samples], [s.width for s in cur.samples])
+                  for path, spec, cur in zip(args.spec, specs, curves)]
+        outputs.append((args.svg, svgplot.render_line_plot(
+            series, "length [mm]", "width [mm]", *SVG_SIZE)))
+    return outputs
 
 
-def _cmd_muscle_invert(args) -> int:
+def _cmd_muscle_invert(args) -> Outputs:
     spec = fileio.read_muscle_spec(args.spec)
     state = muscle.state_for_length(spec, args.length, _resolve_p_cap(args))
-    sys.stdout.write(fileio.state_to_csv(state))
-    return 0
+    return [(None, fileio.state_to_csv(state))]
 
 
-def _cmd_design_search(args) -> int:
+def _cmd_design_search(args) -> Outputs:
     constraints = fileio.read_design_constraints(args.constraints)
     p_cap = _resolve_p_cap(args)
     results = design.search(constraints, p_cap)
     report = design.infeasibility_report(constraints, p_cap)
-    text = fileio.design_results_to_json(results)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    outputs = [(args.out or None, fileio.design_results_to_json(results))]
     if args.csv:
-        _write_text(args.csv, fileio.design_results_to_csv(results))
-    for n in sorted(report):
-        print(f"n={n}: infeasible, binding constraint {report[n]}", file=sys.stderr)
-    return 0
+        outputs.append((args.csv, fileio.design_results_to_csv(results)))
+    return outputs + [(_STDERR, f"n={n}: infeasible, binding constraint {report[n]}\n")
+                      for n in sorted(report)]
 
 
 # The actuator handlers import their module on call: it pulls in numpy, which
 # the other commands should not pay for at start-up.
-def _cmd_tendon_fit(args) -> int:
+def _cmd_tendon_fit(args) -> Outputs:
     from . import actuators
 
     _, load, strain, cycle = fileio.read_tendon_csv(args.data)
     fit = actuators.fit_tendon(strain, load, cycle)
-    sys.stdout.write(fileio.tendon_fit_to_json(fit))
-    return 0
+    return [(None, fileio.tendon_fit_to_json(fit))]
 
 
-def _cmd_winch_fit(args) -> int:
+def _cmd_winch_fit(args) -> Outputs:
     from . import actuators
 
     _, current, tension = fileio.read_winch_csv(args.data)
     params = actuators.fit_winch(current, tension)
-    sys.stdout.write(fileio.winch_params_to_json(params))
-    return 0
+    return [(None, fileio.winch_params_to_json(params))]
 
 
-def _cmd_winch_simulate(args) -> int:
+def _cmd_winch_simulate(args) -> Outputs:
     from . import actuators
 
     params, t0 = fileio.read_winch_params(args.params)
@@ -270,13 +266,12 @@ def _cmd_winch_simulate(args) -> int:
     # profiles use the winch CSV schema; the tension column is ignored
     time_s, current, _ = fileio.read_winch_csv(args.profile)
     tension = actuators.simulate_winch(params, current, initial_tension=t0)
-    csv_text = fileio.winch_series_to_csv(time_s, current, tension)
-    svg_text = None
+    outputs = [(args.out or None, fileio.winch_series_to_csv(time_s, current, tension))]
     if args.svg:
         series = [("simulated loop", current.tolist(), tension.tolist())]
-        svg_text = svgplot.render_line_plot(series, "current [A]", "tension [N]", *SVG_SIZE)
-    _write_outputs(args.out, csv_text, args.svg, svg_text)
-    return 0
+        outputs.append((args.svg, svgplot.render_line_plot(
+            series, "current [A]", "tension [N]", *SVG_SIZE)))
+    return outputs
 
 
 _HANDLERS = {
@@ -296,7 +291,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(_attach_negative_numbers(argv))
-        return _HANDLERS[(args.group, args.command)](args)
+        _write(_HANDLERS[(args.group, args.command)](args))
     except SystemExit as exc:  # --help, printed on stdout
         return int(exc.code or 0)
     except WwmtcError as exc:
@@ -305,6 +300,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - internal faults
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -215,6 +215,14 @@ def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
     return _CONSTRAINT_NAMES[best.index(min(best))]
 
 
+def _scan(constraints: DesignConstraints, p_cap: float):
+    """(n, feasible L-interval or binding constraint name) for every n in n_range."""
+    _check_p_cap(p_cap)
+    sol = solve_beam(1.0, p_cap)
+    for n in range(constraints.n_range[0], constraints.n_range[1] + 1):
+        yield n, _solve_n(constraints, n, sol.h, sol.w)
+
+
 def search(constraints: DesignConstraints,
            p_cap: float = DEFAULT_P_CAP) -> list[DesignResult]:
     """All feasible designs, one per arch count with a feasible L.
@@ -226,13 +234,8 @@ def search(constraints: DesignConstraints,
     (n, L).  An empty list is a valid outcome.  Deterministic for identical
     inputs.  p_cap obeys the same rule as in muscle.curve.
     """
-    _check_p_cap(p_cap)
-    sol = solve_beam(1.0, p_cap)
-    results = []
-    for n in range(constraints.n_range[0], constraints.n_range[1] + 1):
-        found = _solve_n(constraints, n, sol.h, sol.w)
-        if not isinstance(found, str):
-            results.append(_result_for(constraints, n, *found, p_cap))
+    results = [_result_for(constraints, n, *found, p_cap)
+               for n, found in _scan(constraints, p_cap) if not isinstance(found, str)]
     results.sort(key=lambda res: (res.achieved.width_at_full, res.spec.n, res.spec.L))
     return results
 
@@ -246,11 +249,4 @@ def infeasibility_report(constraints: DesignConstraints,
     met even at the most favorable L.  Its keys are exactly the arch counts
     in n_range that ``search`` returns no result for.
     """
-    _check_p_cap(p_cap)
-    sol = solve_beam(1.0, p_cap)
-    report = {}
-    for n in range(constraints.n_range[0], constraints.n_range[1] + 1):
-        found = _solve_n(constraints, n, sol.h, sol.w)
-        if isinstance(found, str):
-            report[n] = found
-    return report
+    return {n: found for n, found in _scan(constraints, p_cap) if isinstance(found, str)}

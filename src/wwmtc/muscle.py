@@ -108,8 +108,14 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
 
 
 def length_range(spec: MuscleSpec, p_cap: float = DEFAULT_P_CAP) -> tuple[float, float]:
-    """Achievable [shortest, natural] muscle length under the given cap."""
-    return state_at(spec, p_cap).length, natural_length(spec)
+    """Achievable [shortest, natural] muscle length under the given cap.
+
+    The shortest length is n * h(p_cap) + h0, with h(p_cap) from the
+    Carlson pass that beam caches per p: one pass while p_cap is not in
+    the cache.
+    """
+    _check_p_cap(p_cap)
+    return spec.n * _height(spec.L, p_cap) + spec.h0, natural_length(spec)
 
 
 def state_for_length(
@@ -122,13 +128,10 @@ def state_for_length(
     (length_target - h0) / n can round past [h(p_cap), L] at either end of
     that interval, and the inverse of h(p_cap) past p_cap, so both are
     clamped.  Two solve_beam calls for every target, one Newton step and
-    the returned state (no Newton step at the natural length).  h(p_cap)
-    comes from the Carlson pass that beam caches per p: one more pass while
-    p_cap is not in the cache.
+    the returned state (no Newton step at the natural length), plus
+    length_range's pass for h(p_cap) while it is not cached.
     """
-    _check_p_cap(p_cap)
-    h_cap = _height(spec.L, p_cap)
-    lo, hi = spec.n * h_cap + spec.h0, natural_length(spec)
+    lo, hi = length_range(spec, p_cap)
     if not lo <= length_target <= hi:
         raise OutOfRangeError(
             f"length {length_target!r} mm unreachable; feasible interval is "
@@ -136,5 +139,5 @@ def state_for_length(
             lo=lo,
             hi=hi,
         )
-    h_target = min(max((length_target - spec.h0) / spec.n, h_cap), spec.L)
+    h_target = min(max((length_target - spec.h0) / spec.n, _height(spec.L, p_cap)), spec.L)
     return state_at(spec, min(_p_for_height(spec.L, h_target), p_cap))

@@ -760,6 +760,64 @@ def test_log_reader_accepts_blank_lines_and_crlf(tmp_path, capsys, command, edit
     assert out == (GOLDEN_DIR / LOG_COMMANDS[command][2]).read_text()
 
 
+# --- writing outputs ---------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["beam", "solve", "--L", "1", "--p=--"],
+    ["elliptic", "eval", "--kind", "K", "--p=--"],
+    ["muscle", "invert", "--spec", str(DATA_DIR / "radial.json"), "--length=--"],
+    ["muscle", "curve", "--spec", str(DATA_DIR / "radial.json"), "--samples=--"],
+    ["muscle", "curve", "--spec", str(DATA_DIR / "radial.json"), "--p-cap=--"],
+    ["muscle", "curve", "--spec=--"],
+    ["design", "search", "--constraints=--"],
+    ["muscle", "curve", "--spec", str(DATA_DIR / "radial.json"), "--out=--"],
+])
+def test_double_dash_value_is_bad_argv(capsys, argv):
+    # argparse drops a '--' written as the value and stores [] unconverted:
+    # an internal error, or for --out the CSV on stdout
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: wwmtc") and err.count("\n") == 1, err
+
+
+CURVE = ["muscle", "curve", "--spec", str(DATA_DIR / "radial.json"), "--samples", "5"]
+SEARCH = ["design", "search", "--constraints", str(DATA_DIR / "constraints.json")]
+SIMULATE = ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
+            "--profile", str(DATA_DIR / "triangle_profile.csv")]
+
+
+@pytest.mark.parametrize("argv", [
+    CURVE + ["--out", "{tmp}/c.csv", "--svg", "{tmp}/no/c.svg"],
+    SEARCH + ["--out", "{tmp}/d.json", "--csv", "{tmp}/no/d.csv"],
+    SEARCH + ["--csv", "{tmp}/no/d.csv"],
+    SEARCH + ["--out", "{tmp}/old.txt", "--csv", "{tmp}/no/d.csv"],
+    SIMULATE + ["--out", "{tmp}/w.csv", "--svg", "{tmp}/no/w.svg"],
+    SIMULATE + ["--svg", "{tmp}/no/w.svg"],
+])
+def test_unwritable_last_output_writes_nothing(tmp_path, capsys, argv):
+    # the earlier outputs used to be written before the last one failed;
+    # a file that was there before the run is kept
+    (tmp_path / "old.txt").write_text("old\n")
+    code, out, err = run([arg.format(tmp=tmp_path) for arg in argv], capsys)
+    assert_bad_input(code, err)
+    assert "cannot write" in err and "/no/" in err and out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["old.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    CURVE + ["--out", "{tmp}/c.csv", "--svg", "{tmp}/c.csv"],
+    SEARCH + ["--out", "{tmp}/d.json", "--csv", "{tmp}/./d.json"],
+    SIMULATE + ["--out", "{tmp}/w.csv", "--svg", "{tmp}/../{name}/w.csv"],
+])
+def test_two_outputs_naming_one_file_are_bad_input(tmp_path, capsys, argv):
+    # the second output used to overwrite the first, with exit 0
+    argv = [arg.format(tmp=tmp_path, name=tmp_path.name) for arg in argv]
+    code, out, err = run(argv, capsys)
+    assert_bad_input(code, err)
+    assert "same file" in err and out == ""
+    assert not list(tmp_path.iterdir())
+
+
 # --- determinism -------------------------------------------------------------------
 
 def test_byte_identical_reruns(tmp_path, capsys):

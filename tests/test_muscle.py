@@ -225,10 +225,13 @@ def test_invert_kernel_budget(monkeypatch):
 
 
 def test_invert_rejects_bad_p_cap(radial_spec):
-    # the same rule as curve's; p_cap = P_STRAIGHT is no cap at all
+    # the same rule as curve's; p_cap = P_STRAIGHT is no cap at all, and
+    # length_range used to return (238.0, 238.0) for it
     for p_cap in (0.6, P_STRAIGHT, 1.0, math.nan):
         with pytest.raises(DomainError, match="p_cap="):
             state_for_length(radial_spec, 238.0, p_cap)
+        with pytest.raises(DomainError, match="p_cap="):
+            length_range(radial_spec, p_cap)
 
 
 def test_invert_out_of_range_reports_interval(radial_spec):
