@@ -95,12 +95,14 @@ def solve_beam(L: float, p: float) -> BeamSolution:
     limit (w = 0, h = L, psi0 = 0); the general formulas degenerate to 0/0
     there because k -> 0 with the load.
     """
-    L = _check_length(L)
-    p = _check_shape_param(p)
+    return BeamSolution(*_arch(_check_length(L), _check_shape_param(p)))
 
+
+def _arch(L: float, p: float) -> tuple[float, float, float, float]:
+    """solve_beam's (w, h, psi0, k) for a valid L and p; neither is checked."""
     q = 2.0 * p * p - 1.0  # sin(psi0)
     if q <= 0.0:
-        return BeamSolution(w=0.0, h=L, psi0=0.0, k=0.0)
+        return 0.0, L, 0.0, 0.0
 
     m1 = (1.0 - p) * (1.0 + p)
     s = math.sqrt(q) / p
@@ -109,12 +111,11 @@ def solve_beam(L: float, p: float) -> BeamSolution:
     E2 = F2 - (p * p) * (s * s * s) * rd / 3.0
     h = math.sqrt(2.0) * p * L / rf
     w = L * (F2 - 2.0 * E2 + math.sqrt(2.0 * q)) / F2
-    psi0 = math.asin(min(1.0, q))
-    return BeamSolution(w=w, h=h, psi0=psi0, k=F2 / L)
+    return w, h, math.asin(min(1.0, q)), F2 / L
 
 
-def _height_slope(L: float, p: float, sol: BeamSolution) -> float:
-    """dh/dp at p > P_STRAIGHT, from the fields of ``sol = solve_beam(L, p)``.
+def _height_slope(L: float, p: float, w: float, k: float) -> float:
+    """dh/dp at p > P_STRAIGHT, from the width w and scale factor k at (L, p).
 
     With c = cos(phi1) and E - E(phi1) = k (L - w) / 2, differentiating
     kL = K(p) - F(phi1(p), p) gives
@@ -124,8 +125,8 @@ def _height_slope(L: float, p: float, sol: BeamSolution) -> float:
     q = 2.0 * p * p - 1.0
     c = math.sqrt(q) / (math.sqrt(2.0) * p)
     one_minus_m = 1.0 - p * p
-    kL = sol.k * L
-    dkL = (sol.k * (L - sol.w) / (2.0 * p * one_minus_m) - kL / p
+    kL = k * L
+    dkL = (k * (L - w) / (2.0 * p * one_minus_m) - kL / p
            + c / one_minus_m + 1.0 / (p * p * c))
     r = math.sqrt(2.0 * q)
     return L * ((4.0 * p / r) / kL - r * dkL / (kL * kL))
@@ -133,9 +134,9 @@ def _height_slope(L: float, p: float, sol: BeamSolution) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _rf_at(p: float) -> float:
-    """R_F of solve_beam's Carlson pass at p, cached: it does not depend on L.
+    """R_F of _arch's Carlson pass at p, cached: it does not depend on L.
 
-    The arguments are solve_beam's, written the same way, so the value is
+    The arguments are _arch's, written the same way, so the value is
     the same double.  The callers invert at a handful of fixed caps, which
     the small cache holds.
     """
@@ -171,8 +172,8 @@ def solve_p_for_height(L: float, h_target: float) -> float:
     dg/dp = sqrt(32 L / 15)) is closer, and is taken instead.  From a start
     that close, one Newton step, quadratic in the start's error, leaves an
     error far below an ULP of p, so exactly one is taken, next to P_MAX and
-    next to L too.  An inversion thus takes one solve_beam call, and the
-    range check at P_MAX none once its Carlson pass is cached.
+    next to L too.  An inversion thus takes one Carlson pass, and the
+    range check at P_MAX none once its pass is cached.
 
     Raises OutOfRangeError when h_target is below the smallest achievable
     height (at p = P_MAX); the error carries the achievable interval.
@@ -225,6 +226,7 @@ _START_CHEB = (
     6.644418306680205e-12, 4.7182284569711584e-12, 2.668904028639396e-12,
     1.2643591591535572e-12, 4.692030065775403e-13,
 )
+_START_TAIL = _START_CHEB[:0:-1]  # Clenshaw's order: highest degree first
 _START_MARGIN = 5e-12
 _START_ULPS = 8.0
 # dt/du at the straight end, where 1 - h/L ~ 32 (p - P_STRAIGHT)^2 / 15
@@ -239,9 +241,10 @@ def _start(u: float) -> float:
     larger of the two for p - P_STRAIGHT below ~2e-6.
     """
     x = 2.0 * u / _U_MAX - 1.0
+    x2 = 2.0 * x  # 2.0 * x * b1 is (2.0 * x) * b1: the same doubles
     b1 = b2 = 0.0
-    for c in _START_CHEB[:0:-1]:  # Clenshaw
-        b1, b2 = 2.0 * x * b1 - b2 + c, b1
+    for c in _START_TAIL:  # Clenshaw
+        b1, b2 = x2 * b1 - b2 + c, b1
     t = _T_STRAIGHT + (x * b1 - b2 + _START_CHEB[0]) * u / (1.0 - u)
     # an ULP of p = 1 - exp(-t), which lies in [1/2, 1), is 2^-53 exp(t) in t
     margin = _START_MARGIN + _START_ULPS * math.ulp(0.5) * math.exp(t)
@@ -252,19 +255,19 @@ def _p_for_height(L: float, h_target: float) -> float:
     """p with h(L, p) = h_target, for h(L, P_MAX) <= h_target <= L.
 
     One Newton step on g = sqrt(L - h) in t = -log(1 - p) from _start; see
-    solve_p_for_height.  One solve_beam call; none at h_target == L.
+    solve_p_for_height.  One Carlson pass; none at h_target == L.
     """
     if h_target == L:
         return P_STRAIGHT
     g_target = math.sqrt(L - h_target)
     p = -math.expm1(-_start(g_target / math.sqrt(L)))
-    sol = solve_beam(L, p)
-    slope = _height_slope(L, p, sol)
+    w, h, _, k = _arch(L, p)
+    slope = _height_slope(L, p, w, k)
     if not slope < 0.0:
         # the slope formula cancels next to the straight end, where the
         # start already meets the target to rounding, and can give 0
         return p
-    g = math.sqrt(max(L - sol.h, 0.0))
+    g = math.sqrt(max(L - h, 0.0))
     # dg/dt = -h'(p) (1 - p) / (2 g)
     dt = 2.0 * g * (g - g_target) / (slope * (1.0 - p))
     return min(max(-math.expm1(math.log1p(-p) - dt), P_STRAIGHT), P_MAX)

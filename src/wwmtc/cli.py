@@ -7,7 +7,8 @@ stderr), 1 unexpected internal fault.  The contraction cap defaults to
 
 Each handler only renders its outputs; dispatch writes them, the files
 first, then stdout, then stderr.  A file that cannot be written, or that two
-outputs name, exits 2 with no stdout and leaves no file the run created.
+outputs name, exits 2 with no stdout and leaves no file the run created; a
+file that existed before keeps its content unless a write fails midway.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -155,23 +157,34 @@ def _write(outputs: Outputs) -> None:
 
     A file that cannot be written, or that two outputs name, is bad input:
     then nothing goes to stdout and the files this call created are
-    removed; a path that existed before is left in place.
+    removed.  A path that existed before is left in place, and is emptied
+    only once every destination has opened; one that is not a regular file,
+    such as /dev/null, is never emptied.
     """
     files = [(dest, text) for dest, text in outputs if isinstance(dest, str)]
     real = [os.path.realpath(dest) for dest, _ in files]
     for i, (dest, _) in enumerate(files):
         if real[i] in real[:i]:
             raise WwmtcError(f"cannot write {dest}: two outputs name the same file")
-    created = []
+    streams, created = [], []
     try:
-        for dest, text in files:
-            try:
-                stream = open(dest, "x", encoding="utf-8", newline="")
-                created.append(dest)
-            except FileExistsError:
-                stream = open(dest, "w", encoding="utf-8", newline="")
-            with stream:
-                stream.write(text)
+        try:
+            for dest, _ in files:
+                try:
+                    streams.append(open(dest, "x", encoding="utf-8", newline=""))
+                    created.append(dest)
+                except FileExistsError:
+                    # opened for appending, so not emptied before every
+                    # destination is known to open
+                    streams.append(open(dest, "a", encoding="utf-8", newline=""))
+            for stream, (dest, text) in zip(streams, files):
+                with stream:
+                    if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                        stream.truncate(0)
+                    stream.write(text)
+        finally:
+            for stream in streams:
+                stream.close()
     except OSError as exc:
         for path in created:
             os.remove(path)

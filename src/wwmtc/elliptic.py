@@ -21,6 +21,7 @@ are their halves.
 from __future__ import annotations
 
 import math
+from math import sqrt
 
 from .errors import DomainError
 
@@ -68,7 +69,7 @@ def _rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
     total = 0.0
     pow4 = 1.0
     while True:
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
         lam = sx * (sy + sz) + sy * sz
         total += pow4 / (sz * (z + lam))
         pow4 *= 0.25
@@ -79,11 +80,12 @@ def _rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
         dx = (mu - x) / mu
         dy = (mu - y) / mu
         dz = (mu - z) / mu
-        if max(abs(dx), abs(dy), abs(dz)) < _TOL:
+        # max(abs(d)) < _TOL without the calls; the same test for any non-NaN d
+        if -_TOL < dx < _TOL and -_TOL < dy < _TOL and -_TOL < dz < _TOL:
             break
     e2 = dx * dy - dz * dz
     e3 = dx * dy * dz
-    rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / math.sqrt(mu)
+    rf = (1.0 + (e2 / 24.0 - 0.1 - 3.0 * e3 / 44.0) * e2 + e3 / 14.0) / sqrt(mu)
     # R_D's mean (x + y + 3z)/5 is mu*(1 - 0.4*dz), so its deviations are
     # (d - 0.4*dz)/(1 - 0.4*dz), below 1.4*_TOL: its series needs no more steps
     mu = (x + y + 3.0 * z) * 0.2
@@ -97,7 +99,7 @@ def _rf_rd(x: float, y: float, z: float) -> tuple[float, float]:
     ef = ed + ec + ec
     s1 = ed * (-3.0 / 14.0 + 0.25 * (9.0 / 22.0) * ed - 1.5 * (3.0 / 26.0) * dz * ef)
     s2 = dz * ((1.0 / 6.0) * ef + dz * (-(9.0 / 22.0) * ec + dz * (3.0 / 26.0) * ea))
-    return rf, 3.0 * total + pow4 * (1.0 + s1 + s2) / (mu * math.sqrt(mu))
+    return rf, 3.0 * total + pow4 * (1.0 + s1 + s2) / (mu * sqrt(mu))
 
 
 # ---------------------------------------------------------------------------

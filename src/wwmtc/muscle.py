@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .beam import P_MAX, P_STRAIGHT, _height, _p_for_height, solve_beam
+from .beam import P_MAX, P_STRAIGHT, _arch, _check_shape_param, _height, _p_for_height
 from .errors import DomainError, OutOfRangeError
 
 # Default contraction cap.  Beyond p ~ 0.97 the tip angle exceeds ~75 deg
@@ -79,14 +79,16 @@ def natural_length(spec: MuscleSpec) -> float:
 
 def state_at(spec: MuscleSpec, p: float) -> MuscleState:
     """Muscle width/length/contraction at shape parameter p."""
-    sol = solve_beam(spec.L, p)
-    length = spec.n * sol.h + spec.h0
+    # spec.L was checked by MuscleSpec; float() keeps the fields Python
+    # floats, as solve_beam's check does, for an int or numpy L
+    w, h, psi0, _ = _arch(float(spec.L), _check_shape_param(p))
+    length = spec.n * h + spec.h0
     return MuscleState(
         p=p,
-        width=sol.w,
+        width=w,
         length=length,
         contraction=natural_length(spec) - length,
-        psi0=sol.psi0,
+        psi0=psi0,
     )
 
 
@@ -127,7 +129,7 @@ def state_for_length(
     is outside [length at p_cap, natural length].  The arch height
     (length_target - h0) / n can round past [h(p_cap), L] at either end of
     that interval, and the inverse of h(p_cap) past p_cap, so both are
-    clamped.  Two solve_beam calls for every target, one Newton step and
+    clamped.  Two Carlson passes for every target, one Newton step and
     the returned state (no Newton step at the natural length), plus
     length_range's pass for h(p_cap) while it is not cached.
     """

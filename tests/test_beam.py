@@ -232,6 +232,25 @@ def test_newton_start_below_root():
             assert arch_gap(start + err) >= u, t
 
 
+def test_start_is_plain_clenshaw():
+    # _start runs Clenshaw over a stored reversed tail with 2x hoisted;
+    # (2.0 * x) * b1 is how Python groups 2.0 * x * b1, so every double is
+    # that of the plain form, written out here
+    def plain(u):
+        x = 2.0 * u / beam._U_MAX - 1.0
+        b1 = b2 = 0.0
+        for c in beam._START_CHEB[:0:-1]:
+            b1, b2 = 2.0 * x * b1 - b2 + c, b1
+        t = beam._T_STRAIGHT + (x * b1 - b2 + beam._START_CHEB[0]) * u / (1.0 - u)
+        margin = beam._START_MARGIN + beam._START_ULPS * math.ulp(0.5) * math.exp(t)
+        return max(t - margin, beam._T_STRAIGHT + u * beam._STRAIGHT_DT_DU)
+
+    us = [beam._U_MAX * i / 1999 for i in range(2000)]
+    assert us[0] == 0.0 and us[-1] == beam._U_MAX
+    for u in us:
+        assert beam._start(u) == plain(u), u
+
+
 def test_start_coefficients_rebuild():
     # the committed interpolant is the generator's output, bit for bit, and
     # _U_MAX is arch_gap at t(P_MAX)

@@ -793,15 +793,31 @@ SIMULATE = ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json")
     SEARCH + ["--out", "{tmp}/old.txt", "--csv", "{tmp}/no/d.csv"],
     SIMULATE + ["--out", "{tmp}/w.csv", "--svg", "{tmp}/no/w.svg"],
     SIMULATE + ["--svg", "{tmp}/no/w.svg"],
+    CURVE + ["--out", "{tmp}/old.txt", "--svg", "{tmp}/no/c.svg"],
+    SIMULATE + ["--out", "{tmp}/old.txt", "--svg", "{tmp}/no/w.svg"],
 ])
 def test_unwritable_last_output_writes_nothing(tmp_path, capsys, argv):
-    # the earlier outputs used to be written before the last one failed;
-    # a file that was there before the run is kept
+    # the earlier outputs used to be written before the last one failed,
+    # and a file that was there before the run emptied and overwritten;
+    # it is kept with its content
     (tmp_path / "old.txt").write_text("old\n")
     code, out, err = run([arg.format(tmp=tmp_path) for arg in argv], capsys)
     assert_bad_input(code, err)
     assert "cannot write" in err and "/no/" in err and out == ""
     assert [path.name for path in tmp_path.iterdir()] == ["old.txt"]
+    assert (tmp_path / "old.txt").read_bytes() == b"old\n"
+
+
+def test_existing_outputs_are_replaced_and_dev_null_kept(tmp_path, capsys):
+    # a longer old file is emptied before the write, not written over in
+    # place; /dev/null, a character device, is written and left in place
+    old = tmp_path / "d.json"
+    old.write_text("x" * 100_000)
+    argv = SEARCH + ["--out", str(old), "--csv", os.devnull]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and out == ""
+    assert old.read_bytes() == (GOLDEN_DIR / "design_search.json").read_bytes()
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
 
 @pytest.mark.parametrize("argv", [

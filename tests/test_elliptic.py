@@ -172,6 +172,29 @@ def test_fused_pass_matches_mpmath():
             assert abs((rd - ref_d) / ref_d) < bound, (x, y, z)
 
 
+# (x, y, z), (R_F, R_D) as _rf_rd returned them when frozen: beam triples at
+# p = 0.85, P_STRAIGHT + 1e-12 and MODULUS_MAX, Legendre at (phi, p) = (0.7,
+# 0.5) and (pi/2, 0.999), complete at p = 0.3 and MODULUS_MAX, and general
+FROZEN_RF_RD = [
+    ((0.38408304498269913, 0.5550000000000002, 1.0), (1.2739177621128122, 1.5372853053769246)),
+    ((0.9999999999943437, 0.9999999999971719, 1.0), (1.0000000000014142, 1.0000000000025455)),
+    ((1.9999999464361367e-09, 3.999999884872274e-09, 1.0), (10.51998013125741, 28.559940479194687)),
+    ((0.5849835714501206, 0.8962458928625301, 1.0), (1.1077319313098581, 1.2024789025168445)),
+    ((3.749399456654644e-33, 0.001998999999999973, 1.0), (4.495596395842149, 10.495787035914718)),
+    ((0.0, 0.91, 1.0), (1.6080486199305128, 2.440505166908792)),
+    ((0.0, 1.999999943436137e-09, 1.0), (11.401353708654769, 31.204061155668356)),
+    ((5.163, 83651.0, 2.28e-05), (0.02154283014732043, 0.9540153304283808)),
+    ((1e-06, 3.0, 1000000.0), (0.0077441713706690885, 2.023254221345921e-08)),
+]
+
+
+@pytest.mark.parametrize("xyz, frozen", FROZEN_RF_RD)
+def test_kernel_returns_frozen_doubles(xyz, frozen):
+    # both forms, to the last bit: a rewrite of the loop must not move R_D
+    # either, which the SLATEC comparison above does not cover
+    assert _rf_rd(*xyz) == frozen
+
+
 # --- structural properties ---------------------------------------------------
 
 def test_legendre_relation():

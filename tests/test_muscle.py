@@ -35,17 +35,26 @@ def test_natural_state(radial_spec):
 
 
 def test_state_is_exactly_the_arch_decomposition(radial_spec, planar_spec):
-    # width = w(L,p) and length = n*h(L,p) + h0 with no hidden corrections
+    # width = w(L,p) and length = n*h(L,p) + h0 with no hidden corrections,
+    # to the last bit, and Python floats for an int L too
     rng = np.random.default_rng(3)
-    for spec in (radial_spec, planar_spec):
-        for p in rng.uniform(P_STRAIGHT, 0.99, 25):
-            sol = solve_beam(spec.L, float(p))
-            st = state_at(spec, float(p))
-            assert st.width == pytest.approx(sol.w, rel=1e-12)
-            assert st.length == pytest.approx(spec.n * sol.h + spec.h0, rel=1e-12)
-            assert st.contraction == pytest.approx(
-                natural_length(spec) - st.length, rel=1e-12, abs=1e-12
-            )
+    ps = [P_STRAIGHT, math.nextafter(P_STRAIGHT, 1.0),
+          *(P_STRAIGHT + 10.0 ** e for e in range(-15, 0)), 0.97, P_MAX,
+          *(float(p) for p in rng.uniform(P_STRAIGHT, 0.99, 25))]
+    for spec in (radial_spec, planar_spec, MuscleSpec(8, 27, 22)):
+        for p in ps:
+            sol = solve_beam(spec.L, p)
+            st = state_at(spec, p)
+            assert st.width == sol.w and st.psi0 == sol.psi0, p
+            assert st.length == spec.n * sol.h + spec.h0, p
+            assert st.contraction == natural_length(spec) - st.length, p
+            assert all(type(v) is float for v in (st.width, st.length, st.psi0)), p
+
+
+@pytest.mark.parametrize("bad_p", [0.5, 0.70710, 1.0, 1.2, math.nan, math.inf])
+def test_state_at_rejects_bad_shape_parameter(radial_spec, bad_p):
+    with pytest.raises(DomainError, match="shape parameter"):
+        state_at(radial_spec, bad_p)
 
 
 def test_state_at_radial_example(radial_spec):
@@ -222,6 +231,24 @@ def test_invert_kernel_budget(monkeypatch):
                 calls.clear()
                 state_for_length(spec, length, p_cap)
                 assert len(calls) <= 2 + (i == 0), (spec, p_cap, length, len(calls))
+
+
+def test_curve_kernel_budget(monkeypatch, radial_spec, planar_spec):
+    # one Carlson pass per sample but the first, the straight strip
+    calls = []
+
+    def counted(x, y, z):
+        calls.append(x)
+        return rf_rd(x, y, z)
+
+    rf_rd = beam._rf_rd
+    monkeypatch.setattr(beam, "_rf_rd", counted)
+    for spec in (radial_spec, planar_spec):
+        for num in (2, 3, 17, 100, 1001):
+            for p_cap in (0.75, DEFAULT_P_CAP, P_MAX):
+                calls.clear()
+                curve(spec, num, p_cap)
+                assert len(calls) == num - 1, (spec.kind, num, p_cap)
 
 
 def test_invert_rejects_bad_p_cap(radial_spec):
