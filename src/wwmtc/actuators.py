@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,23 +29,25 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class TendonFit:
-    """Fitted tendon parameters: P = a * (exp(b*(eps - eps0)) - 1)."""
+class TendonFit(namedtuple("TendonFit", "a b eps0 rms_residual")):
+    """Fitted tendon parameters: P = a * (exp(b*(eps - eps0)) - 1).
 
-    a: float             # stiffening amplitude, N
-    b: float             # exponential rate, dimensionless
-    eps0: float          # bedding-in strain offset from the first cycle
-    rms_residual: float  # N, over the data actually fitted
+    a             stiffening amplitude, N
+    b             exponential rate, dimensionless
+    eps0          bedding-in strain offset from the first cycle
+    rms_residual  N, over the data actually fitted
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HysteresisParams:
-    """Play-operator winch model: ideal gain c (N/A), friction half-band r (N)."""
+class HysteresisParams(namedtuple("HysteresisParams", "c r rms_residual", defaults=(0.0,))):
+    """Play-operator winch model: ideal gain c (N/A), friction half-band r (N).
 
-    c: float
-    r: float
-    rms_residual: float = 0.0
+    rms_residual  N, of the tension fit; 0.0 when not fitted
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

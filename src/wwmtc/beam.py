@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .elliptic import MODULUS_MAX, _rf_rd
 from .errors import DomainError, OutOfRangeError
@@ -58,14 +58,16 @@ P_MAX = MODULUS_MAX
 _BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BeamSolution:
-    """Deflected-arch geometry for one (L, p) pair.  Lengths in mm."""
+class BeamSolution(namedtuple("BeamSolution", "w h psi0 k")):
+    """Deflected-arch geometry for one (L, p) pair.  Lengths in mm.
 
-    w: float      # deflection along the load (muscle width contribution)
-    h: float      # tip coordinate along the clamped tangent (arch height)
-    psi0: float   # tip rotation relative to the clamped tangent, rad
-    k: float      # scale factor sqrt(load/stiffness), 1/mm
+    w     deflection along the load (muscle width contribution)
+    h     tip coordinate along the clamped tangent (arch height)
+    psi0  tip rotation relative to the clamped tangent, rad
+    k     scale factor sqrt(load/stiffness), 1/mm
+    """
+
+    __slots__ = ()
 
 
 def _check_shape_param(p: float) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from operator import itemgetter
 
@@ -24,25 +24,24 @@ from .errors import DomainError
 from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap, natural_length,
                      state_at)
 
-@dataclass(frozen=True)
-class DesignConstraints:
+
+class DesignConstraints(namedtuple(
+        "DesignConstraints",
+        "natural_length_range min_stroke max_width_at_full h0 n_range L_range"
+        " min_width_at_full kind",
+        defaults=(0.0, "radial"))):
     """Requirements on an expanding muscle at full contraction (p = p_cap).
 
-    All lengths in mm.  ``min_stroke`` is the required contraction at p_cap,
-    ``max_width_at_full`` the expansion ceiling there (the proxy for "gentle
-    expansion": no default is asserted, the user must pick it).
+    All lengths in mm, ranges (min, max).  ``min_stroke`` is the required
+    contraction at p_cap, ``max_width_at_full`` the expansion ceiling there
+    (the proxy for "gentle expansion": no default is asserted, the user must
+    pick it).  ``kind`` is the label stamped on emitted specs; no formula effect.
     """
 
-    natural_length_range: tuple[float, float]
-    min_stroke: float
-    max_width_at_full: float
-    h0: float
-    n_range: tuple[int, int]
-    L_range: tuple[float, float]
-    min_width_at_full: float = 0.0
-    kind: str = "radial"  # label stamped on emitted specs; no formula effect
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # written as "not ... < inf" so that NaN fails every check
         for name in ("natural_length_range", "n_range", "L_range"):
             lo, hi = getattr(self, name)
@@ -58,23 +57,23 @@ class DesignConstraints:
             raise DomainError("n_range must start at >= 1")
         if self.kind not in KINDS:
             raise DomainError(f"kind={self.kind!r} must be one of {KINDS}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own, and so _replace, skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AchievedMetrics:
-    natural_length: float
-    stroke: float
-    width_at_full: float
+class AchievedMetrics(namedtuple("AchievedMetrics", "natural_length stroke width_at_full")):
+    """A spec's natural length, and its stroke and width at p_cap.  mm."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(namedtuple("DesignResult", "spec achieved feasible L_interval")):
     """One feasible design: a representative spec plus its feasible L-interval."""
 
-    spec: MuscleSpec
-    achieved: AchievedMetrics
-    feasible: bool
-    L_interval: tuple[float, float]
+    __slots__ = ()
 
 
 _CONSTRAINT_NAMES = (

@@ -13,15 +13,14 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .beam import BeamSolution
 from .design import DesignConstraints, DesignResult
 from .errors import DomainError
 from .muscle import DeformationCurve, MuscleSpec, MuscleState
 
-if TYPE_CHECKING:  # numpy comes with these; load it only where data needs it
-    from .actuators import HysteresisParams, TendonFit
+# TendonFit and HysteresisParams in annotations are wwmtc.actuators' types,
+# imported only where data needs them, since actuators loads numpy
 
 CURVE_HEADER = "p,width_mm,length_mm,contraction_mm,psi0_deg"
 TENDON_HEADER = "time_s,load_N,strain,cycle"

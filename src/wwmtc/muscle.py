@@ -15,7 +15,7 @@ opposed arch pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .beam import P_MAX, P_STRAIGHT, _arch, _check_shape_param, _height, _p_for_height
 from .errors import DomainError, OutOfRangeError
@@ -28,16 +28,13 @@ DEFAULT_P_CAP = 0.97
 KINDS = ("radial", "planar")
 
 
-@dataclass(frozen=True)
-class MuscleSpec:
+class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
     """Arch count, arch beam length (mm), length offset (mm), kind label."""
 
-    n: int
-    L: float
-    h0: float
-    kind: str = "radial"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"arch count n={self.n!r} must be an integer >= 1")
         if not 0.0 < self.L < math.inf:
@@ -46,25 +43,24 @@ class MuscleSpec:
             raise DomainError(f"length offset h0={self.h0!r} must be finite and >= 0")
         if self.kind not in KINDS:
             raise DomainError(f"kind={self.kind!r} must be one of {KINDS}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own, and so _replace, skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class MuscleState:
+class MuscleState(namedtuple("MuscleState", "p width length contraction psi0")):
     """One point on a muscle's contraction-expansion curve.  mm / rad."""
 
-    p: float
-    width: float
-    length: float
-    contraction: float
-    psi0: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DeformationCurve:
-    """Sampled states of one spec, ordered by strictly decreasing length."""
+class DeformationCurve(namedtuple("DeformationCurve", "spec samples")):
+    """Sampled states (a tuple of MuscleState) of one spec, ordered by
+    strictly decreasing length."""
 
-    spec: MuscleSpec
-    samples: tuple[MuscleState, ...]
+    __slots__ = ()
 
 
 def _check_p_cap(p_cap: float) -> None:

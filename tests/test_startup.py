@@ -1,8 +1,14 @@
 """Start-up cost: which modules load, not how long anything takes.
 
 The geometry and design commands are pure ``math``; numpy is for the
-actuator models only and scipy for the test oracles only.  Each check runs
-in a fresh interpreter, since this test process has both loaded already.
+actuator models only and scipy for the test oracles only.  The value types
+are plain named tuples, so no command needs ``dataclasses`` or ``typing``,
+and the geometry and design commands not ``inspect`` either.  Each check
+runs in a fresh interpreter, since this test process has all of these
+loaded already.  The interpreter starts with ``-S``, so that no ``.pth``
+hook of an installed package preloads a module; the probe then appends the
+entries of this process's ``sys.path`` that it lacks, the site directories
+among them, after its own, as ``site`` would.
 """
 
 import json
@@ -21,16 +27,22 @@ from conftest import DATA_DIR
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 HEAVY = ("numpy", "scipy")
+# standard-library machinery that frozen dataclasses (dataclasses, which
+# imports inspect) or typing.NamedTuple (typing) would load
+MACHINERY = ("dataclasses", "inspect", "typing")
 
 # Runs in the child: import the CLI, dispatch each argv, and after each step
-# print which of HEAVY are in sys.modules.
+# print which of the watched modules are in sys.modules.
 _PROBE = """
-import contextlib, io, json, sys
+import sys
+sys.path.extend(p for p in {path!r} if p not in sys.path)
 
-heavy = {heavy!r}
+import contextlib, io, json
+
+watched = {watched!r}
 
 def loaded():
-    return [m for m in heavy if m in sys.modules]
+    return [m for m in watched if m in sys.modules]
 
 import wwmtc, wwmtc.cli
 report = [["import", 0, loaded()]]
@@ -50,21 +62,22 @@ LIGHT_COMMANDS = [
 ]
 
 
-def run_probe(argvs: list[list[str]]) -> list:
+def run_probe(argvs: list[list[str]], watched: tuple[str, ...]) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
     )
+    probe = _PROBE.format(path=sys.path, watched=watched, argvs=argvs)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(heavy=HEAVY, argvs=argvs)],
+        [sys.executable, "-S", "-c", probe],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_light_commands_load_neither_numpy_nor_scipy():
-    report = run_probe(LIGHT_COMMANDS)
+def assert_light_commands_load_none_of(watched: tuple[str, ...]):
+    report = run_probe(LIGHT_COMMANDS, watched)
     assert [step for step, _, _ in report] == ["import"] + [
         " ".join(argv[:2]) for argv in LIGHT_COMMANDS
     ]
@@ -73,9 +86,26 @@ def test_light_commands_load_neither_numpy_nor_scipy():
         assert loaded == [], f"{step} loaded {loaded}"
 
 
+def test_light_commands_load_neither_numpy_nor_scipy():
+    assert_light_commands_load_none_of(HEAVY)
+
+
+def test_light_commands_load_no_dataclasses_inspect_or_typing():
+    assert_light_commands_load_none_of(MACHINERY)
+
+
 def test_actuator_command_loads_numpy_but_not_scipy():
-    report = run_probe([["winch", "fit", "--data", str(DATA_DIR / "winch_bench.csv")]])
+    report = run_probe([["winch", "fit", "--data", str(DATA_DIR / "winch_bench.csv")]], HEAVY)
     assert report[-1] == ["winch fit", 0, ["numpy"]]
+
+
+def test_winch_simulate_loads_no_dataclasses():
+    # numpy itself imports inspect, so only dataclasses is checked here
+    report = run_probe([["winch", "simulate",
+                         "--params", str(DATA_DIR / "winch_params.json"),
+                         "--profile", str(DATA_DIR / "triangle_profile.csv")]],
+                       ("dataclasses",))
+    assert report == [["import", 0, []], ["winch simulate", 0, []]]
 
 
 def test_lazy_actuator_exports_resolve():
