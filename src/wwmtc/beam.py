@@ -48,8 +48,9 @@ from collections import namedtuple
 from .elliptic import MODULUS_MAX, _rf_rd
 from .errors import DomainError, OutOfRangeError
 
+_SQRT2 = math.sqrt(2.0)
 # Shape parameter of the straight (unloaded) strip.
-P_STRAIGHT = 1.0 / math.sqrt(2.0)
+P_STRAIGHT = 1.0 / _SQRT2
 # Upper bound: keep clear of the logarithmic singularity of K at p = 1.
 P_MAX = MODULUS_MAX
 
@@ -102,18 +103,19 @@ def solve_beam(L: float, p: float) -> BeamSolution:
 
 def _arch(L: float, p: float) -> tuple[float, float, float, float]:
     """solve_beam's (w, h, psi0, k) for a valid L and p; neither is checked."""
-    q = 2.0 * p * p - 1.0  # sin(psi0)
+    pp = p * p
+    q = 2.0 * pp - 1.0  # sin(psi0); 2.0 * p * p rounds to the same double
     if q <= 0.0:
         return 0.0, L, 0.0, 0.0
 
     m1 = (1.0 - p) * (1.0 + p)
     s = math.sqrt(q) / p
-    rf, rd = _rf_rd(m1 / (p * p), 2.0 * m1, 1.0)
+    rf, rd = _rf_rd(m1 / pp, 2.0 * m1, 1.0)
     F2 = s * rf
-    E2 = F2 - (p * p) * (s * s * s) * rd / 3.0
-    h = math.sqrt(2.0) * p * L / rf
+    E2 = F2 - pp * (s * s * s) * rd / 3.0
+    h = _SQRT2 * p * L / rf
     w = L * (F2 - 2.0 * E2 + math.sqrt(2.0 * q)) / F2
-    return w, h, math.asin(min(1.0, q)), F2 / L
+    return w, h, math.asin(q if q < 1.0 else 1.0), F2 / L
 
 
 def _height_slope(L: float, p: float, w: float, k: float) -> float:
@@ -125,7 +127,7 @@ def _height_slope(L: float, p: float, w: float, k: float) -> float:
     and h = L r / kL with r = sqrt(2 (2 p^2 - 1)) then gives dh/dp.
     """
     q = 2.0 * p * p - 1.0
-    c = math.sqrt(q) / (math.sqrt(2.0) * p)
+    c = math.sqrt(q) / (_SQRT2 * p)
     one_minus_m = 1.0 - p * p
     kL = k * L
     dkL = (k * (L - w) / (2.0 * p * one_minus_m) - kL / p
@@ -153,7 +155,7 @@ def _height(L: float, p: float) -> float:
     """
     if 2.0 * p * p - 1.0 <= 0.0:
         return L
-    return math.sqrt(2.0) * p * L / _rf_at(p)
+    return _SQRT2 * p * L / _rf_at(p)
 
 
 def solve_p_for_height(L: float, h_target: float) -> float:

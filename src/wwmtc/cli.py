@@ -6,9 +6,11 @@ stderr), 1 unexpected internal fault.  The contraction cap defaults to
 ``--p-cap`` flag (the flag wins).
 
 Each handler only renders its outputs; dispatch writes them, the files
-first, then stdout, then stderr.  A file that cannot be written, or that two
-outputs name, exits 2 with no stdout and leaves no file the run created; a
-file that existed before keeps its content unless a write fails midway.
+first, then stdout, then stderr.  Regular files are written to temporary
+files and renamed into place once every write has succeeded.  A file that
+cannot be written, or that two outputs name, exits 2 with no stdout and
+leaves no file the run created; a file that existed before keeps its
+content unless a rename fails after another has succeeded.
 """
 
 from __future__ import annotations
@@ -155,40 +157,59 @@ Outputs = list[tuple[object, str]]
 def _write(outputs: Outputs) -> None:
     """Write every file, then stdout, then stderr, each in the given order.
 
-    A file that cannot be written, or that two outputs name, is bad input:
-    then nothing goes to stdout and the files this call created are
-    removed.  A path that existed before is left in place, and is emptied
-    only once every destination has opened; one that is not a regular file,
-    such as /dev/null, is never emptied.
+    A regular file, new or not, is written to a temporary file next to the
+    file a symlink resolves to; a destination that is not a regular file,
+    such as /dev/null, is written in place after those.  Only once every
+    write has succeeded are the temporary files renamed over their
+    destinations; a replaced file keeps its mode.  A file that cannot be
+    written, or that two outputs name, is bad input: then nothing goes to
+    stdout, the temporary files and the files this call created are
+    removed, and a file that existed before keeps its content unless a
+    rename fails after another has replaced its file.
     """
     files = [(dest, text) for dest, text in outputs if isinstance(dest, str)]
     real = [os.path.realpath(dest) for dest, _ in files]
     for i, (dest, _) in enumerate(files):
         if real[i] in real[:i]:
             raise WwmtcError(f"cannot write {dest}: two outputs name the same file")
-    streams, created = [], []
-    try:
+    regular, special = [], []  # regular: (dest, text, path, mode or None if new)
+    for (dest, text), path in zip(files, real):
         try:
-            for dest, _ in files:
-                try:
-                    streams.append(open(dest, "x", encoding="utf-8", newline=""))
-                    created.append(dest)
-                except FileExistsError:
-                    # opened for appending, so not emptied before every
-                    # destination is known to open
-                    streams.append(open(dest, "a", encoding="utf-8", newline=""))
-            for stream, (dest, text) in zip(streams, files):
-                with stream:
-                    if stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-                        stream.truncate(0)
-                    stream.write(text)
-        finally:
-            for stream in streams:
-                stream.close()
+            mode = os.stat(path).st_mode
+        except OSError:  # no file there, or a path that the write reports
+            regular.append((dest, text, path, None))
+            continue
+        if not stat.S_ISREG(mode):
+            special.append((dest, text))
+        elif not os.access(path, os.W_OK):  # a rename would replace it anyway
+            raise WwmtcError(f"cannot write {dest}: permission denied")
+        else:
+            regular.append((dest, text, path, stat.S_IMODE(mode)))
+    temps, created = [], []
+    try:
+        for dest, text, path, mode in regular:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            # 0o666 as open() uses, so a new file's mode follows the umask
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            temps.append(tmp)
+            with open(fd, "w", encoding="utf-8", newline="") as stream:
+                if mode is not None:
+                    os.fchmod(fd, mode)
+                stream.write(text)
+        for dest, text in special:
+            with open(dest, "w", encoding="utf-8", newline="") as stream:
+                stream.write(text)
+        for dest, _, path, mode in regular:
+            os.replace(temps.pop(0), path)
+            if mode is None:
+                created.append(path)
     except OSError as exc:
-        for path in created:
-            os.remove(path)
-        raise WwmtcError(f"cannot write {dest}: {exc}") from exc
+        for path in temps + created:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise WwmtcError(f"cannot write {dest}: {exc.strerror or exc}") from exc
     for stream, dest in ((sys.stdout, None), (sys.stderr, _STDERR)):
         stream.write("".join(text for to, text in outputs if to is dest))
 

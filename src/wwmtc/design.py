@@ -17,7 +17,6 @@ import math
 import struct
 from collections import namedtuple
 from itertools import combinations
-from operator import itemgetter
 
 from .beam import solve_beam
 from .errors import DomainError
@@ -88,30 +87,39 @@ _CONSTRAINT_NAMES = (
 def _margins(constraints: DesignConstraints, n: int, L: float,
              h_unit: float, w_unit: float) -> tuple[float, ...]:
     """Signed slack (mm) of every constraint; >= 0 everywhere means feasible."""
-    nat = n * L + constraints.h0
+    return _slack(_limits(constraints), n, L, h_unit, w_unit)
+
+
+def _limits(constraints: DesignConstraints) -> tuple[float, ...]:
+    """What the margins read of the constraints, unpacked into a plain tuple:
+    (natural length min and max, min stroke, max and min width, h0)."""
+    (nat_lo, nat_hi), min_stroke, max_width, h0, _, _, min_width, _ = constraints
+    return nat_lo, nat_hi, min_stroke, max_width, min_width, h0
+
+
+def _slack(limits: tuple[float, ...], n: int, L: float,
+           h_unit: float, w_unit: float) -> tuple[float, ...]:
+    """_margins from the constraints' _limits."""
+    nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
+    nat = n * L + h0
     stroke = n * L * (1.0 - h_unit)
     width = L * w_unit
     return (
-        nat - constraints.natural_length_range[0],
-        constraints.natural_length_range[1] - nat,
-        stroke - constraints.min_stroke,
-        constraints.max_width_at_full - width,
-        width - constraints.min_width_at_full,
+        nat - nat_lo,
+        nat_hi - nat,
+        stroke - min_stroke,
+        max_width - width,
+        width - min_width,
     )
 
 
 def _result_for(constraints: DesignConstraints, n: int, lo: float, hi: float,
                 p_cap: float) -> DesignResult:
     L = 0.5 * (lo + hi)
-    spec = MuscleSpec(n=n, L=L, h0=constraints.h0, kind=constraints.kind)
+    spec = MuscleSpec(n, L, constraints.h0, constraints.kind)
     state = state_at(spec, p_cap)
-    achieved = AchievedMetrics(
-        natural_length=natural_length(spec),
-        stroke=state.contraction,
-        width_at_full=state.width,
-    )
-    return DesignResult(spec=spec, achieved=achieved, feasible=True,
-                        L_interval=(lo, hi))
+    achieved = AchievedMetrics(natural_length(spec), state.contraction, state.width)
+    return DesignResult(spec, achieved, True, (lo, hi))
 
 
 def _bits(x: float) -> int:
@@ -165,15 +173,8 @@ def _slopes(n: int, h_unit: float, w_unit: float) -> tuple[float, ...]:
     return (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
 
 
-# Margins that rise with L bound it from below (the floor), falling ones from
-# above (the ceiling).  The signs are the same for every n >= 1, arch height
-# h_unit < 1 and width w_unit > 0, so one sample of the slopes sorts them.
-_FLOOR = itemgetter(*[i for i, b_i in enumerate(_slopes(1, 0.5, 1.0)) if b_i >= 0.0])
-_CEILING = itemgetter(*[i for i, b_i in enumerate(_slopes(1, 0.5, 1.0)) if b_i < 0.0])
-
-
-def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
-             w_unit: float) -> tuple[float, float] | str:
+def _solve_n(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
+             h_unit: float, w_unit: float) -> tuple[float, float] | str:
     """Feasible L-interval of arch count n, or the name of its binding constraint.
 
     Margin i is a_i + b_i·L: a positive slope b_i bounds L from below at
@@ -182,8 +183,8 @@ def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
     that maximin of affine functions over L_range lies at an end of L_range
     or where two margins cross.
     """
-    L_min, L_max = constraints.L_range
-    a = _margins(constraints, n, 0.0, h_unit, w_unit)  # intercepts at L = 0
+    L_min, L_max = L_range
+    a = _slack(limits, n, 0.0, h_unit, w_unit)  # intercepts at L = 0
     b = _slopes(n, h_unit, w_unit)
     lo, hi = L_min, L_max
     for a_i, b_i in zip(a, b):
@@ -194,14 +195,22 @@ def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
         elif a_i < 0.0:
             hi = -math.inf
     if lo <= hi:
-        # rounding is monotone, so no computed floor margin falls as L grows
+        # Margins that rise with L bound it from below (the floor: natural
+        # length min, stroke, width min), falling ones from above (the
+        # ceiling), with the signs of _slopes for every n >= 1, h_unit < 1 and
+        # w_unit > 0.  Each group is written with _margins' expressions.
+        # Rounding is monotone, so no computed floor margin falls as L grows
         # and no ceiling margin rises: each group passes on one side of a
-        # single boundary
+        # single boundary.
+        nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
+
         def above_floor(L: float) -> bool:
-            return min(_FLOOR(_margins(constraints, n, L, h_unit, w_unit))) >= 0.0
+            return (n * L + h0 - nat_lo >= 0.0
+                    and n * L * (1.0 - h_unit) - min_stroke >= 0.0
+                    and L * w_unit - min_width >= 0.0)
 
         def below_ceiling(L: float) -> bool:
-            return min(_CEILING(_margins(constraints, n, L, h_unit, w_unit))) >= 0.0
+            return nat_hi - (n * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0
 
         lo = _snap(above_floor, lo, L_min, L_max)
         hi = _snap(below_ceiling, hi, L_max, L_min)
@@ -209,7 +218,7 @@ def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
             return lo, hi
     crossings = [(a[j] - a[i]) / (b[i] - b[j])
                  for i, j in combinations(range(len(a)), 2) if b[i] != b[j]]
-    best = max((_margins(constraints, n, L, h_unit, w_unit)
+    best = max((_slack(limits, n, L, h_unit, w_unit)
                 for L in [L_min, L_max, *crossings] if L_min <= L <= L_max), key=min)
     return _CONSTRAINT_NAMES[best.index(min(best))]
 
@@ -217,9 +226,12 @@ def _solve_n(constraints: DesignConstraints, n: int, h_unit: float,
 def _scan(constraints: DesignConstraints, p_cap: float):
     """(n, feasible L-interval or binding constraint name) for every n in n_range."""
     _check_p_cap(p_cap)
-    sol = solve_beam(1.0, p_cap)
-    for n in range(constraints.n_range[0], constraints.n_range[1] + 1):
-        yield n, _solve_n(constraints, n, sol.h, sol.w)
+    w_unit, h_unit, _, _ = solve_beam(1.0, p_cap)
+    limits = _limits(constraints)  # read once: a field read is not cheap
+    n_lo, n_hi = constraints.n_range
+    L_range = constraints.L_range
+    for n in range(n_lo, n_hi + 1):
+        yield n, _solve_n(limits, L_range, n, h_unit, w_unit)
 
 
 def search(constraints: DesignConstraints,

@@ -73,19 +73,28 @@ def natural_length(spec: MuscleSpec) -> float:
     return spec.n * spec.L + spec.h0
 
 
+def _states(spec: MuscleSpec, ps) -> list[MuscleState]:
+    """The state at each shape parameter of ps: state_at's and curve's arithmetic.
+
+    The spec is read once; the natural length is natural_length's
+    expression, on the spec's own L.
+    """
+    n, L, h0, _ = spec
+    natural = n * L + h0
+    # L was checked by MuscleSpec; float() keeps the fields Python floats,
+    # as solve_beam's check does, for an int or numpy L
+    L = float(L)
+    states = []
+    for p in ps:
+        w, h, psi0, _ = _arch(L, _check_shape_param(p))
+        length = n * h + h0
+        states.append(MuscleState(p, w, length, natural - length, psi0))
+    return states
+
+
 def state_at(spec: MuscleSpec, p: float) -> MuscleState:
     """Muscle width/length/contraction at shape parameter p."""
-    # spec.L was checked by MuscleSpec; float() keeps the fields Python
-    # floats, as solve_beam's check does, for an int or numpy L
-    w, h, psi0, _ = _arch(float(spec.L), _check_shape_param(p))
-    length = spec.n * h + spec.h0
-    return MuscleState(
-        p=p,
-        width=w,
-        length=length,
-        contraction=natural_length(spec) - length,
-        psi0=psi0,
-    )
+    return _states(spec, (p,))[0]
 
 
 def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> DeformationCurve:
@@ -98,11 +107,17 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
         raise DomainError(f"num_samples={num_samples!r} must be >= 2")
     _check_p_cap(p_cap)
     step = (p_cap - P_STRAIGHT) / (num_samples - 1)
-    samples = []
-    for i in range(num_samples):
-        p = p_cap if i == num_samples - 1 else P_STRAIGHT + i * step
-        samples.append(state_at(spec, p))
-    return DeformationCurve(spec=spec, samples=tuple(samples))
+    ps = [P_STRAIGHT + i * step for i in range(num_samples - 1)]
+    ps.append(p_cap)
+    return DeformationCurve(spec, tuple(_states(spec, ps)))
+
+
+def _ends(spec: MuscleSpec, p_cap: float) -> tuple[float, float, float]:
+    """length_range's (shortest, natural) lengths and the arch height at p_cap."""
+    _check_p_cap(p_cap)
+    n, L, h0, _ = spec
+    h_cap = _height(L, p_cap)
+    return n * h_cap + h0, n * L + h0, h_cap
 
 
 def length_range(spec: MuscleSpec, p_cap: float = DEFAULT_P_CAP) -> tuple[float, float]:
@@ -112,8 +127,8 @@ def length_range(spec: MuscleSpec, p_cap: float = DEFAULT_P_CAP) -> tuple[float,
     Carlson pass that beam caches per p: one pass while p_cap is not in
     the cache.
     """
-    _check_p_cap(p_cap)
-    return spec.n * _height(spec.L, p_cap) + spec.h0, natural_length(spec)
+    lo, hi, _ = _ends(spec, p_cap)
+    return lo, hi
 
 
 def state_for_length(
@@ -126,10 +141,10 @@ def state_for_length(
     (length_target - h0) / n can round past [h(p_cap), L] at either end of
     that interval, and the inverse of h(p_cap) past p_cap, so both are
     clamped.  Two Carlson passes for every target, one Newton step and
-    the returned state (no Newton step at the natural length), plus
-    length_range's pass for h(p_cap) while it is not cached.
+    the returned state (no Newton step at the natural length), plus the
+    pass for h(p_cap) while it is not cached.
     """
-    lo, hi = length_range(spec, p_cap)
+    lo, hi, h_cap = _ends(spec, p_cap)
     if not lo <= length_target <= hi:
         raise OutOfRangeError(
             f"length {length_target!r} mm unreachable; feasible interval is "
@@ -137,5 +152,6 @@ def state_for_length(
             lo=lo,
             hi=hi,
         )
-    h_target = min(max((length_target - spec.h0) / spec.n, _height(spec.L, p_cap)), spec.L)
-    return state_at(spec, min(_p_for_height(spec.L, h_target), p_cap))
+    n, L, h0, _ = spec
+    h_target = min(max((length_target - h0) / n, h_cap), L)
+    return state_at(spec, min(_p_for_height(L, h_target), p_cap))

@@ -820,6 +820,46 @@ def test_existing_outputs_are_replaced_and_dev_null_kept(tmp_path, capsys):
     assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_failing_midway_keeps_existing_file(tmp_path, capsys):
+    # /dev/full opens but every write to it fails; keep.json used to be
+    # emptied and written with the new JSON before that failure
+    keep = tmp_path / "keep.json"
+    keep.write_text("old\n")
+    code, out, err = run(SEARCH + ["--out", str(keep), "--csv", "/dev/full"], capsys)
+    assert_bad_input(code, err)
+    assert "cannot write /dev/full" in err and out == ""
+    assert keep.read_bytes() == b"old\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["keep.json"]
+
+
+def test_replaced_file_keeps_mode_and_new_file_follows_umask(tmp_path, capsys):
+    old, new = tmp_path / "d.json", tmp_path / "d.csv"
+    old.write_text("old\n")
+    old.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        code, _, err = run(SEARCH + ["--out", str(old), "--csv", str(new)], capsys)
+    finally:
+        os.umask(umask)
+    assert code == 0, err
+    assert old.read_bytes() == (GOLDEN_DIR / "design_search.json").read_bytes()
+    assert old.stat().st_mode & 0o777 == 0o600
+    assert new.stat().st_mode & 0o777 == 0o640  # 0o666 under the umask 0o027
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.csv", "d.json"]
+
+
+def test_symlinked_output_replaces_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target.name)
+    code, _, err = run(SEARCH + ["--out", str(link)], capsys)
+    assert code == 0, err
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == (GOLDEN_DIR / "design_search.json").read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
 @pytest.mark.parametrize("argv", [
     CURVE + ["--out", "{tmp}/c.csv", "--svg", "{tmp}/c.csv"],
     SEARCH + ["--out", "{tmp}/d.json", "--csv", "{tmp}/./d.json"],

@@ -190,6 +190,33 @@ def test_interval_ends_exact_when_offset_dwarfs_arches(h0):
         assert not passes(np.nextafter(hi, np.inf))
 
 
+def test_interval_ends_snapped_on_random_constraints():
+    # every interval end passes _margins and its outward neighbour fails,
+    # unless the end is the end of L_range; results and report split n_range
+    rng = np.random.default_rng(1717)
+    sol = solve_beam(1.0, PCAP)
+    inner_ends = 0
+    for _ in range(250):
+        cons = random_constraints(rng)
+        results = search(cons, PCAP)
+        report = infeasibility_report(cons, PCAP)
+        found = [res.spec.n for res in results]
+        assert sorted(found + list(report)) == list(range(cons.n_range[0], cons.n_range[1] + 1))
+        L_min, L_max = cons.L_range
+        for res in results:
+            n = res.spec.n
+
+            def passes(L):
+                return min(_margins(cons, n, L, sol.h, sol.w)) >= 0.0
+
+            lo, hi = res.L_interval
+            assert passes(lo) and passes(hi), (cons, n)
+            assert lo == L_min or not passes(np.nextafter(lo, 0.0)), (cons, n)
+            assert hi == L_max or not passes(np.nextafter(hi, np.inf)), (cons, n)
+            inner_ends += (lo != L_min) + (hi != L_max)
+    assert inner_ends >= 200, inner_ends
+
+
 def test_search_deterministic():
     cons = radial_roundtrip_constraints()
     assert search(cons, PCAP) == search(cons, PCAP)

@@ -11,7 +11,9 @@ from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam
 from wwmtc.errors import DomainError, OutOfRangeError
 from wwmtc.muscle import (
     DEFAULT_P_CAP,
+    KINDS,
     MuscleSpec,
+    MuscleState,
     curve,
     length_range,
     natural_length,
@@ -249,6 +251,32 @@ def test_curve_kernel_budget(monkeypatch, radial_spec, planar_spec):
                 calls.clear()
                 curve(spec, num, p_cap)
                 assert len(calls) == num - 1, (spec.kind, num, p_cap)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 40),
+    L=st.one_of(st.integers(1, 300), st.floats(0.1, 300.0)),
+    h0=st.floats(0.0, 200.0),
+    kind=st.sampled_from(KINDS),
+    num=st.sampled_from([2, 3, 17, 1001]),
+    p_cap=st.sampled_from([0.75, DEFAULT_P_CAP, P_MAX]),
+)
+def test_curve_is_bit_identical_to_state_by_state(n, L, h0, kind, num, p_cap):
+    # each sample as state_at used to build it: the sampled p, solve_beam's
+    # fields and natural_length, compared bit for bit
+    spec = MuscleSpec(n, L, h0, kind)
+    samples = curve(spec, num, p_cap).samples
+    step = (p_cap - P_STRAIGHT) / (num - 1)
+    assert len(samples) == num
+    for i, sample in enumerate(samples):
+        p = p_cap if i == num - 1 else P_STRAIGHT + i * step
+        sol = solve_beam(spec.L, p)
+        length = spec.n * sol.h + spec.h0
+        old = (p, sol.w, length, natural_length(spec) - length, sol.psi0)
+        assert type(sample) is MuscleState
+        assert all(type(v) is float for v in sample), sample
+        assert [v.hex() for v in sample] == [v.hex() for v in old], (i, sample, old)
 
 
 def test_invert_rejects_bad_p_cap(radial_spec):
