@@ -47,8 +47,9 @@ from .muscle import (
 
 __version__ = "0.1.0"
 
-# The actuator models need numpy, which the geometry and design commands never
-# touch; they load on first access (PEP 562) so those commands start without it.
+# The actuator models load on first access (PEP 562): the geometry and design
+# commands never use them, so they do not pay for the module at start-up.
+# Importing it does not load numpy; only the fits import numpy, as they run.
 _ACTUATOR_NAMES = frozenset({
     "HysteresisParams",
     "TendonFit",

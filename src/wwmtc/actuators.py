@@ -9,7 +9,9 @@ Two measured nonlinearities are covered:
   play (backlash) operator around the ideal proportional response c * I.
 
 Both model forms are the minimal ones reproducing the observed behavior;
-the data formats are defined in :mod:`wwmtc.fileio`.
+the data formats are defined in :mod:`wwmtc.fileio`.  Only the fits use
+numpy, and they import it when they run: the play operator is one clamp per
+sample, and ``winch simulate`` starts on the standard library alone.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import contextlib
 import math
 import warnings
 from collections import namedtuple
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -70,12 +70,14 @@ _LM_LAMBDA_MAX = 1e12
 _LM_MAX_ITER = 200
 
 
-def _lm_fit_exponential(strain: np.ndarray, load: np.ndarray, eps0: float,
+def _lm_fit_exponential(strain, load, eps0: float,
                         a0: float, b0: float) -> tuple[float, float, float]:
-    """Damped least squares for (a, b) with eps0 held fixed."""
+    """Damped least squares for (a, b) with eps0 held fixed, over arrays."""
+    import numpy as np
+
     u = strain - eps0
 
-    def cost(a: float, b: float) -> tuple[float, np.ndarray]:
+    def cost(a: float, b: float):
         resid = load - a * np.expm1(b * u)
         return float(resid @ resid), resid
 
@@ -131,6 +133,8 @@ def fit_tendon(strain, load, cycle) -> TendonFit:
     Deterministic: fixed initial guesses (a0 = max load, b0 = 1) and a fixed
     damping schedule.
     """
+    import numpy as np
+
     strain = np.asarray(strain, dtype=float)
     load = np.asarray(load, dtype=float)
     cycle = np.asarray(cycle, dtype=int)
@@ -170,57 +174,59 @@ def fit_tendon(strain, load, cycle) -> TendonFit:
 # Winch
 # ---------------------------------------------------------------------------
 
-def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 0.0) -> np.ndarray:
-    """Run the play operator over a current series.
+def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 0.0) -> list[float]:
+    """Run the play operator over a current series; a list of floats.
 
     T_k = clamp(T_{k-1}, c*I_k - r, c*I_k + r).  Rate independent: only the
     sequence of current values matters, not their timing.  The initial
     tension state is exposed because the operator's memory decides whether
     tension rises immediately with current or sits inside the band first.
 
-    Clamps compose into clamps, clamp(clamp(x, A1, B1), A2, B2) =
-    clamp(x, clamp(A1, A2, B2), clamp(B1, A2, B2)), so the bands are folded
-    by a log-step prefix scan (Hillis & Steele, CACM 29(12), 1986): after
-    the step of stride s, (lo_k, hi_k) is the composition of the clamps
-    k-2s+1 .. k.  Each T_k is then one clamp of the initial tension.  A
-    clamp only selects one of its arguments, so every output is the value
-    the sample-by-sample recursion gives; only the sign of a zero can
-    depend on the order of selection, and it is fixed by ``+ 0.0``: a
-    simulated tension is never -0.0.  A band c*I +- r past the range of
-    doubles gives an infinite tension, without a numpy warning; the
-    writers in fileio reject it.
+    One clamp per sample on Python floats, T = min(max(T, c*I - r), c*I + r)
+    + 0.0 written as two comparisons.  A clamp only selects one of its
+    arguments, so only the sign of a zero can depend on how it is written,
+    and ``+ 0.0`` fixes it: a simulated tension is never -0.0.  A band
+    c*I +- r past the range of doubles gives an infinite tension; the
+    writers in fileio reject it.  ``currents`` is any sequence of numbers,
+    arrays included.
     """
-    if not 0.0 < params.c < math.inf:
-        raise DomainError(f"gain c={params.c!r} must be positive and finite")
-    if not 0.0 <= params.r < math.inf:
-        raise DomainError(f"half-band r={params.r!r} must be finite and >= 0")
-    if not math.isfinite(initial_tension):
-        raise DomainError(f"initial tension {initial_tension!r} must be finite")
-    currents = np.asarray(currents, dtype=float)
-    if currents.ndim != 1 or currents.size == 0:
+    c, r, t = float(params.c), float(params.r), float(initial_tension)
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"gain c={c!r} must be positive and finite")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"half-band r={r!r} must be finite and >= 0")
+    if not math.isfinite(t):
+        raise DomainError(f"initial tension {t!r} must be finite")
+    try:
+        currents = list(map(float, currents))
+    except TypeError:  # not a sequence of numbers: a 2-D array, for one
+        currents = []
+    if not currents:
         raise DomainError("current series must be a nonempty 1-D array")
-    if not np.isfinite(currents).all():
+    # a finite sum has only finite terms; an infinite one may have overflowed
+    if not (math.isfinite(sum(currents)) or all(map(math.isfinite, currents))):
         raise DomainError("every current must be finite")
-    with np.errstate(over="ignore"):
-        ideal = params.c * currents
-        lo = ideal - params.r
-        hi = ideal + params.r
-    s = 1
-    while s < lo.size:
-        a, b = lo[s:], hi[s:]
-        folded_lo = np.minimum(np.maximum(lo[:-s], a), b)
-        hi[s:] = np.minimum(np.maximum(hi[:-s], a), b)
-        lo[s:] = folded_lo
-        s *= 2
-    return np.minimum(np.maximum(float(initial_tension), lo), hi) + 0.0
+    out = []
+    append = out.append
+    for i in currents:
+        ci = c * i
+        if t < ci - r:
+            t = ci - r
+        elif t > ci + r:
+            t = ci + r
+        append(t + 0.0)
+    return out
 
 
-def _branches(currents: np.ndarray) -> list[tuple[int, int, int]]:
-    """Maximal monotone runs as (start, stop, direction); stop is inclusive.
+def _branches(currents) -> list[tuple[int, int, int]]:
+    """Maximal monotone runs of a current array as (start, stop, direction);
+    stop is inclusive.
 
     Flat steps extend the run they sit in; each run ends at the sample where
     the next one turns back, which also starts that next run.
     """
+    import numpy as np
+
     d = np.sign(np.diff(currents))
     steps = np.flatnonzero(d)
     if steps.size == 0:
@@ -235,6 +241,8 @@ def _branches(currents: np.ndarray) -> list[tuple[int, int, int]]:
 @contextlib.contextmanager
 def _double_faults_as_domain_errors(what: str):
     """numpy overflow, invalid results and rank loss as one DomainError."""
+    import numpy as np
+
     try:
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
                                                     divide="raise"):
@@ -255,6 +263,8 @@ def fit_winch(currents, tensions) -> HysteresisParams:
     range.  The reported residual replays the fitted operator over the input
     currents, starting from the first measured tension.
     """
+    import numpy as np
+
     currents = np.asarray(currents, dtype=float)
     tensions = np.asarray(tensions, dtype=float)
     if currents.shape != tensions.shape or currents.ndim != 1:
@@ -281,7 +291,7 @@ def fit_winch(currents, tensions) -> HysteresisParams:
         mid = lo + 0.5 * (hi - lo)
         contact[d][start:stop + 1] = bi >= mid if d == 1 else bi <= mid
 
-    def line(mask: np.ndarray) -> tuple[float, float]:
+    def line(mask) -> tuple[float, float]:
         xs = currents[mask]
         # one distinct current leaves the slope undetermined (polyfit fails
         # or returns a minimum-norm guess)
@@ -310,6 +320,6 @@ def fit_winch(currents, tensions) -> HysteresisParams:
     r = max(0.0, 0.5 * float(gap.mean()))
 
     params = HysteresisParams(c=c, r=r)
-    replay = simulate_winch(params, currents, initial_tension=float(tensions[0]))
-    rms = float(np.sqrt(np.mean((replay - tensions) ** 2)))
+    replay = simulate_winch(params, currents.tolist(), initial_tension=float(tensions[0]))
+    rms = float(np.sqrt(np.mean((np.array(replay) - tensions) ** 2)))
     return HysteresisParams(c=c, r=r, rms_residual=rms)

@@ -273,8 +273,8 @@ def _cmd_design_search(args) -> Outputs:
                       for n in sorted(report)]
 
 
-# The actuator handlers import their module on call: it pulls in numpy, which
-# the other commands should not pay for at start-up.
+# The actuator handlers import their module on call, so that the other
+# commands do not pay for it at start-up; the fits import numpy as they run.
 def _cmd_tendon_fit(args) -> Outputs:
     from . import actuators
 
@@ -298,11 +298,11 @@ def _cmd_winch_simulate(args) -> Outputs:
     if args.initial_tension is not None:
         t0 = args.initial_tension
     # profiles use the winch CSV schema; the tension column is ignored
-    time_s, current, _ = fileio.read_winch_csv(args.profile)
+    time_s, current, _ = fileio.read_winch_columns(args.profile)
     tension = actuators.simulate_winch(params, current, initial_tension=t0)
     outputs = [(args.out or None, fileio.winch_series_to_csv(time_s, current, tension))]
     if args.svg:
-        series = [("simulated loop", current.tolist(), tension.tolist())]
+        series = [("simulated loop", current, tension)]
         outputs.append((args.svg, svgplot.render_line_plot(
             series, "current [A]", "tension [N]", *SVG_SIZE)))
     return outputs

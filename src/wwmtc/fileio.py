@@ -145,15 +145,17 @@ def state_to_csv(state: MuscleState) -> str:
 # experiment logs
 # ---------------------------------------------------------------------------
 
-def _read_numeric_csv(path: str | Path, header: str):
-    """All data rows as one float array, one column per header field.
+def _data_lines(path: str | Path, header: str) -> list[str]:
+    """The data lines of a log: the front end of both log readers.
 
-    Blank and whitespace-only lines are skipped.  Cells are parsed in C by
-    ``np.loadtxt``: plain decimal or exponent numbers, no ``#`` comments
-    (``comments=None``), no ``1_0`` digit grouping.
+    The file is read as UTF-8; blank and whitespace-only lines are dropped,
+    and the first line left must be the header.  A file with no data rows
+    is rejected, and so is a data line that holds a non-ASCII character,
+    a ``_`` or U+001F.  Without these, ``float`` and ``np.loadtxt`` parse
+    every cell alike: both would read Unicode spaces and digits, ``float``
+    would read ``1_0`` digit grouping, and ``np.loadtxt`` reads U+001F as a
+    space.
     """
-    import numpy as np
-
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -164,11 +166,31 @@ def _read_numeric_csv(path: str | Path, header: str):
             f"{path}: expected header {header!r}, got "
             f"{lines[0].strip() if lines else '<empty>'!r}"
         )
-    if len(lines) == 1:
+    del lines[0]
+    if not lines:
         raise DomainError(f"{path}: no data rows")
     columns = header.count(",") + 1
+    # the header line holds all of the text's "_" but the data lines'
+    if (text.count("_") != header.count("_")
+            or not (text.isascii() or all(map(str.isascii, lines)))
+            or ("\x1f" in text and any("\x1f" in line for line in lines))):
+        raise DomainError(f"{path}: every data row needs {columns} plain numbers, "
+                          "in ASCII and without '_' or U+001F")
+    return lines
+
+
+def _read_numeric_csv(path: str | Path, header: str):
+    """All data rows as one float array, one column per header field.
+
+    Cells are parsed in C by ``np.loadtxt``: plain decimal or exponent
+    numbers, no ``#`` comments (``comments=None``).
+    """
+    import numpy as np
+
+    lines = _data_lines(path, header)
+    columns = header.count(",") + 1
     try:
-        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:  # a non-number, or rows of unequal length
         # loadtxt counts rows among the data lines only, and not always from
         # the same base, so its position would mislead; the cell it names is kept
@@ -193,20 +215,51 @@ def read_tendon_csv(path: str | Path):
 
 
 def read_winch_csv(path: str | Path):
-    """-> (time_s, current_A, tension_N) arrays."""
+    """-> (time_s, current_A, tension_N) arrays, for the fits."""
     data = _read_numeric_csv(path, WINCH_HEADER)
     return data[:, 0], data[:, 1], data[:, 2]
 
 
-def winch_series_to_csv(time_s, current_a, tension_n) -> str:
-    # each column becomes Python floats once; "%.15g" renders them exactly as fmt
-    import numpy as np
+def read_winch_columns(path: str | Path) -> tuple[list[float], list[float], list[float]]:
+    """-> (time_s, current_A, tension_N) lists of floats, without numpy.
 
-    cols = [np.asarray(col, dtype=float) for col in (time_s, current_a, tension_n)]
-    if not all(np.isfinite(col).all() for col in cols):
+    The same file contract as read_winch_csv and the same doubles: each
+    cell goes through ``float``, which parses as ``np.loadtxt`` does once
+    _data_lines has rejected non-ASCII text, ``_`` and U+001F.
+    """
+    lines = _data_lines(path, WINCH_HEADER)
+    time_s, current, tension = [], [], []
+    try:
+        for line in lines:
+            t, i, f = line.split(",")
+            time_s.append(float(t))
+            current.append(float(i))
+            tension.append(float(f))
+    except ValueError as exc:  # a non-number, or a row of another length
+        raise DomainError(f"{path}: every data row needs 3 numbers: {line!r}") from exc
+    # a finite sum has only finite terms; an infinite one may have overflowed
+    for column in (time_s, current, tension):
+        if not (math.isfinite(sum(column)) or all(map(math.isfinite, column))):
+            raise DomainError(f"{path}: every data cell must be a finite number")
+    return time_s, current, tension
+
+
+def winch_series_to_csv(time_s, current_a, tension_n) -> str:
+    """The winch CSV of three equal-length columns of numbers.
+
+    The columns are interleaved into one list and formatted in one
+    operation.  "%.15g" renders a finite value exactly as fmt does, and
+    spells a non-finite one inf or nan, the only spellings with an "n".
+    """
+    rows = len(tension_n)
+    flat = [0.0] * (3 * rows)
+    flat[0::3] = time_s
+    flat[1::3] = current_a
+    flat[2::3] = tension_n
+    body = ("%.15g,%.15g,%.15g\n" * rows) % tuple(flat)
+    if "n" in body:
         raise DomainError(_NOT_FINITE)
-    rows = zip(*(col.tolist() for col in cols))
-    return WINCH_HEADER + "\n" + "".join(map("%.15g,%.15g,%.15g\n".__mod__, rows))
+    return WINCH_HEADER + "\n" + body
 
 
 # ---------------------------------------------------------------------------

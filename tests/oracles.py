@@ -34,8 +34,10 @@ function of t = -log(1 - p), the variable in which
 forward model (``state_at`` and ``natural_length``) and never uses the
 affine form of the margins that ``wwmtc.design`` solves.
 
-``play_operator`` is the winch oracle: the sample-by-sample recursion that
-``wwmtc.actuators.simulate_winch`` replaces with a prefix scan of clamps.
+``play_operator`` and ``play_operator_scan`` are the winch oracles for
+``wwmtc.actuators.simulate_winch``, which runs one clamp per sample:
+the recursion as plain comparisons, and a log-step prefix scan of clamp
+compositions over numpy arrays, which shares no loop with either.
 ``branches`` walks the current steps one by one to split a sweep into the
 monotone runs that ``wwmtc.actuators._branches`` finds from array masks.
 """
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -273,6 +276,31 @@ def play_operator(c: float, r: float, currents, t0: float) -> list[float]:
         t = lo if t < lo else hi if t > hi else t
         out.append(t)
     return out
+
+
+def play_operator_scan(c: float, r: float, currents, t0: float):
+    """The play operator as a log-step prefix scan; an array.
+
+    Clamps compose into clamps, clamp(clamp(x, A1, B1), A2, B2) =
+    clamp(x, clamp(A1, A2, B2), clamp(B1, A2, B2)), so the bands are folded
+    by a Hillis-Steele scan (CACM 29(12), 1986): after the step of stride s,
+    (lo_k, hi_k) is the composition of the clamps k-2s+1 .. k.  Each T_k is
+    then one clamp of t0.  A clamp only selects one of its arguments, so
+    every output is the recursion's value up to the sign of a zero, which
+    ``+ 0.0`` fixes.
+    """
+    with np.errstate(over="ignore"):
+        ideal = c * np.asarray(currents, dtype=float)
+        lo = ideal - r
+        hi = ideal + r
+    s = 1
+    while s < lo.size:
+        a, b = lo[s:], hi[s:]
+        folded_lo = np.minimum(np.maximum(lo[:-s], a), b)
+        hi[s:] = np.minimum(np.maximum(hi[:-s], a), b)
+        lo[s:] = folded_lo
+        s *= 2
+    return np.minimum(np.maximum(float(t0), lo), hi) + 0.0
 
 
 def branches(currents) -> list[tuple[int, int, int]]:

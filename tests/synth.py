@@ -59,7 +59,7 @@ def make_winch_data(params: HysteresisParams = WINCH_TRUE, noise: float = 0.0,
                     rng: np.random.Generator | None = None):
     """(current, tension) of the play operator over a triangle sweep."""
     current = make_triangle_profile()
-    tension = simulate_winch(params, current)
+    tension = np.asarray(simulate_winch(params, current))
     if noise and rng is not None:
         tension = tension * (1.0 + noise * rng.standard_normal(tension.size))
     return current, tension

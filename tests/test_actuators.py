@@ -120,7 +120,7 @@ def test_zero_band_is_ideal_proportional():
 def test_monotone_ramp_lags_by_half_band():
     params = WINCH_TRUE
     currents = np.linspace(0.0, 2.0, 41)
-    out = simulate_winch(params, currents)
+    out = np.asarray(simulate_winch(params, currents))
     # once past the band the output tracks c*I - r exactly
     past = currents > 2.0 * params.r / params.c
     assert np.allclose(out[past], params.c * currents[past] - params.r, atol=1e-12)
@@ -250,16 +250,20 @@ bands = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1.0, 5.0)), st.floats(0.0,
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def assert_bits_equal(got: np.ndarray, want) -> None:
-    assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+def assert_bits_equal(got, want) -> None:
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 @PROPERTY
 @given(c=gains, r=bands, t0=values, currents=st.lists(values, min_size=1, max_size=70))
 def test_scan_matches_recursion_and_stays_in_band(c, r, t0, currents):
-    out = simulate_winch(HysteresisParams(c=c, r=r), currents, t0)
+    tensions = simulate_winch(HysteresisParams(c=c, r=r), currents, t0)
+    assert type(tensions) is list and all(type(t) is float for t in tensions)
+    out = np.asarray(tensions)
     # the recursion plus 0.0: only a zero's sign may differ, and +0.0 fixes it
     assert_bits_equal(out, np.array(oracles.play_operator(c, r, currents, t0)) + 0.0)
+    # the scan of clamp compositions, which shares no loop with the shipped one
+    assert_bits_equal(out, oracles.play_operator_scan(c, r, currents, t0))
     assert not np.signbit(out[out == 0.0]).any()
     # the band |T - cI| <= r as the model rounds it, from the first sample on
     ideal = c * np.array(currents)

@@ -734,6 +734,16 @@ def grouped_digits(lines):
     lines[3] = lines[3].rsplit(",", 1)[0] + ",1_0"
 
 
+def unicode_space(lines):
+    # float and np.loadtxt would both read a no-break space as a space
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",\xa00"
+
+
+def unit_separator(lines):
+    # np.loadtxt reads U+001F as a space, float does not
+    lines[3] += "\x1f"
+
+
 def blank_line(lines):
     lines.insert(3, " \t ")
 
@@ -743,7 +753,8 @@ def unedited(lines):
 
 
 @pytest.mark.parametrize("command", LOG_COMMANDS)
-@pytest.mark.parametrize("edit", [comment_line, ragged_row, trailing_comma, grouped_digits],
+@pytest.mark.parametrize("edit", [comment_line, ragged_row, trailing_comma, grouped_digits,
+                                  unicode_space, unit_separator],
                          ids=lambda edit: edit.__name__)
 def test_log_reader_rejects_malformed_lines(tmp_path, capsys, command, edit):
     code, out, err = run_edited_log(tmp_path, capsys, command, edit)

@@ -1,14 +1,14 @@
 """Start-up cost: which modules load, not how long anything takes.
 
-The geometry and design commands are pure ``math``; numpy is for the
-actuator models only and scipy for the test oracles only.  The value types
-are plain named tuples, so no command needs ``dataclasses`` or ``typing``,
-and the geometry and design commands not ``inspect`` either.  Each check
-runs in a fresh interpreter, since this test process has all of these
-loaded already.  The interpreter starts with ``-S``, so that no ``.pth``
-hook of an installed package preloads a module; the probe then appends the
-entries of this process's ``sys.path`` that it lacks, the site directories
-among them, after its own, as ``site`` would.
+The geometry and design commands and ``winch simulate`` run on the
+standard library; numpy is for the tendon and winch fits only and scipy for
+the test oracles only.  The value types are plain named tuples, so no
+command needs ``dataclasses`` or ``typing``, and the light commands not
+``inspect`` either.  Each check runs in a fresh interpreter, since this
+test process has all of these loaded already.  The interpreter starts with
+``-S``, so that no ``.pth`` hook of an installed package preloads a module;
+the probe then appends the entries of this process's ``sys.path`` that it
+lacks, the site directories among them, after its own, as ``site`` would.
 """
 
 import json
@@ -53,12 +53,16 @@ for argv in {argvs!r}:
 print(json.dumps(report))
 """
 
+# "{tmp}" stands for the test's temporary directory
 LIGHT_COMMANDS = [
     ["elliptic", "eval", "--kind", "K", "--p", "0.85"],
     ["beam", "solve", "--L", "27", "--p", "0.85"],
     ["muscle", "curve", "--spec", str(DATA_DIR / "radial.json"), "--samples", "5"],
     ["muscle", "invert", "--spec", str(DATA_DIR / "radial.json"), "--length", "220"],
     ["design", "search", "--constraints", str(DATA_DIR / "constraints.json")],
+    ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
+     "--profile", str(DATA_DIR / "triangle_profile.csv"),
+     "--out", "{tmp}/sim.csv", "--svg", "{tmp}/loop.svg"],
 ]
 
 
@@ -76,36 +80,29 @@ def run_probe(argvs: list[list[str]], watched: tuple[str, ...]) -> list:
     return json.loads(proc.stdout)
 
 
-def assert_light_commands_load_none_of(watched: tuple[str, ...]):
-    report = run_probe(LIGHT_COMMANDS, watched)
+def assert_light_commands_load_none_of(watched: tuple[str, ...], tmp: Path):
+    argvs = [[arg.replace("{tmp}", str(tmp)) for arg in argv] for argv in LIGHT_COMMANDS]
+    report = run_probe(argvs, watched)
     assert [step for step, _, _ in report] == ["import"] + [
         " ".join(argv[:2]) for argv in LIGHT_COMMANDS
     ]
     for step, code, loaded in report:
         assert code == 0, step
         assert loaded == [], f"{step} loaded {loaded}"
+    assert sorted(p.name for p in tmp.iterdir()) == ["loop.svg", "sim.csv"]
 
 
-def test_light_commands_load_neither_numpy_nor_scipy():
-    assert_light_commands_load_none_of(HEAVY)
+def test_light_commands_load_neither_numpy_nor_scipy(tmp_path):
+    assert_light_commands_load_none_of(HEAVY, tmp_path)
 
 
-def test_light_commands_load_no_dataclasses_inspect_or_typing():
-    assert_light_commands_load_none_of(MACHINERY)
+def test_light_commands_load_no_dataclasses_inspect_or_typing(tmp_path):
+    assert_light_commands_load_none_of(MACHINERY, tmp_path)
 
 
 def test_actuator_command_loads_numpy_but_not_scipy():
     report = run_probe([["winch", "fit", "--data", str(DATA_DIR / "winch_bench.csv")]], HEAVY)
     assert report[-1] == ["winch fit", 0, ["numpy"]]
-
-
-def test_winch_simulate_loads_no_dataclasses():
-    # numpy itself imports inspect, so only dataclasses is checked here
-    report = run_probe([["winch", "simulate",
-                         "--params", str(DATA_DIR / "winch_params.json"),
-                         "--profile", str(DATA_DIR / "triangle_profile.csv")]],
-                       ("dataclasses",))
-    assert report == [["import", 0, []], ["winch simulate", 0, []]]
 
 
 def test_lazy_actuator_exports_resolve():
