@@ -27,8 +27,6 @@ from . import design, elliptic, fileio, muscle, svgplot
 from .beam import solve_beam
 from .errors import WwmtcError
 
-SVG_SIZE = (800, 600)
-
 
 def _add_p_cap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p-cap", type=float, help="shape-parameter cap for full "
@@ -251,7 +249,7 @@ def _cmd_muscle_curve(args) -> Outputs:
                    [s.length for s in cur.samples], [s.width for s in cur.samples])
                   for path, spec, cur in zip(args.spec, specs, curves)]
         outputs.append((args.svg, svgplot.render_line_plot(
-            series, "length [mm]", "width [mm]", *SVG_SIZE)))
+            series, "length [mm]", "width [mm]")))
     return outputs
 
 
@@ -264,8 +262,7 @@ def _cmd_muscle_invert(args) -> Outputs:
 def _cmd_design_search(args) -> Outputs:
     constraints = fileio.read_design_constraints(args.constraints)
     p_cap = _resolve_p_cap(args)
-    results = design.search(constraints, p_cap)
-    report = design.infeasibility_report(constraints, p_cap)
+    results, report = design._search_and_report(constraints, p_cap)
     outputs = [(args.out or None, fileio.design_results_to_json(results))]
     if args.csv:
         outputs.append((args.csv, fileio.design_results_to_csv(results)))
@@ -304,7 +301,7 @@ def _cmd_winch_simulate(args) -> Outputs:
     if args.svg:
         series = [("simulated loop", current, tension)]
         outputs.append((args.svg, svgplot.render_line_plot(
-            series, "current [A]", "tension [N]", *SVG_SIZE)))
+            series, "current [A]", "tension [N]")))
     return outputs
 
 

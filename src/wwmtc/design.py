@@ -245,10 +245,20 @@ def search(constraints: DesignConstraints,
     (n, L).  An empty list is a valid outcome.  Deterministic for identical
     inputs.  p_cap obeys the same rule as in muscle.curve.
     """
-    results = [_result_for(constraints, n, *found, p_cap)
-               for n, found in _scan(constraints, p_cap) if not isinstance(found, str)]
+    return _search_and_report(constraints, p_cap)[0]
+
+
+def _search_and_report(constraints: DesignConstraints,
+                       p_cap: float) -> tuple[list[DesignResult], dict[int, str]]:
+    """search and infeasibility_report from one scan."""
+    results, report = [], {}
+    for n, found in _scan(constraints, p_cap):
+        if isinstance(found, str):
+            report[n] = found
+        else:
+            results.append(_result_for(constraints, n, *found, p_cap))
     results.sort(key=lambda res: (res.achieved.width_at_full, res.spec.n, res.spec.L))
-    return results
+    return results, report
 
 
 def infeasibility_report(constraints: DesignConstraints,

@@ -3,9 +3,9 @@
 CSV dialect everywhere: comma separator, ``.`` decimal point, mandatory
 header row, UTF-8, LF line endings.  Numbers are printed with 15
 significant digits so written files are stable, diffable test fixtures.
-Every written number is finite: the writers check each value or array they
-format and raise DomainError on inf or NaN, which a finite input yields only
-past the range of doubles (for example k = 1/L for L = 1e-320).
+Every written number is finite: the writers raise DomainError on inf or
+NaN, which a finite input yields only past the range of doubles (for
+example k = 1/L for L = 1e-320).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .errors import DomainError
 from .muscle import DeformationCurve, MuscleSpec, MuscleState
 
 # TendonFit and HysteresisParams in annotations are wwmtc.actuators' types,
-# imported only where data needs them, since actuators loads numpy
+# imported only where data needs them, which keeps actuators out of the
+# commands that never use it
 
 CURVE_HEADER = "p,width_mm,length_mm,contraction_mm,psi0_deg"
 TENDON_HEADER = "time_s,load_N,strain,cycle"
@@ -37,6 +38,21 @@ def fmt(value: float) -> str:
     if not math.isfinite(value):
         raise DomainError(_NOT_FINITE)
     return format(value, ".15g")
+
+
+def _csv_text(header: str, row: str, cells) -> str:
+    """header, then ``row`` formatted once per row over the flat ``cells``.
+
+    The rows are formatted in one ``%`` operation.  "%.15g" renders a
+    finite value exactly as fmt does, and spells a non-finite one inf or
+    nan, the only spellings with an "n"; the header is not scanned, since
+    its names hold an "n".
+    """
+    rows = len(cells) // (header.count(",") + 1)
+    body = (row * rows) % tuple(cells)
+    if "n" in body:
+        raise DomainError(_NOT_FINITE)
+    return header + "\n" + body
 
 
 def _json_text(obj) -> str:
@@ -124,21 +140,20 @@ def beam_solution_to_json(sol: BeamSolution) -> str:
     })
 
 
-def _state_row(state: MuscleState) -> str:
-    psi0_deg = state.psi0 * 180.0 / math.pi
-    return ",".join(
-        fmt(v) for v in (state.p, state.width, state.length, state.contraction, psi0_deg)
-    )
+_CURVE_ROW = "%.15g,%.15g,%.15g,%.15g,%.15g\n"
+
+
+def _state_cells(states) -> list[float]:
+    return [v for p, width, length, contraction, psi0 in states
+            for v in (p, width, length, contraction, psi0 * 180.0 / math.pi)]
 
 
 def curve_to_csv(curve: DeformationCurve) -> str:
-    lines = [CURVE_HEADER]
-    lines.extend(_state_row(s) for s in curve.samples)
-    return "\n".join(lines) + "\n"
+    return _csv_text(CURVE_HEADER, _CURVE_ROW, _state_cells(curve.samples))
 
 
 def state_to_csv(state: MuscleState) -> str:
-    return CURVE_HEADER + "\n" + _state_row(state) + "\n"
+    return _csv_text(CURVE_HEADER, _CURVE_ROW, _state_cells((state,)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +260,12 @@ def read_winch_columns(path: str | Path) -> tuple[list[float], list[float], list
 
 
 def winch_series_to_csv(time_s, current_a, tension_n) -> str:
-    """The winch CSV of three equal-length columns of numbers.
-
-    The columns are interleaved into one list and formatted in one
-    operation.  "%.15g" renders a finite value exactly as fmt does, and
-    spells a non-finite one inf or nan, the only spellings with an "n".
-    """
-    rows = len(tension_n)
-    flat = [0.0] * (3 * rows)
+    """The winch CSV of three equal-length columns of numbers."""
+    flat = [0.0] * (3 * len(tension_n))
     flat[0::3] = time_s
     flat[1::3] = current_a
     flat[2::3] = tension_n
-    body = ("%.15g,%.15g,%.15g\n" * rows) % tuple(flat)
-    if "n" in body:
-        raise DomainError(_NOT_FINITE)
-    return WINCH_HEADER + "\n" + body
+    return _csv_text(WINCH_HEADER, "%.15g,%.15g,%.15g\n", flat)
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +357,6 @@ DESIGN_CSV_HEADER = (
 
 
 def design_results_to_csv(results: list[DesignResult]) -> str:
-    lines = [DESIGN_CSV_HEADER]
-    for res in results:
-        lines.append(
-            ",".join(
-                [str(res.spec.n)]
-                + [
-                    fmt(v)
-                    for v in (
-                        res.spec.L,
-                        res.spec.h0,
-                        res.achieved.natural_length,
-                        res.achieved.stroke,
-                        res.achieved.width_at_full,
-                        res.L_interval[0],
-                        res.L_interval[1],
-                    )
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    cells = [v for (n, L, h0, _), achieved, _, (lo, hi) in results
+             for v in (n, L, h0, *achieved, lo, hi)]
+    return _csv_text(DESIGN_CSV_HEADER, "%d" + ",%.15g" * 7 + "\n", cells)

@@ -12,6 +12,8 @@ import math
 from .errors import DomainError
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
+_WIDTH = 800
+_HEIGHT = 600
 _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 24.0
@@ -22,20 +24,23 @@ _NOT_FINITE = "cannot plot a value that is not a finite number"
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/5 step."""
-    if hi <= lo:
-        return [lo]
+    """Round tick positions covering [lo, hi] at a 1/2/5 step.
+
+    Where such a step underflows to 0, or cannot move a tick because it is
+    below half an ULP of it (or the tick has passed the largest double),
+    the ticks are the axis ends.
+    """
     raw = (hi - lo) / max(1, target - 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = math.ceil(lo / step) * step
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag)
+    if step == 0.0:
+        return [lo, hi]
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 0.5 * step:
         ticks.append(0.0 if abs(t) < 0.5 * step * 1e-9 else t)
+        if t + step == t:
+            return [lo, hi]
         t += step
     return ticks
 
@@ -57,8 +62,6 @@ def render_line_plot(
     series: list[tuple[str, list[float], list[float]]],
     xlabel: str,
     ylabel: str,
-    width: int = 800,
-    height: int = 600,
 ) -> str:
     """Render labeled polyline series as an SVG document string.
 
@@ -76,13 +79,16 @@ def render_line_plot(
     x_hi = max(max(xs) for _, xs, _ in series)
     y_lo = min(min(ys) for _, _, ys in series)
     y_hi = max(max(ys) for _, _, ys in series)
+    # a flat axis is widened by 1, or by an ULP where 1 is lost to rounding
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+        pad = max(1.0, math.ulp(x_lo))
+        x_lo, x_hi = x_lo - pad, x_hi + pad
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        pad = max(1.0, math.ulp(y_lo))
+        y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     x_span, y_span = x_hi - x_lo, y_hi - y_lo
     # an infinite value, or a NaN that min or max met first, makes a span
     # infinite or NaN; a later NaN shows in the sum of the pixel coordinates
@@ -97,10 +103,10 @@ def render_line_plot(
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
         f'<rect x="{_fmt(_MARGIN_LEFT)}" y="{_fmt(_MARGIN_TOP)}" '
         f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
@@ -129,7 +135,7 @@ def render_line_plot(
         )
 
     out.append(
-        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(height - 14)}" '
+        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 14)}" '
         f'font-family="sans-serif" font-size="13" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     out.append(

@@ -26,6 +26,7 @@ from wwmtc.actuators import (
 )
 from wwmtc.errors import (
     DomainError,
+    FitConvergenceError,
     InsufficientDataError,
     InsufficientSweepError,
 )
@@ -107,6 +108,20 @@ def test_tendon_input_validation():
     with pytest.raises(InsufficientDataError):
         # all samples in the first cycle: nothing left to fit
         fit_tendon(np.linspace(0, 0.1, 20), np.linspace(0, 5, 20), np.zeros(20, int))
+
+
+def test_tendon_fit_stalls_on_a_zero_jacobian():
+    # every strain past bedding-in equals eps0: no step changes the model,
+    # every damped system is singular, and the fit stalls at its start
+    strain = np.r_[np.linspace(0.0, 0.02, 10), np.full(10, 0.02)]
+    load = np.r_[np.linspace(0.0, 5.0, 10), np.linspace(1.0, 9.0, 10)]
+    cycle = np.r_[np.zeros(10, int), np.ones(10, int)]
+    with pytest.raises(FitConvergenceError, match="tendon fit stalled") as info:
+        fit_tendon(strain, load, cycle)
+    # the start a0 * expm1(0) = 0 fits nothing, so the residual is the load
+    rest = load[10:]
+    assert info.value.best_rms == math.sqrt(float(rest @ rest) / rest.size)
+    assert info.value.best_rms == pytest.approx(5.614135598515459, rel=1e-15)
 
 
 # --- winch simulate ------------------------------------------------------------

@@ -7,6 +7,9 @@ output change, then review the diff.
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -337,6 +340,15 @@ def test_p_cap_env_override(capsys, monkeypatch):
     last_p = float(out.strip().split("\n")[-1].split(",")[0])
     assert last_p == 0.95
 
+    monkeypatch.setenv("WWMTC_P_CAP", "abc")
+    code, out, err = run(
+        ["muscle", "invert", "--spec", str(DATA_DIR / "radial.json"), "--length", "220"],
+        capsys,
+    )
+    assert_bad_input(code, err)
+    assert err == "error: WWMTC_P_CAP='abc' is not a number\n"
+    assert out == ""
+
 
 # --- design ------------------------------------------------------------------------
 
@@ -624,6 +636,80 @@ def test_winch_simulate_one_row_svg_is_bad_input(tmp_path, capsys, to_file):
     assert_bad_input(code, err)
     assert out == ""
     assert not list(tmp_path.glob("z*"))
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+CHILD_MEMORY = 1 << 30
+
+
+def run_child(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m wwmtc argv`` in a fresh interpreter, its address space
+    capped, so that a runaway loop ends in MemoryError and not in a hang."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+    )
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+    return subprocess.run([sys.executable, "-m", "wwmtc", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, preexec_fn=cap_memory)
+
+
+@pytest.mark.parametrize("currents, code", [
+    # a flat axis whose widening by 1 is lost to rounding divided by zero
+    (("1e17", "1e17", "1e17"), 0),
+    # a tick step below half an ULP never moved the tick, and ran out of memory
+    (("1e17", "100000000000000016", "1e17"), 0),
+    # a tick step that underflows to 0 met log10(0)
+    (("0", "5e-324", "0"), 0),
+    # a tick magnitude that underflows to 0 left no step
+    (("0", "1.5e-323", "0"), 0),
+    # ticks that overflow to inf never stopped
+    (("1e308", "1.7976931348623157e308", "1.2e308"), 0),
+    # a flat axis at the largest double, widened by an ULP, reaches inf
+    (("1.7976931348623157e308",) * 3, 2),
+], ids=["flat-1e17", "step-below-half-ulp", "step-underflow", "magnitude-underflow",
+        "ticks-overflow", "flat-largest-double"])
+def test_svg_axes_of_extreme_finite_currents(tmp_path, currents, code):
+    params = tmp_path / "params.json"
+    params.write_text('{"c_N_per_A": 1.0, "r_N": 0.5}')
+    profile = tmp_path / "profile.csv"
+    profile.write_text("time_s,current_A,tension_N\n"
+                       + "".join(f"{t},{i},0\n" for t, i in enumerate(currents)))
+    svg = tmp_path / "loop.svg"
+    proc = run_child(["winch", "simulate", "--params", str(params), "--profile",
+                      str(profile), "--out", str(tmp_path / "loop.csv"), "--svg", str(svg)])
+    if code == 2:
+        assert_bad_input(proc.returncode, proc.stderr)
+        assert not svg.exists()
+    else:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert svg.read_text().endswith("</svg>\n")
+
+
+def test_svg_axis_of_a_flat_length_at_large_magnitude(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 8, "L_mm": 1e-300, "h0_mm": 1e17}')
+    svg = tmp_path / "curve.svg"
+    proc = run_child(["muscle", "curve", "--spec", str(spec), "--svg", str(svg)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert svg.read_text().endswith("</svg>\n")
+
+
+def test_tendon_fit_that_stalls_is_bad_input(tmp_path, capsys):
+    # every strain past bedding-in equals eps0, so the Jacobian is zero
+    strain = [0.02 * k / 9 for k in range(10)] + [0.02] * 10
+    load = [5.0 * k / 9 for k in range(10)] + [1.0 + 8.0 * k / 9 for k in range(10)]
+    cycle = [0] * 10 + [1] * 10
+    data = tmp_path / "tendon.csv"
+    data.write_text("time_s,load_N,strain,cycle\n" + "".join(
+        f"{k},{f!r},{s!r},{c}\n" for k, (f, s, c) in enumerate(zip(load, strain, cycle))))
+    code, out, err = run(["tendon", "fit", "--data", str(data)], capsys)
+    assert_bad_input(code, err)
+    assert "tendon fit stalled" in err
+    assert out == ""
 
 
 def test_tendon_csv_rejects_ragged_row(tmp_path, capsys):

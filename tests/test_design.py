@@ -8,7 +8,8 @@ from conftest import DATA_DIR
 from oracles import evaluate
 
 from wwmtc.beam import P_STRAIGHT, solve_beam
-from wwmtc.design import DesignConstraints, _margins, infeasibility_report, search
+from wwmtc.design import (DesignConstraints, _margins, _search_and_report,
+                          infeasibility_report, search)
 from wwmtc.errors import DomainError
 from wwmtc.fileio import read_design_constraints
 from wwmtc.muscle import DEFAULT_P_CAP, MuscleSpec, natural_length, state_at
@@ -288,6 +289,8 @@ def constraint_sets(draw) -> DesignConstraints:
 def test_search_and_report_properties(cons):
     results = search(cons, PCAP)
     report = infeasibility_report(cons, PCAP)
+    # design search's single scan gives both
+    assert _search_and_report(cons, PCAP) == (results, report)
 
     # results and report split n_range with no overlap
     found = [r.spec.n for r in results]
@@ -338,6 +341,6 @@ def test_search_and_report_reject_bad_p_cap(p_cap):
     # the rule of muscle.curve and state_for_length: p_cap = P_STRAIGHT, or a
     # value below it that solve_beam's boundary tolerance lets through, is no cap
     cons = radial_roundtrip_constraints()
-    for fn in (search, infeasibility_report):
+    for fn in (search, infeasibility_report, _search_and_report):
         with pytest.raises(DomainError, match="p_cap="):
             fn(cons, p_cap)

@@ -1,17 +1,27 @@
-"""Experiment-log CSVs: both winch readers parse as ``float`` does and agree
-on every file, and the writer prints as ``fmt`` does, cell for cell."""
+"""CSV files: both winch readers parse as ``float`` does and agree on every
+file, and every table writer prints as ``fmt`` does, cell for cell."""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wwmtc.design import AchievedMetrics, DesignResult
 from wwmtc.errors import DomainError
 from wwmtc.fileio import (
+    CURVE_HEADER,
+    DESIGN_CSV_HEADER,
     WINCH_HEADER,
+    curve_to_csv,
+    design_results_to_csv,
     fmt,
     read_winch_columns,
     read_winch_csv,
+    state_to_csv,
     winch_series_to_csv,
 )
+from wwmtc.muscle import DeformationCurve, MuscleSpec, MuscleState
 
 from test_cli_fuzz import csv_file
 
@@ -84,9 +94,80 @@ def test_list_reader_agrees_with_array_reader(tmp_path_factory, data):
     assert outcome(read_winch_columns, path) == outcome(read_winch_csv, path), data
 
 
+def fmt_table(header: str, rows) -> str:
+    """The table as the writers once built it: fmt per cell, joined per row."""
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def assert_written_as(write, arg, want) -> None:
+    """write(arg) is the text want() builds, or both raise DomainError."""
+    try:
+        text = want()
+    except DomainError:
+        with pytest.raises(DomainError):
+            write(arg)
+    else:
+        assert write(arg) == text
+
+
+def state_cells(state: MuscleState) -> list[str]:
+    p, width, length, contraction, psi0 = state
+    return [fmt(p), fmt(width), fmt(length), fmt(contraction), fmt(psi0 * 180.0 / math.pi)]
+
+
+SPEC = MuscleSpec(n=8, L=27.0, h0=22.0)
+positive = st.one_of(st.sampled_from((5e-324, 2.2250738585072014e-308)),
+                     st.floats(5e-324, 1e308))
+# str(n) and "%.15g" differ from 10**15 up
+arch_counts = st.one_of(st.sampled_from((1, 10**15, 10**15 + 1)), st.integers(1, 10**17))
+
+
 @PROPERTY
 @given(st.lists(st.tuples(cells, cells, cells), max_size=40))
 def test_writer_prints_each_cell_as_fmt(rows):
     columns = [np.array([row[k] for row in rows], dtype=float) for k in range(3)]
     want = "".join(f"{fmt(t)},{fmt(i)},{fmt(f)}\n" for t, i, f in rows)
     assert winch_series_to_csv(*columns) == WINCH_HEADER + "\n" + want
+
+
+@PROPERTY
+@given(st.lists(st.builds(MuscleState, cells, cells, cells, cells, cells), max_size=40))
+def test_state_writers_print_each_cell_as_fmt(states):
+    # psi0 is printed in degrees, and overflows there past ~1e306 rad
+    curve = DeformationCurve(SPEC, tuple(states))
+    assert_written_as(curve_to_csv, curve,
+                      lambda: fmt_table(CURVE_HEADER, map(state_cells, states)))
+    for state in states:
+        assert_written_as(state_to_csv, state,
+                          lambda: fmt_table(CURVE_HEADER, [state_cells(state)]))
+
+
+@PROPERTY
+@given(st.lists(st.builds(
+    DesignResult,
+    st.builds(MuscleSpec, arch_counts, positive, st.one_of(st.just(0.0), positive)),
+    st.builds(AchievedMetrics, cells, cells, cells),
+    st.just(True),
+    st.tuples(cells, cells),
+), max_size=40))
+def test_design_writer_prints_each_cell_as_fmt(results):
+    rows = [[str(res.spec.n)] + [fmt(v) for v in (res.spec.L, res.spec.h0, *res.achieved,
+                                                   *res.L_interval)]
+            for res in results]
+    assert design_results_to_csv(results) == fmt_table(DESIGN_CSV_HEADER, rows)
+
+
+STATE = MuscleState(0.85, 7.5, 200.25, 37.75, 0.5)
+RESULT = DesignResult(SPEC, AchievedMetrics(238.0, 66.5, 17.0), True, (26.5, 27.5))
+
+
+@pytest.mark.parametrize("write, arg", [
+    (curve_to_csv, DeformationCurve(SPEC, (STATE, STATE._replace(width=math.inf)))),
+    (state_to_csv, STATE._replace(psi0=math.nan)),
+    (design_results_to_csv, [RESULT, RESULT._replace(
+        achieved=AchievedMetrics(238.0, -math.inf, 17.0))]),
+    (lambda columns: winch_series_to_csv(*columns), ([0.0, 1.0], [0.0, 1.0], [0.0, math.nan])),
+], ids=["curve", "state", "design", "winch"])
+def test_writers_reject_a_non_finite_cell(write, arg):
+    with pytest.raises(DomainError, match="not a finite number"):
+        write(arg)
