@@ -49,7 +49,7 @@ __version__ = "0.1.0"
 
 # The actuator models load on first access (PEP 562): the geometry and design
 # commands never use them, so they do not pay for the module at start-up.
-# Importing it does not load numpy; only the fits import numpy, as they run.
+# Importing it does not load numpy; only the tendon fit imports numpy, as it runs.
 _ACTUATOR_NAMES = frozenset({
     "HysteresisParams",
     "TendonFit",

@@ -9,16 +9,17 @@ Two measured nonlinearities are covered:
   play (backlash) operator around the ideal proportional response c * I.
 
 Both model forms are the minimal ones reproducing the observed behavior;
-the data formats are defined in :mod:`wwmtc.fileio`.  Only the fits use
-numpy, and they import it when they run: the play operator is one clamp per
-sample, and ``winch simulate`` starts on the standard library alone.
+the data formats are defined in :mod:`wwmtc.fileio`.  Only the tendon fit
+uses numpy, and it imports it when it runs.  The play operator is one clamp
+per sample, and the winch fit is two least-squares lines in closed form and
+a midpoint gap, all on Python floats, so ``winch simulate`` and ``winch
+fit`` start on the standard library alone.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import warnings
+import operator
 from collections import namedtuple
 
 from .errors import (
@@ -219,40 +220,75 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
 
 
 def _branches(currents) -> list[tuple[int, int, int]]:
-    """Maximal monotone runs of a current array as (start, stop, direction);
+    """Maximal monotone runs of a current series as (start, stop, direction);
     stop is inclusive.
 
     Flat steps extend the run they sit in; each run ends at the sample where
-    the next one turns back, which also starts that next run.
+    the next one turns back, which also starts that next run.  One pass over
+    the steps.
     """
-    import numpy as np
+    runs = []
+    direction = start = 0
+    for k, (a, b) in enumerate(zip(currents, currents[1:])):
+        if b > a:
+            d = 1
+        elif b < a:
+            d = -1
+        else:
+            continue
+        if d != direction:
+            if direction:
+                runs.append((start, k, direction))
+            direction, start = d, k
+    if direction:
+        runs.append((start, len(currents) - 1, direction))
+    return runs
 
-    d = np.sign(np.diff(currents))
-    steps = np.flatnonzero(d)
-    if steps.size == 0:
-        return []
-    turns = np.flatnonzero(d[steps[1:]] != d[steps[:-1]]) + 1
-    firsts = steps[np.r_[0, turns]]
-    starts = firsts.tolist()
-    stops = firsts[1:].tolist() + [currents.size - 1]
-    return list(zip(starts, stops, d[firsts].astype(int).tolist()))
+
+_PAST_DOUBLES = "winch data past the range or precision of doubles"
+# np.polyfit calls a line fit rank deficient when the smaller singular value
+# of the column-scaled matrix [x, 1] is at most len(x) * eps times the larger.
+# The squared ratio of the two is Sxx / sum(x**2) / (1 + |rho|)**2, with rho
+# the cosine of the angle between x and the ones vector, and near that
+# tolerance |rho| is 1 to double precision: the test is
+# Sxx <= (2 * len(x) * eps)**2 * sum(x**2), with sum(x**2) = Sxx + n * mean(x)**2.
+_RANK_TOL = 2.0 * math.ulp(1.0)
 
 
-@contextlib.contextmanager
-def _double_faults_as_domain_errors(what: str):
-    """numpy overflow, invalid results and rank loss as one DomainError."""
-    import numpy as np
+def _line(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Least-squares line through the points -> (slope, intercept).
 
+    Closed form on centred data, slope = Sxy / Sxx and intercept =
+    mean(y) - slope * mean(x), with every sum taken by ``math.fsum``.  A
+    fit that ``np.polyfit`` would call rank deficient, or one whose sums
+    leave the range of doubles, is a DomainError.
+    """
+    n = len(xs)
+    # one distinct current leaves the slope undetermined
+    if n < 2 or min(xs) == max(xs):
+        raise InsufficientDataError(
+            "too few distinct currents per sweep direction to fit"
+        )
     try:
-        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
-                                                    divide="raise"):
-            warnings.simplefilter("error", np.exceptions.RankWarning)
-            yield
-    except (FloatingPointError, np.exceptions.RankWarning) as exc:
-        raise DomainError(f"{what} past the range or precision of doubles: {exc}") from exc
+        xm = math.fsum(xs) / n
+        ym = math.fsum(ys) / n
+        dx = [x - xm for x in xs]
+        dy = [y - ym for y in ys]
+        sxx = math.fsum(map(operator.mul, dx, dx))
+        sxy = math.fsum(map(operator.mul, dx, dy))
+    except (OverflowError, ValueError) as exc:  # past doubles, or inf - inf
+        raise DomainError(f"{_PAST_DOUBLES}: {exc}") from exc
+    # false for an infinite or nan Sxx, and for one that underflowed to 0
+    if not sxx > (_RANK_TOL * n) ** 2 * (sxx + n * xm * xm):
+        raise DomainError(f"{_PAST_DOUBLES}: the currents of one sweep direction "
+                          "are too close together to fit a line")
+    slope = sxy / sxx
+    intercept = ym - slope * xm
+    if not math.isfinite(slope + intercept):
+        raise DomainError(f"{_PAST_DOUBLES}: the fitted line overflows")
+    return slope, intercept
 
 
-@_double_faults_as_domain_errors("winch data")
 def fit_winch(currents, tensions) -> HysteresisParams:
     """Identify (c, r) of the play operator from an up-down sweep.
 
@@ -260,16 +296,23 @@ def fit_winch(currents, tensions) -> HysteresisParams:
     increasing branches (their upper half by current, where the operator has
     escaped the friction band); r is half the mean vertical gap between the
     increasing- and decreasing-branch contact lines over their common current
-    range.  The reported residual replays the fitted operator over the input
-    currents, starting from the first measured tension.
+    range.  The gap is affine in the current, so its mean over that range is
+    its value at the range's midpoint.  The reported residual replays the
+    fitted operator over the input currents, starting from the first
+    measured tension.  ``currents`` and ``tensions`` are any equal-length
+    sequences of numbers, arrays included.
     """
-    import numpy as np
-
-    currents = np.asarray(currents, dtype=float)
-    tensions = np.asarray(tensions, dtype=float)
-    if currents.shape != tensions.shape or currents.ndim != 1:
-        raise DomainError("current and tension series must be equal-length 1-D")
-    if not (np.isfinite(currents).all() and np.isfinite(tensions).all()):
+    shape = "current and tension series must be equal-length 1-D"
+    try:
+        currents = list(map(float, currents))
+        tensions = list(map(float, tensions))
+    except TypeError as exc:  # not a sequence of numbers: a 2-D array, for one
+        raise DomainError(shape) from exc
+    if len(currents) != len(tensions):
+        raise DomainError(shape)
+    # a finite sum has only finite terms; an infinite one may have overflowed
+    if not (math.isfinite(sum(currents) + sum(tensions))
+            or all(map(math.isfinite, currents + tensions))):
         raise DomainError("every current and tension must be finite")
 
     branches = _branches(currents)
@@ -280,30 +323,23 @@ def fit_winch(currents, tensions) -> HysteresisParams:
             "current series"
         )
 
-    # per direction, the samples of each branch's contact half; branches of
-    # one direction share no sample, so a mask keeps them in branch order
-    contact = {1: np.zeros(currents.size, bool), -1: np.zeros(currents.size, bool)}
+    # per direction, the samples of each branch's contact half, in branch
+    # order; a branch is monotone, so its contact half is what follows the
+    # samples short of the midpoint of its span
+    contact = {1: ([], []), -1: ([], [])}
     spans: dict[int, list[tuple[float, float]]] = {1: [], -1: []}
     for start, stop, d in branches:
-        bi = currents[start:stop + 1]
-        lo, hi = float(bi.min()), float(bi.max())
+        lo, hi = sorted((currents[start], currents[stop]))
         spans[d].append((lo, hi))
         mid = lo + 0.5 * (hi - lo)
-        contact[d][start:stop + 1] = bi >= mid if d == 1 else bi <= mid
+        short = mid.__gt__ if d == 1 else mid.__lt__
+        k = start + sum(map(short, currents[start:stop + 1]))
+        xs, ys = contact[d]
+        xs += currents[k:stop + 1]
+        ys += tensions[k:stop + 1]
 
-    def line(mask) -> tuple[float, float]:
-        xs = currents[mask]
-        # one distinct current leaves the slope undetermined (polyfit fails
-        # or returns a minimum-norm guess)
-        if xs.size < 2 or xs.min() == xs.max():
-            raise InsufficientDataError(
-                "too few distinct currents per sweep direction to fit"
-            )
-        slope, intercept = np.polyfit(xs, tensions[mask], 1)
-        return float(slope), float(intercept)
-
-    c_up, b_up = line(contact[1])
-    c_dn, b_dn = line(contact[-1])
+    c_up, b_up = _line(*contact[1])
+    c_dn, b_dn = _line(*contact[-1])
     if c_up <= 0.0:
         raise FitConvergenceError(
             f"increasing-branch slope {c_up!r} not positive; data does not "
@@ -315,11 +351,19 @@ def fit_winch(currents, tensions) -> HysteresisParams:
     overlap_hi = min(max(hi for _, hi in spans[1]), max(hi for _, hi in spans[-1]))
     if overlap_hi <= overlap_lo:
         raise InsufficientSweepError("up and down branches share no current range")
-    grid = np.linspace(overlap_lo, overlap_hi, 101)
-    gap = (c_dn * grid + b_dn) - (c_up * grid + b_up)
-    r = max(0.0, 0.5 * float(gap.mean()))
+    mid = 0.5 * overlap_lo + 0.5 * overlap_hi
+    half_gap = 0.5 * ((c_dn - c_up) * mid + (b_dn - b_up))
+    if not math.isfinite(half_gap):
+        raise DomainError(f"{_PAST_DOUBLES}: the gap between the branches overflows")
+    r = max(0.0, half_gap)
 
     params = HysteresisParams(c=c, r=r)
-    replay = simulate_winch(params, currents.tolist(), initial_tension=float(tensions[0]))
-    rms = float(np.sqrt(np.mean((np.array(replay) - tensions) ** 2)))
+    replay = simulate_winch(params, currents, initial_tension=tensions[0])
+    try:
+        residual = list(map(operator.sub, replay, tensions))
+        rms = math.sqrt(math.fsum(map(operator.mul, residual, residual)) / len(residual))
+    except OverflowError as exc:
+        raise DomainError(f"{_PAST_DOUBLES}: {exc}") from exc
+    if not math.isfinite(rms):
+        raise DomainError(f"{_PAST_DOUBLES}: the replay residual overflows")
     return HysteresisParams(c=c, r=r, rms_residual=rms)

@@ -271,7 +271,8 @@ def _cmd_design_search(args) -> Outputs:
 
 
 # The actuator handlers import their module on call, so that the other
-# commands do not pay for it at start-up; the fits import numpy as they run.
+# commands do not pay for it at start-up.  The tendon fit imports numpy as it
+# runs; the winch fit reads lists and fits on Python floats, without numpy.
 def _cmd_tendon_fit(args) -> Outputs:
     from . import actuators
 
@@ -283,7 +284,7 @@ def _cmd_tendon_fit(args) -> Outputs:
 def _cmd_winch_fit(args) -> Outputs:
     from . import actuators
 
-    _, current, tension = fileio.read_winch_csv(args.data)
+    _, current, tension = fileio.read_winch_columns(args.data)
     params = actuators.fit_winch(current, tension)
     return [(None, fileio.winch_params_to_json(params))]
 

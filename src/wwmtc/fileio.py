@@ -230,7 +230,7 @@ def read_tendon_csv(path: str | Path):
 
 
 def read_winch_csv(path: str | Path):
-    """-> (time_s, current_A, tension_N) arrays, for the fits."""
+    """-> (time_s, current_A, tension_N) arrays."""
     data = _read_numeric_csv(path, WINCH_HEADER)
     return data[:, 0], data[:, 1], data[:, 2]
 
@@ -251,7 +251,9 @@ def read_winch_columns(path: str | Path) -> tuple[list[float], list[float], list
             current.append(float(i))
             tension.append(float(f))
     except ValueError as exc:  # a non-number, or a row of another length
-        raise DomainError(f"{path}: every data row needs 3 numbers: {line!r}") from exc
+        cells = line.count(",") + 1
+        got = "" if cells == 3 else f", got {cells}"
+        raise DomainError(f"{path}: every data row needs 3 numbers{got}: {line!r}") from exc
     # a finite sum has only finite terms; an infinite one may have overflowed
     for column in (time_s, current, tension):
         if not (math.isfinite(sum(column)) or all(map(math.isfinite, column))):

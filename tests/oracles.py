@@ -39,22 +39,36 @@ affine form of the margins that ``wwmtc.design`` solves.
 the recursion as plain comparisons, and a log-step prefix scan of clamp
 compositions over numpy arrays, which shares no loop with either.
 ``branches`` walks the current steps one by one to split a sweep into the
-monotone runs that ``wwmtc.actuators._branches`` finds from array masks.
+monotone runs that ``wwmtc.actuators._branches`` finds in its one pass.
+
+``fit_winch_polyfit`` and ``fit_winch_exact`` are the winch-fit oracles for
+``wwmtc.actuators.fit_winch``, which fits its two lines in closed form on
+Python floats: the same definitions on numpy (boolean masks, ``np.polyfit``
+and the mean gap over a 101-point grid), and in exact rational arithmetic
+over the doubles given.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from wwmtc.actuators import HysteresisParams
 from wwmtc.beam import P_MAX
 from wwmtc.design import DesignConstraints
 from wwmtc.elliptic import HALF_PI, _check_amplitude, _check_modulus
-from wwmtc.errors import DomainError
+from wwmtc.errors import (
+    DomainError,
+    FitConvergenceError,
+    InsufficientDataError,
+    InsufficientSweepError,
+)
 from wwmtc.muscle import DEFAULT_P_CAP, MuscleSpec, natural_length, state_at
 
 # generous cap: a rod that has not turned by 20 lengths is effectively straight
@@ -320,3 +334,113 @@ def branches(currents) -> list[tuple[int, int, int]]:
     if cur_dir != 0:
         runs.append((start, len(currents) - 1, cur_dir))
     return runs
+
+
+def _contact_halves(currents, select):
+    """Per direction, the indices of each branch's contact half in branch
+    order, and the (lo, hi) current span of each branch.
+
+    ``select(x, lo, hi, d)`` says whether current x of a branch of direction
+    d spanning [lo, hi] is in its contact half.
+    """
+    contact = {1: [], -1: []}
+    spans = {1: [], -1: []}
+    for start, stop, d in branches(list(currents)):
+        run = range(start, stop + 1)
+        lo, hi = min(currents[k] for k in run), max(currents[k] for k in run)
+        spans[d].append((lo, hi))
+        contact[d].extend(k for k in run if select(currents[k], lo, hi, d))
+    return contact, spans
+
+
+def _overlap(spans) -> tuple:
+    lo = max(min(lo for lo, _ in spans[1]), min(lo for lo, _ in spans[-1]))
+    hi = min(max(hi for _, hi in spans[1]), max(hi for _, hi in spans[-1]))
+    return lo, hi
+
+
+def _check_sweep(spans) -> None:
+    if not (spans[1] and spans[-1]):
+        raise InsufficientSweepError("need at least one up-down sweep")
+
+
+def _float_half(x, lo, hi, d) -> bool:
+    mid = lo + 0.5 * (hi - lo)
+    return x >= mid if d == 1 else x <= mid
+
+
+def fit_winch_polyfit(currents, tensions) -> HysteresisParams:
+    """The winch fit on numpy arrays: boolean-mask contact halves, one
+    ``np.polyfit`` line per direction, r from the mean gap over a 101-point
+    grid of the overlap and the residual of an array replay.
+
+    numpy's overflow and invalid results and polyfit's rank warning become a
+    DomainError, as the shipped fit's own checks raise one.
+    """
+    currents = np.asarray(currents, dtype=float)
+    tensions = np.asarray(tensions, dtype=float)
+    if currents.shape != tensions.shape or currents.ndim != 1:
+        raise DomainError("current and tension series must be equal-length 1-D")
+    if not (np.isfinite(currents).all() and np.isfinite(tensions).all()):
+        raise DomainError("every current and tension must be finite")
+    contact, spans = _contact_halves(currents.tolist(), _float_half)
+    _check_sweep(spans)
+
+    def line(index) -> tuple[float, float]:
+        xs = currents[index]
+        if xs.size < 2 or xs.min() == xs.max():
+            raise InsufficientDataError("too few distinct currents per sweep direction")
+        slope, intercept = np.polyfit(xs, tensions[index], 1)
+        return float(slope), float(intercept)
+
+    try:
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            c_up, b_up = line(contact[1])
+            c_dn, b_dn = line(contact[-1])
+            if c_up <= 0.0:
+                raise FitConvergenceError("increasing-branch slope not positive",
+                                          best_rms=float("nan"))
+            lo, hi = _overlap(spans)
+            if hi <= lo:
+                raise InsufficientSweepError("up and down branches share no current range")
+            grid = np.linspace(lo, hi, 101)
+            gap = (c_dn * grid + b_dn) - (c_up * grid + b_up)
+            r = max(0.0, 0.5 * float(gap.mean()))
+            replay = np.array(play_operator(c_up, r, currents.tolist(), float(tensions[0])))
+            rms = float(np.sqrt(np.mean((replay - tensions) ** 2)))
+    except (FloatingPointError, np.exceptions.RankWarning) as exc:
+        raise DomainError(f"winch data past the range or precision of doubles: {exc}") from exc
+    return HysteresisParams(c=c_up, r=r, rms_residual=rms)
+
+
+def fit_winch_exact(currents, tensions) -> tuple[Fraction, Fraction]:
+    """(c, r) of the winch fit's definitions, exactly, over the given doubles.
+
+    Each contact half is the half of its branch at or beyond the exact
+    midpoint of the branch's span; each line is the exact least-squares line
+    through its samples; r is half the exact gap at the midpoint of the
+    overlap, which equals the gap's mean over any grid symmetric about it.
+    """
+    xs = [Fraction(x) for x in currents]
+    ys = [Fraction(y) for y in tensions]
+    contact, spans = _contact_halves(
+        xs, lambda x, lo, hi, d: (x - (lo + hi) / 2) * d >= 0)
+    _check_sweep(spans)
+
+    def line(index) -> tuple[Fraction, Fraction]:
+        n = len(index)
+        xm = sum(xs[k] for k in index) / n
+        ym = sum(ys[k] for k in index) / n
+        sxx = sum((xs[k] - xm) ** 2 for k in index)
+        if sxx == 0:
+            raise InsufficientDataError("too few distinct currents per sweep direction")
+        slope = sum((xs[k] - xm) * (ys[k] - ym) for k in index) / sxx
+        return slope, ym - slope * xm
+
+    c_up, b_up = line(contact[1])
+    c_dn, b_dn = line(contact[-1])
+    lo, hi = _overlap(spans)
+    mid = (lo + hi) / 2
+    return c_up, max(Fraction(0), ((c_dn - c_up) * mid + (b_dn - b_up)) / 2)

@@ -1,5 +1,6 @@
 """Actuator models: tendon stiffening fit and winch play-operator hysteresis."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 
+from conftest import DATA_DIR, GOLDEN_DIR
 from synth import (
     TENDON_TRUE,
     WINCH_TRUE,
@@ -254,6 +256,73 @@ def test_winch_fit_rejects_non_finite_samples():
             fit_winch(*args)
 
 
+
+# --- winch fit against its oracles ------------------------------------------------
+
+def ulps(got: float, want) -> float:
+    """|got - want| in units in the last place of want, rounded to a double."""
+    return abs(got - want) / math.ulp(float(want))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), noise=st.sampled_from((0.01, 0.03, 0.05)))
+def test_winch_fit_matches_exact_and_polyfit_fits(seed, noise):
+    current, tension = make_winch_data(noise=noise, rng=np.random.default_rng(seed))
+    fit = fit_winch(current, tension)
+    c, r = oracles.fit_winch_exact(current, tension)
+    # the closed form on centred data, every sum exact, against exact rationals
+    assert ulps(fit.c, c) <= 2 and ulps(fit.r, r) <= 8
+    # np.polyfit's lines and a grid mean carry rounding of their own
+    numpy_fit = oracles.fit_winch_polyfit(current, tension)
+    assert ulps(fit.c, numpy_fit.c) <= 4 and ulps(fit.r, numpy_fit.r) <= 24
+    assert fit.rms_residual == pytest.approx(numpy_fit.rms_residual, rel=1e-12)
+
+
+def bench_log(edit=lambda i, tension: (i, tension)):
+    """(currents, tensions) of the shipped winch log, edited per sample."""
+    _, *rows = (DATA_DIR / "winch_bench.csv").read_text().splitlines()
+    return tuple(map(list, zip(*(edit(*map(float, row.split(",")[1:])) for row in rows))))
+
+
+RAMP = np.linspace(0.0, 2.0, 20)
+TRIANGLE = make_triangle_profile()
+
+
+@pytest.mark.parametrize("currents, tensions, error", [
+    (np.full(20, 1.0), np.full(20, 3.0), InsufficientSweepError),
+    (RAMP, 20.0 * RAMP, InsufficientSweepError),
+    ([0.0, 3.0, 0.0, 3.0, 0.0], [0.0, 60.0, 0.0, 60.0, 0.0], InsufficientDataError),
+    (TRIANGLE, 100.0 - 20.0 * TRIANGLE, FitConvergenceError),
+    (*bench_log(lambda i, tension: (1e6 + math.ulp(1e6) * round(i / 0.025), tension)),
+     DomainError),
+    (*bench_log(lambda i, tension: (1e300 * i, tension / 35 * 1e308)), DomainError),
+    (*bench_log(lambda i, tension: (i, tension / 35 * 1e308)), DomainError),
+    (*bench_log(lambda i, tension: (i * 5e-324 / 0.025, tension)), DomainError),
+    (TRIANGLE, np.append(20.0 * TRIANGLE[1:], math.nan), DomainError),
+    (TRIANGLE, 20.0 * TRIANGLE[1:], DomainError),
+    (np.ones((3, 2)), np.ones((3, 2)), DomainError),
+], ids=["flat", "ramp", "one-current-per-direction", "falling-gain", "close-currents",
+        "huge-both", "huge-tensions", "subnormal-currents", "nan", "unequal-lengths",
+        "two-dimensional"])
+def test_winch_fit_rejects_what_polyfit_rejects(currents, tensions, error):
+    with pytest.raises(error):
+        oracles.fit_winch_polyfit(currents, tensions)
+    with pytest.raises(error):
+        fit_winch(currents, tensions)
+
+
+def test_winch_fit_golden_is_the_exact_fit():
+    # winch_fit.json holds the exact least-squares gain and midpoint gap of the
+    # shipped log, each rounded once; with them the replay meets every logged
+    # tension, so the exact rms residual is 0
+    golden = json.loads((GOLDEN_DIR / "winch_fit.json").read_text())
+    current, tension = bench_log()
+    c, r = oracles.fit_winch_exact(current, tension)
+    assert (golden["c_N_per_A"], golden["r_N"]) == (float(c), float(r)) == (20.0, 5.0)
+    replay = oracles.play_operator(golden["c_N_per_A"], golden["r_N"], current, tension[0])
+    assert replay == tension and golden["rms_residual_N"] == 0.0
+
+
 # --- play-operator properties --------------------------------------------------------
 
 # signed zeros, the smallest subnormal and normal, and small integers that
@@ -307,4 +376,4 @@ def test_rate_independent_under_repeats_and_insertions(c, r, t0, currents, where
 @given(st.lists(st.sampled_from((0.0, 1.0, 2.0, 3.0)), min_size=1, max_size=40))
 def test_branches_match_the_step_by_step_scan(currents):
     # few levels: flat steps, runs of one step and reversals on every sample
-    assert _branches(np.array(currents)) == oracles.branches(currents)
+    assert _branches(currents) == oracles.branches(currents)

@@ -1,8 +1,8 @@
 """Start-up cost: which modules load, not how long anything takes.
 
-The geometry and design commands and ``winch simulate`` run on the
-standard library; numpy is for the tendon and winch fits only and scipy for
-the test oracles only.  The value types are plain named tuples, so no
+The geometry and design commands and both winch commands run on the
+standard library; numpy is for the tendon fit only and scipy for the test
+oracles only.  The value types are plain named tuples, so no
 command needs ``dataclasses`` or ``typing``, and the light commands not
 ``inspect`` either.  Each check runs in a fresh interpreter, since this
 test process has all of these loaded already.  The interpreter starts with
@@ -63,6 +63,7 @@ LIGHT_COMMANDS = [
     ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
      "--profile", str(DATA_DIR / "triangle_profile.csv"),
      "--out", "{tmp}/sim.csv", "--svg", "{tmp}/loop.svg"],
+    ["winch", "fit", "--data", str(DATA_DIR / "winch_bench.csv")],
 ]
 
 
@@ -101,8 +102,8 @@ def test_light_commands_load_no_dataclasses_inspect_or_typing(tmp_path):
 
 
 def test_actuator_command_loads_numpy_but_not_scipy():
-    report = run_probe([["winch", "fit", "--data", str(DATA_DIR / "winch_bench.csv")]], HEAVY)
-    assert report[-1] == ["winch fit", 0, ["numpy"]]
+    report = run_probe([["tendon", "fit", "--data", str(DATA_DIR / "tendon_bench.csv")]], HEAVY)
+    assert report[-1] == ["tendon fit", 0, ["numpy"]]
 
 
 def test_lazy_actuator_exports_resolve():
