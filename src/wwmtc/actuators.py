@@ -207,6 +207,12 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
     # a finite sum has only finite terms; an infinite one may have overflowed
     if not (math.isfinite(sum(currents)) or all(map(math.isfinite, currents))):
         raise DomainError("every current must be finite")
+    return _play(c, r, t, currents)
+
+
+def _play(c: float, r: float, t: float, currents: list[float]) -> list[float]:
+    """The play operator's clamp loop over checked floats: c > 0, r >= 0,
+    and t and every current finite."""
     out = []
     append = out.append
     for i in currents:
@@ -357,8 +363,7 @@ def fit_winch(currents, tensions) -> HysteresisParams:
         raise DomainError(f"{_PAST_DOUBLES}: the gap between the branches overflows")
     r = max(0.0, half_gap)
 
-    params = HysteresisParams(c=c, r=r)
-    replay = simulate_winch(params, currents, initial_tension=tensions[0])
+    replay = _play(c, r, tensions[0], currents)
     try:
         residual = list(map(operator.sub, replay, tensions))
         rms = math.sqrt(math.fsum(map(operator.mul, residual, residual)) / len(residual))

@@ -21,7 +21,6 @@ import math
 import os
 import stat
 import sys
-from pathlib import Path
 
 from . import design, elliptic, fileio, muscle, svgplot
 from .beam import solve_beam
@@ -245,9 +244,10 @@ def _cmd_muscle_curve(args) -> Outputs:
             raise WwmtcError("CSV output needs exactly one --spec (SVG supports overlays)")
         outputs.append((args.out or None, fileio.curve_to_csv(curves[0])))
     if args.svg:
-        series = [(f"{Path(path).stem} ({spec.kind} n={spec.n} L={fileio.fmt(spec.L)})",
+        stems = [os.path.splitext(os.path.basename(path))[0] for path in args.spec]
+        series = [(f"{stem} ({spec.kind} n={spec.n} L={fileio.fmt(spec.L)})",
                    [s.length for s in cur.samples], [s.width for s in cur.samples])
-                  for path, spec, cur in zip(args.spec, specs, curves)]
+                  for stem, spec, cur in zip(stems, specs, curves)]
         outputs.append((args.svg, svgplot.render_line_plot(
             series, "length [mm]", "width [mm]")))
     return outputs
@@ -271,8 +271,9 @@ def _cmd_design_search(args) -> Outputs:
 
 
 # The actuator handlers import their module on call, so that the other
-# commands do not pay for it at start-up.  The tendon fit imports numpy as it
-# runs; the winch fit reads lists and fits on Python floats, without numpy.
+# commands do not pay for it at start-up.  Every log is read as lists of
+# floats; the tendon fit imports numpy as it runs, and the winch fit runs on
+# Python floats, without numpy.
 def _cmd_tendon_fit(args) -> Outputs:
     from . import actuators
 

@@ -23,6 +23,11 @@ from .errors import DomainError
 from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap, natural_length,
                      state_at)
 
+# the widest n_range searched.  A search holds a result or report entry and
+# its output line for every arch count until it returns: ~16 µs and ~0.4 kB
+# each on a 2-vCPU x86 host, so a full-width search takes ~16 s and ~0.4 GB
+_MAX_ARCH_COUNTS = 10**6
+
 
 class DesignConstraints(namedtuple(
         "DesignConstraints",
@@ -54,6 +59,9 @@ class DesignConstraints(namedtuple(
             raise DomainError("L_range must be positive")
         if self.n_range[0] < 1:
             raise DomainError("n_range must start at >= 1")
+        if self.n_range[1] - self.n_range[0] >= _MAX_ARCH_COUNTS:
+            raise DomainError(f"n_range={self.n_range!r} spans more than "
+                              f"{_MAX_ARCH_COUNTS} arch counts")
         if self.kind not in KINDS:
             raise DomainError(f"kind={self.kind!r} must be one of {KINDS}")
         return self

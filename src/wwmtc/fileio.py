@@ -3,6 +3,11 @@
 CSV dialect everywhere: comma separator, ``.`` decimal point, mandatory
 header row, UTF-8, LF line endings.  Numbers are printed with 15
 significant digits so written files are stable, diffable test fixtures.
+Every log is read by one parser on the standard library, ``_columns``:
+each cell goes through ``float``, and ``_data_lines`` first rejects the
+``_`` and non-ASCII characters that ``float`` reads but a plain decimal
+number never holds.  Only ``read_winch_csv`` hands its columns on as
+numpy arrays.
 Every written number is finite: the writers raise DomainError on inf or
 NaN, which a finite input yields only past the range of doubles (for
 example k = 1/L for L = 1e-320).
@@ -12,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
+import os
 
 from .beam import BeamSolution
 from .design import DesignConstraints, DesignResult
@@ -67,9 +72,10 @@ def _json_text(obj) -> str:
 # JSON fields
 # ---------------------------------------------------------------------------
 
-def _read_json_object(path: str | Path, what: str) -> dict:
+def _read_json_object(path: str | os.PathLike, what: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            raw = json.load(file)
     # ValueError covers bad UTF-8, bad JSON and integers past Python's
     # digit limit; RecursionError, arrays nested too deep to parse
     except (OSError, ValueError, RecursionError) as exc:
@@ -109,7 +115,7 @@ def _pair(value, name: str, convert) -> tuple:
 # muscle specs and curves
 # ---------------------------------------------------------------------------
 
-def read_muscle_spec(path: str | Path) -> MuscleSpec:
+def read_muscle_spec(path: str | os.PathLike) -> MuscleSpec:
     """Load a muscle spec from its JSON file schema."""
     raw = _read_json_object(path, "muscle spec")
     try:
@@ -160,22 +166,25 @@ def state_to_csv(state: MuscleState) -> str:
 # experiment logs
 # ---------------------------------------------------------------------------
 
-def _data_lines(path: str | Path, header: str) -> list[str]:
-    """The data lines of a log: the front end of both log readers.
+def _data_lines(path: str | os.PathLike, header: str) -> list[str]:
+    """The data lines of a log: the front end of the log parser.
 
-    The file is read as UTF-8; blank and whitespace-only lines are dropped,
-    and the first line left must be the header.  A file with no data rows
-    is rejected, and so is a data line that holds a non-ASCII character,
-    a ``_`` or U+001F.  Without these, ``float`` and ``np.loadtxt`` parse
-    every cell alike: both would read Unicode spaces and digits, ``float``
-    would read ``1_0`` digit grouping, and ``np.loadtxt`` reads U+001F as a
-    space.
+    The file is read as UTF-8 text, and each ``\\n`` ends one line: the
+    other line breaks that ``str.splitlines`` knows, such as form feed or
+    U+0085, stay inside their line, so two rows joined by one are one
+    malformed row.  Blank
+    and whitespace-only lines are dropped, and the first line left must be
+    the header.  A file with no data rows is rejected, and so is a data line
+    that holds a ``_`` or a non-ASCII character: ``float`` would read ``1_0``
+    as digit grouping, and Unicode digits and spaces as their ASCII
+    counterparts, which a plain decimal number never holds.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(str.strip, text.split("\n")))
     if not lines or lines[0].strip() != header:
         raise DomainError(
             f"{path}: expected header {header!r}, got "
@@ -184,81 +193,87 @@ def _data_lines(path: str | Path, header: str) -> list[str]:
     del lines[0]
     if not lines:
         raise DomainError(f"{path}: no data rows")
-    columns = header.count(",") + 1
     # the header line holds all of the text's "_" but the data lines'
     if (text.count("_") != header.count("_")
-            or not (text.isascii() or all(map(str.isascii, lines)))
-            or ("\x1f" in text and any("\x1f" in line for line in lines))):
-        raise DomainError(f"{path}: every data row needs {columns} plain numbers, "
-                          "in ASCII and without '_' or U+001F")
+            or not (text.isascii() or all(map(str.isascii, lines)))):
+        raise DomainError(f"{path}: every data row needs {header.count(',') + 1} "
+                          "plain numbers, in ASCII and without '_'")
     return lines
 
 
-def _read_numeric_csv(path: str | Path, header: str):
-    """All data rows as one float array, one column per header field.
+# rows parsed at a time, so that the cells of a long profile are never all
+# held as strings at once
+_CHUNK_ROWS = 4096
 
-    Cells are parsed in C by ``np.loadtxt``: plain decimal or exponent
-    numbers, no ``#`` comments (``comments=None``).
+
+def _bad_row(path, rows: list[str], width: int) -> DomainError:
+    """The error that names the first of the rows that is not ``width``
+    numbers."""
+    for row in rows:
+        cells = row.split(",")
+        try:
+            if len(cells) == width:
+                list(map(float, cells))
+                continue
+        except ValueError:
+            pass
+        got = "" if len(cells) == width else f", got {len(cells)}"
+        return DomainError(f"{path}: every data row needs {width} numbers{got}: {row!r}")
+    raise AssertionError("no bad row among the rows given")
+
+
+def _columns(path: str | os.PathLike, header: str) -> list[list[float]]:
+    """The one log parser: one list of floats per header field.
+
+    Each cell goes through ``float``: a plain decimal or exponent number,
+    with surrounding spaces allowed.  Every cell must be finite.
     """
-    import numpy as np
-
     lines = _data_lines(path, header)
-    columns = header.count(",") + 1
-    try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:  # a non-number, or rows of unequal length
-        # loadtxt counts rows among the data lines only, and not always from
-        # the same base, so its position would mislead; the cell it names is kept
-        reason = str(exc).partition(" at row ")[0]
-        raise DomainError(f"{path}: every data row needs {columns} numbers: {reason}") from exc
-    if data.shape[1] != columns:
-        raise DomainError(f"{path}: every data row needs {columns} numbers, got {data.shape[1]}")
-    if not np.isfinite(data).all():
-        raise DomainError(f"{path}: every data cell must be a finite number")
-    return data
+    width = header.count(",") + 1
+    columns = [[] for _ in range(width)]
+    for start in range(0, len(lines), _CHUNK_ROWS):
+        rows = lines[start:start + _CHUNK_ROWS]
+        # joined so that each row but the first starts with "\n"; a row holds
+        # no "\n" and is not empty, so a cell holds one only if it starts a
+        # row, and the rows are width cells each iff the cells at every
+        # width-th place past the first hold one each
+        cells = ",\n".join(rows).split(",")
+        if (len(cells) != width * len(rows)
+                or "".join(cells[width::width]).count("\n") != len(rows) - 1):
+            raise _bad_row(path, rows, width)
+        try:
+            values = list(map(float, cells))
+        except ValueError:
+            raise _bad_row(path, rows, width) from None
+        # a finite sum has only finite terms; an infinite one may have overflowed
+        if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+            raise DomainError(f"{path}: every data cell must be a finite number")
+        for k, column in enumerate(columns):
+            column += values[k::width]
+    return columns
 
 
-def read_tendon_csv(path: str | Path):
-    """-> (time_s, load_N, strain, cycle) arrays."""
-    data = _read_numeric_csv(path, TENDON_HEADER)
-    cycle = data[:, 3]
-    # cycle numbers become int64s, which hold whole numbers below 2**63
-    if (cycle % 1.0).any() or not (abs(cycle) < 2.0 ** 63).all():
+def read_tendon_csv(path: str | os.PathLike):
+    """-> (time_s, load_N, strain, cycle) lists of floats; each cycle is a
+    whole number of magnitude below 2**63, so that it fits an int64."""
+    time_s, load, strain, cycle = _columns(path, TENDON_HEADER)
+    if not (all(map(float.is_integer, cycle))
+            and -2.0 ** 63 < min(cycle) and max(cycle) < 2.0 ** 63):
         raise DomainError(f"{path}: every cycle cell must be a whole number "
                           "of magnitude below 2**63")
-    return data[:, 0], data[:, 1], data[:, 2], cycle.astype(int)
+    return time_s, load, strain, cycle
 
 
-def read_winch_csv(path: str | Path):
-    """-> (time_s, current_A, tension_N) arrays."""
-    data = _read_numeric_csv(path, WINCH_HEADER)
-    return data[:, 0], data[:, 1], data[:, 2]
+def read_winch_csv(path: str | os.PathLike):
+    """-> (time_s, current_A, tension_N) float arrays."""
+    import numpy as np
+
+    return tuple(map(np.array, _columns(path, WINCH_HEADER)))
 
 
-def read_winch_columns(path: str | Path) -> tuple[list[float], list[float], list[float]]:
-    """-> (time_s, current_A, tension_N) lists of floats, without numpy.
-
-    The same file contract as read_winch_csv and the same doubles: each
-    cell goes through ``float``, which parses as ``np.loadtxt`` does once
-    _data_lines has rejected non-ASCII text, ``_`` and U+001F.
-    """
-    lines = _data_lines(path, WINCH_HEADER)
-    time_s, current, tension = [], [], []
-    try:
-        for line in lines:
-            t, i, f = line.split(",")
-            time_s.append(float(t))
-            current.append(float(i))
-            tension.append(float(f))
-    except ValueError as exc:  # a non-number, or a row of another length
-        cells = line.count(",") + 1
-        got = "" if cells == 3 else f", got {cells}"
-        raise DomainError(f"{path}: every data row needs 3 numbers{got}: {line!r}") from exc
-    # a finite sum has only finite terms; an infinite one may have overflowed
-    for column in (time_s, current, tension):
-        if not (math.isfinite(sum(column)) or all(map(math.isfinite, column))):
-            raise DomainError(f"{path}: every data cell must be a finite number")
-    return time_s, current, tension
+def read_winch_columns(path: str | os.PathLike) -> tuple[list[float], list[float], list[float]]:
+    """-> (time_s, current_A, tension_N) lists of floats, without numpy."""
+    return tuple(_columns(path, WINCH_HEADER))
 
 
 def winch_series_to_csv(time_s, current_a, tension_n) -> str:
@@ -293,7 +308,7 @@ def winch_params_to_json(params: HysteresisParams) -> str:
     return _json_text(obj)
 
 
-def read_winch_params(path: str | Path) -> tuple[HysteresisParams, float]:
+def read_winch_params(path: str | os.PathLike) -> tuple[HysteresisParams, float]:
     """-> (params, initial_tension_N); the initial state defaults to 0."""
     from .actuators import HysteresisParams
 
@@ -313,7 +328,7 @@ def read_winch_params(path: str | Path) -> tuple[HysteresisParams, float]:
 # design constraints / results
 # ---------------------------------------------------------------------------
 
-def read_design_constraints(path: str | Path) -> DesignConstraints:
+def read_design_constraints(path: str | os.PathLike) -> DesignConstraints:
     raw = _read_json_object(path, "constraints")
     try:
         fields = dict(

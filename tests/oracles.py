@@ -46,6 +46,11 @@ monotone runs that ``wwmtc.actuators._branches`` finds in its one pass.
 Python floats: the same definitions on numpy (boolean masks, ``np.polyfit``
 and the mean gap over a 101-point grid), and in exact rational arithmetic
 over the doubles given.
+
+
+``read_log_loadtxt`` is the oracle of ``wwmtc.fileio``'s log parser, which
+parses each cell with ``float``: the same file rules, written out again
+here, in front of numpy's C parser ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -444,3 +450,37 @@ def fit_winch_exact(currents, tensions) -> tuple[Fraction, Fraction]:
     lo, hi = _overlap(spans)
     mid = (lo + hi) / 2
     return c_up, max(Fraction(0), ((c_dn - c_up) * mid + (b_dn - b_up)) / 2)
+
+
+def read_log_loadtxt(path, header: str):
+    """Every data row of a log as one row of a float array, one column per
+    header field, parsed by ``np.loadtxt``; a DomainError for a file that
+    breaks the log rules.
+
+    The rules: UTF-8 text whose lines end at ``\\n``; blank lines dropped;
+    the header first; at least one data row; no ``_``, U+001F or non-ASCII
+    character in a data row, since loadtxt reads U+001F as a space and
+    Unicode digits and spaces as ASCII ones; and each row as many finite
+    numbers as the header has fields.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
+    lines = [line for line in text.split("\n") if line.strip()]
+    if not lines or lines[0].strip() != header:
+        raise DomainError(f"{path}: expected header {header!r}")
+    rows = lines[1:]
+    if not rows:
+        raise DomainError(f"{path}: no data rows")
+    if any("_" in row or "\x1f" in row or not row.isascii() for row in rows):
+        raise DomainError(f"{path}: a data row holds '_', U+001F or non-ASCII text")
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # a non-number, or rows of unequal length
+        raise DomainError(f"{path}: {exc}") from exc
+    if data.shape[1] != header.count(",") + 1:
+        raise DomainError(f"{path}: rows of {data.shape[1]} numbers")
+    if not np.isfinite(data).all():
+        raise DomainError(f"{path}: a data cell is not a finite number")
+    return data

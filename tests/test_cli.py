@@ -698,6 +698,17 @@ def test_svg_axis_of_a_flat_length_at_large_magnitude(tmp_path):
     assert svg.read_text().endswith("</svg>\n")
 
 
+def test_design_search_over_a_too_wide_n_range_is_bad_input(tmp_path):
+    # the search held every arch count's output, and ran out of memory
+    raw = json.loads((DATA_DIR / "constraints.json").read_text())
+    raw["n_range"] = [1, 10_000_000]
+    cons = tmp_path / "cons.json"
+    cons.write_text(json.dumps(raw))
+    proc = run_child(["design", "search", "--constraints", str(cons)])
+    assert_bad_input(proc.returncode, proc.stderr)
+    assert proc.stdout == "" and "n_range" in proc.stderr
+
+
 def test_tendon_fit_that_stalls_is_bad_input(tmp_path, capsys):
     # every strain past bedding-in equals eps0, so the Jacobian is zero
     strain = [0.02 * k / 9 for k in range(10)] + [0.02] * 10
@@ -782,8 +793,8 @@ def test_tendon_csv_rejects_cycle_past_int64(tmp_path, capsys):
     assert out == "" and "cycle" in err
 
 
-# Both log readers share one parser.  Per command: argv for a log file, the
-# shipped log, and the golden its output must equal.
+# Every log command reads through one parser.  Per command: argv for a log
+# file, the shipped log, and the golden its output must equal.
 LOG_COMMANDS = {
     "winch simulate": (
         lambda path: ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
@@ -792,6 +803,8 @@ LOG_COMMANDS = {
     ),
     "tendon fit": (lambda path: ["tendon", "fit", "--data", str(path)],
                    "tendon_bench.csv", "tendon_fit.json"),
+    "winch fit": (lambda path: ["winch", "fit", "--data", str(path)],
+                  "winch_bench.csv", "winch_fit.json"),
 }
 
 
@@ -830,6 +843,24 @@ def unit_separator(lines):
     lines[3] += "\x1f"
 
 
+# str.splitlines also ends a line at each of these; a log line ends at "\n"
+# only, so the two rows joined by one are one malformed row
+def join_rows(lines, separator):
+    lines[3:5] = [lines[3] + separator + lines[4]]
+
+
+def form_feed_join(lines):
+    join_rows(lines, "\x0c")
+
+
+def record_separator_join(lines):
+    join_rows(lines, "\x1e")
+
+
+def next_line_join(lines):
+    join_rows(lines, "\x85")
+
+
 def blank_line(lines):
     lines.insert(3, " \t ")
 
@@ -840,7 +871,8 @@ def unedited(lines):
 
 @pytest.mark.parametrize("command", LOG_COMMANDS)
 @pytest.mark.parametrize("edit", [comment_line, ragged_row, trailing_comma, grouped_digits,
-                                  unicode_space, unit_separator],
+                                  unicode_space, unit_separator, form_feed_join,
+                                  record_separator_join, next_line_join],
                          ids=lambda edit: edit.__name__)
 def test_log_reader_rejects_malformed_lines(tmp_path, capsys, command, edit):
     code, out, err = run_edited_log(tmp_path, capsys, command, edit)

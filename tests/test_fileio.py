@@ -1,5 +1,6 @@
-"""CSV files: both winch readers parse as ``float`` does and agree on every
-file, and every table writer prints as ``fmt`` does, cell for cell."""
+"""CSV files: the log parser reads as ``float`` does and agrees with an
+``np.loadtxt`` oracle on every file, and every table writer prints as
+``fmt`` does, cell for cell."""
 
 import math
 
@@ -12,7 +13,10 @@ from wwmtc.errors import DomainError
 from wwmtc.fileio import (
     CURVE_HEADER,
     DESIGN_CSV_HEADER,
+    TENDON_HEADER,
     WINCH_HEADER,
+    _CHUNK_ROWS as CHUNK,
+    _columns,
     curve_to_csv,
     design_results_to_csv,
     fmt,
@@ -23,6 +27,7 @@ from wwmtc.fileio import (
 )
 from wwmtc.muscle import DeformationCurve, MuscleSpec, MuscleState
 
+from oracles import read_log_loadtxt
 from test_cli_fuzz import csv_file
 
 # bounded so that a 15-digit spelling cannot round past the largest double
@@ -60,17 +65,20 @@ def log(*rows: str, head: str = WINCH_HEADER, newline: str = "\n") -> bytes:
     return (newline.join([head, *rows]) + newline).encode()
 
 
-def outcome(read, path):
-    """The doubles a reader returns, as bytes, or None for a DomainError."""
+def outcome(read, path, header):
+    """The rows of doubles a reader returns, as bytes, or None for a DomainError."""
     try:
-        columns = read(path)
+        return read(path, header).tobytes()
     except DomainError:
         return None
-    return np.column_stack(columns).tobytes()
+
+
+def parsed_rows(path, header):
+    return np.column_stack(_columns(path, header))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=csv_file(WINCH_HEADER))
+@given(data=csv_file(WINCH_HEADER) | csv_file(TENDON_HEADER))
 @example(data=log("0,1_0,0"))
 @example(data=log("0,١,0"))
 @example(data=log("0,\xa01,0"))
@@ -84,14 +92,40 @@ def outcome(read, path):
 @example(data=b"\n \n\t\n" + log("0,1,0", "", "1,2,3"))
 @example(data=log("0,1,0", "1,2"))
 @example(data=log("0,1,0", "1,2,3,4"))
+@example(data=log("0,1", "1,2,3,4"))
 @example(data=log("0, 1 ,\t2"))
 @example(data=log("0,1\x1f,0"))
 @example(data=log("0,1,0\u20281,2,3"))
+@example(data=log("0,1,0\x0c1,2,3"))
+@example(data=log("0,1,0\x1e1,2,3"))
+@example(data=log("0,1,0\x851,2,3"))
+@example(data=log("0,1,0\x0c", "\x0c1,2,3"))
+@example(data=log("0,1,2,3", "1,2,3,4.0", head=TENDON_HEADER))
+@example(data=log("0,1,2,3", "1,2,3", head=TENDON_HEADER))
+@example(data=log("0,1,2,3,4", "1,2,3", head=TENDON_HEADER))
 def test_list_reader_agrees_with_array_reader(tmp_path_factory, data):
-    # both raise DomainError, or both return the same doubles
-    path = tmp_path_factory.mktemp("log") / "winch.csv"
+    # for either header, both raise DomainError or both return the same doubles
+    path = tmp_path_factory.mktemp("log") / "log.csv"
     path.write_bytes(data)
-    assert outcome(read_winch_columns, path) == outcome(read_winch_csv, path), data
+    for header in (WINCH_HEADER, TENDON_HEADER):
+        assert outcome(parsed_rows, path, header) == outcome(read_log_loadtxt, path, header), \
+            (header, data)
+
+
+@pytest.mark.parametrize("at, new, readable", [
+    (0, [], True),
+    # a short and a long row, one on each side of the first chunk's end
+    (CHUNK - 1, ["1,2", "3,4,5,6"], False),
+    (2 * CHUNK, ["0,inf,0"], False),
+], ids=["whole", "ragged-across-chunks", "inf-in-last-chunk"])
+def test_parser_agrees_with_oracle_past_one_chunk(tmp_path, at, new, readable):
+    rows = [f"{k},{k * 0.1!r},{-k / 7!r}" for k in range(2 * CHUNK + 1)]
+    rows[at:at + len(new)] = new
+    path = tmp_path / "winch.csv"
+    path.write_bytes(log(*rows))
+    want = outcome(read_log_loadtxt, path, WINCH_HEADER)
+    assert (want is not None) == readable
+    assert outcome(parsed_rows, path, WINCH_HEADER) == want
 
 
 def fmt_table(header: str, rows) -> str:

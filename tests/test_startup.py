@@ -1,10 +1,11 @@
 """Start-up cost: which modules load, not how long anything takes.
 
 The geometry and design commands and both winch commands run on the
-standard library; numpy is for the tendon fit only and scipy for the test
-oracles only.  The value types are plain named tuples, so no
-command needs ``dataclasses`` or ``typing``, and the light commands not
-``inspect`` either.  Each check runs in a fresh interpreter, since this
+standard library; numpy is for the tendon fit only, not for reading its
+log, and scipy for the test oracles only.  The value types are plain named
+tuples, so no command needs ``dataclasses`` or ``typing``, and the light
+commands not ``inspect`` either; files are opened with ``open``, so they
+need no ``pathlib``.  Each check runs in a fresh interpreter, since this
 test process has all of these loaded already.  The interpreter starts with
 ``-S``, so that no ``.pth`` hook of an installed package preloads a module;
 the probe then appends the entries of this process's ``sys.path`` that it
@@ -67,18 +68,22 @@ LIGHT_COMMANDS = [
 ]
 
 
-def run_probe(argvs: list[list[str]], watched: tuple[str, ...]) -> list:
+def run_child(code: str):
+    """The JSON that ``code`` prints in a fresh interpreter under ``-S``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
     )
-    probe = _PROBE.format(path=sys.path, watched=watched, argvs=argvs)
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
+        [sys.executable, "-S", "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def run_probe(argvs: list[list[str]], watched: tuple[str, ...]) -> list:
+    return run_child(_PROBE.format(path=sys.path, watched=watched, argvs=argvs))
 
 
 def assert_light_commands_load_none_of(watched: tuple[str, ...], tmp: Path):
@@ -99,6 +104,19 @@ def test_light_commands_load_neither_numpy_nor_scipy(tmp_path):
 
 def test_light_commands_load_no_dataclasses_inspect_or_typing(tmp_path):
     assert_light_commands_load_none_of(MACHINERY, tmp_path)
+
+
+def test_light_commands_load_no_pathlib(tmp_path):
+    assert_light_commands_load_none_of(("pathlib",), tmp_path)
+
+
+def test_tendon_log_read_loads_no_numpy():
+    code = (f"import sys; sys.path.extend(p for p in {sys.path!r} if p not in sys.path)\n"
+            "import json\n"
+            "from wwmtc import fileio\n"
+            f"rows = len(fileio.read_tendon_csv({str(DATA_DIR / 'tendon_bench.csv')!r})[0])\n"
+            "print(json.dumps([rows, [m for m in ('numpy', 'scipy') if m in sys.modules]]))\n")
+    assert run_child(code) == [510, []]
 
 
 def test_actuator_command_loads_numpy_but_not_scipy():
