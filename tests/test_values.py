@@ -82,8 +82,8 @@ def test_value_type_semantics(value, text, fields):
     (CONSTRAINTS, "L_range", (50.0, 10.0)),
     (CONSTRAINTS, "h0", math.inf),
     (CONSTRAINTS, "n_range", (0, 12)),
-    (CONSTRAINTS, "n_range", (1, 10**6 + 1)),
     (CONSTRAINTS, "kind", "spiral"),
+    (CONSTRAINTS, "n_range", (1, 10**6 + 1)),
 ])
 def test_replace_and_make_check_like_the_constructor(base, field, bad):
     kwargs = {**base._asdict(), field: bad}
