@@ -9,11 +9,16 @@ Two measured nonlinearities are covered:
   play (backlash) operator around the ideal proportional response c * I.
 
 Both model forms are the minimal ones reproducing the observed behavior;
-the data formats are defined in :mod:`wwmtc.fileio`.  Only the tendon fit
-uses numpy, and it imports it when it runs.  The play operator is one clamp
-per sample, and the winch fit is two least-squares lines in closed form and
-a midpoint gap, all on Python floats, so ``winch simulate`` and ``winch
-fit`` start on the standard library alone.
+the data formats are defined in :mod:`wwmtc.fileio`.
+
+Only the tendon fit uses numpy, and it imports it when it runs.  It fits by
+variable projection: a in closed form for each b, and Gauss-Newton in b
+alone.  It keeps numpy for ``np.expm1``, which is correctly rounded where
+glibc's ``math.expm1`` is 1 ULP off on some strains; the fitted residual,
+printed to the last digit, would move with those ULPs.  The play operator
+is one clamp per sample, and the winch fit is two least-squares lines in
+closed form and a midpoint gap, all on Python floats, so ``winch simulate``
+and ``winch fit`` start on the standard library alone.
 """
 
 from __future__ import annotations
@@ -57,71 +62,79 @@ class HysteresisParams(namedtuple("HysteresisParams", "c r rms_residual", defaul
 
 def tendon_load(fit: TendonFit, strain: float) -> float:
     """Forward tendon model; clamped to zero below the bedding-in offset."""
-    if strain < 0.0:
-        raise DomainError(f"strain={strain!r} must be >= 0")
+    # written as "not ... < inf" so that NaN fails the check
+    if not 0.0 <= strain < math.inf:
+        raise DomainError(f"strain={strain!r} must be finite and >= 0")
     return max(0.0, fit.a * math.expm1(fit.b * (strain - fit.eps0)))
 
 
-# Levenberg damping schedule (fixed for determinism)
-_LM_LAMBDA0 = 1e-3
-_LM_UP = 10.0
-_LM_DOWN = 0.1
-_LM_LAMBDA_MIN = 1e-14
-_LM_LAMBDA_MAX = 1e12
-_LM_MAX_ITER = 200
+# Gauss-Newton in b: its iteration cap, and the relative step at which b has
+# stopped moving
+_VP_MAX_ITER = 100
+_VP_TOL = 1e-14
 
 
-def _lm_fit_exponential(strain, load, eps0: float,
-                        a0: float, b0: float) -> tuple[float, float, float]:
-    """Damped least squares for (a, b) with eps0 held fixed, over arrays."""
+def _vp_fit_exponential(u, load) -> tuple[float, float, float]:
+    """Least squares for (a, b) in load ~ a * expm1(b * u), over arrays.
+
+    Variable projection (Golub and Pereyra): for a fixed b the best a is
+    a(b) = g.P / g.g with g = expm1(b * u), so the fit is Gauss-Newton in b
+    alone on the projected residual, with Kaufman's Jacobian
+    a * u * (g + 1) + g * da/db, whose da/db drops the term that vanishes
+    at a zero residual.  From b = 1, a step is halved until b > 0, a > 0
+    and the cost does not rise, the cost's change being summed from the
+    model's change so that it stays exact to rounding near the optimum.  The
+    fit stops when b stops moving, taking that last step with only b > 0 and
+    a > 0 checked, or when a halved step no longer changes b.
+    """
     import numpy as np
 
-    u = strain - eps0
+    def project(b):
+        g = np.expm1(b * u)
+        gg = g @ g
+        a = (g @ load) / gg
+        return a, g, gg, load - a * g
 
-    def cost(a: float, b: float):
-        resid = load - a * np.expm1(b * u)
-        return float(resid @ resid), resid
+    def stalled(resid) -> FitConvergenceError:
+        rms = math.sqrt(float(resid @ resid) / resid.size)
+        return FitConvergenceError(f"tendon fit stalled; best rms residual {rms!r} N",
+                                   best_rms=rms)
 
-    a, b = a0, b0
-    f, resid = cost(a, b)
-    if not math.isfinite(f):
+    b = 1.0
+    a, g, gg, resid = project(b)
+    if not (gg > 0.0 and a > 0.0):
+        # every g is zero at the start, or its best a is not positive: the
+        # best a >= 0 is then 0, whose residual is the load
+        raise stalled(load)
+    if not math.isfinite(resid @ resid):
         raise DomainError("loads too large to fit: their squared residuals overflow a double")
-    lam = _LM_LAMBDA0
-    for _ in range(_LM_MAX_ITER):
-        eb = np.exp(b * u)
-        jac = np.column_stack([-(eb - 1.0), -a * u * eb])
-        jtj = jac.T @ jac
-        jtr = jac.T @ resid
-        step_ok = False
-        while lam <= _LM_LAMBDA_MAX:
-            damped = jtj + lam * np.diag(np.diag(jtj))
-            try:
-                delta = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
-                lam *= _LM_UP
-                continue
-            a_new, b_new = a + delta[0], b + delta[1]
-            if a_new > 0.0 and b_new > 0.0:
-                f_new, resid_new = cost(a_new, b_new)
-                if f_new <= f:
-                    step_ok = True
+    for _ in range(_VP_MAX_ITER):
+        e = g + 1.0  # exp(b * u)
+        gp = u * e  # dg/db
+        dadb = -a * (g @ gp) / gg  # Kaufman's: without the residual's term
+        jac = a * gp + g * dadb
+        step = float(jac @ resid / (jac @ jac))
+        if not math.isfinite(step):  # the projected model does not move with b
+            raise stalled(resid)
+        # b has stopped moving: the cost cannot tell steps this small apart,
+        # so the last one is taken as long as b and a stay positive
+        last = abs(step) <= _VP_TOL * max(1.0, b)
+        while b + step != b:
+            b_new = b + step
+            if b_new > 0.0:
+                a_new, g_new, gg_new, resid_new = project(b_new)
+                # near the optimum the cost's change is below the rounding
+                # of the cost itself, but not below that of this sum
+                change = a_new * e * np.expm1((b_new - b) * u) + (a_new - a) * g
+                if a_new > 0.0 and (last or change @ (change - 2.0 * resid) <= 0.0):
                     break
-            lam *= _LM_UP
-        if not step_ok:
-            raise FitConvergenceError(
-                f"tendon fit stalled; best rms residual "
-                f"{math.sqrt(f / load.size)!r} N",
-                best_rms=math.sqrt(f / load.size),
-            )
-        converged = (
-            abs(a_new - a) <= 1e-14 * max(1.0, abs(a))
-            and abs(b_new - b) <= 1e-14 * max(1.0, abs(b))
-        )
-        a, b, f, resid = a_new, b_new, f_new, resid_new
-        lam = max(lam * _LM_DOWN, _LM_LAMBDA_MIN)
-        if converged:
+            step *= 0.5
+        else:
+            break  # a halved step no longer changes b
+        b, a, g, gg, resid = b_new, a_new, g_new, gg_new, resid_new
+        if last:
             break
-    return a, b, math.sqrt(f / load.size)
+    return float(a), b, math.sqrt(resid @ resid / load.size)
 
 
 def fit_tendon(strain, load, cycle) -> TendonFit:
@@ -131,8 +144,10 @@ def fit_tendon(strain, load, cycle) -> TendonFit:
     cycle; the exponential parameters are then least-squares fitted on the
     remaining cycles only (the fit uses the unclamped model, so any noisy
     sample slightly below eps0 still contributes gradient information).
-    Deterministic: fixed initial guesses (a0 = max load, b0 = 1) and a fixed
-    damping schedule.
+    Deterministic: a is solved in closed form for each b, and b runs
+    Gauss-Newton from b = 1 (see ``_vp_fit_exponential``).  A log whose
+    strains leave b undetermined, or that no positive a fits, raises
+    FitConvergenceError.
     """
     import numpy as np
 
@@ -163,11 +178,11 @@ def fit_tendon(strain, load, cycle) -> TendonFit:
         raise InsufficientDataError(
             f"need at least 3 post-first-cycle samples, got {s.size}"
         )
-    a0 = max(float(P.max()), 1e-9)
-    # the start's cost is finite, so a trial step whose model overflows costs
-    # inf or nan and is rejected: numpy's flags for it carry no news
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b, rms = _lm_fit_exponential(s, P, eps0, a0=a0, b0=1.0)
+    # the start's cost is finite, so a trial step whose model overflows or
+    # underflows gives an inf or nan a or cost and is rejected: numpy's flags
+    # for it carry no news
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b, rms = _vp_fit_exponential(s - eps0, P)
     return TendonFit(a=a, b=b, eps0=eps0, rms_residual=rms)
 
 

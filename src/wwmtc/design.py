@@ -57,9 +57,12 @@ class DesignConstraints(namedtuple(
                 raise DomainError(f"{name}={getattr(self, name)!r} must be finite and >= 0")
         if self.L_range[0] <= 0:
             raise DomainError("L_range must be positive")
-        if self.n_range[0] < 1:
+        n_lo, n_hi = self.n_range
+        if not type(n_lo) is type(n_hi) is int:  # a bool is no arch count
+            raise DomainError(f"n_range={self.n_range!r} must be a pair of integers")
+        if n_lo < 1:
             raise DomainError("n_range must start at >= 1")
-        if self.n_range[1] - self.n_range[0] >= _MAX_ARCH_COUNTS:
+        if n_hi - n_lo >= _MAX_ARCH_COUNTS:
             raise DomainError(f"n_range={self.n_range!r} spans more than "
                               f"{_MAX_ARCH_COUNTS} arch counts")
         if self.kind not in KINDS:

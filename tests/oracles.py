@@ -47,6 +47,11 @@ Python floats: the same definitions on numpy (boolean masks, ``np.polyfit``
 and the mean gap over a 101-point grid), and in exact rational arithmetic
 over the doubles given.
 
+``fit_tendon_lm`` is the tendon-fit oracle for ``wwmtc.actuators.fit_tendon``,
+which solves a in closed form and runs Gauss-Newton in b alone: a damped
+Levenberg-Marquardt in (a, b) together, with a 2x2 solve per damped step.
+``tendon_optimum_b`` finds the b of the same least-squares problem at 40
+significant digits with mpmath, by a secant on the cost's derivative.
 
 ``read_log_loadtxt`` is the oracle of ``wwmtc.fileio``'s log parser, which
 parses each cell with ``float``: the same file rules, written out again
@@ -65,7 +70,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from wwmtc.actuators import HysteresisParams
+from wwmtc.actuators import HysteresisParams, TendonFit
 from wwmtc.beam import P_MAX
 from wwmtc.design import DesignConstraints
 from wwmtc.elliptic import HALF_PI, _check_amplitude, _check_modulus
@@ -450,6 +455,116 @@ def fit_winch_exact(currents, tensions) -> tuple[Fraction, Fraction]:
     lo, hi = _overlap(spans)
     mid = (lo + hi) / 2
     return c_up, max(Fraction(0), ((c_dn - c_up) * mid + (b_dn - b_up)) / 2)
+
+
+# Levenberg damping schedule (fixed for determinism)
+_LM_LAMBDA0 = 1e-3
+_LM_UP = 10.0
+_LM_DOWN = 0.1
+_LM_LAMBDA_MIN = 1e-14
+_LM_LAMBDA_MAX = 1e12
+_LM_MAX_ITER = 200
+
+
+def _tendon_problem(strain, load, cycle) -> tuple[float, np.ndarray, np.ndarray]:
+    """(eps0, strains, loads): the first cycle's terminal strain, and the
+    samples of every later cycle, which the fit uses."""
+    strain = np.asarray(strain, dtype=float)
+    load = np.asarray(load, dtype=float)
+    cycle = np.asarray(cycle, dtype=int)
+    first = cycle == cycle.min()
+    return float(strain[first][-1]), strain[~first], load[~first]
+
+
+def fit_tendon_lm(strain, load, cycle) -> TendonFit:
+    """The tendon fit as damped least squares in (a, b) together, from
+    a0 = max load and b0 = 1, on the samples after the first cycle.
+
+    A trial step is kept when a > 0, b > 0 and the cost does not rise;
+    the fit stops when neither parameter moves by more than 1e-14 of
+    itself, and raises the shipped fit's stall error when no damping
+    finds a step.
+    """
+    eps0, strain, load = _tendon_problem(strain, load, cycle)
+    u = strain - eps0
+
+    def cost(a: float, b: float):
+        resid = load - a * np.expm1(b * u)
+        return float(resid @ resid), resid
+
+    a, b = max(float(load.max()), 1e-9), 1.0
+    f, resid = cost(a, b)
+    if not math.isfinite(f):
+        raise DomainError("loads too large to fit: their squared residuals overflow a double")
+    lam = _LM_LAMBDA0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_LM_MAX_ITER):
+            eb = np.exp(b * u)
+            jac = np.column_stack([-(eb - 1.0), -a * u * eb])
+            jtj = jac.T @ jac
+            jtr = jac.T @ resid
+            step_ok = False
+            while lam <= _LM_LAMBDA_MAX:
+                damped = jtj + lam * np.diag(np.diag(jtj))
+                try:
+                    delta = np.linalg.solve(damped, -jtr)
+                except np.linalg.LinAlgError:
+                    lam *= _LM_UP
+                    continue
+                a_new, b_new = a + delta[0], b + delta[1]
+                if a_new > 0.0 and b_new > 0.0:
+                    f_new, resid_new = cost(a_new, b_new)
+                    if f_new <= f:
+                        step_ok = True
+                        break
+                lam *= _LM_UP
+            if not step_ok:
+                rms = math.sqrt(f / load.size)
+                raise FitConvergenceError(f"tendon fit stalled; best rms residual {rms!r} N",
+                                          best_rms=rms)
+            converged = (
+                abs(a_new - a) <= 1e-14 * max(1.0, abs(a))
+                and abs(b_new - b) <= 1e-14 * max(1.0, abs(b))
+            )
+            a, b, f, resid = a_new, b_new, f_new, resid_new
+            lam = max(lam * _LM_DOWN, _LM_LAMBDA_MIN)
+            if converged:
+                break
+    return TendonFit(a=float(a), b=float(b), eps0=eps0,
+                     rms_residual=math.sqrt(f / load.size))
+
+
+def tendon_optimum_b(strain, load, cycle, b0: float, dps: int = 40) -> mpmath.mpf:
+    """The b that minimises the tendon fit's sum of squared residuals, at
+    ``dps`` significant digits over the given doubles, found near b0.
+
+    With a(b) = g.P / g.g and g = expm1(b * u) in closed form, the residual
+    r = P - a * g is orthogonal to g, so the cost's derivative in b is
+    -2 * a * sum(r * u * exp(b * u)); a secant finds that sum's root.
+    """
+    eps0, strain, load = _tendon_problem(strain, load, cycle)
+    with mpmath.workdps(dps + 10):
+        u = [mpmath.mpf(s) - mpmath.mpf(eps0) for s in strain.tolist()]
+        P = [mpmath.mpf(p) for p in load.tolist()]
+
+        def slope(b):
+            e = [mpmath.exp(b * x) for x in u]
+            g = [x - 1 for x in e]
+            a = mpmath.fsum(gi * p for gi, p in zip(g, P)) / mpmath.fsum(gi * gi for gi in g)
+            return mpmath.fsum((p - a * gi) * x * ei for p, gi, x, ei in zip(P, g, u, e))
+
+        b_old, b = mpmath.mpf(b0) * (1 - mpmath.mpf("1e-6")), mpmath.mpf(b0)
+        s_old, s = slope(b_old), slope(b)
+        for _ in range(50):
+            if s == s_old:
+                break
+            b_old, b, s_old = b, b - s * (b - b_old) / (s - s_old), s
+            s = slope(b)
+            if abs(b - b_old) <= abs(b) * mpmath.mpf(10) ** -dps:
+                break
+        else:
+            raise RuntimeError(f"secant for the tendon optimum did not settle near b0={b0!r}")
+        return +b
 
 
 def read_log_loadtxt(path, header: str):

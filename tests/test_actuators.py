@@ -43,6 +43,7 @@ def test_tendon_noiseless_exact_recovery():
     assert fit.b == pytest.approx(TENDON_TRUE["b"], rel=1e-6)
     assert fit.eps0 == TENDON_TRUE["eps0"]
     assert fit.rms_residual < 1e-9
+    assert type(fit.a) is float and type(fit.b) is float
 
 
 def test_tendon_bedding_in_isolated_from_first_cycle():
@@ -99,6 +100,25 @@ def test_tendon_forward_model():
     assert np.all(np.diff(diffs) > 0)  # convex
     with pytest.raises(DomainError):
         tendon_load(fit, -0.1)
+    # NaN passes a sign check and max(0.0, nan) is 0.0, so it needs its own
+    for strain in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="strain"):
+            tendon_load(fit, strain)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tendon_fit_reaches_the_optimum(seed):
+    # the cost is flat to rounding within ~1e-8 of its optimum in b, so a
+    # fit that stops on the cost stops short: the damped Levenberg-Marquardt
+    # ends 4 639 and 2 543 ULP from it on seeds 2 and 4
+    strain, load, cycle = make_tendon_data(**TENDON_TRUE, noise=0.05,
+                                           rng=np.random.default_rng(seed))
+    fit = fit_tendon(strain, load, cycle)
+    optimum = oracles.tendon_optimum_b(strain, load, cycle, b0=fit.b)
+    assert abs(fit.b - optimum) <= 4 * math.ulp(fit.b)
+    # both residuals carry their own rounding: equal to a few ULP
+    lm = oracles.fit_tendon_lm(strain, load, cycle)
+    assert abs(fit.rms_residual - lm.rms_residual) <= 4 * math.ulp(lm.rms_residual)
 
 
 def test_tendon_input_validation():

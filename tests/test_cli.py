@@ -709,18 +709,50 @@ def test_design_search_over_a_too_wide_n_range_is_bad_input(tmp_path):
     assert proc.stdout == "" and "n_range" in proc.stderr
 
 
-def test_tendon_fit_that_stalls_is_bad_input(tmp_path, capsys):
-    # every strain past bedding-in equals eps0, so the Jacobian is zero
-    strain = [0.02 * k / 9 for k in range(10)] + [0.02] * 10
-    load = [5.0 * k / 9 for k in range(10)] + [1.0 + 8.0 * k / 9 for k in range(10)]
-    cycle = [0] * 10 + [1] * 10
+def _tendon_log_after_bedding_in(tmp_path, strain, load) -> str:
+    """A tendon log: a 10-row bedding-in cycle that ends at strain 0.02,
+    then one cycle of the given strains and loads."""
+    strain = [0.02 * k / 9 for k in range(10)] + strain
+    load = [5.0 * k / 9 for k in range(10)] + load
+    cycle = [0] * 10 + [1] * (len(strain) - 10)
     data = tmp_path / "tendon.csv"
     data.write_text("time_s,load_N,strain,cycle\n" + "".join(
         f"{k},{f!r},{s!r},{c}\n" for k, (f, s, c) in enumerate(zip(load, strain, cycle))))
-    code, out, err = run(["tendon", "fit", "--data", str(data)], capsys)
+    return str(data)
+
+
+def test_tendon_fit_that_stalls_is_bad_input(tmp_path, capsys):
+    # every strain past bedding-in equals eps0, so the Jacobian is zero
+    data = _tendon_log_after_bedding_in(tmp_path, [0.02] * 10,
+                                        [1.0 + 8.0 * k / 9 for k in range(10)])
+    code, out, err = run(["tendon", "fit", "--data", data], capsys)
     assert_bad_input(code, err)
     assert "tendon fit stalled" in err
     assert out == ""
+
+
+def _ramp(lo: float, hi: float, n: int = 20) -> list[float]:
+    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning is a second stderr line
+@pytest.mark.parametrize("strain, load", [
+    (_ramp(0.03, 0.2), [0.0] * 20),
+    (_ramp(0.0, 0.019), _ramp(1.0, 9.0)),
+    (_ramp(0.03, 0.2), _ramp(9.0, 1.0)),
+    ([0.02, 0.1] * 10, [1.0, 9.0] * 10),
+], ids=["zero-loads", "strains-below-eps0", "falling-loads", "two-strains"])
+def test_degenerate_tendon_log_is_a_fit_or_bad_input(tmp_path, capsys, strain, load):
+    # no positive a fits the first two, the third's b runs down to 0, and
+    # the fourth's strains leave b undetermined: never an internal fault
+    data = _tendon_log_after_bedding_in(tmp_path, strain, load)
+    code, out, err = run(["tendon", "fit", "--data", data], capsys)
+    if code == 0:
+        fit = json.loads(out)
+        assert err == "" and fit["a_N"] > 0.0 and fit["b"] > 0.0
+    else:
+        assert_bad_input(code, err)
+        assert out == ""
 
 
 def test_tendon_csv_rejects_ragged_row(tmp_path, capsys):
