@@ -8,6 +8,14 @@ arch count and size, and empirical models of the tendon and winch
 nonlinearities, plus a CLI (``wwmtc``) over all of it.
 """
 
+from .actuators import (
+    HysteresisParams,
+    TendonFit,
+    fit_tendon,
+    fit_winch,
+    simulate_winch,
+    tendon_load,
+)
 from .beam import P_MAX, P_STRAIGHT, BeamSolution, solve_beam, solve_p_for_height
 from .design import (
     AchievedMetrics,
@@ -46,27 +54,6 @@ from .muscle import (
 )
 
 __version__ = "0.1.0"
-
-# The actuator models load on first access (PEP 562): the geometry and design
-# commands never use them, so they do not pay for the module at start-up.
-# Importing it does not load numpy; only the tendon fit imports numpy, as it runs.
-_ACTUATOR_NAMES = frozenset({
-    "HysteresisParams",
-    "TendonFit",
-    "fit_tendon",
-    "fit_winch",
-    "simulate_winch",
-    "tendon_load",
-})
-
-
-def __getattr__(name: str):
-    if name in _ACTUATOR_NAMES:
-        from . import actuators
-
-        return getattr(actuators, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "AchievedMetrics",

@@ -22,7 +22,7 @@ import os
 import stat
 import sys
 
-from . import design, elliptic, fileio, muscle, svgplot
+from . import actuators, design, elliptic, fileio, muscle, svgplot
 from .beam import solve_beam
 from .errors import WwmtcError
 
@@ -234,7 +234,16 @@ def _cmd_beam_solve(args) -> Outputs:
              f"k_per_mm={fileio.fmt(sol.k)}\n")]
 
 
+# The most curve samples one run holds, over all its specs: each takes about
+# 0.5 kB until the outputs are written.
+_MAX_CURVE_SAMPLES = 10**6
+
+
 def _cmd_muscle_curve(args) -> Outputs:
+    total = args.samples * len(args.spec)
+    if total > _MAX_CURVE_SAMPLES:
+        raise WwmtcError(f"--samples {args.samples} times {len(args.spec)} --spec is "
+                         f"{total} curve samples, more than {_MAX_CURVE_SAMPLES}")
     p_cap = _resolve_p_cap(args)
     specs = [fileio.read_muscle_spec(path) for path in args.spec]
     curves = [muscle.curve(spec, args.samples, p_cap) for spec in specs]
@@ -270,29 +279,19 @@ def _cmd_design_search(args) -> Outputs:
                       for n in sorted(report)]
 
 
-# The actuator handlers import their module on call, so that the other
-# commands do not pay for it at start-up.  Every log is read as lists of
-# floats; the tendon fit imports numpy as it runs, and the winch fit runs on
-# Python floats, without numpy.
 def _cmd_tendon_fit(args) -> Outputs:
-    from . import actuators
-
     _, load, strain, cycle = fileio.read_tendon_csv(args.data)
     fit = actuators.fit_tendon(strain, load, cycle)
     return [(None, fileio.tendon_fit_to_json(fit))]
 
 
 def _cmd_winch_fit(args) -> Outputs:
-    from . import actuators
-
     _, current, tension = fileio.read_winch_columns(args.data)
     params = actuators.fit_winch(current, tension)
     return [(None, fileio.winch_params_to_json(params))]
 
 
 def _cmd_winch_simulate(args) -> Outputs:
-    from . import actuators
-
     params, t0 = fileio.read_winch_params(args.params)
     if args.initial_tension is not None:
         t0 = args.initial_tension

@@ -19,14 +19,11 @@ import json
 import math
 import os
 
+from .actuators import HysteresisParams, TendonFit
 from .beam import BeamSolution
 from .design import DesignConstraints, DesignResult
 from .errors import DomainError
 from .muscle import DeformationCurve, MuscleSpec, MuscleState
-
-# TendonFit and HysteresisParams in annotations are wwmtc.actuators' types,
-# imported only where data needs them, which keeps actuators out of the
-# commands that never use it
 
 CURVE_HEADER = "p,width_mm,length_mm,contraction_mm,psi0_deg"
 TENDON_HEADER = "time_s,load_N,strain,cycle"
@@ -310,8 +307,6 @@ def winch_params_to_json(params: HysteresisParams) -> str:
 
 def read_winch_params(path: str | os.PathLike) -> tuple[HysteresisParams, float]:
     """-> (params, initial_tension_N); the initial state defaults to 0."""
-    from .actuators import HysteresisParams
-
     raw = _read_json_object(path, "winch params")
     try:
         params = HysteresisParams(c=_number(raw["c_N_per_A"], "c_N_per_A"),

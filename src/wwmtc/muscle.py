@@ -35,7 +35,7 @@ class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (type(self.n) is int and self.n >= 1):  # a bool is no arch count
             raise DomainError(f"arch count n={self.n!r} must be an integer >= 1")
         if not 0.0 < self.L < math.inf:
             raise DomainError(f"beam length L={self.L!r} must be positive and finite")

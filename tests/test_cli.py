@@ -709,6 +709,22 @@ def test_design_search_over_a_too_wide_n_range_is_bad_input(tmp_path):
     assert proc.stdout == "" and "n_range" in proc.stderr
 
 
+@pytest.mark.parametrize("specs, samples, outputs", [
+    (["radial.json"], "3000000", ["--out", "c.csv"]),
+    (["radial.json", "planar.json"], "600000", ["--svg", "overlay.svg"]),
+])
+def test_muscle_curve_of_too_many_samples_is_bad_input(tmp_path, specs, samples, outputs):
+    # the cap is on the total over all specs; every sample is held until the
+    # outputs are written, and 3 000 000 of them ran out of memory
+    argv = ["muscle", "curve", "--samples", samples]
+    for spec in specs:
+        argv += ["--spec", str(DATA_DIR / spec)]
+    proc = run_child(argv + [outputs[0], str(tmp_path / outputs[1])])
+    assert_bad_input(proc.returncode, proc.stderr)
+    assert proc.stdout == "" and "--samples" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def _tendon_log_after_bedding_in(tmp_path, strain, load) -> str:
     """A tendon log: a 10-row bedding-in cycle that ends at strain 0.02,
     then one cycle of the given strains and loads."""

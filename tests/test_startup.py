@@ -10,8 +10,11 @@ test process has all of these loaded already.  The interpreter starts with
 ``-S``, so that no ``.pth`` hook of an installed package preloads a module;
 the probe then appends the entries of this process's ``sys.path`` that it
 lacks, the site directories among them, after its own, as ``site`` would.
+numpy is the one module imported inside a function; every wwmtc module is
+imported at the top of the modules that use it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -122,6 +125,19 @@ def test_tendon_log_read_loads_no_numpy():
 def test_actuator_command_loads_numpy_but_not_scipy():
     report = run_probe([["tendon", "fit", "--data", str(DATA_DIR / "tendon_bench.csv")]], HEAVY)
     assert report[-1] == ["tendon fit", 0, ["numpy"]]
+
+
+def test_only_numpy_is_imported_inside_a_function():
+    deferred = set()
+    for path in sorted((SRC_DIR / "wwmtc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred.update((path.name, node.lineno, ast.unparse(node))
+                                for node in ast.walk(func)
+                                if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert deferred, "no deferred import of numpy found"
+    assert [d for d in sorted(deferred) if d[2] != "import numpy as np"] == []
 
 
 def test_lazy_actuator_exports_resolve():

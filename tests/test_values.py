@@ -87,6 +87,7 @@ def test_value_type_semantics(value, text, fields):
     (CONSTRAINTS, "n_range", (1.0, 5.0)),
     (CONSTRAINTS, "n_range", (1, 5.0)),
     (CONSTRAINTS, "n_range", (True, 5)),
+    (SPEC, "n", True),
 ])
 def test_replace_and_make_check_like_the_constructor(base, field, bad):
     kwargs = {**base._asdict(), field: bad}
