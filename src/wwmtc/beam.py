@@ -103,19 +103,33 @@ def solve_beam(L: float, p: float) -> BeamSolution:
 
 def _arch(L: float, p: float) -> tuple[float, float, float, float]:
     """solve_beam's (w, h, psi0, k) for a valid L and p; neither is checked."""
+    shape = _shape(p)
+    if shape is None:
+        return 0.0, L, 0.0, 0.0
+    sp, rf, num, F2, psi0 = shape
+    return L * num / F2, sp * L / rf, psi0, F2 / L
+
+
+def _shape(p: float) -> tuple[float, float, float, float, float] | None:
+    """The part of _arch that depends on p alone: one Carlson pass.
+
+    Returns (sqrt(2) p, rf, F2 - 2 E2 + sqrt(2 q), F2, psi0), from which
+    _arch scales by L: h = sqrt(2) p L / rf, w = L (F2 - 2 E2 + sqrt(2 q)) / F2
+    and k = F2 / L.  None for the straight strip (q <= 0), whose arch is
+    (0, L, 0, 0).  For a valid p; it is not checked.
+    """
     pp = p * p
     q = 2.0 * pp - 1.0  # sin(psi0); 2.0 * p * p rounds to the same double
     if q <= 0.0:
-        return 0.0, L, 0.0, 0.0
+        return None
 
     m1 = (1.0 - p) * (1.0 + p)
     s = math.sqrt(q) / p
     rf, rd = _rf_rd(m1 / pp, 2.0 * m1, 1.0)
     F2 = s * rf
     E2 = F2 - pp * (s * s * s) * rd / 3.0
-    h = _SQRT2 * p * L / rf
-    w = L * (F2 - 2.0 * E2 + math.sqrt(2.0 * q)) / F2
-    return w, h, math.asin(q if q < 1.0 else 1.0), F2 / L
+    return (_SQRT2 * p, rf, F2 - 2.0 * E2 + math.sqrt(2.0 * q), F2,
+            math.asin(q if q < 1.0 else 1.0))
 
 
 def _height_slope(L: float, p: float, w: float, k: float) -> float:
@@ -138,14 +152,11 @@ def _height_slope(L: float, p: float, w: float, k: float) -> float:
 
 @functools.lru_cache(maxsize=8)
 def _rf_at(p: float) -> float:
-    """R_F of _arch's Carlson pass at p, cached: it does not depend on L.
-
-    The arguments are _arch's, written the same way, so the value is
-    the same double.  The callers invert at a handful of fixed caps, which
-    the small cache holds.
+    """R_F of _arch's Carlson pass at a p with 2 p^2 - 1 > 0, cached: it
+    does not depend on L.  The callers invert at a handful of fixed caps,
+    which the small cache holds.
     """
-    m1 = (1.0 - p) * (1.0 + p)
-    return _rf_rd(m1 / (p * p), 2.0 * m1, 1.0)[0]
+    return _shape(p)[1]
 
 
 def _height(L: float, p: float) -> float:

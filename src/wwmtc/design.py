@@ -9,6 +9,12 @@ intersection of at most five half-lines with L_range, computed directly.
 When it is empty, the binding constraint is read off at the exact maximin
 of the margins.  The whole search is a pure deterministic function of its
 inputs.
+
+A search makes one Carlson pass, beam._shape at p_cap: it gives ĥ and ŵ,
+and every result's achieved values scale from it by the result's L.  The
+binding constraint is computed only where it is returned: by
+infeasibility_report and by _search_and_report, which serves design
+search on the command line; search does not compute it.
 """
 
 from __future__ import annotations
@@ -18,10 +24,9 @@ import struct
 from collections import namedtuple
 from itertools import combinations
 
-from .beam import solve_beam
+from .beam import _shape
 from .errors import DomainError
-from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap, natural_length,
-                     state_at)
+from .muscle import DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap
 
 # the widest n_range searched.  A search holds a result or report entry and
 # its output line for every arch count until it returns: ~16 µs and ~0.4 kB
@@ -103,7 +108,8 @@ def _margins(constraints: DesignConstraints, n: int, L: float,
 
 def _limits(constraints: DesignConstraints) -> tuple[float, ...]:
     """What the margins read of the constraints, unpacked into a plain tuple:
-    (natural length min and max, min stroke, max and min width, h0)."""
+    (natural length min and max, min stroke, max and min width, h0).  A
+    search reads it once: a field read is not cheap."""
     (nat_lo, nat_hi), min_stroke, max_width, h0, _, _, min_width, _ = constraints
     return nat_lo, nat_hi, min_stroke, max_width, min_width, h0
 
@@ -122,15 +128,6 @@ def _slack(limits: tuple[float, ...], n: int, L: float,
         max_width - width,
         width - min_width,
     )
-
-
-def _result_for(constraints: DesignConstraints, n: int, lo: float, hi: float,
-                p_cap: float) -> DesignResult:
-    L = 0.5 * (lo + hi)
-    spec = MuscleSpec(n, L, constraints.h0, constraints.kind)
-    state = state_at(spec, p_cap)
-    achieved = AchievedMetrics(natural_length(spec), state.contraction, state.width)
-    return DesignResult(spec, achieved, True, (lo, hi))
 
 
 def _bits(x: float) -> int:
@@ -184,15 +181,12 @@ def _slopes(n: int, h_unit: float, w_unit: float) -> tuple[float, ...]:
     return (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
 
 
-def _solve_n(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
-             h_unit: float, w_unit: float) -> tuple[float, float] | str:
-    """Feasible L-interval of arch count n, or the name of its binding constraint.
+def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
+              h_unit: float, w_unit: float) -> tuple[float, float] | None:
+    """Feasible L-interval of arch count n, or None when it has none.
 
     Margin i is a_i + b_i·L: a positive slope b_i bounds L from below at
-    -a_i / b_i, a negative one from above.  With no feasible L, the binding
-    constraint is the smallest margin where the smallest margin is largest;
-    that maximin of affine functions over L_range lies at an end of L_range
-    or where two margins cross.
+    -a_i / b_i, a negative one from above.
     """
     L_min, L_max = L_range
     a = _slack(limits, n, 0.0, h_unit, w_unit)  # intercepts at L = 0
@@ -204,29 +198,44 @@ def _solve_n(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
         elif b_i < 0.0:
             hi = min(hi, -a_i / b_i)
         elif a_i < 0.0:
-            hi = -math.inf
-    if lo <= hi:
-        # Margins that rise with L bound it from below (the floor: natural
-        # length min, stroke, width min), falling ones from above (the
-        # ceiling), with the signs of _slopes for every n >= 1, h_unit < 1 and
-        # w_unit > 0.  Each group is written with _margins' expressions.
-        # Rounding is monotone, so no computed floor margin falls as L grows
-        # and no ceiling margin rises: each group passes on one side of a
-        # single boundary.
-        nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
+            return None
+    if not lo <= hi:
+        return None
+    # Margins that rise with L bound it from below (the floor: natural
+    # length min, stroke, width min), falling ones from above (the
+    # ceiling), with the signs of _slopes for every n >= 1, h_unit < 1 and
+    # w_unit > 0.  Each group is written with _margins' expressions.
+    # Rounding is monotone, so no computed floor margin falls as L grows
+    # and no ceiling margin rises: each group passes on one side of a
+    # single boundary.
+    nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
 
-        def above_floor(L: float) -> bool:
-            return (n * L + h0 - nat_lo >= 0.0
-                    and n * L * (1.0 - h_unit) - min_stroke >= 0.0
-                    and L * w_unit - min_width >= 0.0)
+    def above_floor(L: float) -> bool:
+        return (n * L + h0 - nat_lo >= 0.0
+                and n * L * (1.0 - h_unit) - min_stroke >= 0.0
+                and L * w_unit - min_width >= 0.0)
 
-        def below_ceiling(L: float) -> bool:
-            return nat_hi - (n * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0
+    def below_ceiling(L: float) -> bool:
+        return nat_hi - (n * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0
 
-        lo = _snap(above_floor, lo, L_min, L_max)
-        hi = _snap(below_ceiling, hi, L_max, L_min)
-        if lo is not None and hi is not None and lo <= hi:
-            return lo, hi
+    lo = _snap(above_floor, lo, L_min, L_max)
+    hi = _snap(below_ceiling, hi, L_max, L_min)
+    if lo is not None and hi is not None and lo <= hi:
+        return lo, hi
+    return None
+
+
+def _binding(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
+             h_unit: float, w_unit: float) -> str:
+    """Name of the binding constraint of an arch count n with no feasible L.
+
+    It is the smallest margin where the smallest margin is largest; that
+    maximin of affine functions over L_range lies at an end of L_range or
+    where two margins cross.
+    """
+    L_min, L_max = L_range
+    a = _slack(limits, n, 0.0, h_unit, w_unit)
+    b = _slopes(n, h_unit, w_unit)
     crossings = [(a[j] - a[i]) / (b[i] - b[j])
                  for i, j in combinations(range(len(a)), 2) if b[i] != b[j]]
     best = max((_slack(limits, n, L, h_unit, w_unit)
@@ -234,15 +243,33 @@ def _solve_n(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
     return _CONSTRAINT_NAMES[best.index(min(best))]
 
 
-def _scan(constraints: DesignConstraints, p_cap: float):
-    """(n, feasible L-interval or binding constraint name) for every n in n_range."""
+def _units(p_cap: float) -> tuple[tuple[float, ...], float, float]:
+    """The search's one Carlson pass, beam._shape at p_cap, and from it
+    ĥ and ŵ: _arch(1.0, p_cap)'s h and w, the same doubles, as 1.0 * x is x."""
     _check_p_cap(p_cap)
-    w_unit, h_unit, _, _ = solve_beam(1.0, p_cap)
-    limits = _limits(constraints)  # read once: a field read is not cheap
-    n_lo, n_hi = constraints.n_range
-    L_range = constraints.L_range
-    for n in range(n_lo, n_hi + 1):
-        yield n, _solve_n(limits, L_range, n, h_unit, w_unit)
+    shape = _shape(float(p_cap))
+    sp, rf, num, F2, _ = shape
+    return shape, sp / rf, num / F2
+
+
+def _results(constraints: DesignConstraints, shape, found) -> list[DesignResult]:
+    """One result per (n, L-interval) of found, sorted as search returns them.
+
+    Each achieved value is state_at's at p_cap on the result's spec, the
+    same doubles: the natural length and the arch are _states' and _arch's
+    expressions on beam._shape at p_cap.
+    """
+    sp, rf, num, F2, _ = shape
+    h0, kind = constraints.h0, constraints.kind
+    results = []
+    for n, (lo, hi) in found:
+        L = 0.5 * (lo + hi)
+        natural = n * L + h0
+        achieved = AchievedMetrics(natural, natural - (n * (sp * L / rf) + h0),
+                                   L * num / F2)
+        results.append(DesignResult(MuscleSpec(n, L, h0, kind), achieved, True, (lo, hi)))
+    results.sort(key=lambda res: (res.achieved.width_at_full, res.spec.n, res.spec.L))
+    return results
 
 
 def search(constraints: DesignConstraints,
@@ -254,22 +281,35 @@ def search(constraints: DesignConstraints,
     and a spec at its midpoint.  Results are sorted by achieved width at
     full contraction (ascending: gentlest expansion first), ties broken by
     (n, L).  An empty list is a valid outcome.  Deterministic for identical
-    inputs.  p_cap obeys the same rule as in muscle.curve.
+    inputs.  p_cap obeys the same rule as in muscle.curve.  One Carlson
+    pass per search; the binding constraints of the infeasible arch counts
+    are not computed (see infeasibility_report).
     """
-    return _search_and_report(constraints, p_cap)[0]
+    shape, h_unit, w_unit = _units(p_cap)
+    limits, L_range = _limits(constraints), constraints.L_range
+    n_lo, n_hi = constraints.n_range
+    feasible = []
+    for n in range(n_lo, n_hi + 1):
+        found = _interval(limits, L_range, n, h_unit, w_unit)
+        if found is not None:
+            feasible.append((n, found))
+    return _results(constraints, shape, feasible)
 
 
 def _search_and_report(constraints: DesignConstraints,
                        p_cap: float) -> tuple[list[DesignResult], dict[int, str]]:
     """search and infeasibility_report from one scan."""
-    results, report = [], {}
-    for n, found in _scan(constraints, p_cap):
-        if isinstance(found, str):
-            report[n] = found
+    shape, h_unit, w_unit = _units(p_cap)
+    limits, L_range = _limits(constraints), constraints.L_range
+    n_lo, n_hi = constraints.n_range
+    feasible, report = [], {}
+    for n in range(n_lo, n_hi + 1):
+        found = _interval(limits, L_range, n, h_unit, w_unit)
+        if found is None:
+            report[n] = _binding(limits, L_range, n, h_unit, w_unit)
         else:
-            results.append(_result_for(constraints, n, *found, p_cap))
-    results.sort(key=lambda res: (res.achieved.width_at_full, res.spec.n, res.spec.L))
-    return results, report
+            feasible.append((n, found))
+    return _results(constraints, shape, feasible), report
 
 
 def infeasibility_report(constraints: DesignConstraints,
@@ -279,6 +319,11 @@ def infeasibility_report(constraints: DesignConstraints,
     The binding constraint is the smallest margin at the exact maximin of
     the margins over L_range, which names the requirement that cannot be
     met even at the most favorable L.  Its keys are exactly the arch counts
-    in n_range that ``search`` returns no result for.
+    in n_range that ``search`` returns no result for.  One Carlson pass per
+    report, and no results are built.
     """
-    return {n: found for n, found in _scan(constraints, p_cap) if isinstance(found, str)}
+    _, h_unit, w_unit = _units(p_cap)
+    limits, L_range = _limits(constraints), constraints.L_range
+    n_lo, n_hi = constraints.n_range
+    return {n: _binding(limits, L_range, n, h_unit, w_unit) for n in range(n_lo, n_hi + 1)
+            if _interval(limits, L_range, n, h_unit, w_unit) is None}

@@ -69,7 +69,9 @@ def _json_text(obj) -> str:
 # JSON fields
 # ---------------------------------------------------------------------------
 
-def _read_json_object(path: str | os.PathLike, what: str) -> dict:
+def _read_json_object(path: str | os.PathLike, what: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object in the file at path, whose keys must all be in fields:
+    a misspelled optional field would otherwise be dropped unnoticed."""
     try:
         with open(path, encoding="utf-8") as file:
             raw = json.load(file)
@@ -79,6 +81,9 @@ def _read_json_object(path: str | os.PathLike, what: str) -> dict:
         raise DomainError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise DomainError(f"{what} {path} must be a JSON object")
+    for key in raw:
+        if key not in fields:
+            raise DomainError(f"{what} {path} has unknown field {key!r}")
     return raw
 
 
@@ -114,7 +119,7 @@ def _pair(value, name: str, convert) -> tuple:
 
 def read_muscle_spec(path: str | os.PathLike) -> MuscleSpec:
     """Load a muscle spec from its JSON file schema."""
-    raw = _read_json_object(path, "muscle spec")
+    raw = _read_json_object(path, "muscle spec", ("n", "L_mm", "h0_mm", "kind"))
     try:
         fields = dict(
             n=_integer(raw["n"], "n"),
@@ -307,7 +312,9 @@ def winch_params_to_json(params: HysteresisParams) -> str:
 
 def read_winch_params(path: str | os.PathLike) -> tuple[HysteresisParams, float]:
     """-> (params, initial_tension_N); the initial state defaults to 0."""
-    raw = _read_json_object(path, "winch params")
+    # rms_residual_N is not read, but winch fit writes it
+    raw = _read_json_object(path, "winch params", (
+        "c_N_per_A", "r_N", "initial_tension_N", "rms_residual_N"))
     try:
         params = HysteresisParams(c=_number(raw["c_N_per_A"], "c_N_per_A"),
                                   r=_number(raw["r_N"], "r_N"))
@@ -324,7 +331,9 @@ def read_winch_params(path: str | os.PathLike) -> tuple[HysteresisParams, float]
 # ---------------------------------------------------------------------------
 
 def read_design_constraints(path: str | os.PathLike) -> DesignConstraints:
-    raw = _read_json_object(path, "constraints")
+    raw = _read_json_object(path, "constraints", (
+        "natural_length_range_mm", "min_stroke_mm", "max_width_at_full_mm",
+        "min_width_at_full_mm", "h0_mm", "n_range", "L_range_mm", "kind"))
     try:
         fields = dict(
             natural_length_range=_pair(raw["natural_length_range_mm"],

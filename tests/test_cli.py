@@ -612,6 +612,33 @@ def test_winch_params_reject_bad_field(tmp_path, capsys, field, text):
     assert field in err
 
 
+@pytest.mark.parametrize("fixture, key, argv", [
+    ("constraints.json", "min_width_at_full", ["design", "search", "--constraints"]),
+    ("radial.json", "L", ["muscle", "invert", "--length", "220", "--spec"]),
+    ("winch_params.json", "initial_tension",
+     ["winch", "simulate", "--profile", str(DATA_DIR / "triangle_profile.csv"), "--params"]),
+], ids=["constraints", "muscle-spec", "winch-params"])
+def test_json_inputs_reject_an_unknown_field(tmp_path, capsys, fixture, key, argv):
+    # a misspelled optional field, such as min_width_at_full for
+    # min_width_at_full_mm, used to be ignored: the run went on without it
+    raw = json.loads((DATA_DIR / fixture).read_text())
+    path = tmp_path / fixture
+    path.write_text(json.dumps({**raw, key: 1000.0}))
+    code, out, err = run([*argv, str(path)], capsys)
+    assert_bad_input(code, err)
+    assert out == "" and f"unknown field {key!r}" in err
+
+
+def test_winch_simulate_reads_the_params_that_winch_fit_writes(capsys):
+    # winch_fit.json holds rms_residual_N besides the parameters
+    profile = str(DATA_DIR / "triangle_profile.csv")
+    fitted = run(["winch", "simulate", "--params", str(GOLDEN_DIR / "winch_fit.json"),
+                  "--profile", profile], capsys)
+    given = run(["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),
+                 "--profile", profile], capsys)
+    assert fitted == given and fitted[0] == 0
+
+
 def test_winch_simulate_rejects_non_finite_initial_tension(capsys):
     code, _, err = run(
         ["winch", "simulate", "--params", str(DATA_DIR / "winch_params.json"),

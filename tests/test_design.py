@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA_DIR
 from oracles import evaluate
 
+from wwmtc import beam, design
 from wwmtc.beam import P_STRAIGHT, solve_beam
 from wwmtc.design import (DesignConstraints, _margins, _search_and_report,
                           infeasibility_report, search)
+from wwmtc.elliptic import _rf_rd
 from wwmtc.errors import DomainError
 from wwmtc.fileio import read_design_constraints
 from wwmtc.muscle import DEFAULT_P_CAP, MuscleSpec, natural_length, state_at
@@ -84,14 +86,45 @@ def test_results_sorted_by_width():
     assert widths == sorted(widths)
 
 
-def test_achieved_values_recompute_exactly():
-    for res in search(radial_roundtrip_constraints(), PCAP):
+def assert_achieved_recompute_exactly(results) -> None:
+    """Every result's achieved values are its spec's, to the bit."""
+    for res in results:
         st = state_at(res.spec, PCAP)
-        assert res.achieved.natural_length == pytest.approx(
-            natural_length(res.spec), rel=1e-9
-        )
-        assert res.achieved.stroke == pytest.approx(st.contraction, rel=1e-9)
-        assert res.achieved.width_at_full == pytest.approx(st.width, rel=1e-9)
+        assert res.achieved == (natural_length(res.spec), st.contraction, st.width), res
+
+
+def test_achieved_values_recompute_exactly():
+    results = search(radial_roundtrip_constraints(), PCAP)
+    assert results
+    assert_achieved_recompute_exactly(results)
+
+
+@pytest.mark.parametrize("n_range", [(1, 12), (1, 400)], ids=["fixture", "wide"])
+def test_one_carlson_pass_per_search(monkeypatch, n_range):
+    cons = radial_roundtrip_constraints()._replace(n_range=n_range)
+    calls = []
+
+    def counting_rf_rd(*args):
+        calls.append(args)
+        return _rf_rd(*args)
+
+    monkeypatch.setattr(beam, "_rf_rd", counting_rf_rd)
+    for fn in (search, infeasibility_report, _search_and_report):
+        calls.clear()
+        fn(cons, PCAP)
+        assert len(calls) == 1, (fn.__name__, len(calls))
+
+
+def test_search_computes_no_binding_constraint(monkeypatch):
+    cons = radial_roundtrip_constraints()._replace(n_range=(1, 40))
+    results = search(cons, PCAP)
+    assert infeasibility_report(cons, PCAP), "the test needs infeasible arch counts"
+
+    def no_binding(*args):
+        raise AssertionError("search computed a binding constraint")
+
+    monkeypatch.setattr(design, "_binding", no_binding)
+    assert search(cons, PCAP) == results
 
 
 def test_stroke_with_zero_width_budget_is_infeasible():
@@ -297,6 +330,8 @@ def test_search_and_report_properties(cons):
     assert len(found) == len(set(found))
     assert not set(found) & set(report)
     assert set(found) | set(report) == set(range(cons.n_range[0], cons.n_range[1] + 1))
+
+    assert_achieved_recompute_exactly(results)
 
     # every spec and both interval ends re-validate through the forward model
     for res in results:
