@@ -147,23 +147,28 @@ def fit_tendon(strain, load, cycle) -> TendonFit:
     Deterministic: a is solved in closed form for each b, and b runs
     Gauss-Newton from b = 1 (see ``_vp_fit_exponential``).  A log whose
     strains leave b undetermined, or that no positive a fits, raises
-    FitConvergenceError.
+    FitConvergenceError.  A strain outside [0, 0.5], a load below 0, a
+    cycle that is not a whole number below 2**63 in magnitude, or a NaN in
+    any series, is a DomainError.
     """
     import numpy as np
 
     strain = np.asarray(strain, dtype=float)
     load = np.asarray(load, dtype=float)
-    cycle = np.asarray(cycle, dtype=int)
+    cycle = np.asarray(cycle, dtype=float)  # tags compared as read_tendon_csv reads them
     if not (strain.shape == load.shape == cycle.shape) or strain.ndim != 1:
         raise DomainError("strain, load and cycle must be equal-length 1-D series")
     if strain.size < 10:
         raise InsufficientDataError(
             f"need at least 10 samples, got {strain.size}"
         )
-    if np.any(strain < 0.0) or np.any(strain > 0.5):
+    # written as "not 0 <= x" so that NaN fails every check
+    if not ((0.0 <= strain) & (strain <= 0.5)).all():
         raise DomainError("strains must lie in [0, 0.5]")
-    if np.any(load < 0.0):
+    if not (0.0 <= load).all():
         raise DomainError("loads must be >= 0")
+    if not ((np.floor(cycle) == cycle) & (abs(cycle) < 2.0 ** 63)).all():
+        raise DomainError("cycles must be whole numbers of magnitude below 2**63")
 
     first = cycle.min()
     first_mask = cycle == first

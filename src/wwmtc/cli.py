@@ -271,7 +271,8 @@ def _cmd_muscle_invert(args) -> Outputs:
 def _cmd_design_search(args) -> Outputs:
     constraints = fileio.read_design_constraints(args.constraints)
     p_cap = _resolve_p_cap(args)
-    results, report = design._search_and_report(constraints, p_cap)
+    results = design.search(constraints, p_cap)
+    report = design.infeasibility_report(constraints, p_cap)
     outputs = [(args.out or None, fileio.design_results_to_json(results))]
     if args.csv:
         outputs.append((args.csv, fileio.design_results_to_csv(results)))

@@ -12,9 +12,9 @@ inputs.
 
 A search makes one Carlson pass, beam._shape at p_cap: it gives ĥ and ŵ,
 and every result's achieved values scale from it by the result's L.  The
-binding constraint is computed only where it is returned: by
-infeasibility_report and by _search_and_report, which serves design
-search on the command line; search does not compute it.
+binding constraint is computed only where it is returned, by
+infeasibility_report; search does not compute it.  design search on the
+command line calls the two in turn.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ _CONSTRAINT_NAMES = (
 )
 
 
-def _margins(constraints: DesignConstraints, n: int, L: float,
-             h_unit: float, w_unit: float) -> tuple[float, ...]:
-    """Signed slack (mm) of every constraint; >= 0 everywhere means feasible."""
-    return _slack(_limits(constraints), n, L, h_unit, w_unit)
-
-
 def _limits(constraints: DesignConstraints) -> tuple[float, ...]:
     """What the margins read of the constraints, unpacked into a plain tuple:
     (natural length min and max, min stroke, max and min width, h0).  A
@@ -116,7 +110,8 @@ def _limits(constraints: DesignConstraints) -> tuple[float, ...]:
 
 def _slack(limits: tuple[float, ...], n: int, L: float,
            h_unit: float, w_unit: float) -> tuple[float, ...]:
-    """_margins from the constraints' _limits."""
+    """Signed slack (mm) of every constraint at (n, L), from the constraints'
+    _limits; >= 0 everywhere means feasible."""
     nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
     nat = n * L + h0
     stroke = n * L * (1.0 - h_unit)
@@ -177,7 +172,7 @@ def _snap(passes, end: float, outward: float, inward: float) -> float | None:
 
 
 def _slopes(n: int, h_unit: float, w_unit: float) -> tuple[float, ...]:
-    """Slope in L of every margin of ``_margins``."""
+    """Slope in L of every margin of ``_slack``."""
     return (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
 
 
@@ -204,7 +199,7 @@ def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
     # Margins that rise with L bound it from below (the floor: natural
     # length min, stroke, width min), falling ones from above (the
     # ceiling), with the signs of _slopes for every n >= 1, h_unit < 1 and
-    # w_unit > 0.  Each group is written with _margins' expressions.
+    # w_unit > 0.  Each group is written with _slack's expressions.
     # Rounding is monotone, so no computed floor margin falls as L grows
     # and no ceiling margin rises: each group passes on one side of a
     # single boundary.
@@ -294,22 +289,6 @@ def search(constraints: DesignConstraints,
         if found is not None:
             feasible.append((n, found))
     return _results(constraints, shape, feasible)
-
-
-def _search_and_report(constraints: DesignConstraints,
-                       p_cap: float) -> tuple[list[DesignResult], dict[int, str]]:
-    """search and infeasibility_report from one scan."""
-    shape, h_unit, w_unit = _units(p_cap)
-    limits, L_range = _limits(constraints), constraints.L_range
-    n_lo, n_hi = constraints.n_range
-    feasible, report = [], {}
-    for n in range(n_lo, n_hi + 1):
-        found = _interval(limits, L_range, n, h_unit, w_unit)
-        if found is None:
-            report[n] = _binding(limits, L_range, n, h_unit, w_unit)
-        else:
-            feasible.append((n, found))
-    return _results(constraints, shape, feasible), report
 
 
 def infeasibility_report(constraints: DesignConstraints,

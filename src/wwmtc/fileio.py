@@ -257,7 +257,7 @@ def _columns(path: str | os.PathLike, header: str) -> list[list[float]]:
 
 def read_tendon_csv(path: str | os.PathLike):
     """-> (time_s, load_N, strain, cycle) lists of floats; each cycle is a
-    whole number of magnitude below 2**63, so that it fits an int64."""
+    whole number of magnitude below 2**63, as fit_tendon requires."""
     time_s, load, strain, cycle = _columns(path, TENDON_HEADER)
     if not (all(map(float.is_integer, cycle))
             and -2.0 ** 63 < min(cycle) and max(cycle) < 2.0 ** 63):

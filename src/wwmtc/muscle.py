@@ -103,8 +103,9 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
     The first sample is the exact natural state (width 0, length n*L + h0);
     length decreases strictly along the samples.
     """
-    if num_samples < 2:
-        raise DomainError(f"num_samples={num_samples!r} must be >= 2")
+    # an integer has __index__, numpy's too; a bool has one but is < 2
+    if not (hasattr(num_samples, "__index__") and num_samples >= 2):
+        raise DomainError(f"num_samples={num_samples!r} must be an integer >= 2")
     _check_p_cap(p_cap)
     step = (p_cap - P_STRAIGHT) / (num_samples - 1)
     ps = [P_STRAIGHT + i * step for i in range(num_samples - 1)]

@@ -121,6 +121,7 @@ def test_tendon_fit_reaches_the_optimum(seed):
     assert abs(fit.rms_residual - lm.rms_residual) <= 4 * math.ulp(lm.rms_residual)
 
 
+@pytest.mark.filterwarnings("error")  # numpy's cast of a NaN cycle used to warn
 def test_tendon_input_validation():
     with pytest.raises(InsufficientDataError):
         fit_tendon([0.1] * 5, [1.0] * 5, [0] * 5)
@@ -130,6 +131,20 @@ def test_tendon_input_validation():
     with pytest.raises(InsufficientDataError):
         # all samples in the first cycle: nothing left to fit
         fit_tendon(np.linspace(0, 0.1, 20), np.linspace(0, 5, 20), np.zeros(20, int))
+
+    # a NaN strain or load used to stall the fit, and a cycle that is not a
+    # whole int64 was cast to one: NaN, inf and 1e300 to INT64_MIN, which
+    # made its sample the bedding-in cycle, and 0.5 to cycle 0
+    s = np.linspace(0.0, 0.2, 40)
+    series = dict(strain=s, load=10.0 * np.expm1(5.0 * s), cycle=[0.0] * 20 + [1.0] * 20)
+    for name, k, value in [("strain", 25, math.nan), ("load", 25, math.nan),
+                           ("cycle", 5, math.nan), ("cycle", 5, math.inf),
+                           ("cycle", 5, 1e300), ("cycle", 5, 0.5)]:
+        bad = dict(series, **{name: np.array(series[name], dtype=float)})
+        bad[name][k] = value
+        with pytest.raises(DomainError, match=f"^{name}s "):
+            fit_tendon(**bad)
+    fit_tendon(**series)
 
 
 def test_tendon_fit_stalls_on_a_zero_jacobian():

@@ -1,19 +1,27 @@
 """Design search: round trip, soundness, exact completeness, properties."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA_DIR
 from oracles import evaluate
 
 from wwmtc import beam, design
 from wwmtc.beam import P_STRAIGHT, solve_beam
-from wwmtc.design import (DesignConstraints, _margins, _search_and_report,
-                          infeasibility_report, search)
+from wwmtc.cli import dispatch
+from wwmtc.design import (DesignConstraints, _limits, _slack, infeasibility_report,
+                          search)
 from wwmtc.elliptic import _rf_rd
 from wwmtc.errors import DomainError
-from wwmtc.fileio import read_design_constraints
+from wwmtc.fileio import (design_results_to_csv, design_results_to_json,
+                          read_design_constraints)
 from wwmtc.muscle import DEFAULT_P_CAP, MuscleSpec, natural_length, state_at
 
 PCAP = DEFAULT_P_CAP
@@ -109,7 +117,7 @@ def test_one_carlson_pass_per_search(monkeypatch, n_range):
         return _rf_rd(*args)
 
     monkeypatch.setattr(beam, "_rf_rd", counting_rf_rd)
-    for fn in (search, infeasibility_report, _search_and_report):
+    for fn in (search, infeasibility_report):
         calls.clear()
         fn(cons, PCAP)
         assert len(calls) == 1, (fn.__name__, len(calls))
@@ -173,10 +181,10 @@ def test_soundness_and_completeness_randomized():
         for res in results:
             margins = evaluate(cons, res.spec.n, res.spec.L, PCAP)
             assert min(margins) >= -1e-6
-            mid_margins = evaluate(
+            at_mid = evaluate(
                 cons, res.spec.n, 0.5 * (res.L_interval[0] + res.L_interval[1]), PCAP
             )
-            assert min(mid_margins) >= -1e-6
+            assert min(at_mid) >= -1e-6
 
         # completeness: every dense-scan point with margin >= 0 is covered
         assert_complete(cons, results)
@@ -216,7 +224,7 @@ def test_interval_ends_exact_when_offset_dwarfs_arches(h0):
         n = res.spec.n
 
         def passes(L):
-            return min(_margins(cons, n, L, sol.h, sol.w)) >= 0.0
+            return min(_slack(_limits(cons), n, L, sol.h, sol.w)) >= 0.0
 
         lo, hi = res.L_interval
         assert passes(lo) and passes(hi)
@@ -225,7 +233,7 @@ def test_interval_ends_exact_when_offset_dwarfs_arches(h0):
 
 
 def test_interval_ends_snapped_on_random_constraints():
-    # every interval end passes _margins and its outward neighbour fails,
+    # every interval end passes the margin check and its outward neighbour fails,
     # unless the end is the end of L_range; results and report split n_range
     rng = np.random.default_rng(1717)
     sol = solve_beam(1.0, PCAP)
@@ -241,7 +249,7 @@ def test_interval_ends_snapped_on_random_constraints():
             n = res.spec.n
 
             def passes(L):
-                return min(_margins(cons, n, L, sol.h, sol.w)) >= 0.0
+                return min(_slack(_limits(cons), n, L, sol.h, sol.w)) >= 0.0
 
             lo, hi = res.L_interval
             assert passes(lo) and passes(hi), (cons, n)
@@ -322,8 +330,6 @@ def constraint_sets(draw) -> DesignConstraints:
 def test_search_and_report_properties(cons):
     results = search(cons, PCAP)
     report = infeasibility_report(cons, PCAP)
-    # design search's single scan gives both
-    assert _search_and_report(cons, PCAP) == (results, report)
 
     # results and report split n_range with no overlap
     found = [r.spec.n for r in results]
@@ -342,6 +348,43 @@ def test_search_and_report_properties(cons):
     dense = np.linspace(cons.L_range[0], cons.L_range[1], 2001)
     for n in report:
         assert not (dense_margin(cons, n, dense) >= 0.0).any(), n
+
+
+def constraints_json(cons: DesignConstraints) -> str:
+    """cons as the JSON file that fileio.read_design_constraints reads."""
+    return json.dumps({
+        "natural_length_range_mm": list(cons.natural_length_range),
+        "min_stroke_mm": cons.min_stroke,
+        "max_width_at_full_mm": cons.max_width_at_full,
+        "min_width_at_full_mm": cons.min_width_at_full,
+        "h0_mm": cons.h0,
+        "n_range": list(cons.n_range),
+        "L_range_mm": list(cons.L_range),
+        "kind": cons.kind,
+    })
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(constraint_sets(), st.sampled_from([PCAP, 0.75, 0.9, 0.999]))
+@example(read_design_constraints(DATA_DIR / "constraints.json"), PCAP)
+@example(radial_roundtrip_constraints()._replace(n_range=(1, 40)), 0.9)
+def test_design_search_command_is_search_then_report(cons, p_cap):
+    # design search prints search's results and writes them as CSV, then one
+    # stderr line per arch count of infeasibility_report, in its order
+    results = search(cons, p_cap)
+    report = infeasibility_report(cons, p_cap)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, csv = Path(tmp) / "c.json", Path(tmp) / "out.csv"
+        path.write_text(constraints_json(cons), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(["design", "search", "--constraints", str(path),
+                             "--csv", str(csv), f"--p-cap={p_cap!r}"])
+        assert code == 0, err.getvalue()
+        assert csv.read_text(encoding="utf-8") == design_results_to_csv(results)
+    assert out.getvalue() == design_results_to_json(results)
+    assert err.getvalue() == "".join(f"n={n}: infeasible, binding constraint {name}\n"
+                                     for n, name in report.items())
 
 
 VALID_FIELDS = dict(natural_length_range=(237.2, 238.8), min_stroke=65.8,
@@ -376,6 +419,6 @@ def test_search_and_report_reject_bad_p_cap(p_cap):
     # the rule of muscle.curve and state_for_length: p_cap = P_STRAIGHT, or a
     # value below it that solve_beam's boundary tolerance lets through, is no cap
     cons = radial_roundtrip_constraints()
-    for fn in (search, infeasibility_report, _search_and_report):
+    for fn in (search, infeasibility_report):
         with pytest.raises(DomainError, match="p_cap="):
             fn(cons, p_cap)

@@ -346,6 +346,12 @@ def test_spec_validation():
 def test_curve_validation(radial_spec):
     with pytest.raises(DomainError):
         curve(radial_spec, 1)
+    # a float count used to reach range() and raise TypeError
+    for count in (3.0, np.float64(3.0), True, "5", None):
+        with pytest.raises(DomainError, match="num_samples="):
+            curve(radial_spec, count)
+    for count in (np.int64(5), np.int32(2)):
+        assert len(curve(radial_spec, count).samples) == count
     with pytest.raises(DomainError):
         curve(radial_spec, 10, p_cap=0.5)
 

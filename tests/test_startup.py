@@ -11,7 +11,8 @@ test process has all of these loaded already.  The interpreter starts with
 the probe then appends the entries of this process's ``sys.path`` that it
 lacks, the site directories among them, after its own, as ``site`` would.
 numpy is the one module imported inside a function; every wwmtc module is
-imported at the top of the modules that use it.
+imported at the top of the modules that use it.  The outer layers, cli,
+fileio and svgplot, use only the public names of the other modules.
 """
 
 import ast
@@ -138,6 +139,29 @@ def test_only_numpy_is_imported_inside_a_function():
                                 if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert deferred, "no deferred import of numpy found"
     assert [d for d in sorted(deferred) if d[2] != "import numpy as np"] == []
+
+
+def test_outer_layers_use_only_the_public_api():
+    # cli, fileio and svgplot neither import an _-prefixed name of another
+    # wwmtc module nor read one as a module attribute
+    private = set()
+    for name in ("cli.py", "fileio.py", "svgplot.py"):
+        tree = ast.parse((SRC_DIR / "wwmtc" / name).read_text(encoding="utf-8"))
+        modules = set()  # the names the file binds to wwmtc modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "wwmtc"
+                                                     or node.module.startswith("wwmtc.")):
+                if node.module in (None, "wwmtc"):
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                private.update((name, node.lineno, alias.name) for alias in node.names
+                               if alias.name.startswith("_"))
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name.partition(".")[0]
+                               for alias in node.names if alias.name.startswith("wwmtc"))
+        private.update((name, node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                       and isinstance(node.value, ast.Name) and node.value.id in modules)
+    assert sorted(private) == []
 
 
 def test_lazy_actuator_exports_resolve():
