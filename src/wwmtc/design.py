@@ -10,27 +10,37 @@ When it is empty, the binding constraint is read off at the exact maximin
 of the margins.  The whole search is a pure deterministic function of its
 inputs.
 
+The feasible arch counts have a closed form too: in real arithmetic n is
+feasible iff A <= B, α <= β and α/B <= n <= β/A, with A and B the width
+and L_range bounds on L and α and β the bounds on the arch stack n·L.  So
+_counts classifies every arch count at once as surely feasible, surely
+infeasible or, within a rounding bound of a threshold, undecided, and
+only the undecided counts (and, for search, the feasible ones, whose
+L-intervals it returns) go through _interval.
+
 A search makes one Carlson pass, beam._shape at p_cap: it gives ĥ and ŵ,
 and every result's achieved values scale from it by the result's L.  The
 binding constraint is computed only where it is returned, by
-infeasibility_report; search does not compute it.  design search on the
-command line calls the two in turn.
+infeasibility_report, one _binding per infeasible count; search does not
+compute it.  design search on the command line calls the two in turn.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from collections import namedtuple
-from itertools import combinations
+from itertools import chain, combinations
 
 from .beam import _shape
 from .errors import DomainError
-from .muscle import DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap
+from .muscle import DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap, _is_integer
 
 # the widest n_range searched.  A search holds a result or report entry and
-# its output line for every arch count until it returns: ~16 µs and ~0.4 kB
-# each on a 2-vCPU x86 host, so a full-width search takes ~16 s and ~0.4 GB
+# its output line for every arch count until it returns: ~8 µs and ~0.3 kB
+# each on a 2-vCPU x86 host, most of it the binding constraint of each
+# infeasible count, so a full-width design search takes ~8 s and ~0.3 GB
 _MAX_ARCH_COUNTS = 10**6
 
 
@@ -63,8 +73,11 @@ class DesignConstraints(namedtuple(
         if self.L_range[0] <= 0:
             raise DomainError("L_range must be positive")
         n_lo, n_hi = self.n_range
-        if not type(n_lo) is type(n_hi) is int:  # a bool is no arch count
-            raise DomainError(f"n_range={self.n_range!r} must be a pair of integers")
+        if not type(n_lo) is type(n_hi) is int:  # a numpy integer is stored as an int
+            if not (_is_integer(n_lo) and _is_integer(n_hi)):
+                raise DomainError(f"n_range={self.n_range!r} must be a pair of integers")
+            n_lo, n_hi = operator.index(n_lo), operator.index(n_hi)
+            self = self._replace(n_range=(n_lo, n_hi))
         if n_lo < 1:
             raise DomainError("n_range must start at >= 1")
         if n_hi - n_lo >= _MAX_ARCH_COUNTS:
@@ -238,6 +251,85 @@ def _binding(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
     return _CONSTRAINT_NAMES[best.index(min(best))]
 
 
+# Rounding bounds of _counts: one rounding moves a normal double by at most
+# _EPS / 2 of itself, and _TINY (mm) is above the few underflow errors,
+# 2**-1075 each, that a margin meets, even divided by 1 − ĥ >= 2**-53 or
+# multiplied by an arch count below 2**53.
+_EPS = 2.0**-52
+_TINY = 2.0**-1000
+
+
+def _least(t: float, lo: int, hi: int, strict: bool) -> int:
+    """The least integer above t, or at t unless strict, clamped to [lo, hi]."""
+    if t < lo:
+        return lo
+    if t >= hi:
+        return hi
+    n = math.ceil(t)
+    return n + 1 if strict and n == t else n
+
+
+def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
+            n_range: tuple[int, int], h_unit: float, w_unit: float) -> tuple[range, range]:
+    """(maybe, sure): the arch counts of n_range that _interval may find
+    feasible, and a run of them that it surely finds feasible.  Every count
+    outside maybe is surely infeasible; the counts of maybe outside sure are
+    undecided, and only _interval can tell.
+
+    With u = 1 − ĥ as rounded, A = max(L_min, min_width/ŵ), B = min(L_max,
+    max_width/ŵ), α = max(nat_lo − h0, min_stroke/u) and β = nat_hi − h0,
+    n is feasible in real arithmetic iff the four slacks B − A, β − α,
+    n·B − α and β − n·A are >= 0: iff the L-interval [max(A, α/n),
+    min(B, β/n)] is not empty.  _interval departs from that by rounding:
+      - it returns None when its rounded ends cross, and each is within
+        1.5·_EPS, relative, of its real value: (nat − h0)/n,
+        min_stroke/(n·u) or width/ŵ;
+      - else it returns an interval iff a double L in L_range passes every
+        rounded margin, and where n·L <= β these are within _EPS·nat_hi of
+        the real ones for the natural length (n·L + h0 <= nat_hi),
+        1.5·_EPS·n·L for the stroke and _EPS·L / 2 for the width.
+    So n is surely feasible if each lower end of the real interval is below
+    each upper end by more than the errors of their margins, taken in L,
+    plus 0.5·_EPS of the upper end (L rounded to a double), and by more
+    than 3·_EPS of it (the rounded ends in order): some double between them
+    then passes.  It
+    is surely infeasible if a lower end is above an upper end by more than
+    1.5·_EPS·(|lower| + |upper|): the rounded ends cross.  Each tolerance
+    below is at least four times the larger of these two bounds on its
+    slack; the excess covers the roundings of A, B, α, β and of the
+    thresholds in n solved from them, under 3·_EPS of their operands.
+
+    B − A and β − α do not depend on n, n·B − α rises with it and β − n·A
+    falls, so maybe and sure are runs of n: holes in n are possible only
+    when A ≈ B or α ≈ β, and then every count is undecided.  So is every
+    count when ĥ rounds to 1 or ŵ to 0 (p_cap next to P_STRAIGHT), or when
+    n_range reaches 2**53, where n itself is rounded.
+    """
+    nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
+    L_min, L_max = L_range
+    n_lo, n_hi = n_range
+    every, none = range(n_lo, n_hi + 1), range(n_lo, n_lo)
+    u = 1.0 - h_unit
+    if not (u > 0.0 and w_unit > 0.0 and n_hi < 2**53):
+        return every, none
+    A, B = max(L_min, min_width / w_unit), min(L_max, max_width / w_unit)
+    alpha, beta = max(nat_lo - h0, min_stroke / u), nat_hi - h0
+    tol_L = 16 * _EPS * (A + B) + _TINY  # of B − A
+    tol = 16 * _EPS * (nat_hi + h0 + alpha) + _TINY  # of β − α, and of the two
+    tol_A, tol_B = 16 * _EPS * A + _TINY, 16 * _EPS * B + _TINY  # plus n·tol_A, n·tol_B
+    if A - B > tol_L or alpha - beta > tol:
+        return none, none
+    if B - A <= tol_L or beta - alpha <= tol:
+        return every, none
+    # n·B − α > ±(tol + n·tol_B) and β − n·A > ±(tol + n·tol_A), solved for n
+    top = (beta + tol) / (A - tol_A) if A > tol_A else math.inf
+    maybe = range(_least((alpha - tol) / (B + tol_B), n_lo, n_hi + 1, False),
+                  _least(top, n_lo, n_hi + 1, True))
+    sure = range(_least((alpha + tol) / (B - tol_B), n_lo, n_hi + 1, True),
+                 _least((beta - tol) / (A + tol_A), n_lo, n_hi + 1, False))
+    return maybe, sure if sure else none
+
+
 def _units(p_cap: float) -> tuple[tuple[float, ...], float, float]:
     """The search's one Carlson pass, beam._shape at p_cap, and from it
     ĥ and ŵ: _arch(1.0, p_cap)'s h and w, the same doubles, as 1.0 * x is x."""
@@ -282,9 +374,9 @@ def search(constraints: DesignConstraints,
     """
     shape, h_unit, w_unit = _units(p_cap)
     limits, L_range = _limits(constraints), constraints.L_range
-    n_lo, n_hi = constraints.n_range
+    maybe, _ = _counts(limits, L_range, constraints.n_range, h_unit, w_unit)
     feasible = []
-    for n in range(n_lo, n_hi + 1):
+    for n in maybe:
         found = _interval(limits, L_range, n, h_unit, w_unit)
         if found is not None:
             feasible.append((n, found))
@@ -302,7 +394,8 @@ def infeasibility_report(constraints: DesignConstraints,
     report, and no results are built.
     """
     _, h_unit, w_unit = _units(p_cap)
-    limits, L_range = _limits(constraints), constraints.L_range
-    n_lo, n_hi = constraints.n_range
-    return {n: _binding(limits, L_range, n, h_unit, w_unit) for n in range(n_lo, n_hi + 1)
-            if _interval(limits, L_range, n, h_unit, w_unit) is None}
+    limits, L_range, n_range = _limits(constraints), constraints.L_range, constraints.n_range
+    maybe, sure = _counts(limits, L_range, n_range, h_unit, w_unit)
+    return {n: _binding(limits, L_range, n, h_unit, w_unit)
+            for n in chain(range(n_range[0], sure.start), range(sure.stop, n_range[1] + 1))
+            if n not in maybe or _interval(limits, L_range, n, h_unit, w_unit) is None}

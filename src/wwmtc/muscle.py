@@ -15,6 +15,7 @@ opposed arch pairs.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from .beam import P_MAX, P_STRAIGHT, _arch, _check_shape_param, _height, _p_for_height
@@ -28,6 +29,12 @@ DEFAULT_P_CAP = 0.97
 KINDS = ("radial", "planar")
 
 
+def _is_integer(x) -> bool:
+    """Whether x is an integer other than a bool: an int, or a type with
+    __index__, such as a numpy integer."""
+    return hasattr(x, "__index__") and not isinstance(x, bool)
+
+
 class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
     """Arch count, arch beam length (mm), length offset (mm), kind label."""
 
@@ -35,6 +42,8 @@ class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if type(self.n) is not int and _is_integer(self.n):  # say a numpy integer
+            self = super().__new__(cls, operator.index(self.n), *self[1:])
         if not (type(self.n) is int and self.n >= 1):  # a bool is no arch count
             raise DomainError(f"arch count n={self.n!r} must be an integer >= 1")
         if not 0.0 < self.L < math.inf:

@@ -33,6 +33,9 @@ function of t = -log(1 - p), the variable in which
 ``evaluate`` is the design oracle: it re-checks a candidate through the
 forward model (``state_at`` and ``natural_length``) and never uses the
 affine form of the margins that ``wwmtc.design`` solves.
+``oracle_search`` and ``oracle_report`` are ``wwmtc.design.search`` and
+``infeasibility_report`` without the closed form in n: one ``_interval``
+per arch count of ``n_range``, and one ``_binding`` per infeasible one.
 
 ``play_operator`` and ``play_operator_scan`` are the winch oracles for
 ``wwmtc.actuators.simulate_winch``, which runs one clamp per sample:
@@ -70,6 +73,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from wwmtc import design
 from wwmtc.actuators import HysteresisParams, TendonFit
 from wwmtc.beam import P_MAX
 from wwmtc.design import DesignConstraints
@@ -289,6 +293,31 @@ def evaluate(constraints: DesignConstraints, n: int, L: float,
         constraints.max_width_at_full - state.width,
         state.width - constraints.min_width_at_full,
     )
+
+
+def oracle_search(constraints: DesignConstraints,
+                  p_cap: float = DEFAULT_P_CAP) -> list[design.DesignResult]:
+    """design.search, scanning every arch count of n_range with _interval."""
+    shape, h_unit, w_unit = design._units(p_cap)
+    limits, L_range = design._limits(constraints), constraints.L_range
+    n_lo, n_hi = constraints.n_range
+    feasible = []
+    for n in range(n_lo, n_hi + 1):
+        found = design._interval(limits, L_range, n, h_unit, w_unit)
+        if found is not None:
+            feasible.append((n, found))
+    return design._results(constraints, shape, feasible)
+
+
+def oracle_report(constraints: DesignConstraints,
+                  p_cap: float = DEFAULT_P_CAP) -> dict[int, str]:
+    """design.infeasibility_report, scanning every arch count with _interval."""
+    _, h_unit, w_unit = design._units(p_cap)
+    limits, L_range = design._limits(constraints), constraints.L_range
+    n_lo, n_hi = constraints.n_range
+    return {n: design._binding(limits, L_range, n, h_unit, w_unit)
+            for n in range(n_lo, n_hi + 1)
+            if design._interval(limits, L_range, n, h_unit, w_unit) is None}
 
 
 def play_operator(c: float, r: float, currents, t0: float) -> list[float]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA_DIR
-from oracles import evaluate
+from oracles import evaluate, oracle_report, oracle_search
 
 from wwmtc import beam, design
 from wwmtc.beam import P_STRAIGHT, solve_beam
@@ -348,6 +348,91 @@ def test_search_and_report_properties(cons):
     dense = np.linspace(cons.L_range[0], cons.L_range[1], 2001)
     for n in report:
         assert not (dense_margin(cons, n, dense) >= 0.0).any(), n
+
+
+P_CAPS = [PCAP, 0.75, 0.9, 0.999]
+
+
+def assert_matches_the_scan(cons: DesignConstraints, p_cap: float) -> None:
+    """search and infeasibility_report equal the one-_interval-per-count scan."""
+    assert search(cons, p_cap) == oracle_search(cons, p_cap)
+    report = infeasibility_report(cons, p_cap)
+    assert report == oracle_report(cons, p_cap)
+    assert list(report) == sorted(report)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(constraint_sets(), st.sampled_from(P_CAPS))
+def test_closed_form_matches_the_scan(cons, p_cap):
+    assert_matches_the_scan(cons, p_cap)
+
+
+def at_an_edge(case: str) -> DesignConstraints:
+    """A constraint set at an edge of the closed form in n."""
+    fixture = radial_roundtrip_constraints()  # β/A = 21.68
+    if case == "one-point-L-range":
+        return fixture._replace(L_range=(27.0, 27.0))
+    if case == "one-point-natural-length":  # α = β = 216: only n·L = 216 can pass
+        return fixture._replace(natural_length_range=(238.0, 238.0), min_stroke=0.0,
+                                max_width_at_full=40.0, n_range=(1, 30))
+    if case == "alpha-negative":  # nat_lo < h0 and no stroke asked
+        return fixture._replace(natural_length_range=(10.0, 238.8), min_stroke=0.0)
+    if case == "beta-negative":  # nat_hi < h0
+        return fixture._replace(natural_length_range=(5.0, 20.0), min_stroke=0.0)
+    if case == "n-range-above-beta-over-A":
+        return fixture._replace(n_range=(22, 40))
+    if case == "n-range-at-2**53":  # where n itself rounds to a double
+        return fixture._replace(n_range=(2**53 - 3, 2**53 + 3))
+    if case == "h0=1e15":  # n·L + h0 rounds to multiples of 0.125; L_min is β/27 rounded
+        h0 = 1e15
+        return DesignConstraints(
+            natural_length_range=(h0 + 37.4, h0 + 74.9), min_stroke=0.0,
+            max_width_at_full=45.0, h0=h0, n_range=(20, 32),
+            L_range=((h0 + 74.9 - h0) / 27, 71.0))
+    if case == "h0=1e7":  # at p_cap 0.999, α/B is 28 + 4e-15
+        return DesignConstraints(
+            natural_length_range=(1e7, 10000181.835874453), min_stroke=30.392192192011017,
+            max_width_at_full=7.406856365744918, min_width_at_full=0.7238385064720809,
+            h0=1e7, n_range=(27, 36), L_range=(0.5277054202041196, 1.7812492137891427))
+    if case == "integer-h0":  # at p_cap 0.97, α/B is 13 + 2e-15
+        return DesignConstraints(
+            natural_length_range=(26.0, 191.28115837752424), min_stroke=49.11116179573969,
+            max_width_at_full=41.87593890005098, min_width_at_full=0.34176405218937056,
+            h0=26, n_range=(8, 13), L_range=(3.1112766138612495, 12.390702124380107))
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("p_cap", P_CAPS)
+@pytest.mark.parametrize("case", [
+    "one-point-L-range", "one-point-natural-length", "alpha-negative", "beta-negative",
+    "h0=1e7", "h0=1e15", "integer-h0", "n-range-above-beta-over-A", "n-range-at-2**53"])
+def test_closed_form_matches_the_scan_at_its_edges(case, p_cap):
+    assert_matches_the_scan(at_an_edge(case), p_cap)
+
+
+@pytest.mark.parametrize("p_cap", [np.nextafter(P_STRAIGHT, 1.0), P_STRAIGHT + 1e-12])
+def test_closed_form_matches_the_scan_next_to_the_straight_end(p_cap):
+    # ĥ rounds to 1, and ŵ to 0 or to ~2e-12: every count is undecided
+    fixture = radial_roundtrip_constraints()
+    for cons in (fixture, fixture._replace(min_stroke=0.0),
+                 fixture._replace(min_stroke=0.0, max_width_at_full=1e-13, n_range=(1, 30))):
+        assert_matches_the_scan(cons, float(p_cap))
+
+
+@pytest.mark.parametrize("n_range", [(1, 12), (1, 400)], ids=["fixture", "wide"])
+def test_report_decides_most_counts_in_closed_form(monkeypatch, n_range):
+    # the scan called _interval once per arch count: 12 and 400 times
+    cons = radial_roundtrip_constraints()._replace(n_range=n_range)
+    expected = oracle_report(cons, PCAP)
+    interval, calls = design._interval, []
+
+    def counting_interval(*args):
+        calls.append(args)
+        return interval(*args)
+
+    monkeypatch.setattr(design, "_interval", counting_interval)
+    assert infeasibility_report(cons, PCAP) == expected
+    assert len(calls) <= 4, len(calls)
 
 
 def constraints_json(cons: DesignConstraints) -> str:

@@ -5,7 +5,7 @@ standard library; numpy is for the tendon fit only, not for reading its
 log, and scipy for the test oracles only.  The value types are plain named
 tuples, so no command needs ``dataclasses`` or ``typing``, and the light
 commands not ``inspect`` either; files are opened with ``open``, so they
-need no ``pathlib``.  Each check runs in a fresh interpreter, since this
+need no ``pathlib``, and no exact arithmetic, ``fractions`` or ``decimal``.  Each check runs in a fresh interpreter, since this
 test process has all of these loaded already.  The interpreter starts with
 ``-S``, so that no ``.pth`` hook of an installed package preloads a module;
 the probe then appends the entries of this process's ``sys.path`` that it
@@ -112,6 +112,12 @@ def test_light_commands_load_no_dataclasses_inspect_or_typing(tmp_path):
 
 def test_light_commands_load_no_pathlib(tmp_path):
     assert_light_commands_load_none_of(("pathlib",), tmp_path)
+
+
+def test_light_commands_load_neither_fractions_nor_decimal(tmp_path):
+    # the design search's rounding bounds are plain floats: exact arithmetic
+    # in wwmtc would load into every command, since wwmtc imports design
+    assert_light_commands_load_none_of(("fractions", "decimal"), tmp_path)
 
 
 def test_tendon_log_read_loads_no_numpy():

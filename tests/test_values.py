@@ -3,6 +3,7 @@ construction, repr and checks that they had as frozen dataclasses."""
 
 import math
 
+import numpy as np
 import pytest
 
 from wwmtc.actuators import HysteresisParams, TendonFit
@@ -88,6 +89,10 @@ def test_value_type_semantics(value, text, fields):
     (CONSTRAINTS, "n_range", (1, 5.0)),
     (CONSTRAINTS, "n_range", (True, 5)),
     (SPEC, "n", True),
+    (SPEC, "n", np.float64(3.0)),
+    (SPEC, "n", np.True_),
+    (CONSTRAINTS, "n_range", (np.float64(1.0), 5)),
+    (CONSTRAINTS, "n_range", (1, np.int64(10**6 + 1))),
 ])
 def test_replace_and_make_check_like_the_constructor(base, field, bad):
     kwargs = {**base._asdict(), field: bad}
@@ -99,3 +104,16 @@ def test_replace_and_make_check_like_the_constructor(base, field, bad):
         type(base)._make(kwargs.values())
     assert str(replaced.value) == str(made.value) == str(constructed.value)
     assert field in str(constructed.value)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32])
+def test_numpy_integer_arch_counts_are_stored_as_ints(integer):
+    # a library caller may take arch counts from a numpy array
+    spec = MuscleSpec(integer(8), 27.0, 22.0)
+    cons = CONSTRAINTS._replace(n_range=(integer(1), integer(12)))
+    for value in (spec, SPEC._replace(n=integer(8)), MuscleSpec._make([integer(8), 27.0, 22.0])):
+        assert value == SPEC and type(value.n) is int
+    for value in (cons, DesignConstraints(**{**CONSTRAINTS._asdict(),
+                                             "n_range": (integer(1), 12)})):
+        assert value == CONSTRAINTS and [type(n) for n in value.n_range] == [int, int]
+    assert repr(spec) == repr(SPEC)
