@@ -35,7 +35,8 @@ from itertools import chain, combinations
 
 from .beam import _shape
 from .errors import DomainError
-from .muscle import DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap, _is_integer
+from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _FLOAT_INT_LIMIT, _check_p_cap,
+                     _float_overflow, _is_integer)
 
 # the widest n_range searched.  A search holds a result or report entry and
 # its output line for every arch count until it returns: ~8 µs and ~0.3 kB
@@ -80,6 +81,8 @@ class DesignConstraints(namedtuple(
             self = self._replace(n_range=(n_lo, n_hi))
         if n_lo < 1:
             raise DomainError("n_range must start at >= 1")
+        if n_hi >= _FLOAT_INT_LIMIT:
+            raise _float_overflow("the last arch count of n_range", n_hi)
         if n_hi - n_lo >= _MAX_ARCH_COUNTS:
             raise DomainError(f"n_range={self.n_range!r} spans more than "
                               f"{_MAX_ARCH_COUNTS} arch counts")
@@ -185,7 +188,9 @@ def _snap(passes, end: float, outward: float, inward: float) -> float | None:
 
 
 def _slopes(n: int, h_unit: float, w_unit: float) -> tuple[float, ...]:
-    """Slope in L of every margin of ``_slack``."""
+    """Slope in L of every margin of ``_slack``, as floats: the difference
+    n - (-n) of two int slopes would not convert for n >= 2**1023."""
+    n = float(n)
     return (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
 
 
@@ -343,7 +348,7 @@ def _results(constraints: DesignConstraints, shape, found) -> list[DesignResult]
     """One result per (n, L-interval) of found, sorted as search returns them.
 
     Each achieved value is state_at's at p_cap on the result's spec, the
-    same doubles: the natural length and the arch are _states' and _arch's
+    same doubles: the natural length and the arch are state_at's and _arch's
     expressions on beam._shape at p_cap.
     """
     sp, rf, num, F2, _ = shape

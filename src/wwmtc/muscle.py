@@ -10,15 +10,24 @@ The ``kind`` label (radial or planar expansion) is descriptive only; both
 kinds obey the same two formulas and differ in their (n, L, h0) values.
 Width is the single-arch deflection taken literally, with no doubling for
 opposed arch pairs.
+
+The arch's shape depends on p alone, and w and h scale linearly with L.
+So a curve is a table over its p grid (num_samples, p_cap), one Carlson
+pass per sample, scaled by each spec's L.  The table of the last grid is
+kept, 32 bytes per sample: a second curve on the same grid makes no
+Carlson pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from array import array
 from collections import namedtuple
 
-from .beam import P_MAX, P_STRAIGHT, _arch, _check_shape_param, _height, _p_for_height
+from .beam import (P_MAX, P_STRAIGHT, _SQRT2, _arch, _check_shape_param, _height,
+                   _p_for_height, _shape)
 from .errors import DomainError, OutOfRangeError
 
 # Default contraction cap.  Beyond p ~ 0.97 the tip angle exceeds ~75 deg
@@ -35,6 +44,18 @@ def _is_integer(x) -> bool:
     return hasattr(x, "__index__") and not isinstance(x, bool)
 
 
+# The smallest int that float() cannot convert: it rounds past the largest
+# double.  Every use of an arch count is float arithmetic, which would raise
+# OverflowError on such a count.
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+
+
+def _float_overflow(name: str, n: int) -> DomainError:
+    """The error for an arch count n >= _FLOAT_INT_LIMIT; its size in bits,
+    since the digits of such an int may be too many for repr."""
+    return DomainError(f"{name} has {n.bit_length()} bits, too large for a float")
+
+
 class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
     """Arch count, arch beam length (mm), length offset (mm), kind label."""
 
@@ -46,6 +67,8 @@ class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
             self = super().__new__(cls, operator.index(self.n), *self[1:])
         if not (type(self.n) is int and self.n >= 1):  # a bool is no arch count
             raise DomainError(f"arch count n={self.n!r} must be an integer >= 1")
+        if self.n >= _FLOAT_INT_LIMIT:
+            raise _float_overflow("arch count n", self.n)
         if not 0.0 < self.L < math.inf:
             raise DomainError(f"beam length L={self.L!r} must be positive and finite")
         if not 0.0 <= self.h0 < math.inf:
@@ -82,8 +105,8 @@ def natural_length(spec: MuscleSpec) -> float:
     return spec.n * spec.L + spec.h0
 
 
-def _states(spec: MuscleSpec, ps) -> list[MuscleState]:
-    """The state at each shape parameter of ps: state_at's and curve's arithmetic.
+def state_at(spec: MuscleSpec, p: float) -> MuscleState:
+    """Muscle width/length/contraction at shape parameter p.
 
     The spec is read once; the natural length is natural_length's
     expression, on the spec's own L.
@@ -92,34 +115,72 @@ def _states(spec: MuscleSpec, ps) -> list[MuscleState]:
     natural = n * L + h0
     # L was checked by MuscleSpec; float() keeps the fields Python floats,
     # as solve_beam's check does, for an int or numpy L
-    L = float(L)
-    states = []
-    for p in ps:
-        w, h, psi0, _ = _arch(L, _check_shape_param(p))
-        length = n * h + h0
-        states.append(MuscleState(p, w, length, natural - length, psi0))
-    return states
+    w, h, psi0, _ = _arch(float(L), _check_shape_param(p))
+    length = n * h + h0
+    return MuscleState(p, w, length, natural - length, psi0)
 
 
-def state_at(spec: MuscleSpec, p: float) -> MuscleState:
-    """Muscle width/length/contraction at shape parameter p."""
-    return _states(spec, (p,))[0]
+# One entry on purpose.  The calls that share a grid come one after
+# another: the specs of one `muscle curve` run, a sweep over specs.  The
+# entry is a sixth of the memory of the curve it came with; more entries
+# would keep the tables of grids no longer drawn for the life of the process.
+@functools.lru_cache(maxsize=1)
+def _grid(num_samples: int, p_cap: float) -> tuple[int, array, array, array, array]:
+    """The part of curve that depends on its grid alone: one Carlson pass
+    per sample.
+
+    Returns the count of leading samples at the straight strip, where
+    beam._shape is None, and _shape's rf, F2 - 2 E2 + sqrt(2 q), F2 and
+    psi0 at each later sample, as columns, which every curve on the grid
+    shares and only reads.  For a num_samples >= 2 and a float p_cap that
+    _check_p_cap passed.
+    """
+    step = (p_cap - P_STRAIGHT) / (num_samples - 1)
+    straight = 0
+    rfs, nums, F2s, psis = array("d"), array("d"), array("d"), array("d")
+    for i in range(num_samples):
+        shape = _shape(P_STRAIGHT + i * step if i < num_samples - 1 else p_cap)
+        if shape is None:  # 2 p^2 - 1 does not fall as p rises: a prefix
+            straight += 1
+            continue
+        _, rf, num, F2, psi0 = shape
+        rfs.append(rf)
+        nums.append(num)
+        F2s.append(F2)
+        psis.append(psi0)
+    return straight, rfs, nums, F2s, psis
 
 
 def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> DeformationCurve:
     """Contraction-expansion curve: p sampled uniformly on [1/sqrt(2), p_cap].
 
     The first sample is the exact natural state (width 0, length n*L + h0);
-    length decreases strictly along the samples.
+    length decreases strictly along the samples.  Each sample is state_at's
+    at its p, the same doubles: _grid's table scaled by L with _arch's
+    expressions.  One Carlson pass per sample but the first, none when the
+    previous curve had the same grid (num_samples, p_cap).
     """
     # an integer has __index__, numpy's too; a bool has one but is < 2
     if not (hasattr(num_samples, "__index__") and num_samples >= 2):
         raise DomainError(f"num_samples={num_samples!r} must be an integer >= 2")
     _check_p_cap(p_cap)
+    num_samples, p_cap = operator.index(num_samples), float(p_cap)
+    straight, rfs, nums, F2s, psis = _grid(num_samples, p_cap)
     step = (p_cap - P_STRAIGHT) / (num_samples - 1)
     ps = [P_STRAIGHT + i * step for i in range(num_samples - 1)]
     ps.append(p_cap)
-    return DeformationCurve(spec, tuple(_states(spec, ps)))
+    n, L, h0, _ = spec
+    natural = n * L + h0
+    L = float(L)  # as in state_at
+    length = n * L + h0
+    samples = [MuscleState(p, 0.0, length, natural - length, 0.0) for p in ps[:straight]]
+    # tuple.__new__ is MuscleState's own constructor without the Python
+    # frame of namedtuple's __new__, which took half of a warm curve
+    new = tuple.__new__
+    for p, rf, num, F2, psi0 in zip(ps[straight:], rfs, nums, F2s, psis):
+        length = n * (_SQRT2 * p * L / rf) + h0
+        samples.append(new(MuscleState, (p, L * num / F2, length, natural - length, psi0)))
+    return DeformationCurve(spec, tuple(samples))
 
 
 def _ends(spec: MuscleSpec, p_cap: float) -> tuple[float, float, float]:

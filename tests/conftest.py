@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from wwmtc import muscle
 from wwmtc.muscle import MuscleSpec
 
 # make tests/synth.py importable regardless of invocation directory
@@ -10,6 +11,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(autouse=True)
+def cold_curve_grid():
+    # curve keeps the table of the last grid it drew: every test starts
+    # without one, so that no count of Carlson passes depends on test order
+    muscle._grid.cache_clear()
 
 
 @pytest.fixture

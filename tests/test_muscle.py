@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wwmtc import beam
+from wwmtc import beam, muscle
 from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam
+from wwmtc.cli import dispatch
 from wwmtc.errors import DomainError, OutOfRangeError
 from wwmtc.muscle import (
     DEFAULT_P_CAP,
@@ -20,6 +21,8 @@ from wwmtc.muscle import (
     state_at,
     state_for_length,
 )
+
+from conftest import DATA_DIR
 
 
 def test_natural_lengths_of_production_specs(radial_spec, planar_spec):
@@ -262,48 +265,71 @@ def test_invert_kernel_budget(monkeypatch):
                 assert len(calls) <= 2 + (i == 0), (spec, p_cap, length, len(calls))
 
 
-def test_curve_kernel_budget(monkeypatch, radial_spec, planar_spec):
-    # one Carlson pass per sample but the first, the straight strip
+def test_curve_kernel_budget(monkeypatch, tmp_path, capsys, radial_spec, planar_spec):
+    # one Carlson pass per sample but the first, the straight strip, on a
+    # grid (num_samples, p_cap) other than the previous curve's; none on
+    # the same grid, whatever the spec
     calls = []
 
     def counted(x, y, z):
         calls.append(x)
         return rf_rd(x, y, z)
 
+    def passes(*args):
+        calls.clear()
+        curve(*args)
+        return len(calls)
+
     rf_rd = beam._rf_rd
     monkeypatch.setattr(beam, "_rf_rd", counted)
-    for spec in (radial_spec, planar_spec):
-        for num in (2, 3, 17, 100, 1001):
-            for p_cap in (0.75, DEFAULT_P_CAP, P_MAX):
-                calls.clear()
-                curve(spec, num, p_cap)
-                assert len(calls) == num - 1, (spec.kind, num, p_cap)
+    for num in (2, 3, 17, 100, 1001):
+        for p_cap in (0.75, DEFAULT_P_CAP, P_MAX):
+            assert passes(radial_spec, num, p_cap) == num - 1, (num, p_cap)
+            assert passes(planar_spec, num, p_cap) == 0, (num, p_cap)
+            assert passes(radial_spec, num, p_cap) == 0, (num, p_cap)
+    # the key is the grid's value: a numpy count or cap finds the same table
+    assert passes(planar_spec, np.int64(1001), np.float64(P_MAX)) == 0
+    # one table is kept: another grid evicts it
+    assert passes(radial_spec, 100, 0.9) == 99
+    assert passes(planar_spec, 100, DEFAULT_P_CAP) == 99
+    assert passes(radial_spec, 100, 0.9) == 99
+    # the specs of one run share the table
+    muscle._grid.cache_clear()
+    calls.clear()
+    monkeypatch.delenv("WWMTC_P_CAP", raising=False)
+    code = dispatch(["muscle", "curve", "--spec", str(DATA_DIR / "radial.json"),
+                     "--spec", str(DATA_DIR / "planar.json"), "--samples", "60",
+                     "--svg", str(tmp_path / "curves.svg")])
+    assert code == 0, capsys.readouterr().err
+    assert len(calls) == 59
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    n=st.integers(1, 40),
-    L=st.one_of(st.integers(1, 300), st.floats(0.1, 300.0)),
-    h0=st.floats(0.0, 200.0),
-    kind=st.sampled_from(KINDS),
+    specs=st.lists(st.tuples(st.integers(1, 40),
+                             st.one_of(st.integers(1, 300), st.floats(0.1, 300.0)),
+                             st.floats(0.0, 200.0),
+                             st.sampled_from(KINDS)), min_size=2, max_size=2),
     num=st.sampled_from([2, 3, 17, 1001]),
     p_cap=st.sampled_from([0.75, DEFAULT_P_CAP, P_MAX]),
 )
-def test_curve_is_bit_identical_to_state_by_state(n, L, h0, kind, num, p_cap):
+def test_curve_is_bit_identical_to_state_by_state(specs, num, p_cap):
     # each sample as state_at used to build it: the sampled p, solve_beam's
-    # fields and natural_length, compared bit for bit
-    spec = MuscleSpec(n, L, h0, kind)
-    samples = curve(spec, num, p_cap).samples
+    # fields and natural_length, compared bit for bit; the second spec's
+    # curve scales the table that the first one's left
     step = (p_cap - P_STRAIGHT) / (num - 1)
-    assert len(samples) == num
-    for i, sample in enumerate(samples):
-        p = p_cap if i == num - 1 else P_STRAIGHT + i * step
-        sol = solve_beam(spec.L, p)
-        length = spec.n * sol.h + spec.h0
-        old = (p, sol.w, length, natural_length(spec) - length, sol.psi0)
-        assert type(sample) is MuscleState
-        assert all(type(v) is float for v in sample), sample
-        assert [v.hex() for v in sample] == [v.hex() for v in old], (i, sample, old)
+    for fields in specs:
+        spec = MuscleSpec(*fields)
+        samples = curve(spec, num, p_cap).samples
+        assert len(samples) == num
+        for i, sample in enumerate(samples):
+            p = p_cap if i == num - 1 else P_STRAIGHT + i * step
+            sol = solve_beam(spec.L, p)
+            length = spec.n * sol.h + spec.h0
+            old = (p, sol.w, length, natural_length(spec) - length, sol.psi0)
+            assert type(sample) is MuscleState
+            assert all(type(v) is float for v in sample), sample
+            assert [v.hex() for v in sample] == [v.hex() for v in old], (i, sample, old)
 
 
 def test_invert_rejects_bad_p_cap(radial_spec):
@@ -352,8 +378,15 @@ def test_curve_validation(radial_spec):
             curve(radial_spec, count)
     for count in (np.int64(5), np.int32(2)):
         assert len(curve(radial_spec, count).samples) == count
+    # a numpy p_cap used to make every sample's p a numpy scalar
+    cur = curve(radial_spec, 5, np.float64(0.97))
+    for sample in cur.samples:
+        assert all(type(v) is float for v in sample), sample
+    assert cur == curve(radial_spec, 5, 0.97)
+    info = muscle._grid.cache_info()
     with pytest.raises(DomainError):
         curve(radial_spec, 10, p_cap=0.5)
+    assert muscle._grid.cache_info() == info  # no table for a rejected call
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

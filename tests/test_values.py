@@ -8,9 +8,11 @@ import pytest
 
 from wwmtc.actuators import HysteresisParams, TendonFit
 from wwmtc.beam import BeamSolution
-from wwmtc.design import AchievedMetrics, DesignConstraints, DesignResult
+from wwmtc.design import (AchievedMetrics, DesignConstraints, DesignResult, infeasibility_report,
+                          search)
 from wwmtc.errors import DomainError
-from wwmtc.muscle import DeformationCurve, MuscleSpec, MuscleState
+from wwmtc.muscle import (DeformationCurve, MuscleSpec, MuscleState, curve, length_range,
+                          state_at)
 
 SPEC = MuscleSpec(8, 27.0, 22.0)
 STATE = MuscleState(p=0.85, width=7.5, length=200.25, contraction=37.75, psi0=0.5)
@@ -93,6 +95,11 @@ def test_value_type_semantics(value, text, fields):
     (SPEC, "n", np.True_),
     (CONSTRAINTS, "n_range", (np.float64(1.0), 5)),
     (CONSTRAINTS, "n_range", (1, np.int64(10**6 + 1))),
+    # past the largest double: float arithmetic on the count would overflow
+    pytest.param(SPEC, "n", 2**1024 - 2**970, id="spec-n-float-overflow"),
+    pytest.param(SPEC, "n", 10**5000, id="spec-n-too-many-digits-for-repr"),
+    pytest.param(CONSTRAINTS, "n_range", (10**400, 10**400), id="n_range-float-overflow"),
+    pytest.param(CONSTRAINTS, "n_range", (1, 10**5000), id="n_range-too-many-digits-for-repr"),
 ])
 def test_replace_and_make_check_like_the_constructor(base, field, bad):
     kwargs = {**base._asdict(), field: bad}
@@ -117,3 +124,17 @@ def test_numpy_integer_arch_counts_are_stored_as_ints(integer):
                                              "n_range": (integer(1), 12)})):
         assert value == CONSTRAINTS and [type(n) for n in value.n_range] == [int, int]
     assert repr(spec) == repr(SPEC)
+
+
+def test_the_largest_arch_counts_compute_without_overflow():
+    # the largest int that float() converts is accepted; the library's
+    # float arithmetic on it, and on twice a count of 2**1023, raises nothing
+    largest = 2**1024 - 2**970 - 1
+    spec = SPEC._replace(n=largest)
+    assert state_at(spec, 0.8).length == math.inf
+    assert curve(spec, 3).samples[0].length == math.inf
+    assert length_range(spec) == (math.inf, math.inf)
+    for n_range in ((largest, largest), (2**1023, 2**1023 + 5), (2**53 - 2, 2**53 + 3)):
+        cons = CONSTRAINTS._replace(n_range=n_range)
+        assert search(cons) == []
+        assert list(infeasibility_report(cons)) == list(range(n_range[0], n_range[1] + 1))
