@@ -37,6 +37,10 @@ F(phi2) = s rf and E(phi2) = F(phi2) - p^2 s^3 rd / 3, with no amplitude.
 Then k = F(phi2) / L, w = L (F(phi2) - 2 E(phi2) + sqrt(2 q)) / F(phi2)
 and h = sqrt(2) p L / rf: q cancels exactly from h, so h is accurate to a
 few ULP of L all the way to the straight end.
+
+The pass depends on p alone.  _shape_at caches it at the last few p: the
+fixed caps that design search and the inversions' range check read, so a
+process makes one pass per cap.
 """
 
 from __future__ import annotations
@@ -150,23 +154,20 @@ def _height_slope(L: float, p: float, w: float, k: float) -> float:
     return L * ((4.0 * p / r) / kL - r * dkL / (kL * kL))
 
 
-@functools.lru_cache(maxsize=8)
-def _rf_at(p: float) -> float:
-    """R_F of _arch's Carlson pass at a p with 2 p^2 - 1 > 0, cached: it
-    does not depend on L.  The callers invert at a handful of fixed caps,
-    which the small cache holds.
-    """
-    return _shape(p)[1]
+# _shape at a float p, cached: the pass does not depend on L.  Its callers
+# read it at a handful of fixed caps, which the small cache holds: design
+# search at p_cap, and the inversions' range check at P_MAX and p_cap.
+_shape_at = functools.lru_cache(maxsize=8)(_shape)
 
 
 def _height(L: float, p: float) -> float:
-    """solve_beam(L, p).h, the same double, from the cached R_F at p.
+    """solve_beam(L, p).h, the same double, from the cached pass at p.
 
-    For a valid L and p; neither is checked.
+    For a valid L and a float p; neither is checked.
     """
     if 2.0 * p * p - 1.0 <= 0.0:
         return L
-    return _SQRT2 * p * L / _rf_at(p)
+    return _SQRT2 * p * L / _shape_at(p)[1]
 
 
 def solve_p_for_height(L: float, h_target: float) -> float:

@@ -8,7 +8,8 @@ each integer arch count n the feasible set is therefore one interval, the
 intersection of at most five half-lines with L_range, computed directly.
 When it is empty, the binding constraint is read off at the exact maximin
 of the margins.  The whole search is a pure deterministic function of its
-inputs.
+inputs; the only state it keeps is beam's cache of the Carlson pass at
+p_cap.
 
 The feasible arch counts have a closed form too: in real arithmetic n is
 feasible iff A <= B, α <= β and α/B <= n <= β/A, with A and B the width
@@ -18,11 +19,14 @@ infeasible or, within a rounding bound of a threshold, undecided, and
 only the undecided counts (and, for search, the feasible ones, whose
 L-intervals it returns) go through _interval.
 
-A search makes one Carlson pass, beam._shape at p_cap: it gives ĥ and ŵ,
-and every result's achieved values scale from it by the result's L.  The
-binding constraint is computed only where it is returned, by
-infeasibility_report, one _binding per infeasible count; search does not
-compute it.  design search on the command line calls the two in turn.
+The Carlson pass at p_cap, beam._shape_at, gives ĥ and ŵ, and every
+result's achieved values scale from it by the result's L.  beam caches it,
+so a process makes one pass per cap: design search on the command line
+calls search and then infeasibility_report, and the report makes none.
+The binding constraint is computed only where it is returned, by
+infeasibility_report, in one loop over the infeasible counts, _bindings,
+which does once the work that does not depend on n; search does not
+compute it.
 """
 
 from __future__ import annotations
@@ -33,15 +37,15 @@ import struct
 from collections import namedtuple
 from itertools import chain, combinations
 
-from .beam import _shape
+from .beam import _shape_at
 from .errors import DomainError
 from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _FLOAT_INT_LIMIT, _check_p_cap,
                      _float_overflow, _is_integer)
 
 # the widest n_range searched.  A search holds a result or report entry and
-# its output line for every arch count until it returns: ~8 µs and ~0.3 kB
+# its output line for every arch count until it returns: ~5 µs and ~0.3 kB
 # each on a 2-vCPU x86 host, most of it the binding constraint of each
-# infeasible count, so a full-width design search takes ~8 s and ~0.3 GB
+# infeasible count, so a full-width design search takes ~5 s and ~0.3 GB
 _MAX_ARCH_COUNTS = 10**6
 
 
@@ -238,22 +242,62 @@ def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
     return None
 
 
-def _binding(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
-             h_unit: float, w_unit: float) -> str:
-    """Name of the binding constraint of an arch count n with no feasible L.
+def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
+              h_unit: float, w_unit: float) -> dict[int, str]:
+    """Name of the binding constraint of each arch count of ``counts``, in
+    their order: counts with no feasible L.
 
-    It is the smallest margin where the smallest margin is largest; that
+    It is the smallest margin where the smallest margin is largest.  That
     maximin of affine functions over L_range lies at an end of L_range or
-    where two margins cross.
+    where two margins cross, so the candidates are L_min, L_max and the
+    crossings within L_range in combinations order, and the first with the
+    largest smallest margin wins, as max(candidates, key=min) picks it.
+    Every margin is _slack's expression, the same double.
+
+    The intercepts, and so the numerators of the crossings and the crossing
+    of the two width margins, do not depend on n: they are computed once.
+    A candidate is dropped at its first margin <= the best smallest margin
+    so far, since its own cannot be larger and a tie goes to the earlier
+    candidate.  A NaN margin (the stroke, where n·L overflows and ĥ rounds
+    to 1) drops none, as min passes over it: the first margin is never NaN.
     """
+    nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
     L_min, L_max = L_range
-    a = _slack(limits, n, 0.0, h_unit, w_unit)
-    b = _slopes(n, h_unit, w_unit)
-    crossings = [(a[j] - a[i]) / (b[i] - b[j])
-                 for i, j in combinations(range(len(a)), 2) if b[i] != b[j]]
-    best = max((_slack(limits, n, L, h_unit, w_unit)
-                for L in [L_min, L_max, *crossings] if L_min <= L <= L_max), key=min)
-    return _CONSTRAINT_NAMES[best.index(min(best))]
+    a = _slack(limits, 1, 0.0, h_unit, w_unit)  # the intercepts: n * 0.0 is 0.0
+    pairs = [(a[j] - a[i], i, j) for i, j in combinations(range(len(a)), 2) if i < 3]
+    width_crossing = []  # pair (3, 4): slopes -ŵ and ŵ
+    if -w_unit != w_unit:
+        L = (a[4] - a[3]) / (-w_unit - w_unit)
+        if L_min <= L <= L_max:
+            width_crossing.append(L)
+    u = 1.0 - h_unit
+    names = {}
+    for n in counts:
+        x = float(n)
+        b = (x, -x, x * u, -w_unit, w_unit)  # _slopes
+        candidates = [L_min, L_max]
+        for num, i, j in pairs:
+            if b[i] != b[j]:
+                L = num / (b[i] - b[j])
+                if L_min <= L <= L_max:
+                    candidates.append(L)
+        candidates += width_crossing
+        best_L, best = L_min, -math.inf
+        for L in candidates:
+            nat = x * L + h0
+            if nat - nat_lo <= best or nat_hi - nat <= best:
+                continue
+            stroke = x * L * u - min_stroke
+            if stroke <= best:
+                continue
+            width = L * w_unit
+            if max_width - width <= best or width - min_width <= best:
+                continue
+            best_L = L
+            best = min(nat - nat_lo, nat_hi - nat, stroke, max_width - width, width - min_width)
+        margins = _slack(limits, n, best_L, h_unit, w_unit)
+        names[n] = _CONSTRAINT_NAMES[margins.index(min(margins))]
+    return names
 
 
 # Rounding bounds of _counts: one rounding moves a normal double by at most
@@ -336,10 +380,10 @@ def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
 
 
 def _units(p_cap: float) -> tuple[tuple[float, ...], float, float]:
-    """The search's one Carlson pass, beam._shape at p_cap, and from it
+    """The Carlson pass at p_cap, cached by beam._shape_at, and from it
     ĥ and ŵ: _arch(1.0, p_cap)'s h and w, the same doubles, as 1.0 * x is x."""
     _check_p_cap(p_cap)
-    shape = _shape(float(p_cap))
+    shape = _shape_at(float(p_cap))
     sp, rf, num, F2, _ = shape
     return shape, sp / rf, num / F2
 
@@ -349,7 +393,7 @@ def _results(constraints: DesignConstraints, shape, found) -> list[DesignResult]
 
     Each achieved value is state_at's at p_cap on the result's spec, the
     same doubles: the natural length and the arch are state_at's and _arch's
-    expressions on beam._shape at p_cap.
+    expressions on beam._shape's pass at p_cap.
     """
     sp, rf, num, F2, _ = shape
     h0, kind = constraints.h0, constraints.kind
@@ -374,8 +418,9 @@ def search(constraints: DesignConstraints,
     full contraction (ascending: gentlest expansion first), ties broken by
     (n, L).  An empty list is a valid outcome.  Deterministic for identical
     inputs.  p_cap obeys the same rule as in muscle.curve.  One Carlson
-    pass per search; the binding constraints of the infeasible arch counts
-    are not computed (see infeasibility_report).
+    pass, none when the process has made it at the same p_cap; the binding
+    constraints of the infeasible arch counts are not computed (see
+    infeasibility_report).
     """
     shape, h_unit, w_unit = _units(p_cap)
     limits, L_range = _limits(constraints), constraints.L_range
@@ -395,12 +440,12 @@ def infeasibility_report(constraints: DesignConstraints,
     The binding constraint is the smallest margin at the exact maximin of
     the margins over L_range, which names the requirement that cannot be
     met even at the most favorable L.  Its keys are exactly the arch counts
-    in n_range that ``search`` returns no result for.  One Carlson pass per
-    report, and no results are built.
+    in n_range that ``search`` returns no result for.  Carlson passes as in
+    search, none after a search at the same p_cap, and no results are built.
     """
     _, h_unit, w_unit = _units(p_cap)
     limits, L_range, n_range = _limits(constraints), constraints.L_range, constraints.n_range
     maybe, sure = _counts(limits, L_range, n_range, h_unit, w_unit)
-    return {n: _binding(limits, L_range, n, h_unit, w_unit)
-            for n in chain(range(n_range[0], sure.start), range(sure.stop, n_range[1] + 1))
-            if n not in maybe or _interval(limits, L_range, n, h_unit, w_unit) is None}
+    infeasible = (n for n in chain(range(n_range[0], sure.start), range(sure.stop, n_range[1] + 1))
+                  if n not in maybe or _interval(limits, L_range, n, h_unit, w_unit) is None)
+    return _bindings(limits, L_range, infeasible, h_unit, w_unit)

@@ -114,8 +114,9 @@ def state_at(spec: MuscleSpec, p: float) -> MuscleState:
     n, L, h0, _ = spec
     natural = n * L + h0
     # L was checked by MuscleSpec; float() keeps the fields Python floats,
-    # as solve_beam's check does, for an int or numpy L
-    w, h, psi0, _ = _arch(float(L), _check_shape_param(p))
+    # as solve_beam's check does, for an int or numpy L and p
+    p = _check_shape_param(p)
+    w, h, psi0, _ = _arch(float(L), p)
     length = n * h + h0
     return MuscleState(p, w, length, natural - length, psi0)
 
@@ -187,7 +188,7 @@ def _ends(spec: MuscleSpec, p_cap: float) -> tuple[float, float, float]:
     """length_range's (shortest, natural) lengths and the arch height at p_cap."""
     _check_p_cap(p_cap)
     n, L, h0, _ = spec
-    h_cap = _height(L, p_cap)
+    h_cap = _height(L, float(p_cap))
     return n * h_cap + h0, n * L + h0, h_cap
 
 

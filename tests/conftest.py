@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from wwmtc import muscle
+from wwmtc import beam, muscle
 from wwmtc.muscle import MuscleSpec
 
 # make tests/synth.py importable regardless of invocation directory
@@ -14,10 +14,12 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(autouse=True)
-def cold_curve_grid():
-    # curve keeps the table of the last grid it drew: every test starts
-    # without one, so that no count of Carlson passes depends on test order
+def cold_caches():
+    # curve keeps the table of the last grid it drew, and beam the Carlson
+    # passes at the last few caps: every test starts without them, so that
+    # no count of Carlson passes depends on test order
     muscle._grid.cache_clear()
+    beam._shape_at.cache_clear()
 
 
 @pytest.fixture

@@ -35,7 +35,9 @@ forward model (``state_at`` and ``natural_length``) and never uses the
 affine form of the margins that ``wwmtc.design`` solves.
 ``oracle_search`` and ``oracle_report`` are ``wwmtc.design.search`` and
 ``infeasibility_report`` without the closed form in n: one ``_interval``
-per arch count of ``n_range``, and one ``_binding`` per infeasible one.
+per arch count of ``n_range``, and one ``binding_maximin`` per infeasible
+one, the maximin as ``max(candidates, key=min)`` over every candidate's
+margins, with none of ``design._bindings``' hoisting or early drops.
 
 ``play_operator`` and ``play_operator_scan`` are the winch oracles for
 ``wwmtc.actuators.simulate_winch``, which runs one clamp per sample:
@@ -66,6 +68,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import mpmath
@@ -76,7 +79,7 @@ from scipy.optimize import brentq
 from wwmtc import design
 from wwmtc.actuators import HysteresisParams, TendonFit
 from wwmtc.beam import P_MAX
-from wwmtc.design import DesignConstraints
+from wwmtc.design import _CONSTRAINT_NAMES, DesignConstraints, _slack, _slopes
 from wwmtc.elliptic import HALF_PI, _check_amplitude, _check_modulus
 from wwmtc.errors import (
     DomainError,
@@ -315,9 +318,27 @@ def oracle_report(constraints: DesignConstraints,
     _, h_unit, w_unit = design._units(p_cap)
     limits, L_range = design._limits(constraints), constraints.L_range
     n_lo, n_hi = constraints.n_range
-    return {n: design._binding(limits, L_range, n, h_unit, w_unit)
+    return {n: binding_maximin(limits, L_range, n, h_unit, w_unit)
             for n in range(n_lo, n_hi + 1)
             if design._interval(limits, L_range, n, h_unit, w_unit) is None}
+
+
+def binding_maximin(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
+                    h_unit: float, w_unit: float) -> str:
+    """Name of the binding constraint of an arch count n with no feasible L.
+
+    It is the smallest margin where the smallest margin is largest; that
+    maximin of affine functions over L_range lies at an end of L_range or
+    where two margins cross.
+    """
+    L_min, L_max = L_range
+    a = _slack(limits, n, 0.0, h_unit, w_unit)
+    b = _slopes(n, h_unit, w_unit)
+    crossings = [(a[j] - a[i]) / (b[i] - b[j])
+                 for i, j in combinations(range(len(a)), 2) if b[i] != b[j]]
+    best = max((_slack(limits, n, L, h_unit, w_unit)
+                for L in [L_min, L_max, *crossings] if L_min <= L <= L_max), key=min)
+    return _CONSTRAINT_NAMES[best.index(min(best))]
 
 
 def play_operator(c: float, r: float, currents, t0: float) -> list[float]:

@@ -178,11 +178,11 @@ def test_cached_height_is_solve_beam_height():
     for L in np.logspace(-3, 3, 25):
         for p in ps:
             assert beam._height(float(L), p) == solve_beam(float(L), p).h, (L, p)
-    info = beam._rf_at.cache_info()
+    info = beam._shape_at.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     for p in rng.uniform(P_STRAIGHT, P_MAX, 200):
         beam._height(1.0, float(p))
-    assert beam._rf_at.cache_info().currsize <= info.maxsize
+    assert beam._shape_at.cache_info().currsize <= info.maxsize
 
 
 def test_width_matches_reference():
@@ -243,7 +243,7 @@ def test_invert_kernel_budget(monkeypatch):
 
     rf_rd = beam._rf_rd
     monkeypatch.setattr(beam, "_rf_rd", counted)
-    beam._rf_at.cache_clear()
+    beam._shape_at.cache_clear()
     h = solve_beam(27.0, 0.85).h
     calls.clear()
     solve_p_for_height(27.0, h)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA_DIR
-from oracles import evaluate, oracle_report, oracle_search
+from oracles import binding_maximin, evaluate, oracle_report, oracle_search
 
 from wwmtc import beam, design
 from wwmtc.beam import P_STRAIGHT, solve_beam
@@ -109,6 +110,7 @@ def test_achieved_values_recompute_exactly():
 
 @pytest.mark.parametrize("n_range", [(1, 12), (1, 400)], ids=["fixture", "wide"])
 def test_one_carlson_pass_per_search(monkeypatch, n_range):
+    # beam keeps the pass at each cap: the report after a search makes none
     cons = radial_roundtrip_constraints()._replace(n_range=n_range)
     calls = []
 
@@ -116,11 +118,19 @@ def test_one_carlson_pass_per_search(monkeypatch, n_range):
         calls.append(args)
         return _rf_rd(*args)
 
-    monkeypatch.setattr(beam, "_rf_rd", counting_rf_rd)
-    for fn in (search, infeasibility_report):
+    def passes(fn, p_cap):
         calls.clear()
-        fn(cons, PCAP)
-        assert len(calls) == 1, (fn.__name__, len(calls))
+        fn(cons, p_cap)
+        return len(calls)
+
+    monkeypatch.setattr(beam, "_rf_rd", counting_rf_rd)
+    assert passes(search, PCAP) == 1
+    assert passes(infeasibility_report, PCAP) == 0
+    assert passes(search, np.float64(PCAP)) == 0  # the key is the cap's value
+    assert passes(search, 0.9) == 1
+    assert passes(infeasibility_report, 0.9) == 0
+    beam._shape_at.cache_clear()
+    assert passes(infeasibility_report, PCAP) == 1
 
 
 def test_search_computes_no_binding_constraint(monkeypatch):
@@ -131,8 +141,28 @@ def test_search_computes_no_binding_constraint(monkeypatch):
     def no_binding(*args):
         raise AssertionError("search computed a binding constraint")
 
-    monkeypatch.setattr(design, "_binding", no_binding)
+    monkeypatch.setattr(design, "_bindings", no_binding)
     assert search(cons, PCAP) == results
+
+
+@pytest.mark.parametrize("n_range", [(1, 40), (1, 400)])
+def test_report_reads_each_binding_constraint_once(monkeypatch, n_range):
+    # one _slack for the intercepts, shared by every count, and one for the
+    # name of each reported count: no margins of a candidate are built
+    # twice, nor those of a candidate that cannot win
+    cons = radial_roundtrip_constraints()._replace(n_range=n_range)
+    expected = oracle_report(cons, PCAP)
+    slack, calls = design._slack, []
+
+    def counting_slack(*args):
+        calls.append(args)
+        return slack(*args)
+
+    monkeypatch.setattr(design, "_slack", counting_slack)
+    report = infeasibility_report(cons, PCAP)
+    assert report == expected
+    assert len(report) > n_range[1] / 2, len(report)
+    assert len(calls) <= 1 + len(report), (len(calls), len(report))
 
 
 def test_stroke_with_zero_width_budget_is_infeasible():
@@ -354,11 +384,22 @@ P_CAPS = [PCAP, 0.75, 0.9, 0.999]
 
 
 def assert_matches_the_scan(cons: DesignConstraints, p_cap: float) -> None:
-    """search and infeasibility_report equal the one-_interval-per-count scan."""
+    """search and infeasibility_report equal the one-_interval-per-count scan,
+    and _bindings names every count, feasible ones too, as the maximin does."""
     assert search(cons, p_cap) == oracle_search(cons, p_cap)
     report = infeasibility_report(cons, p_cap)
     assert report == oracle_report(cons, p_cap)
     assert list(report) == sorted(report)
+    _, h_unit, w_unit = design._units(p_cap)
+    assert_bindings_are_the_maximin(cons, h_unit, w_unit)
+
+
+def assert_bindings_are_the_maximin(cons: DesignConstraints, h_unit: float,
+                                    w_unit: float) -> None:
+    limits, L_range = _limits(cons), cons.L_range
+    counts = range(cons.n_range[0], cons.n_range[1] + 1)
+    assert design._bindings(limits, L_range, counts, h_unit, w_unit) == {
+        n: binding_maximin(limits, L_range, n, h_unit, w_unit) for n in counts}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -417,6 +458,69 @@ def test_closed_form_matches_the_scan_next_to_the_straight_end(p_cap):
     for cons in (fixture, fixture._replace(min_stroke=0.0),
                  fixture._replace(min_stroke=0.0, max_width_at_full=1e-13, n_range=(1, 30))):
         assert_matches_the_scan(cons, float(p_cap))
+
+
+def at_a_tie(case: str, p_cap: float) -> DesignConstraints:
+    """A constraint set where maximin candidates coincide or margins tie."""
+    fixture = radial_roundtrip_constraints()._replace(n_range=(1, 40))
+    _, h_unit, w_unit = design._units(p_cap)
+    if case == "one-point-L-range":  # every candidate is L = 27
+        return fixture._replace(L_range=(27.0, 27.0))
+    if case == "crossings-at-both-ends":
+        # the width margins cross at L_min (at ŵ = 0, the natural length min
+        # and the stroke of n = 5), the natural-length ones of n = 2 at
+        # L_max, each computed as _bindings and the maximin compute it
+        a = _slack(_limits(fixture), 1, 0.0, h_unit, w_unit)
+        if w_unit > 0.0:
+            L_min = (a[4] - a[3]) / (-w_unit - w_unit)
+        else:
+            L_min = (a[2] - a[0]) / (5.0 - 5.0 * (1.0 - h_unit))
+        L_max = (a[1] - a[0]) / (2.0 - -2.0)
+        assert L_min < L_max
+        return fixture._replace(L_range=(L_min, L_max))
+    if case == "three-margins-through-one-point":
+        # natural length min, stroke and width max all read -d at n = 5, L = 20
+        d = min(1.0, 10.0 * w_unit)
+        return fixture._replace(
+            natural_length_range=(5 * 20.0 + 22.0 + d, 5 * 20.0 + 22.0 + 60.0),
+            min_stroke=5 * 20.0 * (1.0 - h_unit) + d, max_width_at_full=20.0 * w_unit - d,
+            min_width_at_full=0.0, L_range=(5.0, 60.0), n_range=(1, 12))
+    if case in ("flat-width-margin", "flat-stroke-margin"):
+        # at ŵ = 0 the min-width margin is flat, at ĥ = 1 the stroke: -1 at
+        # every L.  For n = 1, L_min = 9 reads -1 at the natural length min
+        # too, which names it; L_max reads -1 at the flat margin alone and
+        # ties, so it must not win
+        flat_width = case == "flat-width-margin"
+        return DesignConstraints(natural_length_range=(10.0, 100.0),
+                                 min_stroke=0.0 if flat_width else 1.0, max_width_at_full=5.0,
+                                 min_width_at_full=1.0 if flat_width else 0.0, h0=0.0,
+                                 n_range=(1, 12), L_range=(9.0, 20.0))
+    if case == "overflowing-margins":  # n·L is inf: margins are ±inf, or NaN at ĥ = 1
+        return fixture._replace(n_range=(2**1023 - 3, 2**1023 + 3), L_range=(1e307, 1.7e308))
+    raise ValueError(case)
+
+
+TIES = ["one-point-L-range", "crossings-at-both-ends", "three-margins-through-one-point",
+        "flat-width-margin", "flat-stroke-margin", "overflowing-margins"]
+
+
+@pytest.mark.parametrize("p_cap", P_CAPS)
+@pytest.mark.parametrize("case", TIES)
+def test_bindings_are_the_maximin_at_ties(case, p_cap):
+    cons = at_a_tie(case, p_cap)
+    assert_matches_the_scan(cons, p_cap)
+    # and with ŵ = 0, which the width margins share with the straight end
+    _, h_unit, _ = design._units(p_cap)
+    assert_bindings_are_the_maximin(cons, h_unit, 0.0)
+
+
+@pytest.mark.parametrize("case", TIES)
+def test_bindings_are_the_maximin_next_to_the_straight_end(case):
+    # ĥ = 1 and ŵ = 0: the stroke margin is flat, and NaN where n·L is inf
+    p_cap = math.nextafter(P_STRAIGHT, 1.0)
+    _, h_unit, w_unit = design._units(p_cap)
+    assert (h_unit, w_unit) == (1.0, 0.0)
+    assert_matches_the_scan(at_a_tie(case, p_cap), p_cap)
 
 
 @pytest.mark.parametrize("n_range", [(1, 12), (1, 400)], ids=["fixture", "wide"])

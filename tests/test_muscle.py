@@ -258,7 +258,7 @@ def test_invert_kernel_budget(monkeypatch):
             inner = [float(x) for x in rng.uniform(lo, hi, 20)]
             ends = [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo),
                     lo + (hi - lo) * 1e-12, hi - (hi - lo) * 1e-12]
-            beam._rf_at.cache_clear()  # the first target finds h(p_cap) uncached
+            beam._shape_at.cache_clear()  # the first target finds h(p_cap) uncached
             for i, length in enumerate(inner + ends):
                 calls.clear()
                 state_for_length(spec, length, p_cap)
@@ -387,6 +387,21 @@ def test_curve_validation(radial_spec):
     with pytest.raises(DomainError):
         curve(radial_spec, 10, p_cap=0.5)
     assert muscle._grid.cache_info() == info  # no table for a rejected call
+
+
+def test_numpy_p_and_p_cap_give_floats(radial_spec):
+    # state_at, length_range and state_for_length used to pass a numpy p or
+    # p_cap through to p and to the shortest length
+    state = state_at(radial_spec, np.float64(0.8))
+    assert all(type(v) is float for v in state), state
+    assert state == state_at(radial_spec, 0.8)
+    ends = length_range(radial_spec, np.float64(0.9))
+    assert all(type(v) is float for v in ends), ends
+    assert ends == length_range(radial_spec, 0.9)
+    at_cap = state_for_length(radial_spec, ends[0], np.float64(0.9))
+    assert at_cap.p == 0.9
+    assert all(type(v) is float for v in at_cap), at_cap
+    assert at_cap == state_for_length(radial_spec, ends[0], 0.9)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
