@@ -13,9 +13,9 @@ opposed arch pairs.
 
 The arch's shape depends on p alone, and w and h scale linearly with L.
 So a curve is a table over its p grid (num_samples, p_cap), one Carlson
-pass per sample, scaled by each spec's L.  The table of the last grid is
-kept, 32 bytes per sample: a second curve on the same grid makes no
-Carlson pass.
+pass per sample, scaled by each spec's L.  The tables of the last four
+grids are kept, 40 bytes per sample: a curve on any of those grids makes
+no Carlson pass.
 """
 
 from __future__ import annotations
@@ -56,25 +56,47 @@ def _float_overflow(name: str, n: int) -> DomainError:
     return DomainError(f"{name} has {n.bit_length()} bits, too large for a float")
 
 
+def _real(name: str, x) -> float:
+    """x as a float, for a real number of any type: an int, a numpy scalar, a
+    Fraction or a Decimal.  Not a str or bytes, which float() would parse,
+    nor a bool."""
+    if not isinstance(x, (str, bytes, bytearray, bool)):
+        try:
+            return float(x)
+        except (TypeError, ValueError):  # say None, or a signalling NaN Decimal
+            pass
+        except OverflowError:  # an int or Fraction past the largest double
+            raise DomainError(f"{name} is too large for a float") from None
+    raise DomainError(f"{name}={x!r} must be a real number")
+
+
 class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
-    """Arch count, arch beam length (mm), length offset (mm), kind label."""
+    """Arch count, arch beam length (mm), length offset (mm), kind label.
+
+    n is stored as an int, and L and h0 as floats, whatever real type they
+    were given as.
+    """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if type(self.n) is not int and _is_integer(self.n):  # say a numpy integer
-            self = super().__new__(cls, operator.index(self.n), *self[1:])
-        if not (type(self.n) is int and self.n >= 1):  # a bool is no arch count
-            raise DomainError(f"arch count n={self.n!r} must be an integer >= 1")
-        if self.n >= _FLOAT_INT_LIMIT:
-            raise _float_overflow("arch count n", self.n)
-        if not 0.0 < self.L < math.inf:
-            raise DomainError(f"beam length L={self.L!r} must be positive and finite")
-        if not 0.0 <= self.h0 < math.inf:
-            raise DomainError(f"length offset h0={self.h0!r} must be finite and >= 0")
-        if self.kind not in KINDS:
-            raise DomainError(f"kind={self.kind!r} must be one of {KINDS}")
+        n, L, h0, kind = self
+        if not (type(n) is int and type(L) is float and type(h0) is float):
+            if type(n) is not int and _is_integer(n):  # say a numpy integer
+                n = operator.index(n)
+            L, h0 = _real("beam length L", L), _real("length offset h0", h0)
+            self = super().__new__(cls, n, L, h0, kind)
+        if not (type(n) is int and n >= 1):  # a bool is no arch count
+            raise DomainError(f"arch count n={n!r} must be an integer >= 1")
+        if n >= _FLOAT_INT_LIMIT:
+            raise _float_overflow("arch count n", n)
+        if not 0.0 < L < math.inf:
+            raise DomainError(f"beam length L={L!r} must be positive and finite")
+        if not 0.0 <= h0 < math.inf:
+            raise DomainError(f"length offset h0={h0!r} must be finite and >= 0")
+        if kind not in KINDS:
+            raise DomainError(f"kind={kind!r} must be one of {KINDS}")
         return self
 
     @classmethod
@@ -89,8 +111,12 @@ class MuscleState(namedtuple("MuscleState", "p width length contraction psi0")):
 
 
 class DeformationCurve(namedtuple("DeformationCurve", "spec samples")):
-    """Sampled states (a tuple of MuscleState) of one spec, ordered by
-    strictly decreasing length."""
+    """Sampled states (a tuple of MuscleState) of one spec, in order of p.
+
+    Length decreases along the samples in exact arithmetic.  Neighbours
+    whose lengths differ by less than rounding can be equal doubles, as
+    they are for a cap within a few ULPs of P_STRAIGHT.
+    """
 
     __slots__ = ()
 
@@ -113,34 +139,37 @@ def state_at(spec: MuscleSpec, p: float) -> MuscleState:
     """
     n, L, h0, _ = spec
     natural = n * L + h0
-    # L was checked by MuscleSpec; float() keeps the fields Python floats,
-    # as solve_beam's check does, for an int or numpy L and p
-    p = _check_shape_param(p)
-    w, h, psi0, _ = _arch(float(L), p)
+    p = _check_shape_param(p)  # a float, for a numpy p too
+    w, h, psi0, _ = _arch(L, p)
     length = n * h + h0
     return MuscleState(p, w, length, natural - length, psi0)
 
 
-# One entry on purpose.  The calls that share a grid come one after
-# another: the specs of one `muscle curve` run, a sweep over specs.  The
-# entry is a sixth of the memory of the curve it came with; more entries
-# would keep the tables of grids no longer drawn for the life of the process.
-@functools.lru_cache(maxsize=1)
-def _grid(num_samples: int, p_cap: float) -> tuple[int, array, array, array, array]:
+# Four entries.  A caller that checks the expansion at more than one
+# resolution alternates grids: a dense curve between a few coarse ones, on
+# one cap.  With one entry every coarse curve evicted the dense table, and
+# the next dense curve made all its Carlson passes again.  A table is 40 B
+# per sample, about a fifth of the curve drawn from it, and no more than
+# four are kept for the life of the process: 1.6 MB for four grids of
+# 10 000 samples.
+@functools.lru_cache(maxsize=4)
+def _grid(num_samples: int, p_cap: float) -> tuple[int, array, array, array, array, array]:
     """The part of curve that depends on its grid alone: one Carlson pass
     per sample.
 
     Returns the count of leading samples at the straight strip, where
-    beam._shape is None, and _shape's rf, F2 - 2 E2 + sqrt(2 q), F2 and
-    psi0 at each later sample, as columns, which every curve on the grid
-    shares and only reads.  For a num_samples >= 2 and a float p_cap that
-    _check_p_cap passed.
+    beam._shape is None, the p of every sample, and _shape's rf,
+    F2 - 2 E2 + sqrt(2 q), F2 and psi0 at each later sample, as columns,
+    which every curve on the grid shares and only reads.  For a
+    num_samples >= 2 and a float p_cap that _check_p_cap passed.
     """
     step = (p_cap - P_STRAIGHT) / (num_samples - 1)
+    ps = array("d", [P_STRAIGHT + i * step for i in range(num_samples - 1)])
+    ps.append(p_cap)
     straight = 0
     rfs, nums, F2s, psis = array("d"), array("d"), array("d"), array("d")
-    for i in range(num_samples):
-        shape = _shape(P_STRAIGHT + i * step if i < num_samples - 1 else p_cap)
+    for p in ps:
+        shape = _shape(p)
         if shape is None:  # 2 p^2 - 1 does not fall as p rises: a prefix
             straight += 1
             continue
@@ -149,31 +178,27 @@ def _grid(num_samples: int, p_cap: float) -> tuple[int, array, array, array, arr
         nums.append(num)
         F2s.append(F2)
         psis.append(psi0)
-    return straight, rfs, nums, F2s, psis
+    return straight, ps, rfs, nums, F2s, psis
 
 
 def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> DeformationCurve:
     """Contraction-expansion curve: p sampled uniformly on [1/sqrt(2), p_cap].
 
-    The first sample is the exact natural state (width 0, length n*L + h0);
-    length decreases strictly along the samples.  Each sample is state_at's
-    at its p, the same doubles: _grid's table scaled by L with _arch's
-    expressions.  One Carlson pass per sample but the first, none when the
-    previous curve had the same grid (num_samples, p_cap).
+    The first sample is the exact natural state (width 0, length n*L + h0).
+    Length decreases along the samples in exact arithmetic; neighbours can
+    be equal doubles when p_cap is within rounding of P_STRAIGHT.  Each
+    sample is state_at's at its p, the same doubles: _grid's table scaled
+    by L with _arch's expressions.  One Carlson pass per sample but the
+    first, none when one of the last four grids (num_samples, p_cap) that
+    curves were drawn on is this one.
     """
     # an integer has __index__, numpy's too; a bool has one but is < 2
     if not (hasattr(num_samples, "__index__") and num_samples >= 2):
         raise DomainError(f"num_samples={num_samples!r} must be an integer >= 2")
     _check_p_cap(p_cap)
-    num_samples, p_cap = operator.index(num_samples), float(p_cap)
-    straight, rfs, nums, F2s, psis = _grid(num_samples, p_cap)
-    step = (p_cap - P_STRAIGHT) / (num_samples - 1)
-    ps = [P_STRAIGHT + i * step for i in range(num_samples - 1)]
-    ps.append(p_cap)
+    straight, ps, rfs, nums, F2s, psis = _grid(operator.index(num_samples), float(p_cap))
     n, L, h0, _ = spec
-    natural = n * L + h0
-    L = float(L)  # as in state_at
-    length = n * L + h0
+    natural = length = n * L + h0  # the straight strip's: h = L
     samples = [MuscleState(p, 0.0, length, natural - length, 0.0) for p in ps[:straight]]
     # tuple.__new__ is MuscleState's own constructor without the Python
     # frame of namedtuple's __new__, which took half of a warm curve

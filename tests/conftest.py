@@ -15,9 +15,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    # curve keeps the table of the last grid it drew, and beam the Carlson
-    # passes at the last few caps: every test starts without them, so that
-    # no count of Carlson passes depends on test order
+    # curve keeps the tables of the last four grids it drew, and beam the
+    # Carlson passes at the last few caps: every test starts without them,
+    # so that no count of Carlson passes depends on test order
     muscle._grid.cache_clear()
     beam._shape_at.cache_clear()
 

@@ -1,6 +1,8 @@
 """Whole-muscle geometry: published parameter sets, inversion, curve shape."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +91,14 @@ def test_curve_endpoints_and_ordering(radial_spec):
     assert all(b < a for a, b in zip(lengths, lengths[1:]))
     assert all(b >= a for a, b in zip(widths, widths[1:]))
     assert len(cur.samples) == 100
+    # length decreases in exact arithmetic only: with a cap within a few
+    # ULPs of the straight end, neighbouring lengths round to one double
+    cap = math.nextafter(P_STRAIGHT, 1.0)
+    assert [s.length for s in curve(radial_spec, 3, cap).samples] == [238.0] * 3
+    for _ in range(4):
+        cap = math.nextafter(cap, 1.0)
+    lengths = [s.length for s in curve(radial_spec, 3, cap).samples]
+    assert lengths == [238.0, 238.0, 237.99999999999994]
 
 
 def test_curve_respects_p_cap(radial_spec):
@@ -265,10 +275,25 @@ def test_invert_kernel_budget(monkeypatch):
                 assert len(calls) <= 2 + (i == 0), (spec, p_cap, length, len(calls))
 
 
+def assert_samples_are_solve_beams(spec, num, p_cap, samples):
+    """Each sample as state_at used to build it: the sampled p, solve_beam's
+    fields and natural_length, compared bit for bit."""
+    step = (p_cap - P_STRAIGHT) / (num - 1)
+    assert len(samples) == num
+    for i, sample in enumerate(samples):
+        p = p_cap if i == num - 1 else P_STRAIGHT + i * step
+        sol = solve_beam(spec.L, p)
+        length = spec.n * sol.h + spec.h0
+        old = (p, sol.w, length, natural_length(spec) - length, sol.psi0)
+        assert type(sample) is MuscleState
+        assert all(type(v) is float for v in sample), sample
+        assert [v.hex() for v in sample] == [v.hex() for v in old], (i, sample, old)
+
+
 def test_curve_kernel_budget(monkeypatch, tmp_path, capsys, radial_spec, planar_spec):
     # one Carlson pass per sample but the first, the straight strip, on a
-    # grid (num_samples, p_cap) other than the previous curve's; none on
-    # the same grid, whatever the spec
+    # grid (num_samples, p_cap) other than the last four that curves were
+    # drawn on; none on one of those four, whatever the spec
     calls = []
 
     def counted(x, y, z):
@@ -289,10 +314,28 @@ def test_curve_kernel_budget(monkeypatch, tmp_path, capsys, radial_spec, planar_
             assert passes(radial_spec, num, p_cap) == 0, (num, p_cap)
     # the key is the grid's value: a numpy count or cap finds the same table
     assert passes(planar_spec, np.int64(1001), np.float64(P_MAX)) == 0
-    # one table is kept: another grid evicts it
-    assert passes(radial_spec, 100, 0.9) == 99
+    # the last four grids are kept, and a fifth evicts the least recently
+    # used one
+    muscle._grid.cache_clear()
+    grids = [(100, 0.9), (100, DEFAULT_P_CAP), (17, 0.9), (1001, P_MAX)]
+    for num, p_cap in grids:
+        assert passes(radial_spec, num, p_cap) == num - 1, (num, p_cap)
+    for num, p_cap in grids + grids[::-1]:  # the last used is now grids[0]
+        assert passes(planar_spec, num, p_cap) == 0, (num, p_cap)
+    assert passes(radial_spec, 3, 0.75) == 2
+    for num, p_cap in grids[:3]:
+        assert passes(planar_spec, num, p_cap) == 0, (num, p_cap)
+    assert passes(planar_spec, 1001, P_MAX) == 1000  # evicts (3, 0.75)
+    assert_samples_are_solve_beams(planar_spec, 1001, P_MAX,
+                                   curve(planar_spec, 1001, P_MAX).samples)
+    assert passes(radial_spec, 3, 0.75) == 2
+    # a round of the geometry benchmark: the dense curve between small ones
+    # of other specs finds its table
+    muscle._grid.cache_clear()
+    assert passes(radial_spec, 10_000, DEFAULT_P_CAP) == 9_999
     assert passes(planar_spec, 100, DEFAULT_P_CAP) == 99
-    assert passes(radial_spec, 100, 0.9) == 99
+    assert passes(MuscleSpec(5, 19.5, 8.0), 100, DEFAULT_P_CAP) == 0
+    assert passes(planar_spec, 10_000, DEFAULT_P_CAP) == 0
     # the specs of one run share the table
     muscle._grid.cache_clear()
     calls.clear()
@@ -314,22 +357,10 @@ def test_curve_kernel_budget(monkeypatch, tmp_path, capsys, radial_spec, planar_
     p_cap=st.sampled_from([0.75, DEFAULT_P_CAP, P_MAX]),
 )
 def test_curve_is_bit_identical_to_state_by_state(specs, num, p_cap):
-    # each sample as state_at used to build it: the sampled p, solve_beam's
-    # fields and natural_length, compared bit for bit; the second spec's
-    # curve scales the table that the first one's left
-    step = (p_cap - P_STRAIGHT) / (num - 1)
+    # the second spec's curve scales the table that the first one's left
     for fields in specs:
         spec = MuscleSpec(*fields)
-        samples = curve(spec, num, p_cap).samples
-        assert len(samples) == num
-        for i, sample in enumerate(samples):
-            p = p_cap if i == num - 1 else P_STRAIGHT + i * step
-            sol = solve_beam(spec.L, p)
-            length = spec.n * sol.h + spec.h0
-            old = (p, sol.w, length, natural_length(spec) - length, sol.psi0)
-            assert type(sample) is MuscleState
-            assert all(type(v) is float for v in sample), sample
-            assert [v.hex() for v in sample] == [v.hex() for v in old], (i, sample, old)
+        assert_samples_are_solve_beams(spec, num, p_cap, curve(spec, num, p_cap).samples)
 
 
 def test_invert_rejects_bad_p_cap(radial_spec):
@@ -367,6 +398,35 @@ def test_spec_validation():
             MuscleSpec(8, L, h0)
     with pytest.raises(DomainError):
         MuscleSpec(8, 27.0, 22.0, kind="spherical")
+    # float() would parse a string and take a bool as 0 or 1
+    for bad in ("27", b"27", True, None, Decimal("sNaN")):
+        with pytest.raises(DomainError, match="L="):
+            MuscleSpec(8, bad, 22.0)
+        with pytest.raises(DomainError, match="h0="):
+            MuscleSpec(8, 27.0, bad)
+    with pytest.raises(DomainError, match="beam length L is too large"):
+        MuscleSpec(8, 10**400, 22.0)
+    with pytest.raises(DomainError, match="length offset h0 is too large"):
+        MuscleSpec(8, 27.0, Fraction(10**400))
+
+
+@pytest.mark.parametrize("number", [int, np.float64, np.float32, Fraction, Decimal])
+def test_spec_lengths_are_floats(number):
+    # an L or h0 of another real type used to reach the lengths: an int
+    # natural length, np.float64 lengths, a Fraction natural length
+    L, h0 = (27, 22) if number is int else (number("27.5"), number("21.25"))
+    spec = MuscleSpec(8, L, h0)
+    ref = MuscleSpec(8, float(L), float(h0))
+    assert type(spec.n) is int and type(spec.L) is float and type(spec.h0) is float
+    assert spec == ref and spec._replace(L=L) == ref
+    pairs = [((natural_length(spec),), (natural_length(ref),)),
+             (length_range(spec), length_range(ref)),
+             (state_at(spec, 0.8), state_at(ref, 0.8)),
+             (state_for_length(spec, 230.0), state_for_length(ref, 230.0)),
+             *zip(curve(spec, 17).samples, curve(ref, 17).samples)]
+    for got, want in pairs:
+        assert all(type(v) is float for v in got), got
+        assert [v.hex() for v in got] == [v.hex() for v in want], (got, want)
 
 
 def test_curve_validation(radial_spec):
