@@ -17,7 +17,10 @@ and L_range bounds on L and α and β the bounds on the arch stack n·L.  So
 _counts classifies every arch count at once as surely feasible, surely
 infeasible or, within a rounding bound of a threshold, undecided, and
 only the undecided counts (and, for search, the feasible ones, whose
-L-intervals it returns) go through _interval.
+L-intervals it returns) go through _intervals: one loop over the counts
+that does once the work that does not depend on n, the same loop for
+search and for infeasibility_report, which makes no call when no count
+is undecided.
 
 The Carlson pass at p_cap, beam._shape_at, gives ĥ and ŵ, and every
 result's achieved values scale from it by the result's L.  beam caches it,
@@ -31,6 +34,7 @@ compute it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -40,12 +44,14 @@ from itertools import chain, combinations
 from .beam import _shape_at
 from .errors import DomainError
 from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _FLOAT_INT_LIMIT, _check_p_cap,
-                     _float_overflow, _is_integer)
+                     _float_overflow, _is_integer, _real)
 
 # the widest n_range searched.  A search holds a result or report entry and
 # its output line for every arch count until it returns: ~5 µs and ~0.3 kB
 # each on a 2-vCPU x86 host, most of it the binding constraint of each
 # infeasible count, so a full-width design search takes ~5 s and ~0.3 GB
+# (design search over [1, 10**6] on tests/data/constraints.json, one fresh
+# process: 4.6-5.4 s and 315 MB peak RSS in five runs)
 _MAX_ARCH_COUNTS = 10**6
 
 
@@ -56,16 +62,27 @@ class DesignConstraints(namedtuple(
         defaults=(0.0, "radial"))):
     """Requirements on an expanding muscle at full contraction (p = p_cap).
 
-    All lengths in mm, ranges (min, max).  ``min_stroke`` is the required
-    contraction at p_cap, ``max_width_at_full`` the expansion ceiling there
-    (the proxy for "gentle expansion": no default is asserted, the user must
-    pick it).  ``kind`` is the label stamped on emitted specs; no formula effect.
+    All lengths in mm, ranges (min, max), each stored as a Python float
+    whatever real type it was given as; a str, bytes or bool is a
+    DomainError.  ``min_stroke`` is the required contraction at p_cap,
+    ``max_width_at_full`` the expansion ceiling there (the proxy for
+    "gentle expansion": no default is asserted, the user must pick it).
+    ``kind`` is the label stamped on emitted specs; no formula effect.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        nat, min_stroke, max_width, h0, n_range, L_range, min_width, kind = self
+        (nat_lo, nat_hi), (L_lo, L_hi) = nat, L_range
+        if not (type(nat_lo) is type(nat_hi) is type(min_stroke) is type(max_width)
+                is type(h0) is type(L_lo) is type(L_hi) is type(min_width) is float):
+            self = super().__new__(
+                cls, (_real("natural_length_range", nat_lo), _real("natural_length_range", nat_hi)),
+                _real("min_stroke", min_stroke), _real("max_width_at_full", max_width),
+                _real("h0", h0), n_range, (_real("L_range", L_lo), _real("L_range", L_hi)),
+                _real("min_width_at_full", min_width), kind)
         # written as "not ... < inf" so that NaN fails every check
         for name in ("natural_length_range", "n_range", "L_range"):
             lo, hi = getattr(self, name)
@@ -191,55 +208,70 @@ def _snap(passes, end: float, outward: float, inward: float) -> float | None:
     return _double(sign * (near if ok else far))
 
 
-def _slopes(n: int, h_unit: float, w_unit: float) -> tuple[float, ...]:
-    """Slope in L of every margin of ``_slack``, as floats: the difference
-    n - (-n) of two int slopes would not convert for n >= 2**1023."""
-    n = float(n)
-    return (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
-
-
-def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
-              h_unit: float, w_unit: float) -> tuple[float, float] | None:
-    """Feasible L-interval of arch count n, or None when it has none.
+def _intervals(limits: tuple[float, ...], L_range: tuple[float, float], counts,
+               h_unit: float, w_unit: float):
+    """(n, L-interval) of every arch count n of ``counts`` that has a
+    feasible L, in their order.
 
     Margin i is a_i + b_i·L: a positive slope b_i bounds L from below at
-    -a_i / b_i, a negative one from above.
-    """
-    L_min, L_max = L_range
-    a = _slack(limits, n, 0.0, h_unit, w_unit)  # intercepts at L = 0
-    b = _slopes(n, h_unit, w_unit)
-    lo, hi = L_min, L_max
-    for a_i, b_i in zip(a, b):
-        if b_i > 0.0:
-            lo = max(lo, -a_i / b_i)
-        elif b_i < 0.0:
-            hi = min(hi, -a_i / b_i)
-        elif a_i < 0.0:
-            return None
-    if not lo <= hi:
-        return None
-    # Margins that rise with L bound it from below (the floor: natural
-    # length min, stroke, width min), falling ones from above (the
-    # ceiling), with the signs of _slopes for every n >= 1, h_unit < 1 and
-    # w_unit > 0.  Each group is written with _slack's expressions.
-    # Rounding is monotone, so no computed floor margin falls as L grows
-    # and no ceiling margin rises: each group passes on one side of a
-    # single boundary.
-    nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
+    -a_i / b_i, a negative one from above, and a zero one rejects every L
+    if a_i < 0.  The intercepts a_i and the width slopes ±ŵ do not depend
+    on n, so the width bounds and the rejections by a flat margin are
+    computed once; per count only -a0/n, -a1/-n and -a2/(n·u) remain, with
+    u = 1 − ĥ.  Where ĥ rounds above 1 the stroke margin falls with L from
+    -min_stroke, and no count has a feasible L.
 
-    def above_floor(L: float) -> bool:
-        return (n * L + h0 - nat_lo >= 0.0
-                and n * L * (1.0 - h_unit) - min_stroke >= 0.0
+    Margins that rise with L bound it from below (the floor: natural
+    length min, stroke, width min), falling ones from above (the ceiling),
+    for every n >= 1, u >= 0 and ŵ > 0.  Rounding is monotone, so no
+    computed floor margin falls as L grows and no ceiling margin rises:
+    each group passes on one side of a single boundary, and each end is
+    moved to the outermost double that passes its group, with _slack's
+    expressions.  Usually the end passes and the next double outward
+    fails; that is checked here, and _snap searches only when it is not so.
+    """
+    nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
+    L_min, L_max = L_range
+    u = 1.0 - h_unit
+    a0, a1, a2, a3, a4 = _slack(limits, 1, 0.0, h_unit, w_unit)  # n * 0.0 is 0.0
+    lo_w, hi_w = L_min, L_max
+    for a_i, b_i in ((a3, -w_unit), (a4, w_unit)):
+        if b_i > 0.0:
+            lo_w = max(lo_w, -a_i / b_i)
+        elif b_i < 0.0:
+            hi_w = min(hi_w, -a_i / b_i)
+        elif a_i < 0.0:
+            return
+    if u < 0.0 or (u == 0.0 and a2 < 0.0):
+        return
+
+    def above_floor(x: float, L: float) -> bool:
+        return (x * L + h0 - nat_lo >= 0.0 and x * L * u - min_stroke >= 0.0
                 and L * w_unit - min_width >= 0.0)
 
-    def below_ceiling(L: float) -> bool:
-        return nat_hi - (n * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0
+    def below_ceiling(x: float, L: float) -> bool:
+        return nat_hi - (x * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0
 
-    lo = _snap(above_floor, lo, L_min, L_max)
-    hi = _snap(below_ceiling, hi, L_max, L_min)
-    if lo is not None and hi is not None and lo <= hi:
-        return lo, hi
-    return None
+    nextafter = math.nextafter
+    for n in counts:
+        x = float(n)  # what n * L converts n to
+        lo = max(lo_w, -a0 / x)
+        if u > 0.0:
+            lo = max(lo, -a2 / (x * u))
+        hi = min(hi_w, -a1 / -x)
+        if not lo <= hi:
+            continue
+        if not (above_floor(x, lo) and (lo == L_min or not above_floor(x, nextafter(lo, L_min)))):
+            lo = _snap(functools.partial(above_floor, x), lo, L_min, L_max)
+            if lo is None:
+                continue
+        if not (below_ceiling(x, hi)
+                and (hi == L_max or not below_ceiling(x, nextafter(hi, L_max)))):
+            hi = _snap(functools.partial(below_ceiling, x), hi, L_max, L_min)
+            if hi is None:
+                continue
+        if lo <= hi:
+            yield n, (lo, hi)
 
 
 def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
@@ -274,7 +306,7 @@ def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
     names = {}
     for n in counts:
         x = float(n)
-        b = (x, -x, x * u, -w_unit, w_unit)  # _slopes
+        b = (x, -x, x * u, -w_unit, w_unit)  # the slopes in L of _slack's margins
         candidates = [L_min, L_max]
         for num, i, j in pairs:
             if b[i] != b[j]:
@@ -320,20 +352,21 @@ def _least(t: float, lo: int, hi: int, strict: bool) -> int:
 
 def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
             n_range: tuple[int, int], h_unit: float, w_unit: float) -> tuple[range, range]:
-    """(maybe, sure): the arch counts of n_range that _interval may find
-    feasible, and a run of them that it surely finds feasible.  Every count
-    outside maybe is surely infeasible; the counts of maybe outside sure are
-    undecided, and only _interval can tell.
+    """(maybe, sure): the arch counts of n_range that _intervals may find
+    feasible, and a run within them that it surely finds feasible, empty
+    at maybe's start when there is none.  Every count outside maybe is
+    surely infeasible; the counts of maybe outside sure are undecided, and
+    only _intervals can tell.
 
     With u = 1 − ĥ as rounded, A = max(L_min, min_width/ŵ), B = min(L_max,
     max_width/ŵ), α = max(nat_lo − h0, min_stroke/u) and β = nat_hi − h0,
     n is feasible in real arithmetic iff the four slacks B − A, β − α,
     n·B − α and β − n·A are >= 0: iff the L-interval [max(A, α/n),
-    min(B, β/n)] is not empty.  _interval departs from that by rounding:
-      - it returns None when its rounded ends cross, and each is within
+    min(B, β/n)] is not empty.  _intervals departs from that by rounding:
+      - it finds no interval when its rounded ends cross, and each is within
         1.5·_EPS, relative, of its real value: (nat − h0)/n,
         min_stroke/(n·u) or width/ŵ;
-      - else it returns an interval iff a double L in L_range passes every
+      - else it finds one iff a double L in L_range passes every
         rounded margin, and where n·L <= β these are within _EPS·nat_hi of
         the real ones for the natural length (n·L + h0 <= nat_hi),
         1.5·_EPS·n·L for the stroke and _EPS·L / 2 for the width.
@@ -376,7 +409,7 @@ def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
                   _least(top, n_lo, n_hi + 1, True))
     sure = range(_least((alpha + tol) / (B - tol_B), n_lo, n_hi + 1, True),
                  _least((beta - tol) / (A + tol_A), n_lo, n_hi + 1, False))
-    return maybe, sure if sure else none
+    return maybe, sure if sure else maybe[:0]
 
 
 def _units(p_cap: float) -> tuple[tuple[float, ...], float, float]:
@@ -393,19 +426,23 @@ def _results(constraints: DesignConstraints, shape, found) -> list[DesignResult]
 
     Each achieved value is state_at's at p_cap on the result's spec, the
     same doubles: the natural length and the arch are state_at's and _arch's
-    expressions on beam._shape's pass at p_cap.
+    expressions on beam._shape's pass at p_cap.  Rows sort as plain tuples,
+    by width and then n, which no two rows share.  DesignResult and
+    AchievedMetrics check nothing, so they are built by tuple.__new__,
+    without the frame of namedtuple's __new__.
     """
     sp, rf, num, F2, _ = shape
     h0, kind = constraints.h0, constraints.kind
-    results = []
+    rows = []
     for n, (lo, hi) in found:
         L = 0.5 * (lo + hi)
         natural = n * L + h0
-        achieved = AchievedMetrics(natural, natural - (n * (sp * L / rf) + h0),
-                                   L * num / F2)
-        results.append(DesignResult(MuscleSpec(n, L, h0, kind), achieved, True, (lo, hi)))
-    results.sort(key=lambda res: (res.achieved.width_at_full, res.spec.n, res.spec.L))
-    return results
+        rows.append((L * num / F2, n, L, natural, natural - (n * (sp * L / rf) + h0), lo, hi))
+    rows.sort()
+    new = tuple.__new__
+    return [new(DesignResult, (MuscleSpec(n, L, h0, kind),
+                               new(AchievedMetrics, (natural, stroke, width)), True, (lo, hi)))
+            for width, n, L, natural, stroke, lo, hi in rows]
 
 
 def search(constraints: DesignConstraints,
@@ -425,12 +462,7 @@ def search(constraints: DesignConstraints,
     shape, h_unit, w_unit = _units(p_cap)
     limits, L_range = _limits(constraints), constraints.L_range
     maybe, _ = _counts(limits, L_range, constraints.n_range, h_unit, w_unit)
-    feasible = []
-    for n in maybe:
-        found = _interval(limits, L_range, n, h_unit, w_unit)
-        if found is not None:
-            feasible.append((n, found))
-    return _results(constraints, shape, feasible)
+    return _results(constraints, shape, _intervals(limits, L_range, maybe, h_unit, w_unit))
 
 
 def infeasibility_report(constraints: DesignConstraints,
@@ -446,6 +478,11 @@ def infeasibility_report(constraints: DesignConstraints,
     _, h_unit, w_unit = _units(p_cap)
     limits, L_range, n_range = _limits(constraints), constraints.L_range, constraints.n_range
     maybe, sure = _counts(limits, L_range, n_range, h_unit, w_unit)
-    infeasible = (n for n in chain(range(n_range[0], sure.start), range(sure.stop, n_range[1] + 1))
-                  if n not in maybe or _interval(limits, L_range, n, h_unit, w_unit) is None)
+    undecided = range(maybe.start, sure.start), range(sure.stop, maybe.stop)
+    feasible = ()
+    if undecided[0] or undecided[1]:
+        feasible = {n for n, _ in _intervals(limits, L_range, chain(*undecided), h_unit, w_unit)}
+    infeasible = chain(range(n_range[0], maybe.start),
+                       (n for n in chain(*undecided) if n not in feasible),
+                       range(maybe.stop, n_range[1] + 1))
     return _bindings(limits, L_range, infeasible, h_unit, w_unit)

@@ -59,8 +59,12 @@ def _float_overflow(name: str, n: int) -> DomainError:
 def _real(name: str, x) -> float:
     """x as a float, for a real number of any type: an int, a numpy scalar, a
     Fraction or a Decimal.  Not a str or bytes, which float() would parse,
-    nor a bool."""
-    if not isinstance(x, (str, bytes, bytearray, bool)):
+    nor a bool, Python's or numpy's (read by its dtype, without importing
+    numpy), which float() would take as 0 or 1."""
+    if type(x) is float:
+        return x
+    if not (isinstance(x, (str, bytes, bytearray, bool))
+            or getattr(getattr(x, "dtype", None), "kind", None) == "b"):
         try:
             return float(x)
         except (TypeError, ValueError):  # say None, or a signalling NaN Decimal
@@ -79,14 +83,15 @@ class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        n, L, h0, kind = self
+    # namedtuple's signature, so calls and their TypeErrors are its own;
+    # the tuple is built by tuple.__new__ once the fields pass, without a
+    # second frame for namedtuple's __new__: design search builds one spec
+    # per result
+    def __new__(cls, n, L, h0, kind="radial"):
         if not (type(n) is int and type(L) is float and type(h0) is float):
             if type(n) is not int and _is_integer(n):  # say a numpy integer
                 n = operator.index(n)
             L, h0 = _real("beam length L", L), _real("length offset h0", h0)
-            self = super().__new__(cls, n, L, h0, kind)
         if not (type(n) is int and n >= 1):  # a bool is no arch count
             raise DomainError(f"arch count n={n!r} must be an integer >= 1")
         if n >= _FLOAT_INT_LIMIT:
@@ -97,7 +102,7 @@ class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
             raise DomainError(f"length offset h0={h0!r} must be finite and >= 0")
         if kind not in KINDS:
             raise DomainError(f"kind={kind!r} must be one of {KINDS}")
-        return self
+        return tuple.__new__(cls, (n, L, h0, kind))
 
     @classmethod
     def _make(cls, iterable):  # namedtuple's own, and so _replace, skips __new__

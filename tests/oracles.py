@@ -35,9 +35,11 @@ forward model (``state_at`` and ``natural_length``) and never uses the
 affine form of the margins that ``wwmtc.design`` solves.
 ``oracle_search`` and ``oracle_report`` are ``wwmtc.design.search`` and
 ``infeasibility_report`` without the closed form in n: one ``_interval``
-per arch count of ``n_range``, and one ``binding_maximin`` per infeasible
+per arch count of ``n_range``, with none of ``design._intervals``'
+hoisting or in-line ends, and one ``binding_maximin`` per infeasible
 one, the maximin as ``max(candidates, key=min)`` over every candidate's
 margins, with none of ``design._bindings``' hoisting or early drops.
+``_results`` builds the results with the named tuples' own constructors.
 
 ``play_operator`` and ``play_operator_scan`` are the winch oracles for
 ``wwmtc.actuators.simulate_winch``, which runs one clamp per sample:
@@ -79,7 +81,8 @@ from scipy.optimize import brentq
 from wwmtc import design
 from wwmtc.actuators import HysteresisParams, TendonFit
 from wwmtc.beam import P_MAX
-from wwmtc.design import _CONSTRAINT_NAMES, DesignConstraints, _slack, _slopes
+from wwmtc.design import (_CONSTRAINT_NAMES, AchievedMetrics, DesignConstraints, DesignResult,
+                          _slack, _snap)
 from wwmtc.elliptic import HALF_PI, _check_amplitude, _check_modulus
 from wwmtc.errors import (
     DomainError,
@@ -298,18 +301,81 @@ def evaluate(constraints: DesignConstraints, n: int, L: float,
     )
 
 
+def _slopes(n: int, h_unit: float, w_unit: float) -> tuple[float, ...]:
+    """Slope in L of every margin of ``_slack``, as floats: the difference
+    n - (-n) of two int slopes would not convert for n >= 2**1023."""
+    n = float(n)
+    return (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
+
+
+def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
+              h_unit: float, w_unit: float) -> tuple[float, float] | None:
+    """Feasible L-interval of arch count n, or None when it has none.
+
+    Margin i is a_i + b_i·L: a positive slope b_i bounds L from below at
+    -a_i / b_i, a negative one from above.  Both ends are then snapped to
+    the outermost doubles that pass, each by a _snap call.
+    """
+    L_min, L_max = L_range
+    a = _slack(limits, n, 0.0, h_unit, w_unit)  # intercepts at L = 0
+    b = _slopes(n, h_unit, w_unit)
+    lo, hi = L_min, L_max
+    for a_i, b_i in zip(a, b):
+        if b_i > 0.0:
+            lo = max(lo, -a_i / b_i)
+        elif b_i < 0.0:
+            hi = min(hi, -a_i / b_i)
+        elif a_i < 0.0:
+            return None
+    if not lo <= hi:
+        return None
+    # margins that rise with L bound it from below, falling ones from above,
+    # with the signs of _slopes for every n >= 1, h_unit < 1 and w_unit > 0
+    nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
+
+    def above_floor(L: float) -> bool:
+        return (n * L + h0 - nat_lo >= 0.0
+                and n * L * (1.0 - h_unit) - min_stroke >= 0.0
+                and L * w_unit - min_width >= 0.0)
+
+    def below_ceiling(L: float) -> bool:
+        return nat_hi - (n * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0
+
+    lo = _snap(above_floor, lo, L_min, L_max)
+    hi = _snap(below_ceiling, hi, L_max, L_min)
+    if lo is not None and hi is not None and lo <= hi:
+        return lo, hi
+    return None
+
+
+def _results(constraints: DesignConstraints, shape, found) -> list[DesignResult]:
+    """design._results with each result built by the named tuples' own
+    constructors, sorted by a key of (width, n, L)."""
+    sp, rf, num, F2, _ = shape
+    h0, kind = constraints.h0, constraints.kind
+    results = []
+    for n, (lo, hi) in found:
+        L = 0.5 * (lo + hi)
+        natural = n * L + h0
+        achieved = AchievedMetrics(natural, natural - (n * (sp * L / rf) + h0),
+                                   L * num / F2)
+        results.append(DesignResult(MuscleSpec(n, L, h0, kind), achieved, True, (lo, hi)))
+    results.sort(key=lambda res: (res.achieved.width_at_full, res.spec.n, res.spec.L))
+    return results
+
+
 def oracle_search(constraints: DesignConstraints,
-                  p_cap: float = DEFAULT_P_CAP) -> list[design.DesignResult]:
+                  p_cap: float = DEFAULT_P_CAP) -> list[DesignResult]:
     """design.search, scanning every arch count of n_range with _interval."""
     shape, h_unit, w_unit = design._units(p_cap)
     limits, L_range = design._limits(constraints), constraints.L_range
     n_lo, n_hi = constraints.n_range
     feasible = []
     for n in range(n_lo, n_hi + 1):
-        found = design._interval(limits, L_range, n, h_unit, w_unit)
+        found = _interval(limits, L_range, n, h_unit, w_unit)
         if found is not None:
             feasible.append((n, found))
-    return design._results(constraints, shape, feasible)
+    return _results(constraints, shape, feasible)
 
 
 def oracle_report(constraints: DesignConstraints,
@@ -320,7 +386,7 @@ def oracle_report(constraints: DesignConstraints,
     n_lo, n_hi = constraints.n_range
     return {n: binding_maximin(limits, L_range, n, h_unit, w_unit)
             for n in range(n_lo, n_hi + 1)
-            if design._interval(limits, L_range, n, h_unit, w_unit) is None}
+            if _interval(limits, L_range, n, h_unit, w_unit) is None}
 
 
 def binding_maximin(limits: tuple[float, ...], L_range: tuple[float, float], n: int,

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -525,18 +527,63 @@ def test_bindings_are_the_maximin_next_to_the_straight_end(case):
 
 @pytest.mark.parametrize("n_range", [(1, 12), (1, 400)], ids=["fixture", "wide"])
 def test_report_decides_most_counts_in_closed_form(monkeypatch, n_range):
-    # the scan called _interval once per arch count: 12 and 400 times
+    # the scan solved every arch count for its interval: 12 and 400 of them
     cons = radial_roundtrip_constraints()._replace(n_range=n_range)
     expected = oracle_report(cons, PCAP)
-    interval, calls = design._interval, []
+    intervals, counts = design._intervals, []
 
-    def counting_interval(*args):
-        calls.append(args)
-        return interval(*args)
+    def counting_intervals(limits, L_range, given, h_unit, w_unit):
+        given = list(given)
+        counts.extend(given)
+        return intervals(limits, L_range, given, h_unit, w_unit)
 
-    monkeypatch.setattr(design, "_interval", counting_interval)
+    monkeypatch.setattr(design, "_intervals", counting_intervals)
     assert infeasibility_report(cons, PCAP) == expected
-    assert len(calls) <= 4, len(calls)
+    assert len(counts) <= 4, counts
+
+
+def test_interval_ends_settle_in_line_and_fall_back_to_snap(monkeypatch):
+    # _intervals checks in its loop that an end passes and the next double
+    # outward fails, and calls _snap only where that does not hold, as where
+    # n·L + h0 rounds to multiples of 0.125
+    fixture = read_design_constraints(DATA_DIR / "constraints.json")
+    edge = at_an_edge("h0=1e15")
+    expected = [oracle_search(cons, PCAP) for cons in (fixture, edge)]
+    snap, ends = design._snap, []
+
+    def counting_snap(passes, end, outward, inward):
+        ends.append(end)
+        return snap(passes, end, outward, inward)
+
+    monkeypatch.setattr(design, "_snap", counting_snap)
+    assert search(fixture, PCAP) == expected[0]
+    assert len(ends) <= 1, ends
+    ends.clear()
+    assert search(edge, PCAP) == expected[1]
+    assert ends
+
+
+@pytest.mark.parametrize("number", [int, np.float64, np.float32, Fraction, Decimal])
+def test_constraint_lengths_are_floats(number):
+    # a real field of another type used to reach the results: np.float64
+    # fields gave np.float64 interval ends and achieved values
+    lengths = dict(natural_length_range=(230, 240), min_stroke=60, max_width_at_full=20,
+                   min_width_at_full=1, h0=22, L_range=(10, 50))
+    cons = DesignConstraints(n_range=(1, 12), **{
+        name: tuple(map(number, v)) if isinstance(v, tuple) else number(v)
+        for name, v in lengths.items()})
+    ref = DesignConstraints(n_range=(1, 12), **{
+        name: tuple(map(float, v)) if isinstance(v, tuple) else float(v)
+        for name, v in lengths.items()})
+    assert cons == ref
+    assert all(type(v) is float for v in (*cons.natural_length_range, *cons.L_range,
+                                          *cons[1:4], cons.min_width_at_full))
+    results = search(cons, PCAP)
+    assert results == search(ref, PCAP) and len(results) == 6
+    assert infeasibility_report(cons, PCAP) == infeasibility_report(ref, PCAP)
+    for res in results:
+        assert all(type(v) is float
+                   for v in (res.spec.L, res.spec.h0, *res.achieved, *res.L_interval)), res
 
 
 def constraints_json(cons: DesignConstraints) -> str:

@@ -1,7 +1,12 @@
 """The value types: immutable named tuples with the fields, keyword
 construction, repr and checks that they had as frozen dataclasses."""
 
+import copy
 import math
+import pickle
+from collections import namedtuple
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +100,17 @@ def test_value_type_semantics(value, text, fields):
     (SPEC, "n", np.True_),
     (CONSTRAINTS, "n_range", (np.float64(1.0), 5)),
     (CONSTRAINTS, "n_range", (1, np.int64(10**6 + 1))),
+    # float() would take a bool, Python's or numpy's, as 0 or 1, and parse a string
+    (SPEC, "L", np.True_),
+    (SPEC, "h0", np.False_),
+    (SPEC, "h0", np.array(True)),
+    (CONSTRAINTS, "min_stroke", True),
+    (CONSTRAINTS, "max_width_at_full", np.True_),
+    (CONSTRAINTS, "min_width_at_full", "0.5"),
+    (CONSTRAINTS, "h0", np.False_),
+    (CONSTRAINTS, "h0", b"22"),
+    (CONSTRAINTS, "natural_length_range", (np.True_, 238.8)),
+    (CONSTRAINTS, "L_range", (10.0, "50")),
     # past the largest double: float arithmetic on the count would overflow
     pytest.param(SPEC, "n", 2**1024 - 2**970, id="spec-n-float-overflow"),
     pytest.param(SPEC, "n", 10**5000, id="spec-n-too-many-digits-for-repr"),
@@ -138,3 +154,52 @@ def test_the_largest_arch_counts_compute_without_overflow():
         cons = CONSTRAINTS._replace(n_range=n_range)
         assert search(cons) == []
         assert list(infeasibility_report(cons)) == list(range(n_range[0], n_range[1] + 1))
+
+
+# MuscleSpec's DomainError messages, as namedtuple's __new__ followed by the
+# checks gave them
+SPEC_ERRORS = [
+    ((0, 27.0, 22.0), "arch count n=0 must be an integer >= 1"),
+    ((True, 27.0, 22.0), "arch count n=True must be an integer >= 1"),
+    ((8.0, 27.0, 22.0), "arch count n=8.0 must be an integer >= 1"),
+    ((np.float64(3.0), 27.0, 22.0), "arch count n=np.float64(3.0) must be an integer >= 1"),
+    ((2**1024 - 2**970, 27.0, 22.0), "arch count n has 1024 bits, too large for a float"),
+    ((8, -1.0, 22.0), "beam length L=-1.0 must be positive and finite"),
+    ((8, 0.0, 22.0), "beam length L=0.0 must be positive and finite"),
+    ((8, math.inf, 22.0), "beam length L=inf must be positive and finite"),
+    ((8, math.nan, 22.0), "beam length L=nan must be positive and finite"),
+    ((8, 27.0, -0.1), "length offset h0=-0.1 must be finite and >= 0"),
+    ((8, 27.0, math.inf), "length offset h0=inf must be finite and >= 0"),
+    ((8, "27", 22.0), "beam length L='27' must be a real number"),
+    ((8, 27.0, b"22"), "length offset h0=b'22' must be a real number"),
+    ((8, None, 22.0), "beam length L=None must be a real number"),
+    ((8, Decimal("sNaN"), 22.0), "beam length L=Decimal('sNaN') must be a real number"),
+    ((8, 10**400, 22.0), "beam length L is too large for a float"),
+    ((8, 27.0, Fraction(10**400)), "length offset h0 is too large for a float"),
+    ((8, 27.0, 22.0, "spiral"), "kind='spiral' must be one of ('radial', 'planar')"),
+    ((0, "x", 22.0), "beam length L='x' must be a real number"),
+    ((8, -1.0, math.nan, "spiral"), "beam length L=-1.0 must be positive and finite"),
+]
+
+
+def test_spec_constructor_behaves_as_the_named_tuple():
+    # MuscleSpec.__new__ spells out namedtuple's signature and builds the
+    # tuple itself; calls, copies and errors are those of namedtuple's own
+    plain = namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))
+    for spec in (MuscleSpec(8, 27.0, 22.0, "radial"), MuscleSpec(8, 27.0, 22.0),
+                 MuscleSpec(n=8, L=27.0, h0=22.0), MuscleSpec(8, 27.0, h0=22.0, kind="radial"),
+                 MuscleSpec._make([8, 27.0, 22.0]), MuscleSpec(8, 1.0, 22.0)._replace(L=27.0),
+                 copy.copy(SPEC), copy.deepcopy(SPEC), pickle.loads(pickle.dumps(SPEC))):
+        assert type(spec) is MuscleSpec and spec == SPEC == plain(8, 27.0, 22.0)
+    assert MuscleSpec(8, 27.0, 22.0, kind="planar").kind == SPEC._replace(kind="planar").kind
+    for args, kwargs in (((8, 27.0), {}), ((), {}), ((8, 27.0, 22.0, "radial", 1), {}),
+                         ((8, 27.0, 22.0), {"extra": 1}), ((8, 27.0, 22.0), {"n": 8})):
+        with pytest.raises(TypeError) as got:
+            MuscleSpec(*args, **kwargs)
+        with pytest.raises(TypeError) as want:
+            plain(*args, **kwargs)
+        assert str(got.value) == str(want.value)
+    for args, message in SPEC_ERRORS:
+        with pytest.raises(DomainError) as got:
+            MuscleSpec(*args)
+        assert str(got.value) == message
