@@ -33,6 +33,7 @@ from .errors import (
     InsufficientDataError,
     InsufficientSweepError,
 )
+from .muscle import _real
 
 
 class TendonFit(namedtuple("TendonFit", "a b eps0 rms_residual")):
@@ -51,9 +52,23 @@ class HysteresisParams(namedtuple("HysteresisParams", "c r rms_residual", defaul
     """Play-operator winch model: ideal gain c (N/A), friction half-band r (N).
 
     rms_residual  N, of the tension fit; 0.0 when not fitted
+
+    Each field is stored as a Python float whatever real type it was given
+    as; a str, bytes or bool is a DomainError.  simulate_winch checks the
+    ranges.
     """
 
     __slots__ = ()
+
+    def __new__(cls, c, r, rms_residual=0.0):
+        if not type(c) is type(r) is type(rms_residual) is float:
+            c, r = _real("gain c", c), _real("half-band r", r)
+            rms_residual = _real("rms_residual", rms_residual)
+        return tuple.__new__(cls, (c, r, rms_residual))
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's own, and so _replace, skips __new__
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +226,7 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
     writers in fileio reject it.  ``currents`` is any sequence of numbers,
     arrays included.
     """
-    c, r, t = float(params.c), float(params.r), float(initial_tension)
+    c, r, t = params.c, params.r, float(initial_tension)
     if not 0.0 < c < math.inf:
         raise DomainError(f"gain c={c!r} must be positive and finite")
     if not 0.0 <= r < math.inf:

@@ -20,7 +20,10 @@ only the undecided counts (and, for search, the feasible ones, whose
 L-intervals it returns) go through _intervals: one loop over the counts
 that does once the work that does not depend on n, the same loop for
 search and for infeasibility_report, which makes no call when no count
-is undecided.
+is undecided.  The loop also moves each end of an L-interval to the
+outermost double that passes, by a walk of at most two doubles from the
+closed form; only a wider plateau, as where h0 is large next to n·L, goes
+to _snap's galloping search.
 
 The Carlson pass at p_cap, beam._shape_at, gives ĥ and ŵ, and every
 result's achieved values scale from it by the result's L.  beam caches it,
@@ -176,22 +179,17 @@ def _snap(passes, end: float, outward: float, inward: float) -> float | None:
 
     ``passes`` must hold on the inward side of a single boundary and fail
     on the outward side.  From ``end`` the search heads outward if ``end``
-    passes and inward if not.  Usually the boundary is within one double;
-    otherwise it gallops on (doubling its stride) until it crosses the
-    boundary, then bisects to adjacent doubles.  The bit patterns of
-    positive doubles are ordered like the doubles, so strides are counted
-    over those integers.  Returns None when even ``inward`` fails.
+    passes and inward if not, galloping (doubling its stride) until it
+    crosses the boundary, then bisecting to adjacent doubles.  The bit
+    patterns of positive doubles are ordered like the doubles, so strides
+    are counted over those integers.  Returns None when even ``inward``
+    fails.
     """
     ok = passes(end)
     limit = outward if ok else inward
-    if end == limit:
-        return end if ok else None
-    step = math.nextafter(end, limit)  # settles most calls without _bits/_double
-    if passes(step) != ok:
-        return end if ok else step
     sign = 1 if limit > end else -1  # bit order, counted toward limit
-    near, last = sign * _bits(step), sign * _bits(limit)
-    stride = 2
+    near, last = sign * _bits(end), sign * _bits(limit)
+    stride = 1
     while True:
         if near == last:
             return limit if ok else None
@@ -206,6 +204,15 @@ def _snap(passes, end: float, outward: float, inward: float) -> float | None:
         else:
             far = mid
     return _double(sign * (near if ok else far))
+
+
+# The farthest _intervals walks an L-interval end from its closed form, in
+# doubles, before it hands the end to _snap.  An end moves further only
+# where n·L + h0 rounds alike over several doubles of L, as when h0 is large
+# next to n·L: of the 6 400 result ends of the benchmark's design sets for
+# seeds 0-9, 1 339 moved, none by more than two.  A _snap call cost ~2.6 µs
+# on a 2-vCPU x86 host.
+_WALK = 2
 
 
 def _intervals(limits: tuple[float, ...], L_range: tuple[float, float], counts,
@@ -227,8 +234,11 @@ def _intervals(limits: tuple[float, ...], L_range: tuple[float, float], counts,
     computed floor margin falls as L grows and no ceiling margin rises:
     each group passes on one side of a single boundary, and each end is
     moved to the outermost double that passes its group, with _slack's
-    expressions.  Usually the end passes and the next double outward
-    fails; that is checked here, and _snap searches only when it is not so.
+    expressions written out in the loop.  An end that passes walks outward
+    while the next double passes, one that fails walks inward until one
+    does, at most _WALK doubles either way; _snap, with the same checks as
+    predicates, settles an end that is further off.  So the ends are _snap's
+    doubles, found without its calls where they are within _WALK.
     """
     nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
     L_min, L_max = L_range
@@ -245,7 +255,7 @@ def _intervals(limits: tuple[float, ...], L_range: tuple[float, float], counts,
     if u < 0.0 or (u == 0.0 and a2 < 0.0):
         return
 
-    def above_floor(x: float, L: float) -> bool:
+    def above_floor(x: float, L: float) -> bool:  # _snap's predicates
         return (x * L + h0 - nat_lo >= 0.0 and x * L * u - min_stroke >= 0.0
                 and L * w_unit - min_width >= 0.0)
 
@@ -253,6 +263,7 @@ def _intervals(limits: tuple[float, ...], L_range: tuple[float, float], counts,
         return nat_hi - (x * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0
 
     nextafter = math.nextafter
+    walks = range(_WALK), range(_WALK + 1)
     for n in counts:
         x = float(n)  # what n * L converts n to
         lo = max(lo_w, -a0 / x)
@@ -261,16 +272,39 @@ def _intervals(limits: tuple[float, ...], L_range: tuple[float, float], counts,
         hi = min(hi_w, -a1 / -x)
         if not lo <= hi:
             continue
-        if not (above_floor(x, lo) and (lo == L_min or not above_floor(x, nextafter(lo, L_min)))):
-            lo = _snap(functools.partial(above_floor, x), lo, L_min, L_max)
-            if lo is None:
-                continue
-        if not (below_ceiling(x, hi)
-                and (hi == L_max or not below_ceiling(x, nextafter(hi, L_max)))):
-            hi = _snap(functools.partial(below_ceiling, x), hi, L_max, L_min)
-            if hi is None:
-                continue
-        if lo <= hi:
+        L = lo
+        ok = (x * L + h0 - nat_lo >= 0.0 and x * L * u - min_stroke >= 0.0
+              and L * w_unit - min_width >= 0.0)
+        limit = L_min if ok else L_max
+        for _ in walks[ok]:  # a passing end checks one double more than it moves
+            if L == limit:
+                lo = L if ok else None
+                break
+            step = nextafter(L, limit)
+            if (x * step + h0 - nat_lo >= 0.0 and x * step * u - min_stroke >= 0.0
+                    and step * w_unit - min_width >= 0.0) != ok:
+                lo = L if ok else step
+                break
+            L = step
+        else:
+            lo = _snap(functools.partial(above_floor, x), L, L_min, L_max)
+        if lo is None:
+            continue
+        L = hi
+        ok = nat_hi - (x * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0
+        limit = L_max if ok else L_min
+        for _ in walks[ok]:
+            if L == limit:
+                hi = L if ok else None
+                break
+            step = nextafter(L, limit)
+            if (nat_hi - (x * step + h0) >= 0.0 and max_width - step * w_unit >= 0.0) != ok:
+                hi = L if ok else step
+                break
+            L = step
+        else:
+            hi = _snap(functools.partial(below_ceiling, x), L, L_max, L_min)
+        if hi is not None and lo <= hi:
             yield n, (lo, hi)
 
 

@@ -303,9 +303,9 @@ def tendon_fit_to_json(fit: TendonFit) -> str:
 
 def winch_params_to_json(params: HysteresisParams) -> str:
     obj = {
-        "c_N_per_A": float(params.c),
-        "r_N": float(params.r),
-        "rms_residual_N": float(params.rms_residual),
+        "c_N_per_A": params.c,
+        "r_N": params.r,
+        "rms_residual_N": params.rms_residual,
     }
     return _json_text(obj)
 

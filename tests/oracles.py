@@ -36,7 +36,9 @@ affine form of the margins that ``wwmtc.design`` solves.
 ``oracle_search`` and ``oracle_report`` are ``wwmtc.design.search`` and
 ``infeasibility_report`` without the closed form in n: one ``_interval``
 per arch count of ``n_range``, with none of ``design._intervals``'
-hoisting or in-line ends, and one ``binding_maximin`` per infeasible
+hoisting, each end found by bisection over the bit patterns of all of
+``L_range`` rather than from its closed form as ``design._intervals``
+and its fallback ``design._snap`` do, and one ``binding_maximin`` per infeasible
 one, the maximin as ``max(candidates, key=min)`` over every candidate's
 margins, with none of ``design._bindings``' hoisting or early drops.
 ``_results`` builds the results with the named tuples' own constructors.
@@ -68,6 +70,7 @@ here, in front of numpy's C parser ``np.loadtxt``.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -82,7 +85,7 @@ from wwmtc import design
 from wwmtc.actuators import HysteresisParams, TendonFit
 from wwmtc.beam import P_MAX
 from wwmtc.design import (_CONSTRAINT_NAMES, AchievedMetrics, DesignConstraints, DesignResult,
-                          _slack, _snap)
+                          _slack)
 from wwmtc.elliptic import HALF_PI, _check_amplitude, _check_modulus
 from wwmtc.errors import (
     DomainError,
@@ -308,13 +311,38 @@ def _slopes(n: int, h_unit: float, w_unit: float) -> tuple[float, ...]:
     return (n, -n, n * (1.0 - h_unit), -w_unit, w_unit)
 
 
+def _bits(x: float) -> int:
+    """Position of a positive double among the doubles: its bit pattern."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _first_pass(passes, lo: int, hi: int) -> int:
+    """The least bit pattern in [lo, hi] whose double passes, or hi + 1 when
+    none does, by bisection: ``passes`` must fail below a single boundary
+    and hold above it."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if passes(_double(mid)):
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
               h_unit: float, w_unit: float) -> tuple[float, float] | None:
     """Feasible L-interval of arch count n, or None when it has none.
 
     Margin i is a_i + b_i·L: a positive slope b_i bounds L from below at
-    -a_i / b_i, a negative one from above.  Both ends are then snapped to
-    the outermost doubles that pass, each by a _snap call.
+    -a_i / b_i, a negative one from above.  Where these closed-form ends
+    cross there is no interval.  Otherwise each end is found by bisection
+    over the bit patterns of all of L_range, not from its closed form: the
+    least double that passes the margins rising with L and the greatest
+    that passes the falling ones.
     """
     L_min, L_max = L_range
     a = _slack(limits, n, 0.0, h_unit, w_unit)  # intercepts at L = 0
@@ -338,13 +366,14 @@ def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
                 and n * L * (1.0 - h_unit) - min_stroke >= 0.0
                 and L * w_unit - min_width >= 0.0)
 
-    def below_ceiling(L: float) -> bool:
-        return nat_hi - (n * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0
+    def above_ceiling(L: float) -> bool:
+        return not (nat_hi - (n * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0)
 
-    lo = _snap(above_floor, lo, L_min, L_max)
-    hi = _snap(below_ceiling, hi, L_max, L_min)
-    if lo is not None and hi is not None and lo <= hi:
-        return lo, hi
+    first, last = _bits(L_min), _bits(L_max)
+    lo = _first_pass(above_floor, first, last)
+    hi = _first_pass(above_ceiling, first, last) - 1
+    if lo <= hi:  # else one group passes nowhere, or the two do not meet
+        return _double(lo), _double(hi)
     return None
 
 

@@ -276,6 +276,10 @@ def test_winch_simulate_validation():
             simulate_winch(HysteresisParams(c=c, r=r), [0.0])
     with pytest.raises(DomainError):
         simulate_winch(WINCH_TRUE, [])
+    # float() would parse the strings, and take the bool as 1
+    for c, r in (("20", "1"), (True, 0.0)):
+        with pytest.raises(DomainError, match="gain c"):
+            simulate_winch(HysteresisParams(c=c, r=r), [0.0])
     for bad in (math.nan, math.inf, -math.inf):
         # a non-finite current has no band; it must not hold the last tension
         with pytest.raises(DomainError, match="finite"):

@@ -264,10 +264,25 @@ def test_interval_ends_exact_when_offset_dwarfs_arches(h0):
         assert not passes(np.nextafter(hi, np.inf))
 
 
-def test_interval_ends_snapped_on_random_constraints():
+def count_snaps(monkeypatch) -> list[float]:
+    """The ends that design._snap is called with from now on."""
+    snap, ends = design._snap, []
+
+    def counting_snap(passes, end, outward, inward):
+        ends.append(end)
+        return snap(passes, end, outward, inward)
+
+    monkeypatch.setattr(design, "_snap", counting_snap)
+    return ends
+
+
+def test_interval_ends_snapped_on_random_constraints(monkeypatch):
     # every interval end passes the margin check and its outward neighbour fails,
-    # unless the end is the end of L_range; results and report split n_range
+    # unless the end is the end of L_range; results and report split n_range.
+    # Every end lies within two doubles of its closed form and is settled in
+    # _intervals' loop, without _snap
     rng = np.random.default_rng(1717)
+    snapped = count_snaps(monkeypatch)
     sol = solve_beam(1.0, PCAP)
     inner_ends = 0
     for _ in range(250):
@@ -289,6 +304,7 @@ def test_interval_ends_snapped_on_random_constraints():
             assert hi == L_max or not passes(np.nextafter(hi, np.inf)), (cons, n)
             inner_ends += (lo != L_min) + (hi != L_max)
     assert inner_ends >= 200, inner_ends
+    assert snapped == []
 
 
 def test_search_deterministic():
@@ -543,24 +559,98 @@ def test_report_decides_most_counts_in_closed_form(monkeypatch, n_range):
 
 
 def test_interval_ends_settle_in_line_and_fall_back_to_snap(monkeypatch):
-    # _intervals checks in its loop that an end passes and the next double
-    # outward fails, and calls _snap only where that does not hold, as where
-    # n·L + h0 rounds to multiples of 0.125
+    # _intervals walks each end at most two doubles from its closed form in
+    # its loop, and calls _snap only for a wider plateau, as where n·L + h0
+    # rounds to multiples of 0.125
     fixture = read_design_constraints(DATA_DIR / "constraints.json")
     edge = at_an_edge("h0=1e15")
     expected = [oracle_search(cons, PCAP) for cons in (fixture, edge)]
-    snap, ends = design._snap, []
-
-    def counting_snap(passes, end, outward, inward):
-        ends.append(end)
-        return snap(passes, end, outward, inward)
-
-    monkeypatch.setattr(design, "_snap", counting_snap)
+    ends = count_snaps(monkeypatch)
     assert search(fixture, PCAP) == expected[0]
-    assert len(ends) <= 1, ends
-    ends.clear()
+    assert ends == []
     assert search(edge, PCAP) == expected[1]
     assert ends
+
+
+# Constraint sets of one arch count, each end of whose L-interval lies the
+# given number of doubles from its closed form, outward (+) or inward (-).
+# The natural length binds both ends; where h0 dwarfs n·L, n·L + h0 rounds
+# alike over a plateau of doubles of L.  Found by a scan of short decimals.
+WALK_BASE = dict(min_stroke=0.0, max_width_at_full=1000.0, L_range=(1.0, 100.0))
+WALKS = [  # (n, natural_length_range, h0, floor end's move, ceiling end's move)
+    (3, (183.7, 191.7), 30.0, 0, 0),
+    (3, (266.75, 279.75), 100.25, 1, 1),
+    (9, (1302.45, 1325.45), 1016.25, 2, 1),
+    (12, (1268.2, 1301.2), 1023.5, 1, 2),
+    (7, (1276.9, 1281.9), 1002.0, 3, 2),
+    (10, (1262.3, 1264.3), 1019.0, 2, 3),
+    (5, (211.1, 243.1), 33.5, -1, -1),
+    (11, (214.0, 238.0), 38.0, 0, -1),
+    (6, (191.1, 231.1), 38.7, -2, 0),
+    (3, (65.5, 105.51), 33.4, 2, -2),
+]
+
+
+def walk_constraints(n: int, natural_length_range, h0: float, **fields) -> DesignConstraints:
+    return DesignConstraints(**{**WALK_BASE, "natural_length_range": natural_length_range,
+                                "h0": h0, "n_range": (n, n), **fields})
+
+
+def closed_form_ends(n: int, natural_length_range, h0: float) -> tuple[float, float]:
+    """The ends -a0/n and -a1/-n that _intervals starts a WALKS row's walks from."""
+    nat_lo, nat_hi = natural_length_range
+    return (nat_lo - h0) / n, (nat_hi - h0) / n
+
+
+def doubles_between(a: float, b: float) -> int:
+    """How many doubles b lies above a."""
+    return int(np.float64(b).view(np.int64)) - int(np.float64(a).view(np.int64))
+
+
+@pytest.mark.parametrize("n, nat, h0, lo_moved, hi_moved", WALKS)
+def test_interval_ends_walk_two_doubles_in_line(monkeypatch, n, nat, h0, lo_moved, hi_moved):
+    cons = walk_constraints(n, nat, h0)
+    closed_lo, closed_hi = closed_form_ends(n, nat, h0)
+    expected = oracle_search(cons, PCAP), oracle_report(cons, PCAP)
+    snapped = count_snaps(monkeypatch)
+    results = search(cons, PCAP)
+    assert (results, infeasibility_report(cons, PCAP)) == expected
+    [res] = results
+    lo, hi = res.L_interval
+    assert doubles_between(lo, closed_lo) == lo_moved
+    assert doubles_between(closed_hi, hi) == hi_moved
+    # a plateau of three doubles is _snap's
+    assert len(snapped) == (abs(lo_moved) > 2) + (abs(hi_moved) > 2)
+
+
+def test_interval_end_walks_stop_at_L_range(monkeypatch):
+    # an end walking outward stops at L_min or L_max, before the plateau of
+    # three doubles that would need _snap; one walking inward that reaches
+    # them before a double passes leaves the count infeasible
+    nextafter, inf = math.nextafter, math.inf
+    lo_3, hi_3, both_in_1, hi_in_1, lo_in_2 = (WALKS[i][:3] for i in (4, 5, 6, 7, 8))
+    L, H = closed_form_ends(*lo_3)[0], closed_form_ends(*hi_3)[1]
+    cases = [  # (row, L_range, the end of the L-interval at L_range's end, or None)
+        (lo_3, (L, 100.0), L),
+        (lo_3, (nextafter(L, 0.0), 100.0), nextafter(L, 0.0)),
+        (hi_3, (1.0, H), H),
+        (hi_3, (1.0, nextafter(H, inf)), nextafter(H, inf)),
+        (both_in_1, (1.0, closed_form_ends(*both_in_1)[0]), None),
+        (lo_in_2, (1.0, nextafter(closed_form_ends(*lo_in_2)[0], inf)), None),
+        (hi_in_1, (closed_form_ends(*hi_in_1)[1], 100.0), None),
+    ]
+    constraints = [walk_constraints(*row, L_range=L_range) for row, L_range, _ in cases]
+    expected = [(oracle_search(cons, PCAP), oracle_report(cons, PCAP)) for cons in constraints]
+    snapped = count_snaps(monkeypatch)
+    for cons, (_, _, end), want in zip(constraints, cases, expected):
+        results = search(cons, PCAP)
+        assert (results, infeasibility_report(cons, PCAP)) == want, cons
+        if end is None:
+            assert results == [], cons
+        else:
+            [res] = results
+            assert end in res.L_interval and end in cons.L_range, cons
+    assert snapped == []
 
 
 @pytest.mark.parametrize("number", [int, np.float64, np.float32, Fraction, Decimal])

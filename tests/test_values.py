@@ -20,6 +20,7 @@ from wwmtc.muscle import (DeformationCurve, MuscleSpec, MuscleState, curve, leng
                           state_at)
 
 SPEC = MuscleSpec(8, 27.0, 22.0)
+PARAMS = HysteresisParams(c=20.0, r=5.0, rms_residual=0.25)
 STATE = MuscleState(p=0.85, width=7.5, length=200.25, contraction=37.75, psi0=0.5)
 ACHIEVED = AchievedMetrics(natural_length=238.0, stroke=66.5, width_at_full=17.0)
 CONSTRAINTS = DesignConstraints(natural_length_range=(237.2, 238.8), min_stroke=65.5,
@@ -111,6 +112,12 @@ def test_value_type_semantics(value, text, fields):
     (CONSTRAINTS, "h0", b"22"),
     (CONSTRAINTS, "natural_length_range", (np.True_, 238.8)),
     (CONSTRAINTS, "L_range", (10.0, "50")),
+    (PARAMS, "c", "20"),
+    (PARAMS, "r", True),
+    (PARAMS, "c", np.True_),
+    (PARAMS, "rms_residual", b"0.25"),
+    (PARAMS, "r", np.False_),
+    (PARAMS, "rms_residual", None),
     # past the largest double: float arithmetic on the count would overflow
     pytest.param(SPEC, "n", 2**1024 - 2**970, id="spec-n-float-overflow"),
     pytest.param(SPEC, "n", 10**5000, id="spec-n-too-many-digits-for-repr"),
@@ -127,6 +134,25 @@ def test_replace_and_make_check_like_the_constructor(base, field, bad):
         type(base)._make(kwargs.values())
     assert str(replaced.value) == str(made.value) == str(constructed.value)
     assert field in str(constructed.value)
+
+
+@pytest.mark.parametrize("number", [int, np.float64, np.float32, Fraction, Decimal])
+def test_hysteresis_params_are_floats(number):
+    # a field of another type used to be kept as given; a str was parsed
+    # later, by simulate_winch's float()
+    plain = namedtuple("HysteresisParams", "c r rms_residual", defaults=(0.0,))
+    for params in (HysteresisParams(number(20), number(5)),
+                   HysteresisParams(c=number(20), r=number(5), rms_residual=number(0)),
+                   HysteresisParams._make([number(20), number(5), number(0)]),
+                   PARAMS._replace(c=number(20), r=number(5), rms_residual=number(0))):
+        assert params == plain(20.0, 5.0) and type(params) is HysteresisParams
+        assert all(type(v) is float for v in params), params
+    for args in ((20.0,), (20.0, 5.0, 0.0, 1.0)):
+        with pytest.raises(TypeError) as got:
+            HysteresisParams(*args)
+        with pytest.raises(TypeError) as want:
+            plain(*args)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("integer", [np.int64, np.int32])
