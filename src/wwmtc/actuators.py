@@ -32,8 +32,9 @@ from .errors import (
     FitConvergenceError,
     InsufficientDataError,
     InsufficientSweepError,
+    _make,
+    _real,
 )
-from .muscle import _real
 
 
 class TendonFit(namedtuple("TendonFit", "a b eps0 rms_residual")):
@@ -66,9 +67,7 @@ class HysteresisParams(namedtuple("HysteresisParams", "c r rms_residual", defaul
             rms_residual = _real("rms_residual", rms_residual)
         return tuple.__new__(cls, (c, r, rms_residual))
 
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's own, and so _replace, skips __new__
-        return cls(*iterable)
+    _make = classmethod(_make)  # namedtuple's own, and so _replace, skips __new__
 
 
 # ---------------------------------------------------------------------------

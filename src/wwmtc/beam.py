@@ -41,6 +41,12 @@ few ULP of L all the way to the straight end.
 The pass depends on p alone.  _shape_at caches it at the last few p: the
 fixed caps that design search and the inversions' range check read, so a
 process makes one pass per cap.
+
+The inverse, p at a given height, makes no pass at all.  h/L does not
+depend on L, so the root of h(L, p) = h_target is one function of
+u = sqrt(1 - h_target/L), and solve_p_for_height evaluates it from a
+literal table: a piecewise Chebyshev interpolant of that root, built from
+40-digit roots (tests/oracles.py::root_table), within 2 ULPs of p.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import math
 from collections import namedtuple
 
 from .elliptic import MODULUS_MAX, _rf_rd
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError, _real
 
 _SQRT2 = math.sqrt(2.0)
 # Shape parameter of the straight (unloaded) strip.
@@ -76,7 +82,7 @@ class BeamSolution(namedtuple("BeamSolution", "w h psi0 k")):
 
 
 def _check_shape_param(p: float) -> float:
-    p = float(p)
+    p = _real("shape parameter p", p)
     if not (P_STRAIGHT - _BOUNDARY_TOL) <= p <= P_MAX:
         raise DomainError(
             f"shape parameter p={p!r} outside [{P_STRAIGHT!r}, {P_MAX!r}]"
@@ -85,7 +91,7 @@ def _check_shape_param(p: float) -> float:
 
 
 def _check_length(length: float) -> float:
-    length = float(length)
+    length = _real("beam length L", length)
     if not 0.0 < length < math.inf:
         raise DomainError(f"beam length L={length!r} must be positive and finite")
     return length
@@ -136,24 +142,6 @@ def _shape(p: float) -> tuple[float, float, float, float, float] | None:
             math.asin(q if q < 1.0 else 1.0))
 
 
-def _height_slope(L: float, p: float, w: float, k: float) -> float:
-    """dh/dp at p > P_STRAIGHT, from the width w and scale factor k at (L, p).
-
-    With c = cos(phi1) and E - E(phi1) = k (L - w) / 2, differentiating
-    kL = K(p) - F(phi1(p), p) gives
-    d(kL)/dp = k (L - w) / (2 p (1 - p^2)) - kL / p + c / (1 - p^2) + 1 / (p^2 c),
-    and h = L r / kL with r = sqrt(2 (2 p^2 - 1)) then gives dh/dp.
-    """
-    q = 2.0 * p * p - 1.0
-    c = math.sqrt(q) / (_SQRT2 * p)
-    one_minus_m = 1.0 - p * p
-    kL = k * L
-    dkL = (k * (L - w) / (2.0 * p * one_minus_m) - kL / p
-           + c / one_minus_m + 1.0 / (p * p * c))
-    r = math.sqrt(2.0 * q)
-    return L * ((4.0 * p / r) / kL - r * dkL / (kL * kL))
-
-
 # _shape at a float p, cached: the pass does not depend on L.  Its callers
 # read it at a handful of fixed caps, which the small cache holds: design
 # search at p_cap, and the inversions' range check at P_MAX and p_cap.
@@ -171,31 +159,26 @@ def _height(L: float, p: float) -> float:
 
 
 def solve_p_for_height(L: float, h_target: float) -> float:
-    """Invert h(L, p) for p by one Newton step on sqrt(L - h) in -log(1 - p).
+    """Invert h(L, p) for p, in closed form: the exact root, evaluated.
 
-    h falls strictly from L at P_STRAIGHT to its minimum at P_MAX.  It is
-    flat at the straight end, where L - h ~ 32 L (p - P_STRAIGHT)^2 / 15,
-    and has a logarithmic singularity in 1 - p next to P_MAX.  Neither end
-    is singular for g = sqrt(L - h) as a function of t = -log(1 - p): g(t)
-    is increasing and concave over the whole range, with a shape that does
-    not depend on L (tests/test_beam.py checks it at 40 digits).  A Newton
-    step from below the root of such a function lands at or below the root,
-    so no bracket is needed.  The start is a degree-40 Chebyshev
-    interpolant of the root as a function of u = sqrt(1 - h/L), lowered by
-    a margin of 5e-12 in t plus eight ULPs of p, which exceeds the
-    interpolant's error, so it stays below the root; for p - P_STRAIGHT
-    below ~2e-6, one Newton step from the straight end (g = 0,
-    dg/dp = sqrt(32 L / 15)) is closer, and is taken instead.  From a start
-    that close, one Newton step, quadratic in the start's error, leaves an
-    error far below an ULP of p, so exactly one is taken, next to P_MAX and
-    next to L too.  An inversion thus takes one Carlson pass, and the
-    range check at P_MAX none once its pass is cached.
+    h falls strictly from L at P_STRAIGHT to its minimum at P_MAX, and h/L
+    does not depend on L, so the root is one function of
+    u = sqrt(1 - h_target/L).  h is flat at the straight end, where
+    L - h ~ 32 L (p - P_STRAIGHT)^2 / 15, and has a logarithmic singularity
+    in 1 - p next to P_MAX.  In t = -log(1 - p) the root is
+    t* = t_S + f(u) u / (1 - u), t_S = t(P_STRAIGHT): the factor u carries
+    the first end and 1 / (1 - u) the second, and f is analytic over the
+    whole range.  A piecewise Chebyshev interpolant of f, built from
+    40-digit roots and stored as a literal table, gives t*, and
+    p = 1 - exp(-t*) is within 2 ULPs of the 40-digit root for every
+    target.  An inversion makes no Carlson pass; the range check at P_MAX
+    makes one until its pass is cached.
 
     Raises OutOfRangeError when h_target is below the smallest achievable
     height (at p = P_MAX); the error carries the achievable interval.
     """
     L = _check_length(L)
-    h_target = float(h_target)
+    h_target = _real("target height h", h_target)
     if not 0.0 < h_target <= L:
         raise DomainError(f"target height {h_target!r} must lie in (0, L={L}]")
 
@@ -211,79 +194,103 @@ def solve_p_for_height(L: float, h_target: float) -> float:
     return _p_for_height(L, h_target)
 
 
-# Start of the Newton step in t = -log(1 - p).  h/L does not depend on
-# L, so the root t* is one function of u = sqrt(1 - h/L), from u = 0 at
-# P_STRAIGHT to _U_MAX at P_MAX.  _START_CHEB holds the Chebyshev
-# coefficients, over u in [0, _U_MAX], of f(u) = (t* - t_S)(1 - u) / u with
-# t_S = t(P_STRAIGHT): the factor u makes the start exact to first order at
-# the straight end, and 1 - u cancels the logarithmic growth of t* next to
-# P_MAX.  They interpolate f at the 41 Chebyshev nodes of the first kind,
-# with t* at each node the root of arch_gap(t) = u at 40 digits
-# (tests/oracles.py::start_coefficients rebuilds them); _U_MAX is arch_gap
-# at t(P_MAX).  The interpolant is within 2e-13 of t* for p <= 0.97 and
-# 1.5e-12 over the whole range (tests/test_beam.py), so _START_MARGIN and
-# _START_ULPS ULPs of p, for the rounding of the start to a double p, keep
-# the start below the root, and with it the one Newton step taken from it.
+# The root in t = -log(1 - p).  h/L does not depend on L, so the root t*
+# of sqrt(1 - h/L) = u is one function of u, from u = 0 at P_STRAIGHT to
+# _U_MAX at P_MAX; _U_MAX is arch_gap at t(P_MAX) (tests/oracles.py).  It
+# is stored as f(u) = (t* - t_S)(1 - u) / u with t_S = t(P_STRAIGHT): the
+# factor u makes t* - t_S vanish to first order at the straight end, and
+# 1 - u cancels the growth of t* towards u = 1, so f is analytic on
+# [0, _U_MAX].  _ROOT_TABLE holds (u_lo, u_hi, coefficients) for each
+# piece of [0, _U_MAX]: the degree-17 Chebyshev interpolant of f at the
+# piece's 18 Chebyshev nodes of the first kind, with t* at each node the
+# root of arch_gap(t) = u at 40 digits, rounded once.  The pieces narrow
+# towards _U_MAX, where f varies fastest.  tests/oracles.py::root_table
+# rebuilds the table and format_root_table prints it as this literal.  The
+# p evaluated from it is within 2 ULPs of the 40-digit root for every
+# target (tests/test_beam.py).
 _T_STRAIGHT = -math.log1p(-P_STRAIGHT)
 _U_MAX = 0.9303595000027977
-_START_CHEB = (
-    1.9128717659597265, -0.44942312833608283, -0.01989483135294769,
-    0.008710756097402126, 0.005393560227422513, 0.001845735971152229,
-    0.0002480346428627225, -0.00017938737884940588, -0.0001805448024480537,
-    -9.406053212857195e-05, -2.9196079953740975e-05, 7.706691372227206e-07,
-    8.584479682817621e-06, 7.165791361129714e-06, 3.816232510738432e-06,
-    1.3001424240709803e-06, 3.6591180457021654e-08, -3.609494920108551e-07,
-    -3.465258586011384e-07, -2.1335266129475829e-07, -9.391099717427137e-08,
-    -2.2765271752564844e-08, 7.590253211776003e-09, 1.4416731323341242e-08,
-    1.1528962641155595e-08, 6.6490901620224245e-09, 2.855460114476024e-09,
-    7.100718391916683e-10, -1.9102932781819825e-10, -4.0327952934434827e-10,
-    -3.335293230544447e-10, -2.0190708470165365e-10, -9.591348900457978e-11,
-    -3.3035019767442046e-11, -3.850476178604176e-12, 5.8048627293855455e-12,
-    6.644418306680205e-12, 4.7182284569711584e-12, 2.668904028639396e-12,
-    1.2643591591535572e-12, 4.692030065775403e-13,
+_ROOT_TABLE = (
+    (0.0, 0.25, (
+        2.239762809368048, -0.09972889843141657, -0.00197651961876148,
+        -3.8918051423245107e-05, -1.8067893038396757e-06, 7.052746697922899e-08,
+        2.0515401964831053e-09, 6.801453202896664e-10, 3.149542718333395e-11,
+        3.646802354115061e-12, 1.8613370367202614e-13, 1.6221429940879628e-14,
+        8.344697624654435e-16, 6.082895905110724e-17, 2.8659884270604152e-18,
+        1.679641423859001e-19, 5.079369345142456e-21, 6.294983404409003e-23,
+    )),
+    (0.25, 0.5, (
+        2.02277789455363, -0.11772746694316616, -0.0025339771801959343,
+        -4.2871438126850294e-05, 3.10388456747212e-06, 6.92206306309495e-07,
+        7.973342286316555e-08, 8.05625845652532e-09, 7.151563943045717e-10,
+        5.7381717083021484e-11, 3.8991029583828235e-12, 1.8447444107778703e-13,
+        -2.963642570201213e-15, -2.3667100976495555e-15, -4.2290237603579354e-16,
+        -5.748256464554296e-17, -6.807345871607076e-18, -7.248049096816339e-19,
+    )),
+    (0.5, 0.7, (
+        1.795270111676394, -0.10862717117020965, -0.001312923628619598,
+        0.00012824650664712802, 2.3771486459567625e-05, 2.6183762580727862e-06,
+        2.059260628069284e-07, 7.067310017604451e-09, -1.363016678603006e-09,
+        -3.880373329164938e-10, -6.314220987354331e-11, -7.840782539086497e-12,
+        -7.396816915412348e-13, -3.8531376467217815e-14, 3.658100186438968e-15,
+        1.5258034696008526e-15, 2.9721748268277546e-16, 4.3427737496600864e-17,
+    )),
+    (0.7, 0.8, (
+        1.6300994680248975, -0.055006096107498084, 0.0004627810053295149,
+        8.767124169150184e-05, 4.107398350173431e-06, -1.2110662128600608e-07,
+        -4.18447499634986e-08, -4.023273611627522e-09, -1.4761539730115914e-10,
+        1.8101159763865676e-11, 4.079366635314733e-12, 4.2107963680951356e-13,
+        2.1561906341016926e-14, -1.093812739792284e-15, -3.990543542128564e-16,
+        -5.1436946704965696e-17, -3.959473081647551e-18, -9.654565030774637e-20,
+    )),
+    (0.8, 0.87, (
+        1.5409444630524756, -0.03401219333149747, 0.0007214836883045095,
+        2.8485165185322956e-05, -2.105893322535382e-06, -2.1207098779497793e-07,
+        5.453076075997296e-09, 2.2127339457884125e-09, 1.3043561156570435e-10,
+        -9.771991612174302e-12, -2.3355070625407915e-12, -1.5633654869075474e-13,
+        5.884892100409826e-15, 2.2899419822974686e-15, 2.2410484887515313e-16,
+        6.085422314501517e-18, -1.3254900733065899e-18, -2.281276977913618e-19,
+    )),
+    (0.87, 0.9, (
+        1.4948971788771672, -0.012628431878830471, 0.00015401165166908663,
+        -4.02228454479214e-07, -9.310223771327785e-08, 3.331318130095896e-09,
+        1.8278885818655213e-10, -9.548964820121755e-12, -7.45799865788195e-13,
+        1.2497738905875264e-14, 3.043690869181436e-15, 8.882309302258831e-17,
+        -6.235770251745209e-18, -6.618274368815131e-19, -1.8780059042469702e-20,
+        1.0915655032174529e-21, 1.4535026893381792e-22, 7.077920785928848e-24,
+    )),
+    (0.9, 0.9303595000027977, (
+        1.4707096047493478, -0.011565152776871026, 0.0001462340717473391,
+        -1.2922106269716062e-06, -1.3545249379713476e-08, 3.2452835588397823e-09,
+        -2.0172327275609876e-10, -5.5209242355618996e-12, 1.3145947999917176e-12,
+        2.3186801945615338e-14, -8.078445089135012e-15, -3.480007292571506e-16,
+        4.0281388293254325e-17, 4.272776611123844e-18, -2.6955748171147964e-20,
+        -3.129514734388574e-20, -2.1121292352359527e-21, 5.2123257474828794e-23,
+    )),
 )
-_START_TAIL = _START_CHEB[:0:-1]  # Clenshaw's order: highest degree first
-_START_MARGIN = 5e-12
-_START_ULPS = 8.0
-# dt/du at the straight end, where 1 - h/L ~ 32 (p - P_STRAIGHT)^2 / 15
-_STRAIGHT_DT_DU = math.sqrt(15.0 / 32.0) / (1.0 - P_STRAIGHT)
-
-
-def _start(u: float) -> float:
-    """A t below the root t* of sqrt(1 - h/L) = u, for u in [0, _U_MAX].
-
-    The larger of the interpolant minus its margin and one Newton step from
-    the straight end, which concavity puts below the root and which is the
-    larger of the two for p - P_STRAIGHT below ~2e-6.
-    """
-    x = 2.0 * u / _U_MAX - 1.0
-    x2 = 2.0 * x  # 2.0 * x * b1 is (2.0 * x) * b1: the same doubles
-    b1 = b2 = 0.0
-    for c in _START_TAIL:  # Clenshaw
-        b1, b2 = x2 * b1 - b2 + c, b1
-    t = _T_STRAIGHT + (x * b1 - b2 + _START_CHEB[0]) * u / (1.0 - u)
-    # an ULP of p = 1 - exp(-t), which lies in [1/2, 1), is 2^-53 exp(t) in t
-    margin = _START_MARGIN + _START_ULPS * math.ulp(0.5) * math.exp(t)
-    return max(t - margin, _T_STRAIGHT + u * _STRAIGHT_DT_DU)
+# Clenshaw's order: (u_hi, u_lo + u_hi, u_hi - u_lo, c_0, the rest highest
+# degree first) for each piece, in order of u
+_ROOT_PIECES = tuple((hi, lo + hi, hi - lo, cs[0], cs[:0:-1]) for lo, hi, cs in _ROOT_TABLE)
 
 
 def _p_for_height(L: float, h_target: float) -> float:
     """p with h(L, p) = h_target, for h(L, P_MAX) <= h_target <= L.
 
-    One Newton step on g = sqrt(L - h) in t = -log(1 - p) from _start; see
-    solve_p_for_height.  One Carlson pass; none at h_target == L.
+    The root t* evaluated from _ROOT_TABLE at u = sqrt(1 - h_target/L),
+    then p = 1 - exp(-t*), clamped to [P_STRAIGHT, P_MAX]; see
+    solve_p_for_height.  No Carlson pass.
     """
     if h_target == L:
         return P_STRAIGHT
-    g_target = math.sqrt(L - h_target)
-    p = -math.expm1(-_start(g_target / math.sqrt(L)))
-    w, h, _, k = _arch(L, p)
-    slope = _height_slope(L, p, w, k)
-    if not slope < 0.0:
-        # the slope formula cancels next to the straight end, where the
-        # start already meets the target to rounding, and can give 0
-        return p
-    g = math.sqrt(max(L - h, 0.0))
-    # dg/dt = -h'(p) (1 - p) / (2 g)
-    dt = 2.0 * g * (g - g_target) / (slope * (1.0 - p))
-    return min(max(-math.expm1(math.log1p(-p) - dt), P_STRAIGHT), P_MAX)
+    u = math.sqrt(L - h_target) / math.sqrt(L)
+    for u_hi, lo_plus_hi, width, c0, tail in _ROOT_PIECES:
+        if u <= u_hi:
+            break
+    # else the last piece: u rounds past _U_MAX when h_target is h(L, P_MAX)
+    x = (2.0 * u - lo_plus_hi) / width
+    x2 = 2.0 * x  # 2.0 * x * b1 is (2.0 * x) * b1: the same doubles
+    b1 = b2 = 0.0
+    for c in tail:  # Clenshaw
+        b1, b2 = x2 * b1 - b2 + c, b1
+    t = _T_STRAIGHT + (x * b1 - b2 + c0) * u / (1.0 - u)
+    return min(max(-math.expm1(-t), P_STRAIGHT), P_MAX)

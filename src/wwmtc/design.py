@@ -45,9 +45,9 @@ from collections import namedtuple
 from itertools import chain, combinations
 
 from .beam import _shape_at
-from .errors import DomainError
+from .errors import DomainError, _make, _real
 from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _FLOAT_INT_LIMIT, _check_p_cap,
-                     _float_overflow, _is_integer, _real)
+                     _float_overflow, _is_integer)
 
 # the widest n_range searched.  A search holds a result or report entry and
 # its output line for every arch count until it returns: ~5 µs and ~0.3 kB
@@ -114,9 +114,7 @@ class DesignConstraints(namedtuple(
             raise DomainError(f"kind={self.kind!r} must be one of {KINDS}")
         return self
 
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's own, and so _replace, skips __new__
-        return cls(*iterable)
+    _make = classmethod(_make)  # namedtuple's own, and so _replace, skips __new__
 
 
 class AchievedMetrics(namedtuple("AchievedMetrics", "natural_length stroke width_at_full")):
@@ -449,8 +447,7 @@ def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
 def _units(p_cap: float) -> tuple[tuple[float, ...], float, float]:
     """The Carlson pass at p_cap, cached by beam._shape_at, and from it
     ĥ and ŵ: _arch(1.0, p_cap)'s h and w, the same doubles, as 1.0 * x is x."""
-    _check_p_cap(p_cap)
-    shape = _shape_at(float(p_cap))
+    shape = _shape_at(_check_p_cap(p_cap))
     sp, rf, num, F2, _ = shape
     return shape, sp / rf, num / F2
 

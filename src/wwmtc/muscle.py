@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from .beam import (P_MAX, P_STRAIGHT, _SQRT2, _arch, _check_shape_param, _height,
                    _p_for_height, _shape)
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError, OutOfRangeError, _make, _real
 
 # Default contraction cap.  Beyond p ~ 0.97 the tip angle exceeds ~75 deg
 # and neighbouring arches would start to interfere; overridable everywhere
@@ -54,24 +54,6 @@ def _float_overflow(name: str, n: int) -> DomainError:
     """The error for an arch count n >= _FLOAT_INT_LIMIT; its size in bits,
     since the digits of such an int may be too many for repr."""
     return DomainError(f"{name} has {n.bit_length()} bits, too large for a float")
-
-
-def _real(name: str, x) -> float:
-    """x as a float, for a real number of any type: an int, a numpy scalar, a
-    Fraction or a Decimal.  Not a str or bytes, which float() would parse,
-    nor a bool, Python's or numpy's (read by its dtype, without importing
-    numpy), which float() would take as 0 or 1."""
-    if type(x) is float:
-        return x
-    if not (isinstance(x, (str, bytes, bytearray, bool))
-            or getattr(getattr(x, "dtype", None), "kind", None) == "b"):
-        try:
-            return float(x)
-        except (TypeError, ValueError):  # say None, or a signalling NaN Decimal
-            pass
-        except OverflowError:  # an int or Fraction past the largest double
-            raise DomainError(f"{name} is too large for a float") from None
-    raise DomainError(f"{name}={x!r} must be a real number")
 
 
 class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
@@ -104,9 +86,7 @@ class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
             raise DomainError(f"kind={kind!r} must be one of {KINDS}")
         return tuple.__new__(cls, (n, L, h0, kind))
 
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's own, and so _replace, skips __new__
-        return cls(*iterable)
+    _make = classmethod(_make)  # namedtuple's own, and so _replace, skips __new__
 
 
 class MuscleState(namedtuple("MuscleState", "p width length contraction psi0")):
@@ -126,9 +106,11 @@ class DeformationCurve(namedtuple("DeformationCurve", "spec samples")):
     __slots__ = ()
 
 
-def _check_p_cap(p_cap: float) -> None:
+def _check_p_cap(p_cap: float) -> float:
+    p_cap = _real("p_cap", p_cap)
     if not P_STRAIGHT < p_cap <= P_MAX:
         raise DomainError(f"p_cap={p_cap!r} must lie in ({P_STRAIGHT!r}, {P_MAX!r}]")
+    return p_cap
 
 
 def natural_length(spec: MuscleSpec) -> float:
@@ -200,8 +182,8 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
     # an integer has __index__, numpy's too; a bool has one but is < 2
     if not (hasattr(num_samples, "__index__") and num_samples >= 2):
         raise DomainError(f"num_samples={num_samples!r} must be an integer >= 2")
-    _check_p_cap(p_cap)
-    straight, ps, rfs, nums, F2s, psis = _grid(operator.index(num_samples), float(p_cap))
+    p_cap = _check_p_cap(p_cap)
+    straight, ps, rfs, nums, F2s, psis = _grid(operator.index(num_samples), p_cap)
     n, L, h0, _ = spec
     natural = length = n * L + h0  # the straight strip's: h = L
     samples = [MuscleState(p, 0.0, length, natural - length, 0.0) for p in ps[:straight]]
@@ -215,10 +197,10 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
 
 
 def _ends(spec: MuscleSpec, p_cap: float) -> tuple[float, float, float]:
-    """length_range's (shortest, natural) lengths and the arch height at p_cap."""
-    _check_p_cap(p_cap)
+    """length_range's (shortest, natural) lengths and the arch height at a
+    p_cap that _check_p_cap returned."""
     n, L, h0, _ = spec
-    h_cap = _height(L, float(p_cap))
+    h_cap = _height(L, p_cap)
     return n * h_cap + h0, n * L + h0, h_cap
 
 
@@ -229,7 +211,7 @@ def length_range(spec: MuscleSpec, p_cap: float = DEFAULT_P_CAP) -> tuple[float,
     Carlson pass that beam caches per p: one pass while p_cap is not in
     the cache.
     """
-    lo, hi, _ = _ends(spec, p_cap)
+    lo, hi, _ = _ends(spec, _check_p_cap(p_cap))
     return lo, hi
 
 
@@ -242,10 +224,13 @@ def state_for_length(
     is outside [length at p_cap, natural length].  The arch height
     (length_target - h0) / n can round past [h(p_cap), L] at either end of
     that interval, and the inverse of h(p_cap) past p_cap, so both are
-    clamped.  Two Carlson passes for every target, one Newton step and
-    the returned state (no Newton step at the natural length), plus the
-    pass for h(p_cap) while it is not cached.
+    clamped.  p is beam's closed-form root, which makes no Carlson pass,
+    and the returned state is state_at's at that p, the same doubles, from
+    one pass (none at the natural length), plus the pass for h(p_cap)
+    while it is not cached.
     """
+    p_cap = _check_p_cap(p_cap)
+    length_target = _real("length target", length_target)
     lo, hi, h_cap = _ends(spec, p_cap)
     if not lo <= length_target <= hi:
         raise OutOfRangeError(
@@ -256,4 +241,12 @@ def state_for_length(
         )
     n, L, h0, _ = spec
     h_target = min(max((length_target - h0) / n, h_cap), L)
-    return state_at(spec, min(_p_for_height(L, h_target), p_cap))
+    p = min(_p_for_height(L, h_target), p_cap)
+    natural = length = n * L + h0  # the straight strip's: h = L
+    shape = _shape(p)
+    if shape is None:
+        return MuscleState(p, 0.0, length, natural - length, 0.0)
+    # state_at's expressions on _arch's, as curve builds its samples
+    sp, rf, num, F2, psi0 = shape
+    length = n * (sp * L / rf) + h0
+    return tuple.__new__(MuscleState, (p, L * num / F2, length, natural - length, psi0))

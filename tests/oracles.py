@@ -27,8 +27,9 @@ mpmath; it shares no formula or rounding with the single Carlson pass of
 
 ``arch_gap`` evaluates g = sqrt(1 - h/L) from the same definition as a
 function of t = -log(1 - p), the variable in which
-``wwmtc.beam.solve_p_for_height`` runs Newton's method, and
-``start_coefficients`` rebuilds that method's start from its roots.
+``wwmtc.beam.solve_p_for_height`` evaluates its root, and ``root_table``
+rebuilds that root's piecewise Chebyshev interpolant from 40-digit roots;
+``format_root_table`` prints it as the literal that ``wwmtc.beam`` holds.
 
 ``evaluate`` is the design oracle: it re-checks a candidate through the
 forward model (``state_at`` and ``natural_length``) and never uses the
@@ -262,31 +263,62 @@ def arch_gap(t, dps: int = 40):
         return mpmath.sqrt(1 - mpmath.sqrt(2 * (2 * m - 1)) / kL)
 
 
-def start_coefficients(degree: int, u_max: float, dps: int = 40) -> tuple[float, ...]:
-    """Chebyshev interpolant of f(u) = (t* - t_S)(1 - u) / u on [0, u_max].
+def root_coefficients(degree: int, u_lo: float, u_hi: float, dps: int = 40) -> tuple[float, ...]:
+    """Chebyshev interpolant of f(u) = (t* - t_S)(1 - u) / u on [u_lo, u_hi].
 
     t* is the root of arch_gap(t) = u and t_S = -log(1 - 1/sqrt(2)); the
     interpolation points are the degree + 1 Chebyshev nodes of the first
-    kind.  Each root is bracketed between t_S and t(P_MAX) and found at dps
-    digits, and the coefficients are summed at dps digits and rounded once,
-    which reproduces ``wwmtc.beam._START_CHEB`` for degree 40 and
-    u_max = ``wwmtc.beam._U_MAX``.  c_0 carries the usual factor 1/2, so
-    f = sum c_k T_k(2 u / u_max - 1).
+    kind on the interval.  Each root is bracketed between t_S and t(P_MAX)
+    and found at dps digits, and the coefficients are summed at dps digits
+    and rounded once.  c_0 carries the usual factor 1/2, so
+    f = sum c_k T_k((2 u - u_lo - u_hi) / (u_hi - u_lo)).
     """
     n = degree + 1
     with mpmath.workdps(dps):
         t_s = -mpmath.log(1 - 1 / mpmath.sqrt(2))
         bracket = (t_s + mpmath.mpf(10) ** -dps, -mpmath.log1p(-mpmath.mpf(P_MAX)))
+        mid = (mpmath.mpf(u_lo) + mpmath.mpf(u_hi)) / 2
+        half = (mpmath.mpf(u_hi) - mpmath.mpf(u_lo)) / 2
         angles = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
         values = []
         for a in angles:
-            u = mpmath.mpf(u_max) * (mpmath.cos(a) + 1) / 2
+            u = mid + half * mpmath.cos(a)
             t = mpmath.findroot(lambda t: arch_gap(t, dps) - u, bracket, solver="anderson")
             values.append((t - t_s) * (1 - u) / u)
         return tuple(
             float(sum(f * mpmath.cos(k * a) for f, a in zip(values, angles)) * (2 if k else 1) / n)
             for k in range(n)
         )
+
+
+# The pieces of wwmtc.beam._ROOT_TABLE: the interval [0, _U_MAX] of
+# u = sqrt(1 - h/L) split at these edges, narrower towards _U_MAX, where f
+# varies fastest, and the degree of each piece's interpolant.
+ROOT_EDGES = (0.0, 0.25, 0.5, 0.7, 0.8, 0.87, 0.9)
+ROOT_DEGREE = 17
+
+
+def root_table(u_max: float, dps: int = 40) -> tuple[tuple[float, float, tuple[float, ...]], ...]:
+    """(u_lo, u_hi, coefficients) of every piece of [0, u_max], split at
+    ROOT_EDGES, each a root_coefficients interpolant of degree ROOT_DEGREE:
+    ``wwmtc.beam._ROOT_TABLE`` for u_max = ``wwmtc.beam._U_MAX``."""
+    edges = ROOT_EDGES + (u_max,)
+    return tuple((lo, hi, root_coefficients(ROOT_DEGREE, lo, hi, dps))
+                 for lo, hi in zip(edges, edges[1:]))
+
+
+def format_root_table(table) -> str:
+    """root_table's table as the Python literal of ``wwmtc.beam._ROOT_TABLE``:
+    print(format_root_table(root_table(beam._U_MAX))) gives the text that
+    the module holds, from ``_ROOT_TABLE = (`` to the closing parenthesis."""
+    lines = ["_ROOT_TABLE = ("]
+    for lo, hi, coefficients in table:
+        lines.append(f"    ({lo!r}, {hi!r}, (")
+        for i in range(0, len(coefficients), 3):
+            lines.append("        " + " ".join(f"{c!r}," for c in coefficients[i:i + 3]))
+        lines.append("    )),")
+    lines.append(")")
+    return "\n".join(lines)
 
 
 def evaluate(constraints: DesignConstraints, n: int, L: float,

@@ -1,6 +1,7 @@
 """Single-arch elastica: boundary case, oracle agreement, inversion, properties."""
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam, solve_p_for_height
 from wwmtc.errors import DomainError, OutOfRangeError
 from wwmtc.muscle import DEFAULT_P_CAP
 
-from oracles import arch_gap, beam_reference, shoot_tip, start_coefficients
+from oracles import arch_gap, beam_reference, format_root_table, root_table, shoot_tip
 
 
 def test_straight_strip_boundary_is_exact():
@@ -231,10 +232,10 @@ def test_invert_matches_dense_scan():
 
 
 def test_invert_kernel_budget(monkeypatch):
-    # every Carlson pass of one inversion, the P_MAX range check included:
-    # the range check's pass is cached, so a cold inversion makes one more
-    # than a warm one, which makes the one solve of its single Newton step,
-    # next to P_MAX too
+    # every Carlson pass of one inversion: the root is evaluated in closed
+    # form and makes none, so a warm inversion makes none and a cold one
+    # only the range check's pass at P_MAX, which is then cached; a target
+    # at L needs no range check
     calls = []
 
     def counted(x, y, z):
@@ -244,30 +245,33 @@ def test_invert_kernel_budget(monkeypatch):
     rf_rd = beam._rf_rd
     monkeypatch.setattr(beam, "_rf_rd", counted)
     beam._shape_at.cache_clear()
+    assert solve_p_for_height(27.0, 27.0) == P_STRAIGHT and calls == []
     h = solve_beam(27.0, 0.85).h
     calls.clear()
     solve_p_for_height(27.0, h)
-    assert len(calls) == 2
+    assert len(calls) == 1
     rng = np.random.default_rng(10)
     for L in (1.0, 27.0, 35.0, 250.0):
         for p in rng.uniform(P_STRAIGHT + 1e-3, 0.97, 60):
             h = solve_beam(L, float(p)).h
             calls.clear()
             assert solve_p_for_height(L, h) == pytest.approx(p, abs=1e-9)
-            assert len(calls) == 1, (L, p, len(calls))
+            assert calls == [], (L, p, len(calls))
         # h has a logarithmic singularity in 1 - p next to P_MAX
         h_min = solve_beam(L, P_MAX).h
         for u in np.linspace(-16.0, -1.0, 61):
             h = h_min + (L - h_min) * 10.0 ** float(u)
             calls.clear()
             solve_p_for_height(L, h)
-            assert len(calls) == 1, (L, u, len(calls))
+            assert calls == [], (L, u, len(calls))
 
 
 def test_height_gap_concave_in_log_variable():
-    # solve_p_for_height needs no bracket because g = sqrt(L - h) is
-    # increasing and concave in t = -log(1 - p) over the whole range (its
-    # shape does not depend on L): chord slopes are positive and decreasing
+    # a property of the model: g = sqrt(L - h) is increasing and concave in
+    # t = -log(1 - p) over the whole range, with a shape that does not
+    # depend on L, so each height has one root, a smooth function of
+    # sqrt(1 - h/L), which solve_p_for_height evaluates in closed form:
+    # chord slopes are positive and decreasing
     with mpmath.workdps(80):
         t_lo = -mpmath.log(1 - 1 / mpmath.sqrt(2))
         t_hi = -mpmath.log1p(-mpmath.mpf(P_MAX))
@@ -281,56 +285,62 @@ def test_height_gap_concave_in_log_variable():
     assert all(b < a for a, b in zip(slopes, slopes[1:]))
 
 
-def test_newton_start_below_root():
-    # _start(u) must not exceed the root t* of arch_gap(t) = u: the margin
-    # keeps it below, and by concavity the one Newton step from it lands at
-    # or below the root.  It must be within its margin plus the
-    # interpolant's error of it (1.5e-12 over the whole range, 2e-13 for
-    # p <= 0.97) for that one step to leave an error far below an ULP of p.
-    # g is increasing, so start <= t* iff arch_gap(start) <= u; the start
-    # rounded to a double p, which the step begins from, is below the root too.
-    t_97 = -math.log1p(-0.97)
-    with mpmath.workdps(80):
-        t_lo = -mpmath.log(1 - 1 / mpmath.sqrt(2))
-        t_hi = -mpmath.log1p(-mpmath.mpf(P_MAX))
-        offsets = [mpmath.mpf(10) ** float(e) for e in np.linspace(-12, -1, 23)]
-        ts = ([t_lo + d for d in offsets] + [t_hi - d for d in offsets]
-              + mpmath.linspace(t_lo, t_hi, 60)[1:-1])
-        for t in ts:
-            u = float(arch_gap(t))
-            start = beam._start(u)
-            assert arch_gap(start) <= u, t
-            p = -math.expm1(-start)
-            assert arch_gap(-mpmath.log1p(-mpmath.mpf(p))) <= u, t
-            margin = beam._START_MARGIN + beam._START_ULPS * math.ulp(p) / (1.0 - p)
-            err = margin + (2e-13 if t < t_97 else 1.5e-12)
-            assert arch_gap(start + err) >= u, t
-
-
-def test_start_is_plain_clenshaw():
-    # _start runs Clenshaw over a stored reversed tail with 2x hoisted;
-    # (2.0 * x) * b1 is how Python groups 2.0 * x * b1, so every double is
-    # that of the plain form, written out here
-    def plain(u):
-        x = 2.0 * u / beam._U_MAX - 1.0
-        b1 = b2 = 0.0
-        for c in beam._START_CHEB[:0:-1]:
-            b1, b2 = 2.0 * x * b1 - b2 + c, b1
-        t = beam._T_STRAIGHT + (x * b1 - b2 + beam._START_CHEB[0]) * u / (1.0 - u)
-        margin = beam._START_MARGIN + beam._START_ULPS * math.ulp(0.5) * math.exp(t)
-        return max(t - margin, beam._T_STRAIGHT + u * beam._STRAIGHT_DT_DU)
-
-    us = [beam._U_MAX * i / 1999 for i in range(2000)]
-    assert us[0] == 0.0 and us[-1] == beam._U_MAX
-    for u in us:
-        assert beam._start(u) == plain(u), u
-
-
-def test_start_coefficients_rebuild():
-    # the committed interpolant is the generator's output, bit for bit, and
-    # _U_MAX is arch_gap at t(P_MAX)
-    assert start_coefficients(40, beam._U_MAX) == beam._START_CHEB
+def test_root_table_rebuild():
+    # the committed table is the generator's output, bit for bit, pasted as
+    # format_root_table prints it, and _U_MAX is arch_gap at t(P_MAX)
+    table = root_table(beam._U_MAX)
+    assert table == beam._ROOT_TABLE
+    assert format_root_table(table) in Path(beam.__file__).read_text()
     assert float(arch_gap(-mpmath.log1p(-mpmath.mpf(P_MAX)))) == beam._U_MAX
+    assert [lo for lo, _, _ in table[1:]] == [hi for _, hi, _ in table[:-1]]
+
+
+# The returned p is within this many ULPs of the 40-digit root
+ROOT_ULPS = 2.0
+
+
+def ulps_from_root(L: float, h: float, p: float) -> float:
+    """(p - p*) in ULPs of p, where p* is the root of h(L, p*) = h exactly,
+    capped at P_MAX as solve_p_for_height caps it.
+
+    p* comes from one Newton step in t from p itself, on arch_gap at 40
+    digits, with the slope from a forward difference at 20: p is within a
+    few ULPs of p*, so the step's error, quadratic in that distance, is far
+    below 1e-30.
+    """
+    with mpmath.workdps(40):
+        t = -mpmath.log1p(-mpmath.mpf(p))
+        u = mpmath.sqrt(1 - mpmath.mpf(h) / mpmath.mpf(L))
+        g = arch_gap(t)
+        step = (t - beam._T_STRAIGHT) * mpmath.mpf(10) ** -8
+        slope = (arch_gap(t + step, 20) - g) / step
+        root = min(-mpmath.expm1(-(t + (u - g) / slope)), mpmath.mpf(P_MAX))
+        return float((mpmath.mpf(p) - root) / mpmath.mpf(math.ulp(0.5)))
+
+
+def test_invert_within_ulps_of_root():
+    # the closed form against the 40-digit root, on 2 000 targets: L from
+    # 0.5 to 500, p uniform, t = -log(1 - p) uniform up to t(P_MAX), which
+    # reaches every piece of the table, and offsets log-spaced from 1e-15 to
+    # 0.1 of L - h_min next to both ends.  The worst is 1.63 ULPs.  The
+    # Newton step that this replaced met the computed h, whose few ULPs map
+    # into p next to the straight end: it was up to 2.3e7 ULPs off there,
+    # and 2 143 on the uniform targets
+    rng = np.random.default_rng(35)
+    t_max = -math.log1p(-P_MAX)
+    ps = [float(p) for p in rng.uniform(P_STRAIGHT, P_MAX, 700)]
+    ps += [-math.expm1(-float(t)) for t in rng.uniform(beam._T_STRAIGHT, t_max, 700)]
+    targets = []
+    for p in ps:
+        L = float(10.0 ** rng.uniform(math.log10(0.5), math.log10(500.0)))
+        targets.append((L, solve_beam(L, min(max(p, P_STRAIGHT), P_MAX)).h))
+    for L in (0.5, 27.0, 500.0):
+        h_min = solve_beam(L, P_MAX).h
+        for f in np.logspace(-15, -1, 100):
+            targets += [(L, L * (1.0 - float(f))), (L, h_min + (L - h_min) * float(f))]
+    assert len(targets) == 2000
+    worst = max(abs(ulps_from_root(L, h, solve_p_for_height(L, h))) for L, h in targets)
+    assert worst <= ROOT_ULPS, worst
 
 
 def test_invert_extreme_targets_converge():

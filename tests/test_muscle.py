@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wwmtc import beam, muscle
-from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam
+from wwmtc.beam import P_MAX, P_STRAIGHT, solve_beam, solve_p_for_height
 from wwmtc.cli import dispatch
 from wwmtc.errors import DomainError, OutOfRangeError
 from wwmtc.muscle import (
@@ -212,21 +212,42 @@ def test_invert_both_ends_of_feasible_interval():
 H_ULPS = 4
 
 
+def height_slope(L: float, p: float, w: float, k: float) -> float:
+    """dh/dp at p > P_STRAIGHT, from the width w and scale factor k at (L, p).
+
+    With c = cos(phi1) and E - E(phi1) = k (L - w) / 2, differentiating
+    kL = K(p) - F(phi1(p), p) gives
+    d(kL)/dp = k (L - w) / (2 p (1 - p^2)) - kL / p + c / (1 - p^2) + 1 / (p^2 c),
+    and h = L r / kL with r = sqrt(2 (2 p^2 - 1)) then gives dh/dp.
+    """
+    q = 2.0 * p * p - 1.0
+    c = math.sqrt(q) / (math.sqrt(2.0) * p)
+    one_minus_m = 1.0 - p * p
+    kL = k * L
+    dkL = (k * (L - w) / (2.0 * p * one_minus_m) - kL / p
+           + c / one_minus_m + 1.0 / (p * p * c))
+    r = math.sqrt(2.0 * q)
+    return L * ((4.0 * p / r) / kL - r * dkL / (kL * kL))
+
+
 def length_miss_bound(spec: MuscleSpec, length: float, state: MuscleState) -> float:
     """The largest miss of the returned length that rounding can explain.
 
     The target becomes the height h_t = (length - h0) / n, rounded twice.
-    The Newton step meets h_t on the computed h, which is off by up to
-    H_ULPS ULPs of L at its start, so the exact height at the returned p
-    misses h_t by that much, plus |h'(p)| times half an ULP of p for p's own
-    rounding.  The returned state's computed h adds up to H_ULPS ULPs of L
-    again, and n * h + h0 is rounded twice.
+    The bound was derived for the Newton step that solved for p before the
+    closed-form root: that step met h_t on the computed h, off by up to
+    H_ULPS ULPs of L, so the exact height at its p missed h_t by that much,
+    plus |h'(p)| times half an ULP of p for p's own rounding.  The returned
+    state's computed h adds up to H_ULPS ULPs of L again, and n * h + h0 is
+    rounded twice.  The closed-form root is within 2 ULPs of p of the exact
+    one (tests/test_beam.py), which the bound covers unchanged on p up to
+    DEFAULT_P_CAP.
     """
     n, L, h0, _ = spec
     p = state.p
     w, h, _, k = solve_beam(L, p)
     h_t = (length - h0) / n
-    per_arch = (abs(beam._height_slope(L, p, w, k)) * math.ulp(p) / 2
+    per_arch = (abs(height_slope(L, p, w, k)) * math.ulp(p) / 2
                 + 2 * H_ULPS * math.ulp(L) + math.ulp(h_t) / 2)
     return n * per_arch + (math.ulp(length - h0) + math.ulp(n * h) + math.ulp(length)) / 2
 
@@ -247,9 +268,10 @@ def test_invert_round_trip_length_miss():
 
 
 def test_invert_kernel_budget(monkeypatch):
-    # Carlson passes per inversion: the solve of the one Newton step and the
-    # returned state, for every cap and at both ends of the feasible
-    # interval; one more for h(p_cap) when its pass is not cached
+    # Carlson passes per inversion: the root takes none, so one for the
+    # returned state, none for the natural state, for every cap and at both
+    # ends of the feasible interval; one more for h(p_cap) when its pass is
+    # not cached.  The state is state_at's at its p, the same doubles
     calls = []
 
     def counted(x, y, z):
@@ -271,8 +293,13 @@ def test_invert_kernel_budget(monkeypatch):
             beam._shape_at.cache_clear()  # the first target finds h(p_cap) uncached
             for i, length in enumerate(inner + ends):
                 calls.clear()
-                state_for_length(spec, length, p_cap)
-                assert len(calls) <= 2 + (i == 0), (spec, p_cap, length, len(calls))
+                state = state_for_length(spec, length, p_cap)
+                natural = state.p == P_STRAIGHT
+                assert len(calls) == (i == 0) + (not natural), (spec, p_cap, length, len(calls))
+                assert state == state_at(spec, state.p)
+    length_range(specs[0])
+    calls.clear()
+    assert state_for_length(specs[0], 238.0).p == P_STRAIGHT and calls == []
 
 
 def assert_samples_are_solve_beams(spec, num, p_cap, samples):
@@ -462,6 +489,71 @@ def test_numpy_p_and_p_cap_give_floats(radial_spec):
     assert at_cap.p == 0.9
     assert all(type(v) is float for v in at_cap), at_cap
     assert at_cap == state_for_length(radial_spec, ends[0], 0.9)
+
+
+# every real type a caller may pass, and how a drawn float becomes one
+REAL_TYPES = {
+    "float": float, "int": lambda x: int(x), "bool": bool, "np.float64": np.float64,
+    "np.float32": np.float32, "np.int64": lambda x: np.int64(int(x)), "Fraction": Fraction,
+    "Decimal": Decimal, "str": repr,
+}
+
+
+def geometry_call(name, spec, a, b):
+    """The function called name and its real arguments as floats: a and b
+    place a p, a height or a length inside its valid range for a in [0, 1],
+    and outside it otherwise; b places p_cap."""
+    n, L, h0, _ = spec
+    p = P_STRAIGHT + a * (P_MAX - P_STRAIGHT)
+    p_cap = P_STRAIGHT + b * (P_MAX - P_STRAIGHT)
+    if name == "solve_beam":
+        return solve_beam, (L, p)
+    if name == "solve_p_for_height":
+        h_min = solve_beam(L, P_MAX).h
+        return solve_p_for_height, (L, h_min + a * (L - h_min))
+    if name == "state_at":
+        return (lambda p: state_at(spec, p)), (p,)
+    if name == "length_range":
+        return (lambda p_cap: length_range(spec, p_cap)), (p_cap,)
+    lo, hi = length_range(spec, min(max(p_cap, 0.75), P_MAX))
+    length = lo + a * (hi - lo)
+    return (lambda length, p_cap: state_for_length(spec, length, p_cap)), (length, p_cap)
+
+
+def outcome(fn, args):
+    """fn(*args)'s doubles as hex, each checked to be a float, or the type
+    and message of the DomainError or OutOfRangeError it raised."""
+    try:
+        result = fn(*args)
+    except (DomainError, OutOfRangeError) as err:
+        return type(err), str(err)
+    values = (result,) if type(result) is float else tuple(result)
+    assert all(type(v) is float for v in values), result
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["solve_beam", "solve_p_for_height", "state_at", "state_for_length",
+                          "length_range"]),
+    spec=st.tuples(st.integers(1, 40), st.floats(0.05, 500.0), st.floats(0.0, 100.0)),
+    a=st.floats(-0.2, 1.2),
+    b=st.floats(-0.2, 1.2),
+    kinds=st.tuples(st.sampled_from(list(REAL_TYPES)), st.sampled_from(list(REAL_TYPES))),
+)
+def test_geometry_numbers_are_floats(name, spec, a, b, kinds):
+    # one rule for every real argument of the geometry entry points, the
+    # one MuscleSpec applies to its fields: a real number of any type is
+    # taken as its float, and a str or bool is a DomainError.  A Decimal
+    # length target used to raise a bare TypeError, and a str p or height
+    # was parsed
+    fn, args = geometry_call(name, MuscleSpec(*spec), a, b)
+    given_args = [REAL_TYPES[kind](x) for kind, x in zip(kinds, args)]
+    got = outcome(fn, given_args)
+    if any(kind in ("str", "bool") for kind in kinds[:len(args)]):
+        assert got[0] is DomainError and "must be a real number" in got[1], got
+    else:
+        assert got == outcome(fn, [float(x) for x in given_args])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

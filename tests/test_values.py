@@ -155,12 +155,29 @@ def test_hysteresis_params_are_floats(number):
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("value", [SPEC, CONSTRAINTS, PARAMS],
+                         ids=["MuscleSpec", "DesignConstraints", "HysteresisParams"])
+def test_make_refuses_a_wrong_field_count_as_namedtuple_does(value):
+    # _make used to call cls(*iterable), which filled in the defaults that
+    # namedtuple's own _make refuses to
+    plain = namedtuple(type(value).__name__, value._fields)
+    fields = list(value)
+    assert type(value)._make(fields) == value
+    for wrong in (fields[:-1], fields + [0.0], fields[:1], []):
+        with pytest.raises(TypeError) as got:
+            type(value)._make(wrong)
+        with pytest.raises(TypeError) as want:
+            plain._make(wrong)
+        assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("integer", [np.int64, np.int32])
 def test_numpy_integer_arch_counts_are_stored_as_ints(integer):
     # a library caller may take arch counts from a numpy array
     spec = MuscleSpec(integer(8), 27.0, 22.0)
     cons = CONSTRAINTS._replace(n_range=(integer(1), integer(12)))
-    for value in (spec, SPEC._replace(n=integer(8)), MuscleSpec._make([integer(8), 27.0, 22.0])):
+    for value in (spec, SPEC._replace(n=integer(8)),
+                  MuscleSpec._make([integer(8), 27.0, 22.0, "radial"])):
         assert value == SPEC and type(value.n) is int
     for value in (cons, DesignConstraints(**{**CONSTRAINTS._asdict(),
                                              "n_range": (integer(1), 12)})):
@@ -214,7 +231,8 @@ def test_spec_constructor_behaves_as_the_named_tuple():
     plain = namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))
     for spec in (MuscleSpec(8, 27.0, 22.0, "radial"), MuscleSpec(8, 27.0, 22.0),
                  MuscleSpec(n=8, L=27.0, h0=22.0), MuscleSpec(8, 27.0, h0=22.0, kind="radial"),
-                 MuscleSpec._make([8, 27.0, 22.0]), MuscleSpec(8, 1.0, 22.0)._replace(L=27.0),
+                 MuscleSpec._make([8, 27.0, 22.0, "radial"]),
+                 MuscleSpec(8, 1.0, 22.0)._replace(L=27.0),
                  copy.copy(SPEC), copy.deepcopy(SPEC), pickle.loads(pickle.dumps(SPEC))):
         assert type(spec) is MuscleSpec and spec == SPEC == plain(8, 27.0, 22.0)
     assert MuscleSpec(8, 27.0, 22.0, kind="planar").kind == SPEC._replace(kind="planar").kind
@@ -224,6 +242,13 @@ def test_spec_constructor_behaves_as_the_named_tuple():
             MuscleSpec(*args, **kwargs)
         with pytest.raises(TypeError) as want:
             plain(*args, **kwargs)
+        assert str(got.value) == str(want.value)
+    # _make fills in no default: three fields are too few, as for namedtuple
+    for fields in ([8, 27.0, 22.0], [8, 27.0, 22.0, "radial", 1], []):
+        with pytest.raises(TypeError) as got:
+            MuscleSpec._make(fields)
+        with pytest.raises(TypeError) as want:
+            plain._make(fields)
         assert str(got.value) == str(want.value)
     for args, message in SPEC_ERRORS:
         with pytest.raises(DomainError) as got:
