@@ -76,6 +76,7 @@ class HysteresisParams(namedtuple("HysteresisParams", "c r rms_residual", defaul
 
 def tendon_load(fit: TendonFit, strain: float) -> float:
     """Forward tendon model; clamped to zero below the bedding-in offset."""
+    strain = _real("strain", strain)
     # written as "not ... < inf" so that NaN fails the check
     if not 0.0 <= strain < math.inf:
         raise DomainError(f"strain={strain!r} must be finite and >= 0")
@@ -225,7 +226,7 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
     writers in fileio reject it.  ``currents`` is any sequence of numbers,
     arrays included.
     """
-    c, r, t = params.c, params.r, float(initial_tension)
+    c, r, t = params.c, params.r, _real("initial tension", initial_tension)
     if not 0.0 < c < math.inf:
         raise DomainError(f"gain c={c!r} must be positive and finite")
     if not 0.0 <= r < math.inf:
@@ -387,10 +388,10 @@ def fit_winch(currents, tensions) -> HysteresisParams:
         )
     c = c_up
 
+    # never empty: adjacent runs share their turning sample, and each run
+    # spans a positive length (tests/test_actuators.py)
     overlap_lo = max(min(lo for lo, _ in spans[1]), min(lo for lo, _ in spans[-1]))
     overlap_hi = min(max(hi for _, hi in spans[1]), max(hi for _, hi in spans[-1]))
-    if overlap_hi <= overlap_lo:
-        raise InsufficientSweepError("up and down branches share no current range")
     mid = 0.5 * overlap_lo + 0.5 * overlap_hi
     half_gap = 0.5 * ((c_dn - c_up) * mid + (b_dn - b_up))
     if not math.isfinite(half_gap):

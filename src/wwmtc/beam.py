@@ -108,38 +108,37 @@ def solve_beam(L: float, p: float) -> BeamSolution:
     limit (w = 0, h = L, psi0 = 0); the general formulas degenerate to 0/0
     there because k -> 0 with the load.
     """
-    return BeamSolution(*_arch(_check_length(L), _check_shape_param(p)))
-
-
-def _arch(L: float, p: float) -> tuple[float, float, float, float]:
-    """solve_beam's (w, h, psi0, k) for a valid L and p; neither is checked."""
+    L, p = _check_length(L), _check_shape_param(p)
     shape = _shape(p)
-    if shape is None:
-        return 0.0, L, 0.0, 0.0
     sp, rf, num, F2, psi0 = shape
-    return L * num / F2, sp * L / rf, psi0, F2 / L
+    return BeamSolution(L * num / F2, sp * L / rf, psi0, 0.0 if shape is _STRAIGHT else F2 / L)
 
 
-def _shape(p: float) -> tuple[float, float, float, float, float] | None:
-    """The part of _arch that depends on p alone: one Carlson pass.
+# _shape of the straight strip: h = sp L / rf is L and w = L num / F2 is 0.0
+# exactly, also within _BOUNDARY_TOL below P_STRAIGHT; its k is 0, not F2 / L
+_STRAIGHT = (1.0, 1.0, 0.0, 1.0, 0.0)
+
+
+def _shape(p: float) -> tuple[float, float, float, float, float]:
+    """The part of solve_beam that depends on p alone: one Carlson pass.
 
     Returns (sqrt(2) p, rf, F2 - 2 E2 + sqrt(2 q), F2, psi0), from which
-    _arch scales by L: h = sqrt(2) p L / rf, w = L (F2 - 2 E2 + sqrt(2 q)) / F2
-    and k = F2 / L.  None for the straight strip (q <= 0), whose arch is
-    (0, L, 0, 0).  For a valid p; it is not checked.
+    solve_beam scales by L: h = sqrt(2) p L / rf, w = L (F2 - 2 E2 +
+    sqrt(2 q)) / F2 and k = F2 / L.  _STRAIGHT, with no pass, for the
+    straight strip (q <= 0).  For a valid p; it is not checked.
     """
     pp = p * p
     q = 2.0 * pp - 1.0  # sin(psi0); 2.0 * p * p rounds to the same double
     if q <= 0.0:
-        return None
+        return _STRAIGHT
 
     m1 = (1.0 - p) * (1.0 + p)
     s = math.sqrt(q) / p
     rf, rd = _rf_rd(m1 / pp, 2.0 * m1, 1.0)
     F2 = s * rf
     E2 = F2 - pp * (s * s * s) * rd / 3.0
-    return (_SQRT2 * p, rf, F2 - 2.0 * E2 + math.sqrt(2.0 * q), F2,
-            math.asin(q if q < 1.0 else 1.0))
+    # q < 1, since p <= P_MAX < 1
+    return _SQRT2 * p, rf, F2 - 2.0 * E2 + math.sqrt(2.0 * q), F2, math.asin(q)
 
 
 # _shape at a float p, cached: the pass does not depend on L.  Its callers
@@ -151,10 +150,9 @@ _shape_at = functools.lru_cache(maxsize=8)(_shape)
 def _height(L: float, p: float) -> float:
     """solve_beam(L, p).h, the same double, from the cached pass at p.
 
-    For a valid L and a float p; neither is checked.
+    For a valid L and a float p >= P_STRAIGHT, where sqrt(2) p is 1.0 and h
+    is L; neither is checked.
     """
-    if 2.0 * p * p - 1.0 <= 0.0:
-        return L
     return _SQRT2 * p * L / _shape_at(p)[1]
 
 
@@ -277,11 +275,10 @@ def _p_for_height(L: float, h_target: float) -> float:
     """p with h(L, p) = h_target, for h(L, P_MAX) <= h_target <= L.
 
     The root t* evaluated from _ROOT_TABLE at u = sqrt(1 - h_target/L),
-    then p = 1 - exp(-t*), clamped to [P_STRAIGHT, P_MAX]; see
-    solve_p_for_height.  No Carlson pass.
+    then p = 1 - exp(-t*), capped at P_MAX; see solve_p_for_height.  No
+    Carlson pass.  p >= P_STRAIGHT with no clamp: u = 0 gives P_STRAIGHT
+    exactly, and u > 1e-8 and f > 1.45 otherwise (tests/test_beam.py).
     """
-    if h_target == L:
-        return P_STRAIGHT
     u = math.sqrt(L - h_target) / math.sqrt(L)
     for u_hi, lo_plus_hi, width, c0, tail in _ROOT_PIECES:
         if u <= u_hi:
@@ -293,4 +290,4 @@ def _p_for_height(L: float, h_target: float) -> float:
     for c in tail:  # Clenshaw
         b1, b2 = x2 * b1 - b2 + c, b1
     t = _T_STRAIGHT + (x * b1 - b2 + c0) * u / (1.0 - u)
-    return min(max(-math.expm1(-t), P_STRAIGHT), P_MAX)
+    return min(-math.expm1(-t), P_MAX)

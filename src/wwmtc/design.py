@@ -446,7 +446,7 @@ def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
 
 def _units(p_cap: float) -> tuple[tuple[float, ...], float, float]:
     """The Carlson pass at p_cap, cached by beam._shape_at, and from it
-    ĥ and ŵ: _arch(1.0, p_cap)'s h and w, the same doubles, as 1.0 * x is x."""
+    ĥ and ŵ: solve_beam(1.0, p_cap)'s h and w, the same doubles, as 1.0 * x is x."""
     shape = _shape_at(_check_p_cap(p_cap))
     sp, rf, num, F2, _ = shape
     return shape, sp / rf, num / F2
@@ -456,11 +456,12 @@ def _results(constraints: DesignConstraints, shape, found) -> list[DesignResult]
     """One result per (n, L-interval) of found, sorted as search returns them.
 
     Each achieved value is state_at's at p_cap on the result's spec, the
-    same doubles: the natural length and the arch are state_at's and _arch's
-    expressions on beam._shape's pass at p_cap.  Rows sort as plain tuples,
-    by width and then n, which no two rows share.  DesignResult and
-    AchievedMetrics check nothing, so they are built by tuple.__new__,
-    without the frame of namedtuple's __new__.
+    same doubles: muscle._state's expressions on beam._shape's pass at
+    p_cap, written out, since a _state call per result made a search of 34
+    results ~7 % slower.  Rows sort as plain tuples, by width and then n,
+    which no two rows share.  DesignResult and AchievedMetrics check
+    nothing, so they are built by tuple.__new__, without the frame of
+    namedtuple's __new__.
     """
     sp, rf, num, F2, _ = shape
     h0, kind = constraints.h0, constraints.kind

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from math import sqrt
 
-from .errors import DomainError
+from .errors import DomainError, _real
 
 # K(p) has a logarithmic singularity at p = 1; the beam model never needs
 # moduli this close to it (the tip angle is already 90 deg in that limit).
@@ -33,7 +33,7 @@ HALF_PI = math.pi / 2.0
 
 
 def _check_modulus(p: float) -> float:
-    p = float(p)
+    p = _real("modulus p", p)
     if not 0.0 <= p <= MODULUS_MAX:
         raise DomainError(
             f"modulus p={p!r} outside [0, {MODULUS_MAX}] "
@@ -43,7 +43,7 @@ def _check_modulus(p: float) -> float:
 
 
 def _check_amplitude(phi: float) -> float:
-    phi = float(phi)
+    phi = _real("amplitude phi", phi)
     # allow half a ULP of slack at pi/2 so that computed amplitudes
     # such as asin(...) never trip the guard
     if not 0.0 <= phi <= HALF_PI * (1.0 + 1e-15):

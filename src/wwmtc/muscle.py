@@ -26,8 +26,8 @@ import operator
 from array import array
 from collections import namedtuple
 
-from .beam import (P_MAX, P_STRAIGHT, _SQRT2, _arch, _check_shape_param, _height,
-                   _p_for_height, _shape)
+from .beam import (P_MAX, P_STRAIGHT, _SQRT2, _check_shape_param, _height, _p_for_height,
+                   _shape)
 from .errors import DomainError, OutOfRangeError, _make, _real
 
 # Default contraction cap.  Beyond p ~ 0.97 the tip angle exceeds ~75 deg
@@ -125,11 +125,19 @@ def state_at(spec: MuscleSpec, p: float) -> MuscleState:
     expression, on the spec's own L.
     """
     n, L, h0, _ = spec
-    natural = n * L + h0
     p = _check_shape_param(p)  # a float, for a numpy p too
-    w, h, psi0, _ = _arch(L, p)
-    length = n * h + h0
-    return MuscleState(p, w, length, natural - length, psi0)
+    return _state(n, L, h0, p, _shape(p))
+
+
+def _state(n: int, L: float, h0: float, p: float, shape) -> MuscleState:
+    """The state at p from beam._shape's pass there: solve_beam's
+    expressions, scaled by L, stacked n times and offset by h0."""
+    sp, rf, num, F2, psi0 = shape
+    natural = n * L + h0
+    length = n * (sp * L / rf) + h0
+    # tuple.__new__ is MuscleState's own constructor without the Python
+    # frame of namedtuple's __new__, which took half of a warm curve
+    return tuple.__new__(MuscleState, (p, L * num / F2, length, natural - length, psi0))
 
 
 # Four entries.  A caller that checks the expansion at more than one
@@ -140,32 +148,27 @@ def state_at(spec: MuscleSpec, p: float) -> MuscleState:
 # four are kept for the life of the process: 1.6 MB for four grids of
 # 10 000 samples.
 @functools.lru_cache(maxsize=4)
-def _grid(num_samples: int, p_cap: float) -> tuple[int, array, array, array, array, array]:
+def _grid(num_samples: int, p_cap: float) -> tuple[array, array, array, array, array]:
     """The part of curve that depends on its grid alone: one Carlson pass
-    per sample.
+    per sample past the straight strip.
 
-    Returns the count of leading samples at the straight strip, where
-    beam._shape is None, the p of every sample, and _shape's rf,
-    F2 - 2 E2 + sqrt(2 q), F2 and psi0 at each later sample, as columns,
-    which every curve on the grid shares and only reads.  For a
+    Returns the p of every sample and beam._shape's rf,
+    F2 - 2 E2 + sqrt(2 q), F2 and psi0 at each, as columns, which every
+    curve on the grid shares and only reads.  A straight sample's p is
+    P_STRAIGHT exactly, where sqrt(2) p is 1.0, _STRAIGHT's sp.  For a
     num_samples >= 2 and a float p_cap that _check_p_cap passed.
     """
     step = (p_cap - P_STRAIGHT) / (num_samples - 1)
     ps = array("d", [P_STRAIGHT + i * step for i in range(num_samples - 1)])
     ps.append(p_cap)
-    straight = 0
     rfs, nums, F2s, psis = array("d"), array("d"), array("d"), array("d")
     for p in ps:
-        shape = _shape(p)
-        if shape is None:  # 2 p^2 - 1 does not fall as p rises: a prefix
-            straight += 1
-            continue
-        _, rf, num, F2, psi0 = shape
+        _, rf, num, F2, psi0 = _shape(p)
         rfs.append(rf)
         nums.append(num)
         F2s.append(F2)
         psis.append(psi0)
-    return straight, ps, rfs, nums, F2s, psis
+    return ps, rfs, nums, F2s, psis
 
 
 def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> DeformationCurve:
@@ -175,7 +178,7 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
     Length decreases along the samples in exact arithmetic; neighbours can
     be equal doubles when p_cap is within rounding of P_STRAIGHT.  Each
     sample is state_at's at its p, the same doubles: _grid's table scaled
-    by L with _arch's expressions.  One Carlson pass per sample but the
+    by L with _state's expressions.  One Carlson pass per sample but the
     first, none when one of the last four grids (num_samples, p_cap) that
     curves were drawn on is this one.
     """
@@ -183,14 +186,14 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
     if not (hasattr(num_samples, "__index__") and num_samples >= 2):
         raise DomainError(f"num_samples={num_samples!r} must be an integer >= 2")
     p_cap = _check_p_cap(p_cap)
-    straight, ps, rfs, nums, F2s, psis = _grid(operator.index(num_samples), p_cap)
+    ps, rfs, nums, F2s, psis = _grid(operator.index(num_samples), p_cap)
     n, L, h0, _ = spec
-    natural = length = n * L + h0  # the straight strip's: h = L
-    samples = [MuscleState(p, 0.0, length, natural - length, 0.0) for p in ps[:straight]]
-    # tuple.__new__ is MuscleState's own constructor without the Python
-    # frame of namedtuple's __new__, which took half of a warm curve
+    natural = n * L + h0
+    # _state's expressions written out: a _state call per sample made a
+    # warm curve ~40 % slower
     new = tuple.__new__
-    for p, rf, num, F2, psi0 in zip(ps[straight:], rfs, nums, F2s, psis):
+    samples = []
+    for p, rf, num, F2, psi0 in zip(ps, rfs, nums, F2s, psis):
         length = n * (_SQRT2 * p * L / rf) + h0
         samples.append(new(MuscleState, (p, L * num / F2, length, natural - length, psi0)))
     return DeformationCurve(spec, tuple(samples))
@@ -242,11 +245,4 @@ def state_for_length(
     n, L, h0, _ = spec
     h_target = min(max((length_target - h0) / n, h_cap), L)
     p = min(_p_for_height(L, h_target), p_cap)
-    natural = length = n * L + h0  # the straight strip's: h = L
-    shape = _shape(p)
-    if shape is None:
-        return MuscleState(p, 0.0, length, natural - length, 0.0)
-    # state_at's expressions on _arch's, as curve builds its samples
-    sp, rf, num, F2, psi0 = shape
-    length = n * (sp * L / rf) + h0
-    return tuple.__new__(MuscleState, (p, L * num / F2, length, natural - length, psi0))
+    return _state(n, L, h0, p, _shape(p))

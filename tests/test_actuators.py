@@ -2,10 +2,12 @@
 
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 
@@ -104,6 +106,14 @@ def test_tendon_forward_model():
     for strain in (math.nan, math.inf):
         with pytest.raises(DomainError, match="strain"):
             tendon_load(fit, strain)
+    # float() would parse the string, and take the bool as 1.0
+    for strain in ("0.1", True, None):
+        with pytest.raises(DomainError, match="strain"):
+            tendon_load(fit, strain)
+    load = tendon_load(fit, 0.1)
+    for strain in (Decimal("0.1"), Fraction(1, 10), np.float64(0.1)):
+        got = tendon_load(fit, strain)
+        assert type(got) is float and got == load
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -284,6 +294,12 @@ def test_winch_simulate_validation():
         # a non-finite current has no band; it must not hold the last tension
         with pytest.raises(DomainError, match="finite"):
             simulate_winch(HysteresisParams(c=1.0, r=0.0), [bad, 1.0, bad], 0.5)
+    for t0 in ("0.1", True, None):
+        with pytest.raises(DomainError, match="initial tension"):
+            simulate_winch(WINCH_TRUE, [0.0, 1.0], t0)
+    tensions = simulate_winch(WINCH_TRUE, [0.0, 1.0], 0.1)
+    for t0 in (Decimal("0.1"), Fraction(1, 10), np.float64(0.1)):
+        assert simulate_winch(WINCH_TRUE, [0.0, 1.0], t0) == tensions
 
 
 def test_winch_fit_rejects_non_finite_samples():
@@ -416,3 +432,24 @@ def test_rate_independent_under_repeats_and_insertions(c, r, t0, currents, where
 def test_branches_match_the_step_by_step_scan(currents):
     # few levels: flat steps, runs of one step and reversals on every sample
     assert _branches(currents) == oracles.branches(currents)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.sampled_from((0.0, -0.0, 1.0, 2.0, 5e-324)),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=3, max_size=40))
+def test_reversing_series_share_a_current_range(currents):
+    # fit_winch takes r at the middle of the current range that its up and
+    # down runs share, and does not check that range for being empty:
+    # adjacent runs share their turning sample and each spans a positive
+    # length, so it never is once the series reverses
+    runs = _branches(currents)
+    assume({d for _, _, d in runs} == {-1, 1})
+    spans = {1: [], -1: []}
+    for start, stop, d in runs:
+        lo, hi = sorted((currents[start], currents[stop]))
+        assert lo < hi
+        spans[d].append((lo, hi))
+    overlap_lo = max(min(lo for lo, _ in spans[d]) for d in spans)
+    overlap_hi = min(max(hi for _, hi in spans[d]) for d in spans)
+    assert overlap_lo < overlap_hi

@@ -16,11 +16,12 @@ from oracles import arch_gap, beam_reference, format_root_table, root_table, sho
 
 
 def test_straight_strip_boundary_is_exact():
-    sol = solve_beam(27.0, P_STRAIGHT)
-    assert sol.w == 0.0
-    assert sol.h == 27.0
-    assert sol.psi0 == 0.0
-    assert sol.k == 0.0
+    # p down to _BOUNDARY_TOL = 1e-12 below P_STRAIGHT is the straight strip
+    # too, with h = L exactly: beam._STRAIGHT's sp is 1.0, not sqrt(2) p
+    for p in (P_STRAIGHT, P_STRAIGHT - 5e-13, P_STRAIGHT - 1e-12):
+        sol = solve_beam(27.0, p)
+        assert [x.hex() for x in sol] == [x.hex() for x in (0.0, 27.0, 0.0, 0.0)], p
+    assert beam._SQRT2 * P_STRAIGHT == 1.0  # so a curve's straight samples need no branch
 
 
 # Frozen from the ODE shooting oracle (DOP853 rtol 1e-12 + brentq to 1e-14);
@@ -40,7 +41,7 @@ def test_frozen_oracle_values(L, p, w, h):
 
 
 # solve_beam(27, p) as (p, w, h, psi0, k) hex doubles, from P_STRAIGHT and
-# its neighbours to P_MAX: the arithmetic of beam._arch, pinned to the bit
+# its neighbours to P_MAX: the arithmetic of solve_beam, pinned to the bit
 ARCH_HEX = [
     ("0x1.6a09e667f3bccp-1",
      "0x0.0p+0", "0x1.b000000000000p+4",
@@ -295,6 +296,26 @@ def test_root_table_rebuild():
     assert [lo for lo, _, _ in table[1:]] == [hi for _, hi, _ in table[:-1]]
 
 
+def test_invert_needs_no_lower_clamp():
+    # _p_for_height returns min(-expm1(-t), P_MAX), with no clamp at
+    # P_STRAIGHT and no branch at h_target == L.  There u = 0, so t is
+    # _T_STRAIGHT, whose p is P_STRAIGHT exactly.  Below L, u is at least
+    # sqrt(2**-53) ~ 1.05e-8 (one ULP below a power of two), and f is at
+    # least c_0 - sum |c_k| on each piece, since |T_k| <= 1, so t lies
+    # ~1.5e-8 above _T_STRAIGHT, ~7e7 of its ULPs
+    assert -math.expm1(-beam._T_STRAIGHT) == P_STRAIGHT
+    assert all(cs[0] - sum(map(abs, cs[1:])) > 1.45 for _, _, cs in beam._ROOT_TABLE)
+    rng = np.random.default_rng(36)
+    Ls = [5e-324, 1e-323, 2.0**-1022, 1e300, *(2.0**e for e in range(-1021, 997, 3)),
+          *(float(x) for x in 10.0 ** rng.uniform(-323, 300, 2000))]
+    for L in Ls:
+        assert beam._p_for_height(L, L) == P_STRAIGHT, L
+        h = math.nextafter(L, 0.0)
+        if h > 0.0:
+            assert math.sqrt(L - h) / math.sqrt(L) > 1.05e-8, L
+            assert beam._p_for_height(L, h) > P_STRAIGHT, L
+
+
 # The returned p is within this many ULPs of the 40-digit root
 ROOT_ULPS = 2.0
 
@@ -385,7 +406,7 @@ def test_invert_reports_achievable_minimum():
 
 # --- domain guards -----------------------------------------------------------
 
-@pytest.mark.parametrize("bad_p", [0.5, 0.70710, 1.0, 1.2])
+@pytest.mark.parametrize("bad_p", [0.5, 0.70710, P_STRAIGHT - 2e-12, 1.0, 1.2])
 def test_rejects_bad_shape_parameter(bad_p):
     with pytest.raises(DomainError):
         solve_beam(27.0, bad_p)

@@ -224,7 +224,12 @@ def test_monotonicity_in_modulus():
 
 # --- domain guards -----------------------------------------------------------
 
-@pytest.mark.parametrize("bad_p", [-0.1, 1.0, 1.5, 1.0 - 1e-12])
+# float() would parse a string, take a bool as 0 or 1 and overflow on a
+# huge int
+NOT_REALS = ["0.5", None, True, pytest.param(2**2000, id="2**2000")]
+
+
+@pytest.mark.parametrize("bad_p", [-0.1, 1.0, 1.5, 1.0 - 1e-12, *NOT_REALS])
 def test_rejects_bad_modulus(bad_p):
     with pytest.raises(DomainError):
         ellip_k(bad_p)
@@ -236,7 +241,7 @@ def test_rejects_bad_modulus(bad_p):
         ellip_ke(bad_p)
 
 
-@pytest.mark.parametrize("bad_phi", [-0.1, HALF_PI + 0.01, 4.0])
+@pytest.mark.parametrize("bad_phi", [-0.1, HALF_PI + 0.01, 4.0, *NOT_REALS])
 def test_rejects_bad_amplitude(bad_phi):
     with pytest.raises(DomainError):
         ellip_f(bad_phi, 0.5)

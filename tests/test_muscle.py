@@ -34,11 +34,10 @@ def test_natural_lengths_of_production_specs(radial_spec, planar_spec):
 
 
 def test_natural_state(radial_spec):
-    st = state_at(radial_spec, P_STRAIGHT)
-    assert st.width == 0.0
-    assert st.length == 238.0
-    assert st.contraction == 0.0
-    assert st.psi0 == 0.0
+    # as solve_beam, down to _BOUNDARY_TOL below P_STRAIGHT
+    for p in (P_STRAIGHT, P_STRAIGHT - 5e-13, P_STRAIGHT - 1e-12):
+        st = state_at(radial_spec, p)
+        assert [x.hex() for x in st] == [x.hex() for x in (p, 0.0, 238.0, 0.0, 0.0)], p
 
 
 def test_state_is_exactly_the_arch_decomposition(radial_spec, planar_spec):
