@@ -44,9 +44,20 @@ class TendonFit(namedtuple("TendonFit", "a b eps0 rms_residual")):
     b             exponential rate, dimensionless
     eps0          bedding-in strain offset from the first cycle
     rms_residual  N, over the data actually fitted
+
+    Each field is stored as a Python float whatever real type it was given
+    as; a str, bytes or bool is a DomainError.
     """
 
     __slots__ = ()
+
+    def __new__(cls, a, b, eps0, rms_residual):
+        if not type(a) is type(b) is type(eps0) is type(rms_residual) is float:
+            a, b, eps0 = _real("a", a), _real("b", b), _real("eps0", eps0)
+            rms_residual = _real("rms_residual", rms_residual)
+        return tuple.__new__(cls, (a, b, eps0, rms_residual))
+
+    _make = classmethod(_make)  # namedtuple's own, and so _replace, skips __new__
 
 
 class HysteresisParams(namedtuple("HysteresisParams", "c r rms_residual", defaults=(0.0,))):

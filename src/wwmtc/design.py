@@ -22,8 +22,10 @@ that does once the work that does not depend on n, the same loop for
 search and for infeasibility_report, which makes no call when no count
 is undecided.  The loop also moves each end of an L-interval to the
 outermost double that passes, by a walk of at most two doubles from the
-closed form; only a wider plateau, as where h0 is large next to n·L, goes
-to _snap's galloping search.
+closed form clamped into L_range; only a wider plateau, as where h0 is
+large next to n·L, goes to _snap's galloping search.  A count is feasible
+iff some double of L_range passes every margin as _slack computes it: the
+closed forms only say where to look.
 
 The Carlson pass at p_cap, beam._shape_at, gives ĥ and ŵ, and every
 result's achieved values scale from it by the result's L.  beam caches it,
@@ -50,11 +52,11 @@ from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _FLOAT_INT_LIMIT, _check_
                      _float_overflow, _is_integer)
 
 # the widest n_range searched.  A search holds a result or report entry and
-# its output line for every arch count until it returns: ~5 µs and ~0.3 kB
+# its output line for every arch count until it returns: ~2.7 µs and ~0.3 kB
 # each on a 2-vCPU x86 host, most of it the binding constraint of each
-# infeasible count, so a full-width design search takes ~5 s and ~0.3 GB
-# (design search over [1, 10**6] on tests/data/constraints.json, one fresh
-# process: 4.6-5.4 s and 315 MB peak RSS in five runs)
+# infeasible count, so a full-width design search takes ~3 s and ~0.3 GB
+# (design search over [1, 10**6] on tests/data/constraints.json, three fresh
+# processes with site: 2.73-2.75 s and 315 MB peak RSS)
 _MAX_ARCH_COUNTS = 10**6
 
 
@@ -232,11 +234,14 @@ def _intervals(limits: tuple[float, ...], L_range: tuple[float, float], counts,
     computed floor margin falls as L grows and no ceiling margin rises:
     each group passes on one side of a single boundary, and each end is
     moved to the outermost double that passes its group, with _slack's
-    expressions written out in the loop.  An end that passes walks outward
-    while the next double passes, one that fails walks inward until one
-    does, at most _WALK doubles either way; _snap, with the same checks as
-    predicates, settles an end that is further off.  So the ends are _snap's
-    doubles, found without its calls where they are within _WALK.
+    expressions written out in the loop.  Each walk starts from its closed
+    form clamped into L_range.  An end that passes walks outward while the
+    next double passes, one that fails walks inward until one does, at most
+    _WALK doubles either way; _snap, with the same checks as predicates,
+    settles an end that is further off.  So the ends are _snap's doubles,
+    found without its calls where they are within _WALK, and a count has an
+    interval iff they are in order: iff some double of L_range passes every
+    margin, whether or not the rounded closed-form ends cross.
     """
     nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
     L_min, L_max = L_range
@@ -268,8 +273,8 @@ def _intervals(limits: tuple[float, ...], L_range: tuple[float, float], counts,
         if u > 0.0:
             lo = max(lo, -a2 / (x * u))
         hi = min(hi_w, -a1 / -x)
-        if not lo <= hi:
-            continue
+        lo = lo if lo <= L_max else L_max  # the walks start inside L_range
+        hi = hi if hi >= L_min else L_min
         L = lo
         ok = (x * L + h0 - nat_lo >= 0.0 and x * L * u - min_stroke >= 0.0
               and L * w_unit - min_width >= 0.0)
@@ -394,24 +399,21 @@ def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
     max_width/ŵ), α = max(nat_lo − h0, min_stroke/u) and β = nat_hi − h0,
     n is feasible in real arithmetic iff the four slacks B − A, β − α,
     n·B − α and β − n·A are >= 0: iff the L-interval [max(A, α/n),
-    min(B, β/n)] is not empty.  _intervals departs from that by rounding:
-      - it finds no interval when its rounded ends cross, and each is within
-        1.5·_EPS, relative, of its real value: (nat − h0)/n,
-        min_stroke/(n·u) or width/ŵ;
-      - else it finds one iff a double L in L_range passes every
-        rounded margin, and where n·L <= β these are within _EPS·nat_hi of
-        the real ones for the natural length (n·L + h0 <= nat_hi),
-        1.5·_EPS·n·L for the stroke and _EPS·L / 2 for the width.
+    min(B, β/n)] is not empty.  _intervals departs from that by rounding
+    alone: it finds an interval iff a double L in L_range passes every
+    rounded margin.  Rounding is monotone, so each rounded margin passes on
+    one side of a single boundary, and next to its real end a margin is
+    within _EPS·nat_hi of the real one for the natural length (n·L + h0 <=
+    nat_hi), 1.5·_EPS·n·L for the stroke and _EPS·L / 2 for the width.
     So n is surely feasible if each lower end of the real interval is below
     each upper end by more than the errors of their margins, taken in L,
-    plus 0.5·_EPS of the upper end (L rounded to a double), and by more
-    than 3·_EPS of it (the rounded ends in order): some double between them
-    then passes.  It
-    is surely infeasible if a lower end is above an upper end by more than
-    1.5·_EPS·(|lower| + |upper|): the rounded ends cross.  Each tolerance
-    below is at least four times the larger of these two bounds on its
-    slack; the excess covers the roundings of A, B, α, β and of the
-    thresholds in n solved from them, under 3·_EPS of their operands.
+    plus 0.5·_EPS of the upper end (L rounded to a double): some double
+    between them then passes.  It is surely infeasible if a lower end is
+    above an upper end by more than the errors of their margins, taken in
+    L: no double passes both.  Each tolerance below is at least four times
+    this bound on its slack; the excess covers the roundings of A, B, α, β
+    and of the thresholds in n solved from them, under 3·_EPS of their
+    operands.
 
     B − A and β − α do not depend on n, n·B − α rises with it and β − n·A
     falls, so maybe and sure are runs of n: holes in n are possible only

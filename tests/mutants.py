@@ -1,0 +1,138 @@
+"""Mutation checks: does each listed fault fail the tests named for it?
+
+Each mutant is an exact-string edit of one file of the package, the test
+files that should kill it, and what is expected of it: ``killed`` (a test
+fails against it) or ``survived`` (an open gap: no test sees it yet, and
+``note`` says what is missing).
+
+For each mutant the script copies ``src`` and ``tests`` to a temporary
+directory, applies the edit there and runs pytest on the named files,
+stopping at the first failure; a failing run kills the mutant.  The
+working tree is never edited.  It prints one line per mutant and exits 1
+when a mutant comes out other than expected, or its edit no longer applies.
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py NAME ...    # the named ones
+    python tests/mutants.py --list
+
+Standard library only, and not collected by pytest (the file name does not
+start with ``test_``).  A mutant takes ~2-30 s, one at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "name path old new tests expect note")
+
+MUTANTS = [
+    Mutant("design-crossing-shortcut", "src/wwmtc/design.py",
+           "        lo = lo if lo <= L_max else L_max  # the walks start inside L_range\n"
+           "        hi = hi if hi >= L_min else L_min\n",
+           "        if not lo <= hi:\n            continue\n",
+           ["tests/test_design.py", "tests/test_cli.py"], "killed",
+           "drops a count whose rounded closed-form ends cross although a double "
+           "passes: test_touching_sets_are_feasible and the CLI repro"),
+    Mutant("design-bindings-strict-first-skip", "src/wwmtc/design.py",
+           "if nat - nat_lo <= best or nat_hi - nat <= best:",
+           "if nat - nat_lo < best or nat_hi - nat < best:",
+           ["tests/test_design.py"], "killed",
+           "sends a tie to the later candidate: the rounding-plateau case of "
+           "test_bindings_are_the_maximin_at_ties"),
+    Mutant("actuators-tendonfit-without-real", "src/wwmtc/actuators.py",
+           '            a, b, eps0 = _real("a", a), _real("b", b), _real("eps0", eps0)\n'
+           '            rms_residual = _real("rms_residual", rms_residual)\n',
+           "            pass\n",
+           ["tests/test_actuators.py", "tests/test_values.py"], "killed",
+           "keeps a str or bool field: test_tendon_fit_numbers_are_floats"),
+    Mutant("design-counts-tol-zero", "src/wwmtc/design.py",
+           "tol = 16 * _EPS * (nat_hi + h0 + alpha) + _TINY",
+           "tol = 0.0",
+           ["tests/test_design.py"], "killed",
+           "decides counts within rounding of a threshold in n: the touching sets"),
+    Mutant("design-counts-tol_L-zero", "src/wwmtc/design.py",
+           "tol_L = 16 * _EPS * (A + B) + _TINY",
+           "tol_L = 0.0",
+           ["tests/test_design.py"], "killed",
+           "decides counts where the width bounds meet within rounding: the touching sets"),
+    Mutant("design-counts-tol_L-2eps", "src/wwmtc/design.py",
+           "tol_L = 16 * _EPS * (A + B) + _TINY",
+           "tol_L = 2 * _EPS * (A + B) + _TINY",
+           ["tests/test_design.py"], "survived",
+           "below the 4x headroom _counts' docstring claims, above the rounding bound"),
+    Mutant("design-counts-tol-1eps", "src/wwmtc/design.py",
+           "tol = 16 * _EPS * (nat_hi + h0 + alpha) + _TINY",
+           "tol = 1 * _EPS * (nat_hi + h0 + alpha) + _TINY",
+           ["tests/test_design.py"], "survived",
+           "below the 4x headroom _counts' docstring claims"),
+    Mutant("actuators-rank-tol-halved", "src/wwmtc/actuators.py",
+           "_RANK_TOL = 2.0 * math.ulp(1.0)",
+           "_RANK_TOL = 1.0 * math.ulp(1.0)",
+           ["tests/test_actuators.py"], "survived",
+           "no test sits between np.polyfit's rank threshold and half of it"),
+    Mutant("svgplot-seven-ticks", "src/wwmtc/svgplot.py",
+           "def _nice_ticks(lo: float, hi: float, target: int = 6)",
+           "def _nice_ticks(lo: float, hi: float, target: int = 7)",
+           ["tests/test_cli.py"], "survived",
+           "the goldens' axes come out with the same ticks"),
+]
+
+
+def run(mutant: Mutant) -> str:
+    """killed, survived, stale (the edit does not apply exactly once) or
+    error (pytest found no tests, or was called wrongly)."""
+    with tempfile.TemporaryDirectory(prefix="wwmtc-mutant-") as tmp:
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp, part), ignore=ignore)
+        target = Path(tmp, mutant.path)
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "stale"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src")), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    if proc.returncode in (4, 5):
+        return "error"
+    return "survived" if proc.returncode == 0 else "killed"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [known[name] for name in args.names] or MUTANTS
+    if args.list:
+        for m in chosen:
+            print(f"{m.name:36} {m.expect:10} {m.note}")
+        return 0
+    unexpected = 0
+    for m in chosen:
+        start = time.perf_counter()
+        status = run(m)
+        mark = "" if status == m.expect else "  <- expected " + m.expect
+        unexpected += bool(mark)
+        print(f"{status:9} {m.name:36} {time.perf_counter() - start:6.1f} s{mark}", flush=True)
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

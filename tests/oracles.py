@@ -36,11 +36,13 @@ forward model (``state_at`` and ``natural_length``) and never uses the
 affine form of the margins that ``wwmtc.design`` solves.
 ``oracle_search`` and ``oracle_report`` are ``wwmtc.design.search`` and
 ``infeasibility_report`` without the closed form in n: one ``_interval``
-per arch count of ``n_range``, with none of ``design._intervals``'
-hoisting, each end found by bisection over the bit patterns of all of
-``L_range`` rather than from its closed form as ``design._intervals``
-and its fallback ``design._snap`` do, and one ``binding_maximin`` per infeasible
-one, the maximin as ``max(candidates, key=min)`` over every candidate's
+per arch count of ``n_range`` and one ``binding_maximin`` per infeasible
+one.  ``_interval`` holds no closed form at all: it bisects the margins
+that rise with L and those that fall over the bit patterns of all of
+``L_range``, so a count is feasible there iff some double passes every
+margin, the one rule that ``design._intervals`` applies from its
+closed-form ends and its fallback ``design._snap``.  ``binding_maximin``
+is the maximin as ``max(candidates, key=min)`` over every candidate's
 margins, with none of ``design._bindings``' hoisting or early drops.
 ``_results`` builds the results with the named tuples' own constructors.
 
@@ -367,30 +369,19 @@ def _first_pass(passes, lo: int, hi: int) -> int:
 
 def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
               h_unit: float, w_unit: float) -> tuple[float, float] | None:
-    """Feasible L-interval of arch count n, or None when it has none.
+    """Feasible L-interval of arch count n, or None when it has none: the
+    doubles of L_range that pass every margin as _slack computes it.
 
-    Margin i is a_i + b_i·L: a positive slope b_i bounds L from below at
-    -a_i / b_i, a negative one from above.  Where these closed-form ends
-    cross there is no interval.  Otherwise each end is found by bisection
-    over the bit patterns of all of L_range, not from its closed form: the
-    least double that passes the margins rising with L and the greatest
-    that passes the falling ones.
+    Each end is found by bisection over bit patterns, from no closed form:
+    the greatest double of L_range that passes the margins falling with L,
+    then the least double up to it that passes the rising ones.
     """
-    L_min, L_max = L_range
-    a = _slack(limits, n, 0.0, h_unit, w_unit)  # intercepts at L = 0
-    b = _slopes(n, h_unit, w_unit)
-    lo, hi = L_min, L_max
-    for a_i, b_i in zip(a, b):
-        if b_i > 0.0:
-            lo = max(lo, -a_i / b_i)
-        elif b_i < 0.0:
-            hi = min(hi, -a_i / b_i)
-        elif a_i < 0.0:
-            return None
-    if not lo <= hi:
-        return None
     # margins that rise with L bound it from below, falling ones from above,
-    # with the signs of _slopes for every n >= 1, h_unit < 1 and w_unit > 0
+    # as the signs of _slopes give them; a flat margin passes at every L or
+    # at none, and where ĥ rounds above 1 the stroke fails at every L > 0.
+    # Up to the greatest L that passes the natural length max, n·L is finite:
+    # past it, at ĥ = 1, the stroke n·L·0 would be NaN and fail
+    L_min, L_max = L_range
     nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
 
     def above_floor(L: float) -> bool:
@@ -401,9 +392,9 @@ def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
     def above_ceiling(L: float) -> bool:
         return not (nat_hi - (n * L + h0) >= 0.0 and max_width - L * w_unit >= 0.0)
 
-    first, last = _bits(L_min), _bits(L_max)
-    lo = _first_pass(above_floor, first, last)
-    hi = _first_pass(above_ceiling, first, last) - 1
+    first = _bits(L_min)
+    hi = _first_pass(above_ceiling, first, _bits(L_max)) - 1
+    lo = _first_pass(above_floor, first, hi)
     if lo <= hi:  # else one group passes nowhere, or the two do not meet
         return _double(lo), _double(hi)
     return None

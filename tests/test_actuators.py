@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 
 from conftest import DATA_DIR, GOLDEN_DIR
+from test_muscle import REAL_TYPES
 from synth import (
     TENDON_TRUE,
     WINCH_TRUE,
@@ -131,6 +132,26 @@ def test_tendon_fit_reaches_the_optimum(seed):
     assert abs(fit.rms_residual - lm.rms_residual) <= 4 * math.ulp(lm.rms_residual)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fields=st.tuples(st.floats(0.1, 100.0), st.floats(0.5, 50.0), st.floats(0.0, 0.1),
+                        st.floats(0.0, 1.0)),
+       kinds=st.lists(st.sampled_from(list(REAL_TYPES)), min_size=4, max_size=4),
+       strain=st.floats(0.0, 0.2))
+def test_tendon_fit_numbers_are_floats(fields, kinds, strain):
+    # the rule of the other value types: a real field of any type is stored
+    # as its float, and a str or bool is a DomainError.  TendonFit("1", "2",
+    # "3", "4") used to construct, and tendon_load on it raised a bare TypeError
+    given_fields = [REAL_TYPES[kind](x) for kind, x in zip(kinds, fields)]
+    if any(kind in ("str", "bool") for kind in kinds):
+        with pytest.raises(DomainError, match="must be a real number"):
+            TendonFit(*given_fields)
+        return
+    fit = TendonFit(*given_fields)
+    plain = TendonFit(*map(float, given_fields))
+    assert all(type(v) is float for v in fit) and fit == plain
+    assert tendon_load(fit, strain) == tendon_load(plain, strain)
+
+
 @pytest.mark.filterwarnings("error")  # numpy's cast of a NaN cycle used to warn
 def test_tendon_input_validation():
     with pytest.raises(InsufficientDataError):
@@ -141,6 +162,12 @@ def test_tendon_input_validation():
     with pytest.raises(InsufficientDataError):
         # all samples in the first cycle: nothing left to fit
         fit_tendon(np.linspace(0, 0.1, 20), np.linspace(0, 5, 20), np.zeros(20, int))
+    with pytest.raises(InsufficientDataError, match="3 post-first-cycle samples, got 2"):
+        fit_tendon(np.linspace(0, 0.1, 10), np.linspace(0, 5, 10), [0] * 8 + [1] * 2)
+    for strain, load, cycle in ((np.zeros(10), np.zeros(9), np.zeros(10)),
+                                (np.zeros((2, 10)), np.zeros((2, 10)), np.zeros((2, 10)))):
+        with pytest.raises(DomainError, match="equal-length 1-D"):
+            fit_tendon(strain, load, cycle)
 
     # a NaN strain or load used to stall the fit, and a cycle that is not a
     # whole int64 was cast to one: NaN, inf and 1e300 to INT64_MIN, which
@@ -284,8 +311,9 @@ def test_winch_simulate_validation():
                  (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(DomainError):
             simulate_winch(HysteresisParams(c=c, r=r), [0.0])
-    with pytest.raises(DomainError):
-        simulate_winch(WINCH_TRUE, [])
+    for currents in ([], np.zeros((2, 3))):
+        with pytest.raises(DomainError, match="nonempty 1-D"):
+            simulate_winch(WINCH_TRUE, currents)
     # float() would parse the strings, and take the bool as 1
     for c, r in (("20", "1"), (True, 0.0)):
         with pytest.raises(DomainError, match="gain c"):
@@ -364,6 +392,29 @@ def test_winch_fit_rejects_what_polyfit_rejects(currents, tensions, error):
         oracles.fit_winch_polyfit(currents, tensions)
     with pytest.raises(error):
         fit_winch(currents, tensions)
+
+
+SWEEP = [0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("currents, tensions, raised_in, message", [
+    ([1e-150 * i for i in SWEEP], [1e160 * i for i in SWEEP], "_line",
+     "the fitted line overflows"),
+    (SWEEP, [0.0, 1.0, 2.0, 3.0, 0.0, -1.6e308, -1e307], "fit_winch",
+     "the gap between the branches overflows"),
+    # each squared residual is finite, and their sum is not
+    (SWEEP, [1.2e154, 1.2e154, 2.0, 3.0, 1.2e154, 1.0, 0.0], "fit_winch",
+     "intermediate overflow in fsum"),
+    (SWEEP, [2e154, 2e154, 2.0, 3.0, 1.0, 1.0, 0.0], "fit_winch",
+     "the replay residual overflows"),
+], ids=["line", "gap", "residual-sum", "residual-square"])
+def test_winch_fit_overflow_guards(currents, tensions, raised_in, message):
+    # every overflow guard of the fit is reached by finite data, each past
+    # the checks before it
+    with pytest.raises(DomainError, match="past the range or precision of doubles") as info:
+        fit_winch(currents, tensions)
+    assert str(info.value).endswith(message)
+    assert info.traceback[-1].name == raised_in
 
 
 def test_winch_fit_golden_is_the_exact_fit():

@@ -369,6 +369,24 @@ def test_design_search(tmp_path, capsys):
     check_golden("design_search.csv", out_csv.read_bytes())
 
 
+def test_design_search_keeps_counts_whose_margins_touch_zero(tmp_path, capsys):
+    # at n = 2, L = 1.01 the natural length max and the stroke read exactly
+    # 0.0 and every margin passes, but the rounded closed-form ends of the
+    # L-interval cross: a count is feasible iff some double passes, so both
+    # n = 1 and n = 2 are results
+    cons = tmp_path / "touching.json"
+    cons.write_text(json.dumps({
+        "natural_length_range_mm": [0.0, 24.02], "min_stroke_mm": 0.6158746219641209,
+        "max_width_at_full_mm": 1000.0, "h0_mm": 22.0, "n_range": [1, 3],
+        "L_range_mm": [1.0, 100.0]}))
+    code, out, err = run(["design", "search", "--constraints", str(cons), "--p-cap", "0.97"],
+                         capsys)
+    assert code == 0
+    assert [(r["spec"]["n"], r["L_interval_mm"]) for r in json.loads(out)] == [
+        (2, [1.01, 1.0100000000000005]), (1, [2.02, 2.020000000000001])]
+    assert err == "n=3: infeasible, binding constraint natural_length_max\n"
+
+
 # --- tendon / winch -------------------------------------------------------------------
 
 def test_tendon_fit(capsys):
@@ -456,6 +474,7 @@ def assert_bad_input(code: int, err: str) -> None:
     ("L_mm", "null"),
     ("n", "8.7"),
     ("n", "true"),
+    ("L_mm", "1" + "0" * 400),  # an int past the largest double
 ])
 def test_muscle_spec_rejects_bad_field(tmp_path, capsys, field, text):
     spec = tmp_path / "spec.json"

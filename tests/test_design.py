@@ -471,11 +471,57 @@ def test_closed_form_matches_the_scan_at_its_edges(case, p_cap):
 
 @pytest.mark.parametrize("p_cap", [np.nextafter(P_STRAIGHT, 1.0), P_STRAIGHT + 1e-12])
 def test_closed_form_matches_the_scan_next_to_the_straight_end(p_cap):
-    # ĥ rounds to 1, and ŵ to 0 or to ~2e-12: every count is undecided
+    # ĥ rounds to 1, and ŵ to 0 or to ~2e-12: every count is undecided.  In
+    # the last set L = 1 passes, and above L ~ 1.6e7, where n·L overflows,
+    # the stroke n·L·0 is NaN at ĥ = 1
     fixture = radial_roundtrip_constraints()
     for cons in (fixture, fixture._replace(min_stroke=0.0),
-                 fixture._replace(min_stroke=0.0, max_width_at_full=1e-13, n_range=(1, 30))):
+                 fixture._replace(min_stroke=0.0, max_width_at_full=1e-13, n_range=(1, 30)),
+                 DesignConstraints(natural_length_range=(0.0, 1.7e308), min_stroke=0.0,
+                                   max_width_at_full=1e300, h0=0.0,
+                                   n_range=(2**1000, 2**1000), L_range=(1.0, 1.7e308))):
         assert_matches_the_scan(cons, float(p_cap))
+
+
+@st.composite
+def touching_sets(draw) -> tuple[DesignConstraints, int, float, float]:
+    """(constraints, n, L, p_cap) where some margins of n at L read exactly 0.0
+    as _slack computes them and none is negative: the tight designs, width at
+    the ceiling or stroke at the floor, where the rounded closed-form ends of
+    the L-interval may cross although L passes."""
+    p_cap = draw(st.one_of(st.sampled_from([*P_CAPS, math.nextafter(P_STRAIGHT, 1.0)]),
+                           st.floats(math.nextafter(P_STRAIGHT, 1.0), beam.P_MAX)))
+    _, h_unit, w_unit = design._units(p_cap)
+    n = draw(st.integers(1, 1000))
+    L = draw(st.floats(0.01, 100.0))
+    h0 = draw(st.sampled_from([0.0, 22.0, 1e6]) | st.floats(0.0, 50.0))
+    nat, stroke, width = n * L + h0, n * L * (1.0 - h_unit), L * w_unit  # _slack's doubles
+    touch = draw(st.lists(st.booleans(), min_size=5, max_size=5))
+    gaps = draw(st.lists(st.floats(0.0, 10.0), min_size=5, max_size=5))
+    cons = DesignConstraints(
+        natural_length_range=(nat if touch[0] else max(0.0, nat - gaps[0]),
+                              nat if touch[1] else nat + gaps[1]),
+        min_stroke=stroke if touch[2] else max(0.0, stroke - gaps[2]),
+        max_width_at_full=width if touch[3] else width + gaps[3],
+        min_width_at_full=width if touch[4] else max(0.0, width - gaps[4]),
+        h0=h0, n_range=(max(1, n - draw(st.integers(0, 3))), n + draw(st.integers(0, 3))),
+        L_range=(draw(st.sampled_from([L, L / 2, 1e-3])), draw(st.sampled_from([L, 2 * L]))))
+    return cons, n, L, p_cap
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(touching_sets())
+def test_touching_sets_are_feasible(case):
+    # an arch count is feasible iff some double of L_range passes every
+    # margin: no closed-form shortcut may drop it where the margins touch 0
+    cons, n, L, p_cap = case
+    _, h_unit, w_unit = design._units(p_cap)
+    assert min(_slack(_limits(cons), n, L, h_unit, w_unit)) >= 0.0
+    results = search(cons, p_cap)
+    assert [res.L_interval[0] <= L <= res.L_interval[1]
+            for res in results if res.spec.n == n] == [True], cons
+    assert results == oracle_search(cons, p_cap)
+    assert infeasibility_report(cons, p_cap) == oracle_report(cons, p_cap)
 
 
 def at_a_tie(case: str, p_cap: float) -> DesignConstraints:
@@ -513,13 +559,23 @@ def at_a_tie(case: str, p_cap: float) -> DesignConstraints:
                                  min_stroke=0.0 if flat_width else 1.0, max_width_at_full=5.0,
                                  min_width_at_full=1.0 if flat_width else 0.0, h0=0.0,
                                  n_range=(1, 12), L_range=(9.0, 20.0))
+    if case == "rounding-plateau":
+        # where h0 = 2**52, n·L + h0 rounds to whole numbers.  For n = 1 the
+        # stroke reads -1 at L_min, the natural length max -1 at L_max and
+        # at the crossing of the two, where the stroke is larger: a tie
+        # that names min_stroke, since L_min comes first
+        u = 1.0 - h_unit
+        K = math.floor(2.5 / u) if u > 0.0 else 8  # L_min·u in [2, 3): the +1 is exact
+        return DesignConstraints(
+            natural_length_range=(2.0**52 + K, 2.0**52 + K), min_stroke=(K + 0.4) * u + 1.0,
+            max_width_at_full=1e6, h0=2.0**52, n_range=(1, 3), L_range=(K + 0.4, K + 1.1))
     if case == "overflowing-margins":  # n·L is inf: margins are ±inf, or NaN at ĥ = 1
         return fixture._replace(n_range=(2**1023 - 3, 2**1023 + 3), L_range=(1e307, 1.7e308))
     raise ValueError(case)
 
 
 TIES = ["one-point-L-range", "crossings-at-both-ends", "three-margins-through-one-point",
-        "flat-width-margin", "flat-stroke-margin", "overflowing-margins"]
+        "flat-width-margin", "flat-stroke-margin", "rounding-plateau", "overflowing-margins"]
 
 
 @pytest.mark.parametrize("p_cap", P_CAPS)

@@ -21,6 +21,7 @@ from wwmtc.muscle import (DeformationCurve, MuscleSpec, MuscleState, curve, leng
 
 SPEC = MuscleSpec(8, 27.0, 22.0)
 PARAMS = HysteresisParams(c=20.0, r=5.0, rms_residual=0.25)
+FIT = TendonFit(a=1.5, b=20.0, eps0=0.01, rms_residual=0.125)
 STATE = MuscleState(p=0.85, width=7.5, length=200.25, contraction=37.75, psi0=0.5)
 ACHIEVED = AchievedMetrics(natural_length=238.0, stroke=66.5, width_at_full=17.0)
 CONSTRAINTS = DesignConstraints(natural_length_range=(237.2, 238.8), min_stroke=65.5,
@@ -118,6 +119,10 @@ def test_value_type_semantics(value, text, fields):
     (PARAMS, "rms_residual", b"0.25"),
     (PARAMS, "r", np.False_),
     (PARAMS, "rms_residual", None),
+    (FIT, "a", "1"),
+    (FIT, "b", True),
+    (FIT, "eps0", np.True_),
+    (FIT, "rms_residual", None),
     # past the largest double: float arithmetic on the count would overflow
     pytest.param(SPEC, "n", 2**1024 - 2**970, id="spec-n-float-overflow"),
     pytest.param(SPEC, "n", 10**5000, id="spec-n-too-many-digits-for-repr"),
@@ -155,8 +160,8 @@ def test_hysteresis_params_are_floats(number):
         assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("value", [SPEC, CONSTRAINTS, PARAMS],
-                         ids=["MuscleSpec", "DesignConstraints", "HysteresisParams"])
+@pytest.mark.parametrize("value", [SPEC, CONSTRAINTS, PARAMS, FIT],
+                         ids=["MuscleSpec", "DesignConstraints", "HysteresisParams", "TendonFit"])
 def test_make_refuses_a_wrong_field_count_as_namedtuple_does(value):
     # _make used to call cls(*iterable), which filled in the defaults that
     # namedtuple's own _make refuses to
