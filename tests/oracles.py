@@ -20,10 +20,10 @@ shooting residual a single bracketed root.
 
 ``ellip_*_quadrature`` are the elliptic-kernel oracles: adaptive Simpson
 quadrature of the defining integrals, with no Carlson forms.
-``beam_reference`` evaluates the closed-form arch solution from its
+``arch_reference`` evaluates the closed-form arch solution from its
 definition, K - F(phi1) and E - E(phi1), at 40 significant digits with
-mpmath; it shares no formula or rounding with the single Carlson pass of
-``wwmtc.beam.solve_beam``.
+mpmath, and ``beam_reference`` rounds it to doubles; they share no formula
+or rounding with the single Carlson pass of ``wwmtc.beam.solve_beam``.
 
 ``arch_gap`` evaluates g = sqrt(1 - h/L) from the same definition as a
 function of t = -log(1 - p), the variable in which
@@ -224,27 +224,35 @@ def ellip_e_complete_quadrature(p: float, tol: float = 1e-12) -> float:
     return ellip_e_quadrature(HALF_PI, p, tol)
 
 
-def beam_reference(L: float, p: float) -> tuple[float, float, float]:
-    """(h, w, k) of ``solve_beam(L, p)`` from the definition, at 40 digits.
+def arch_reference(L: float, p: float, dps: int = 40) -> tuple:
+    """(h, w, k, psi0) of ``solve_beam(L, p)`` from the definition, as mpfs.
 
     Evaluates phi1 = asin(1/(sqrt(2) p)), kL = K(p) - F(phi1, p) and
-    E(p) - E(phi1, p) in 40-digit arithmetic, so the cancellation of both
-    differences next to the straight end costs nothing at double precision.
-    L and p are taken exactly as the doubles given.  A p at or below the
-    exact 1/sqrt(2), such as the double P_STRAIGHT, is the straight strip
-    (L, 0, 0).
+    E(p) - E(phi1, p) at dps digits, so the cancellation of both
+    differences next to the straight end costs nothing at double precision,
+    and psi0 = asin(2 p^2 - 1), exact in q for a double p.  L and p are
+    taken exactly as the doubles given.  A p at or below the exact
+    1/sqrt(2), such as the double P_STRAIGHT, is the straight strip
+    (L, 0, 0, 0).  The mpfs keep dps digits for arithmetic at that
+    precision, as tests/test_golden_accuracy.py does with them.
     """
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         L, p = mpmath.mpf(L), mpmath.mpf(p)
         m = p * p
         if 2 * m - 1 <= 0:
-            return float(L), 0.0, 0.0
+            return L, mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
         phi1 = mpmath.asin(1 / (mpmath.sqrt(2) * p))
         kL = mpmath.ellipk(m) - mpmath.ellipf(phi1, m)
         dE = mpmath.ellipe(m) - mpmath.ellipe(phi1, m)
         h = L * mpmath.sqrt(2 * (2 * m - 1)) / kL
         w = L * (kL - 2 * dE) / kL
-        return float(h), float(w), float(kL / L)
+        return h, w, kL / L, mpmath.asin(2 * m - 1)
+
+
+def beam_reference(L: float, p: float) -> tuple[float, float, float]:
+    """(h, w, k) of ``solve_beam(L, p)`` from the definition at 40 digits,
+    each rounded once to a double: arch_reference's first three."""
+    return tuple(float(x) for x in arch_reference(L, p)[:3])
 
 
 def arch_gap(t, dps: int = 40):
