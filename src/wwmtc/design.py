@@ -8,7 +8,7 @@ each integer arch count n the feasible set is therefore one interval, the
 intersection of at most five half-lines with L_range, computed directly.
 When it is empty, the binding constraint is read off at the exact maximin
 of the margins.  The whole search is a pure deterministic function of its
-inputs; the only state it keeps is beam's cache of the Carlson pass at
+inputs; the only state it keeps is beam's cache of the arch shape at
 p_cap.
 
 The feasible arch counts have a closed form too: in real arithmetic n is
@@ -27,10 +27,11 @@ large next to n·L, goes to _snap's galloping search.  A count is feasible
 iff some double of L_range passes every margin as _slack computes it: the
 closed forms only say where to look.
 
-The Carlson pass at p_cap, beam._shape_at, gives ĥ and ŵ, and every
-result's achieved values scale from it by the result's L.  beam caches it,
-so a process makes one pass per cap: design search on the command line
-calls search and then infeasibility_report, and the report makes none.
+beam's forward table at p_cap, beam._shape_at, gives ĥ and ŵ, and every
+result's achieved values scale from them by the result's L.  beam caches
+them, so a process evaluates the table once per cap: design search on the
+command line calls search and then infeasibility_report, and the report
+evaluates nothing.
 The binding constraint is computed only where it is returned, by
 infeasibility_report, in one loop over the infeasible counts, _bindings,
 which does once the work that does not depend on n; search does not
@@ -446,32 +447,31 @@ def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
     return maybe, sure if sure else maybe[:0]
 
 
-def _units(p_cap: float) -> tuple[tuple[float, ...], float, float]:
-    """The Carlson pass at p_cap, cached by beam._shape_at, and from it
-    ĥ and ŵ: solve_beam(1.0, p_cap)'s h and w, the same doubles, as 1.0 * x is x."""
-    shape = _shape_at(_check_p_cap(p_cap))
-    sp, rf, num, F2, _ = shape
-    return shape, sp / rf, num / F2
+def _units(p_cap: float) -> tuple[float, float]:
+    """ĥ and ŵ at p_cap from beam's table, cached by beam._shape_at:
+    solve_beam(1.0, p_cap)'s h and w, the same doubles, as 1.0 * x is x."""
+    h_unit, w_unit, _, _ = _shape_at(_check_p_cap(p_cap))
+    return h_unit, w_unit
 
 
-def _results(constraints: DesignConstraints, shape, found) -> list[DesignResult]:
+def _results(constraints: DesignConstraints, h_unit: float, w_unit: float,
+             found) -> list[DesignResult]:
     """One result per (n, L-interval) of found, sorted as search returns them.
 
     Each achieved value is state_at's at p_cap on the result's spec, the
-    same doubles: muscle._state's expressions on beam._shape's pass at
-    p_cap, written out, since a _state call per result made a search of 34
+    same doubles: muscle._state's expressions on ĥ = h_unit and ŵ = w_unit,
+    written out, since a _state call per result made a search of 34
     results ~7 % slower.  Rows sort as plain tuples, by width and then n,
     which no two rows share.  DesignResult and AchievedMetrics check
     nothing, so they are built by tuple.__new__, without the frame of
     namedtuple's __new__.
     """
-    sp, rf, num, F2, _ = shape
     h0, kind = constraints.h0, constraints.kind
     rows = []
     for n, (lo, hi) in found:
         L = 0.5 * (lo + hi)
         natural = n * L + h0
-        rows.append((L * num / F2, n, L, natural, natural - (n * (sp * L / rf) + h0), lo, hi))
+        rows.append((L * w_unit, n, L, natural, natural - (n * (L * h_unit) + h0), lo, hi))
     rows.sort()
     new = tuple.__new__
     return [new(DesignResult, (MuscleSpec(n, L, h0, kind),
@@ -488,15 +488,16 @@ def search(constraints: DesignConstraints,
     and a spec at its midpoint.  Results are sorted by achieved width at
     full contraction (ascending: gentlest expansion first), ties broken by
     (n, L).  An empty list is a valid outcome.  Deterministic for identical
-    inputs.  p_cap obeys the same rule as in muscle.curve.  One Carlson
-    pass, none when the process has made it at the same p_cap; the binding
-    constraints of the infeasible arch counts are not computed (see
-    infeasibility_report).
+    inputs.  p_cap obeys the same rule as in muscle.curve.  One evaluation
+    of beam's forward table, none when the process has made it at the same
+    p_cap; the binding constraints of the infeasible arch counts are not
+    computed (see infeasibility_report).
     """
-    shape, h_unit, w_unit = _units(p_cap)
+    h_unit, w_unit = _units(p_cap)
     limits, L_range = _limits(constraints), constraints.L_range
     maybe, _ = _counts(limits, L_range, constraints.n_range, h_unit, w_unit)
-    return _results(constraints, shape, _intervals(limits, L_range, maybe, h_unit, w_unit))
+    found = _intervals(limits, L_range, maybe, h_unit, w_unit)
+    return _results(constraints, h_unit, w_unit, found)
 
 
 def infeasibility_report(constraints: DesignConstraints,
@@ -506,10 +507,11 @@ def infeasibility_report(constraints: DesignConstraints,
     The binding constraint is the smallest margin at the exact maximin of
     the margins over L_range, which names the requirement that cannot be
     met even at the most favorable L.  Its keys are exactly the arch counts
-    in n_range that ``search`` returns no result for.  Carlson passes as in
-    search, none after a search at the same p_cap, and no results are built.
+    in n_range that ``search`` returns no result for.  Table evaluations as
+    in search, none after a search at the same p_cap, and no results are
+    built.
     """
-    _, h_unit, w_unit = _units(p_cap)
+    h_unit, w_unit = _units(p_cap)
     limits, L_range, n_range = _limits(constraints), constraints.L_range, constraints.n_range
     maybe, sure = _counts(limits, L_range, n_range, h_unit, w_unit)
     undecided = range(maybe.start, sure.start), range(sure.stop, maybe.stop)

@@ -12,10 +12,10 @@ Width is the single-arch deflection taken literally, with no doubling for
 opposed arch pairs.
 
 The arch's shape depends on p alone, and w and h scale linearly with L.
-So a curve is a table over its p grid (num_samples, p_cap), one Carlson
-pass per sample, scaled by each spec's L.  The tables of the last four
-grids are kept, 40 bytes per sample: a curve on any of those grids makes
-no Carlson pass.
+So a curve is a table over its p grid (num_samples, p_cap), one
+evaluation of beam's forward table per sample, scaled by each spec's L.
+The tables of the last four grids are kept, 32 bytes per sample: a curve
+on any of those grids evaluates no shape.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import operator
 from array import array
 from collections import namedtuple
 
-from .beam import (P_MAX, P_STRAIGHT, _SQRT2, _check_shape_param, _height, _p_for_height,
-                   _shape)
+from .beam import P_MAX, P_STRAIGHT, _check_shape_param, _height, _p_for_height, _shape
 from .errors import DomainError, OutOfRangeError, _make, _real
 
 # Default contraction cap.  Beyond p ~ 0.97 the tip angle exceeds ~75 deg
@@ -130,45 +129,43 @@ def state_at(spec: MuscleSpec, p: float) -> MuscleState:
 
 
 def _state(n: int, L: float, h0: float, p: float, shape) -> MuscleState:
-    """The state at p from beam._shape's pass there: solve_beam's
-    expressions, scaled by L, stacked n times and offset by h0."""
-    sp, rf, num, F2, psi0 = shape
+    """The state at p from beam._shape there: solve_beam's expressions,
+    scaled by L, stacked n times and offset by h0."""
+    h_unit, w_unit, psi0, _ = shape
     natural = n * L + h0
-    length = n * (sp * L / rf) + h0
+    length = n * (L * h_unit) + h0
     # tuple.__new__ is MuscleState's own constructor without the Python
     # frame of namedtuple's __new__, which took half of a warm curve
-    return tuple.__new__(MuscleState, (p, L * num / F2, length, natural - length, psi0))
+    return tuple.__new__(MuscleState, (p, L * w_unit, length, natural - length, psi0))
 
 
 # Four entries.  A caller that checks the expansion at more than one
 # resolution alternates grids: a dense curve between a few coarse ones, on
 # one cap.  With one entry every coarse curve evicted the dense table, and
-# the next dense curve made all its Carlson passes again.  A table is 40 B
-# per sample, about a fifth of the curve drawn from it, and no more than
-# four are kept for the life of the process: 1.6 MB for four grids of
-# 10 000 samples.
+# the next dense curve evaluated all its shapes again.  A table is 32 B per
+# sample, about a sixth of the curve drawn from it, and no more than four
+# are kept for the life of the process: 1.3 MB for four grids of 10 000
+# samples.
 @functools.lru_cache(maxsize=4)
-def _grid(num_samples: int, p_cap: float) -> tuple[array, array, array, array, array]:
-    """The part of curve that depends on its grid alone: one Carlson pass
-    per sample past the straight strip.
+def _grid(num_samples: int, p_cap: float) -> tuple[array, array, array, array]:
+    """The part of curve that depends on its grid alone: beam._shape at
+    every sample.
 
-    Returns the p of every sample and beam._shape's rf,
-    F2 - 2 E2 + sqrt(2 q), F2 and psi0 at each, as columns, which every
-    curve on the grid shares and only reads.  A straight sample's p is
-    P_STRAIGHT exactly, where sqrt(2) p is 1.0, _STRAIGHT's sp.  For a
+    Returns the p of every sample and beam._shape's h/L, w/L and psi0 at
+    each, as columns, which every curve on the grid shares and only reads.
+    A straight sample's p is P_STRAIGHT exactly, where h/L is 1.0.  For a
     num_samples >= 2 and a float p_cap that _check_p_cap passed.
     """
     step = (p_cap - P_STRAIGHT) / (num_samples - 1)
     ps = array("d", [P_STRAIGHT + i * step for i in range(num_samples - 1)])
     ps.append(p_cap)
-    rfs, nums, F2s, psis = array("d"), array("d"), array("d"), array("d")
+    h_units, w_units, psis = array("d"), array("d"), array("d")
     for p in ps:
-        _, rf, num, F2, psi0 = _shape(p)
-        rfs.append(rf)
-        nums.append(num)
-        F2s.append(F2)
+        h_unit, w_unit, psi0, _ = _shape(p)
+        h_units.append(h_unit)
+        w_units.append(w_unit)
         psis.append(psi0)
-    return ps, rfs, nums, F2s, psis
+    return ps, h_units, w_units, psis
 
 
 def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> DeformationCurve:
@@ -178,24 +175,24 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
     Length decreases along the samples in exact arithmetic; neighbours can
     be equal doubles when p_cap is within rounding of P_STRAIGHT.  Each
     sample is state_at's at its p, the same doubles: _grid's table scaled
-    by L with _state's expressions.  One Carlson pass per sample but the
-    first, none when one of the last four grids (num_samples, p_cap) that
-    curves were drawn on is this one.
+    by L with _state's expressions.  One evaluation of beam's forward table
+    per sample but the first, none when one of the last four grids
+    (num_samples, p_cap) that curves were drawn on is this one.
     """
     # an integer has __index__, numpy's too; a bool has one but is < 2
     if not (hasattr(num_samples, "__index__") and num_samples >= 2):
         raise DomainError(f"num_samples={num_samples!r} must be an integer >= 2")
     p_cap = _check_p_cap(p_cap)
-    ps, rfs, nums, F2s, psis = _grid(operator.index(num_samples), p_cap)
+    ps, h_units, w_units, psis = _grid(operator.index(num_samples), p_cap)
     n, L, h0, _ = spec
     natural = n * L + h0
     # _state's expressions written out: a _state call per sample made a
     # warm curve ~40 % slower
     new = tuple.__new__
     samples = []
-    for p, rf, num, F2, psi0 in zip(ps, rfs, nums, F2s, psis):
-        length = n * (_SQRT2 * p * L / rf) + h0
-        samples.append(new(MuscleState, (p, L * num / F2, length, natural - length, psi0)))
+    for p, h_unit, w_unit, psi0 in zip(ps, h_units, w_units, psis):
+        length = n * (L * h_unit) + h0
+        samples.append(new(MuscleState, (p, L * w_unit, length, natural - length, psi0)))
     return DeformationCurve(spec, tuple(samples))
 
 
@@ -211,8 +208,8 @@ def length_range(spec: MuscleSpec, p_cap: float = DEFAULT_P_CAP) -> tuple[float,
     """Achievable [shortest, natural] muscle length under the given cap.
 
     The shortest length is n * h(p_cap) + h0, with h(p_cap) from the
-    Carlson pass that beam caches per p: one pass while p_cap is not in
-    the cache.
+    forward table value that beam caches per p: one evaluation while p_cap
+    is not in the cache.
     """
     lo, hi, _ = _ends(spec, _check_p_cap(p_cap))
     return lo, hi
@@ -227,13 +224,15 @@ def state_for_length(
     is outside [length at p_cap, natural length].  The arch height
     (length_target - h0) / n can round past [h(p_cap), L] at either end of
     that interval, and the inverse of h(p_cap) past p_cap, so both are
-    clamped.  p is beam's closed-form root, which makes no Carlson pass,
-    and the returned state is state_at's at that p, the same doubles, from
-    one pass (none at the natural length), plus the pass for h(p_cap)
-    while it is not cached.
+    clamped.  p is beam's closed-form root, and the returned state is
+    state_at's at that p, the same doubles, from one evaluation of beam's
+    forward table (none at the natural length, the straight strip),
+    plus the one for h(p_cap) while it is not cached.
     """
-    p_cap = _check_p_cap(p_cap)
+    # the type of every argument before any range, so that a str or bool
+    # is refused as one whatever the other argument is
     length_target = _real("length target", length_target)
+    p_cap = _check_p_cap(p_cap)
     lo, hi, h_cap = _ends(spec, p_cap)
     if not lo <= length_target <= hi:
         raise OutOfRangeError(

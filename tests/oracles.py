@@ -273,32 +273,43 @@ def arch_gap(t, dps: int = 40):
         return mpmath.sqrt(1 - mpmath.sqrt(2 * (2 * m - 1)) / kL)
 
 
-def root_coefficients(degree: int, u_lo: float, u_hi: float, dps: int = 40) -> tuple[float, ...]:
-    """Chebyshev interpolant of f(u) = (t* - t_S)(1 - u) / u on [u_lo, u_hi].
+def chebyshev_coefficients(f, degree: int, lo: float, hi: float,
+                           dps: int = 40) -> tuple[float, ...]:
+    """Chebyshev interpolant of f on [lo, hi], its coefficients rounded once.
 
-    t* is the root of arch_gap(t) = u and t_S = -log(1 - 1/sqrt(2)); the
+    f takes an mpf x in the interval and returns an mpf, at dps digits.  The
     interpolation points are the degree + 1 Chebyshev nodes of the first
-    kind on the interval.  Each root is bracketed between t_S and t(P_MAX)
-    and found at dps digits, and the coefficients are summed at dps digits
-    and rounded once.  c_0 carries the usual factor 1/2, so
-    f = sum c_k T_k((2 u - u_lo - u_hi) / (u_hi - u_lo)).
+    kind, which never fall on an end, and the coefficients are summed at dps
+    digits.  c_0 carries the usual factor 1/2, so
+    f = sum c_k T_k((2 x - lo - hi) / (hi - lo)).
     """
     n = degree + 1
     with mpmath.workdps(dps):
-        t_s = -mpmath.log(1 - 1 / mpmath.sqrt(2))
-        bracket = (t_s + mpmath.mpf(10) ** -dps, -mpmath.log1p(-mpmath.mpf(P_MAX)))
-        mid = (mpmath.mpf(u_lo) + mpmath.mpf(u_hi)) / 2
-        half = (mpmath.mpf(u_hi) - mpmath.mpf(u_lo)) / 2
+        mid = (mpmath.mpf(lo) + mpmath.mpf(hi)) / 2
+        half = (mpmath.mpf(hi) - mpmath.mpf(lo)) / 2
         angles = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
-        values = []
-        for a in angles:
-            u = mid + half * mpmath.cos(a)
-            t = mpmath.findroot(lambda t: arch_gap(t, dps) - u, bracket, solver="anderson")
-            values.append((t - t_s) * (1 - u) / u)
+        values = [f(mid + half * mpmath.cos(a)) for a in angles]
         return tuple(
-            float(sum(f * mpmath.cos(k * a) for f, a in zip(values, angles)) * (2 if k else 1) / n)
+            float(sum(v * mpmath.cos(k * a) for v, a in zip(values, angles)) * (2 if k else 1) / n)
             for k in range(n)
         )
+
+
+def root_coefficients(degree: int, u_lo: float, u_hi: float, dps: int = 40) -> tuple[float, ...]:
+    """Chebyshev interpolant of f(u) = (t* - t_S)(1 - u) / u on [u_lo, u_hi].
+
+    t* is the root of arch_gap(t) = u and t_S = -log(1 - 1/sqrt(2)).  Each
+    root is bracketed between t_S and t(P_MAX) and found at dps digits.
+    """
+    with mpmath.workdps(dps):
+        t_s = -mpmath.log(1 - 1 / mpmath.sqrt(2))
+        bracket = (t_s + mpmath.mpf(10) ** -dps, -mpmath.log1p(-mpmath.mpf(P_MAX)))
+
+    def f(u):
+        t = mpmath.findroot(lambda t: arch_gap(t, dps) - u, bracket, solver="anderson")
+        return (t - t_s) * (1 - u) / u
+
+    return chebyshev_coefficients(f, degree, u_lo, u_hi, dps)
 
 
 # The pieces of wwmtc.beam._ROOT_TABLE: the interval [0, _U_MAX] of
@@ -317,6 +328,12 @@ def root_table(u_max: float, dps: int = 40) -> tuple[tuple[float, float, tuple[f
                  for lo, hi in zip(edges, edges[1:]))
 
 
+def _format_coefficients(lines: list, coefficients, close: str) -> None:
+    for i in range(0, len(coefficients), 3):
+        lines.append("        " + " ".join(f"{c!r}," for c in coefficients[i:i + 3]))
+    lines.append(close)
+
+
 def format_root_table(table) -> str:
     """root_table's table as the Python literal of ``wwmtc.beam._ROOT_TABLE``:
     print(format_root_table(root_table(beam._U_MAX))) gives the text that
@@ -324,9 +341,64 @@ def format_root_table(table) -> str:
     lines = ["_ROOT_TABLE = ("]
     for lo, hi, coefficients in table:
         lines.append(f"    ({lo!r}, {hi!r}, (")
-        for i in range(0, len(coefficients), 3):
-            lines.append("        " + " ".join(f"{c!r}," for c in coefficients[i:i + 3]))
-        lines.append("    )),")
+        _format_coefficients(lines, coefficients, "    )),")
+    lines.append(")")
+    return "\n".join(lines)
+
+
+def arch_shape(d, dps: int = 40) -> tuple:
+    """(h/L, G) at d = t - t_S > 0, t = -log(1 - p), from Carlson's forms.
+
+    G = (w/L) / d.  With delta = p - 1/sqrt(2) = (1 - 1/sqrt(2))(1 - e^-d)
+    and q = 2 p^2 - 1 = 2 delta (p + 1/sqrt(2)), both free of cancellation,
+    and rf, rd = R_F, R_D((1 - p^2) / p^2, 2 (1 - p^2), 1) from mpmath's
+    elliprf and elliprd, h/L = sqrt(2) p / rf and
+    w/L = h/L - 1 + (2 q / 3) rd / rf (see wwmtc.beam).  Next to d = 0,
+    h/L - 1 is of order d^2 and w/L of order d, so dps digits leave w/L
+    nearly dps of its own.  d may be any mpmath-convertible number; the
+    pair is returned as mpfs at dps digits.
+    """
+    with mpmath.workdps(dps):
+        d = mpmath.mpf(d)
+        r = 1 / mpmath.sqrt(2)
+        delta = (1 - r) * -mpmath.expm1(-d)
+        p = r + delta
+        q = 2 * delta * (p + r)
+        m1 = (1 - p) * (1 + p)
+        x, y = m1 / (p * p), 2 * m1
+        rf, rd = mpmath.elliprf(x, y, 1), mpmath.elliprd(x, y, 1)
+        h = mpmath.sqrt(2) * p / rf
+        return h, (h - 1 + 2 * q / 3 * rd / rf) / d
+
+
+# The pieces of wwmtc.beam._SHAPE_TABLE: the interval [0, _D_MAX] of
+# d = t - t_S split at these edges, and the degree of both interpolants of
+# each piece
+FORWARD_EDGES = (0.0, 1.0, 2.5, 5.0, 9.0, 13.0)
+FORWARD_DEGREE = 17
+
+
+def forward_table(d_max: float, dps: int = 40) -> tuple:
+    """(d_lo, d_hi, h/L coefficients, G coefficients) of every piece of
+    [0, d_max], split at FORWARD_EDGES, each pair a chebyshev_coefficients
+    interpolant of arch_shape of degree FORWARD_DEGREE:
+    ``wwmtc.beam._SHAPE_TABLE`` for d_max = ``wwmtc.beam._D_MAX``."""
+    edges = FORWARD_EDGES + (d_max,)
+    return tuple((lo, hi, *(chebyshev_coefficients(lambda d: arch_shape(d, dps)[i],
+                                                   FORWARD_DEGREE, lo, hi, dps)
+                            for i in (0, 1)))
+                 for lo, hi in zip(edges, edges[1:]))
+
+
+def format_forward_table(table) -> str:
+    """forward_table's table as the Python literal of
+    ``wwmtc.beam._SHAPE_TABLE``, from ``_SHAPE_TABLE = (`` to the closing
+    parenthesis, as format_root_table prints the root table."""
+    lines = ["_SHAPE_TABLE = ("]
+    for lo, hi, h_coefficients, g_coefficients in table:
+        lines.append(f"    ({lo!r}, {hi!r}, (")
+        _format_coefficients(lines, h_coefficients, "    ), (")
+        _format_coefficients(lines, g_coefficients, "    )),")
     lines.append(")")
     return "\n".join(lines)
 
@@ -408,17 +480,16 @@ def _interval(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
     return None
 
 
-def _results(constraints: DesignConstraints, shape, found) -> list[DesignResult]:
+def _results(constraints: DesignConstraints, h_unit: float, w_unit: float,
+             found) -> list[DesignResult]:
     """design._results with each result built by the named tuples' own
     constructors, sorted by a key of (width, n, L)."""
-    sp, rf, num, F2, _ = shape
     h0, kind = constraints.h0, constraints.kind
     results = []
     for n, (lo, hi) in found:
         L = 0.5 * (lo + hi)
         natural = n * L + h0
-        achieved = AchievedMetrics(natural, natural - (n * (sp * L / rf) + h0),
-                                   L * num / F2)
+        achieved = AchievedMetrics(natural, natural - (n * (L * h_unit) + h0), L * w_unit)
         results.append(DesignResult(MuscleSpec(n, L, h0, kind), achieved, True, (lo, hi)))
     results.sort(key=lambda res: (res.achieved.width_at_full, res.spec.n, res.spec.L))
     return results
@@ -427,7 +498,7 @@ def _results(constraints: DesignConstraints, shape, found) -> list[DesignResult]
 def oracle_search(constraints: DesignConstraints,
                   p_cap: float = DEFAULT_P_CAP) -> list[DesignResult]:
     """design.search, scanning every arch count of n_range with _interval."""
-    shape, h_unit, w_unit = design._units(p_cap)
+    h_unit, w_unit = design._units(p_cap)
     limits, L_range = design._limits(constraints), constraints.L_range
     n_lo, n_hi = constraints.n_range
     feasible = []
@@ -435,13 +506,13 @@ def oracle_search(constraints: DesignConstraints,
         found = _interval(limits, L_range, n, h_unit, w_unit)
         if found is not None:
             feasible.append((n, found))
-    return _results(constraints, shape, feasible)
+    return _results(constraints, h_unit, w_unit, feasible)
 
 
 def oracle_report(constraints: DesignConstraints,
                   p_cap: float = DEFAULT_P_CAP) -> dict[int, str]:
     """design.infeasibility_report, scanning every arch count with _interval."""
-    _, h_unit, w_unit = design._units(p_cap)
+    h_unit, w_unit = design._units(p_cap)
     limits, L_range = design._limits(constraints), constraints.L_range
     n_lo, n_hi = constraints.n_range
     return {n: binding_maximin(limits, L_range, n, h_unit, w_unit)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from wwmtc.beam import solve_beam
 from wwmtc.cli import dispatch
 from wwmtc.fileio import CURVE_HEADER, read_muscle_spec
 from wwmtc.muscle import MuscleState
@@ -373,10 +374,11 @@ def test_design_search_keeps_counts_whose_margins_touch_zero(tmp_path, capsys):
     # at n = 2, L = 1.01 the natural length max and the stroke read exactly
     # 0.0 and every margin passes, but the rounded closed-form ends of the
     # L-interval cross: a count is feasible iff some double passes, so both
-    # n = 1 and n = 2 are results
+    # n = 1 and n = 2 are results.  min_stroke is 2 * 1.01 * (1 - ĥ) at
+    # p_cap 0.97, as design._slack computes the stroke there
     cons = tmp_path / "touching.json"
     cons.write_text(json.dumps({
-        "natural_length_range_mm": [0.0, 24.02], "min_stroke_mm": 0.6158746219641209,
+        "natural_length_range_mm": [0.0, 24.02], "min_stroke_mm": 0.6158746219641211,
         "max_width_at_full_mm": 1000.0, "h0_mm": 22.0, "n_range": [1, 3],
         "L_range_mm": [1.0, 100.0]}))
     code, out, err = run(["design", "search", "--constraints", str(cons), "--p-cap", "0.97"],
@@ -501,14 +503,12 @@ def test_unparsable_input_files_are_bad_input(tmp_path, capsys, body):
 @pytest.mark.parametrize("argv", [
     ["beam", "solve", "--L", "1e-320", "--p", "0.8"],  # k = inf
     ["beam", "solve", "--L", "1e-320", "--p", "0.8", "--json"],  # not JSON
-    ["beam", "solve", "--L", "1.7e308", "--p", "0.999"],  # w = h = inf
     ["muscle", "curve", "--spec", "{huge}"],  # length inf, contraction nan
     ["muscle", "curve", "--spec", "{huge}", "--svg", "{out}"],
     ["winch", "simulate", "--params", "{params}", "--profile", "{profile}"],
     ["winch", "simulate", "--params", "{params}", "--profile", "{profile}",
      "--out", "{out}", "--svg", "{out}.svg"],
-], ids=["beam-k", "beam-json", "beam-wh", "curve-csv", "curve-svg", "winch-stdout",
-        "winch-files"])
+], ids=["beam-k", "beam-json", "curve-csv", "curve-svg", "winch-stdout", "winch-files"])
 def test_overflowing_results_are_bad_input(tmp_path, capsys, argv):
     # finite inputs whose results overflow used to print inf or nan with exit 0
     files = {"huge": tmp_path / "huge.json", "params": tmp_path / "params.json",
@@ -521,6 +521,17 @@ def test_overflowing_results_are_bad_input(tmp_path, capsys, argv):
     assert "finite number" in err
     assert out == ""
     assert not list(tmp_path.glob("out*"))
+
+
+def test_beam_solve_at_the_largest_lengths(capsys):
+    # w and h are L times w/L and h/L, both at most 1, so neither overflows
+    # for a finite L: at L = 1.7e308 they used to come out inf through
+    # sqrt(2) p L, and the command exited 2
+    code, out, err = run(["beam", "solve", "--L", "1.7e308", "--p", "0.999"], capsys)
+    assert code == 0 and err == ""
+    sol = solve_beam(1.7e308, 0.999)
+    assert sol.h == 1.7e308 * solve_beam(1.0, 0.999).h < 1.7e308
+    assert out.startswith(f"w_mm={format(sol.w, '.15g')} h_mm={format(sol.h, '.15g')} ")
 
 
 def test_muscle_invert_at_natural_length_of_any_spec(tmp_path, capsys):

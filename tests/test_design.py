@@ -21,7 +21,6 @@ from wwmtc.beam import P_STRAIGHT, solve_beam
 from wwmtc.cli import dispatch
 from wwmtc.design import (DesignConstraints, _limits, _slack, infeasibility_report,
                           search)
-from wwmtc.elliptic import _rf_rd
 from wwmtc.errors import DomainError
 from wwmtc.fileio import (design_results_to_csv, design_results_to_json,
                           read_design_constraints)
@@ -111,21 +110,17 @@ def test_achieved_values_recompute_exactly():
 
 
 @pytest.mark.parametrize("n_range", [(1, 12), (1, 400)], ids=["fixture", "wide"])
-def test_one_carlson_pass_per_search(monkeypatch, n_range):
-    # beam keeps the pass at each cap: the report after a search makes none
+def test_one_table_evaluation_per_search(shape_evaluations, n_range):
+    # beam keeps the forward-table value at each cap: the report after a
+    # search evaluates none
     cons = radial_roundtrip_constraints()._replace(n_range=n_range)
-    calls = []
-
-    def counting_rf_rd(*args):
-        calls.append(args)
-        return _rf_rd(*args)
+    calls = shape_evaluations
 
     def passes(fn, p_cap):
         calls.clear()
         fn(cons, p_cap)
         return len(calls)
 
-    monkeypatch.setattr(beam, "_rf_rd", counting_rf_rd)
     assert passes(search, PCAP) == 1
     assert passes(infeasibility_report, PCAP) == 0
     assert passes(search, np.float64(PCAP)) == 0  # the key is the cap's value
@@ -408,7 +403,7 @@ def assert_matches_the_scan(cons: DesignConstraints, p_cap: float) -> None:
     report = infeasibility_report(cons, p_cap)
     assert report == oracle_report(cons, p_cap)
     assert list(report) == sorted(report)
-    _, h_unit, w_unit = design._units(p_cap)
+    h_unit, w_unit = design._units(p_cap)
     assert_bindings_are_the_maximin(cons, h_unit, w_unit)
 
 
@@ -491,7 +486,7 @@ def touching_sets(draw) -> tuple[DesignConstraints, int, float, float]:
     the L-interval may cross although L passes."""
     p_cap = draw(st.one_of(st.sampled_from([*P_CAPS, math.nextafter(P_STRAIGHT, 1.0)]),
                            st.floats(math.nextafter(P_STRAIGHT, 1.0), beam.P_MAX)))
-    _, h_unit, w_unit = design._units(p_cap)
+    h_unit, w_unit = design._units(p_cap)
     n = draw(st.integers(1, 1000))
     L = draw(st.floats(0.01, 100.0))
     h0 = draw(st.sampled_from([0.0, 22.0, 1e6]) | st.floats(0.0, 50.0))
@@ -515,7 +510,7 @@ def test_touching_sets_are_feasible(case):
     # an arch count is feasible iff some double of L_range passes every
     # margin: no closed-form shortcut may drop it where the margins touch 0
     cons, n, L, p_cap = case
-    _, h_unit, w_unit = design._units(p_cap)
+    h_unit, w_unit = design._units(p_cap)
     assert min(_slack(_limits(cons), n, L, h_unit, w_unit)) >= 0.0
     results = search(cons, p_cap)
     assert [res.L_interval[0] <= L <= res.L_interval[1]
@@ -527,19 +522,19 @@ def test_touching_sets_are_feasible(case):
 def at_a_tie(case: str, p_cap: float) -> DesignConstraints:
     """A constraint set where maximin candidates coincide or margins tie."""
     fixture = radial_roundtrip_constraints()._replace(n_range=(1, 40))
-    _, h_unit, w_unit = design._units(p_cap)
+    h_unit, w_unit = design._units(p_cap)
     if case == "one-point-L-range":  # every candidate is L = 27
         return fixture._replace(L_range=(27.0, 27.0))
     if case == "crossings-at-both-ends":
-        # the width margins cross at L_min (at ŵ = 0, the natural length min
-        # and the stroke of n = 5), the natural-length ones of n = 2 at
-        # L_max, each computed as _bindings and the maximin compute it
+        # the width margins cross at L_min (where ŵ is 0 or all but 0, so
+        # that they cross past L_max, the natural length min and the stroke
+        # of n = 5), the natural-length ones of n = 2 at L_max, each
+        # computed as _bindings and the maximin compute it
         a = _slack(_limits(fixture), 1, 0.0, h_unit, w_unit)
-        if w_unit > 0.0:
-            L_min = (a[4] - a[3]) / (-w_unit - w_unit)
-        else:
-            L_min = (a[2] - a[0]) / (5.0 - 5.0 * (1.0 - h_unit))
         L_max = (a[1] - a[0]) / (2.0 - -2.0)
+        L_min = (a[4] - a[3]) / (-w_unit - w_unit) if w_unit > 0.0 else math.inf
+        if not L_min < L_max:
+            L_min = (a[2] - a[0]) / (5.0 - 5.0 * (1.0 - h_unit))
         assert L_min < L_max
         return fixture._replace(L_range=(L_min, L_max))
     if case == "three-margins-through-one-point":
@@ -584,16 +579,18 @@ def test_bindings_are_the_maximin_at_ties(case, p_cap):
     cons = at_a_tie(case, p_cap)
     assert_matches_the_scan(cons, p_cap)
     # and with ŵ = 0, which the width margins share with the straight end
-    _, h_unit, _ = design._units(p_cap)
+    h_unit, _ = design._units(p_cap)
     assert_bindings_are_the_maximin(cons, h_unit, 0.0)
 
 
 @pytest.mark.parametrize("case", TIES)
 def test_bindings_are_the_maximin_next_to_the_straight_end(case):
-    # ĥ = 1 and ŵ = 0: the stroke margin is flat, and NaN where n·L is inf
+    # ĥ = 1: the stroke margin is flat, and NaN where n·L is inf; ŵ is
+    # (2/3) q to within ULPs, q = 2 p^2 - 1 ~ 1.4e-16, so the width margins
+    # are all but flat too
     p_cap = math.nextafter(P_STRAIGHT, 1.0)
-    _, h_unit, w_unit = design._units(p_cap)
-    assert (h_unit, w_unit) == (1.0, 0.0)
+    h_unit, w_unit = design._units(p_cap)
+    assert h_unit == 1.0 and w_unit == pytest.approx(9.1144e-17, rel=1e-4)
     assert_matches_the_scan(at_a_tie(case, p_cap), p_cap)
 
 

@@ -91,13 +91,14 @@ def test_curve_endpoints_and_ordering(radial_spec):
     assert all(b >= a for a, b in zip(widths, widths[1:]))
     assert len(cur.samples) == 100
     # length decreases in exact arithmetic only: with a cap within a few
-    # ULPs of the straight end, neighbouring lengths round to one double
+    # ULPs of the straight end, neighbouring lengths round to one double.
+    # Five ULPs out, n (L - h) is ~1e-28, far below an ULP of 238 (the
+    # Carlson pass put the last length at 237.99999999999994)
     cap = math.nextafter(P_STRAIGHT, 1.0)
     assert [s.length for s in curve(radial_spec, 3, cap).samples] == [238.0] * 3
     for _ in range(4):
         cap = math.nextafter(cap, 1.0)
-    lengths = [s.length for s in curve(radial_spec, 3, cap).samples]
-    assert lengths == [238.0, 238.0, 237.99999999999994]
+    assert [s.length for s in curve(radial_spec, 3, cap).samples] == [238.0] * 3
 
 
 def test_curve_respects_p_cap(radial_spec):
@@ -266,19 +267,12 @@ def test_invert_round_trip_length_miss():
             assert miss <= length_miss_bound(spec, length, state), (seed, spec, length)
 
 
-def test_invert_kernel_budget(monkeypatch):
-    # Carlson passes per inversion: the root takes none, so one for the
-    # returned state, none for the natural state, for every cap and at both
-    # ends of the feasible interval; one more for h(p_cap) when its pass is
-    # not cached.  The state is state_at's at its p, the same doubles
-    calls = []
-
-    def counted(x, y, z):
-        calls.append(x)
-        return rf_rd(x, y, z)
-
-    rf_rd = beam._rf_rd
-    monkeypatch.setattr(beam, "_rf_rd", counted)
+def test_invert_kernel_budget(shape_evaluations):
+    # forward-table evaluations per inversion: the root takes none, so one
+    # for the returned state, none for the natural state, for every cap and
+    # at both ends of the feasible interval; one more for h(p_cap) when it
+    # is not cached.  The state is state_at's at its p, the same doubles
+    calls = shape_evaluations
     rng = np.random.default_rng(15)
     specs = [MuscleSpec(8, 27.0, 22.0), MuscleSpec(6, 0.7, 87.50872873361456)]
     specs += [MuscleSpec(int(rng.integers(1, 41)), float(10 ** rng.uniform(-1, 2.5)),
@@ -316,23 +310,18 @@ def assert_samples_are_solve_beams(spec, num, p_cap, samples):
         assert [v.hex() for v in sample] == [v.hex() for v in old], (i, sample, old)
 
 
-def test_curve_kernel_budget(monkeypatch, tmp_path, capsys, radial_spec, planar_spec):
-    # one Carlson pass per sample but the first, the straight strip, on a
-    # grid (num_samples, p_cap) other than the last four that curves were
-    # drawn on; none on one of those four, whatever the spec
-    calls = []
-
-    def counted(x, y, z):
-        calls.append(x)
-        return rf_rd(x, y, z)
+def test_curve_kernel_budget(shape_evaluations, monkeypatch, tmp_path, capsys, radial_spec,
+                             planar_spec):
+    # one forward-table evaluation per sample but the first, the straight
+    # strip, on a grid (num_samples, p_cap) other than the last four that
+    # curves were drawn on; none on one of those four, whatever the spec
+    calls = shape_evaluations
 
     def passes(*args):
         calls.clear()
         curve(*args)
         return len(calls)
 
-    rf_rd = beam._rf_rd
-    monkeypatch.setattr(beam, "_rf_rd", counted)
     for num in (2, 3, 17, 100, 1001):
         for p_cap in (0.75, DEFAULT_P_CAP, P_MAX):
             assert passes(radial_spec, num, p_cap) == num - 1, (num, p_cap)
