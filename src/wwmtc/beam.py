@@ -45,8 +45,8 @@ from mpmath's R_F and R_D at 40 digits (tests/oracles.py::forward_table).
 w/L = d G(d) keeps its relative accuracy down to the straight end, where
 it vanishes.  psi0 and k = sqrt(2 q) / (h/L) / L take q from
 p - 1/sqrt(2) as a double-double difference, without cancellation.  Over
-the whole range h is within ~1.2 ULP of its 40-digit value and w within
-~2.3 (tests/test_beam.py).
+the whole range h is within one ULP of L of its 40-digit value, and w, k
+and psi0 within 2.6 ULPs of theirs (tests/test_beam.py).
 
 _shape evaluates the table at a p, for every L; _shape_at caches it at the
 last few p: the fixed caps that design search and the inversions' range

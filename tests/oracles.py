@@ -23,13 +23,18 @@ quadrature of the defining integrals, with no Carlson forms.
 ``arch_reference`` evaluates the closed-form arch solution from its
 definition, K - F(phi1) and E - E(phi1), at 40 significant digits with
 mpmath, and ``beam_reference`` rounds it to doubles; they share no formula
-or rounding with the single Carlson pass of ``wwmtc.beam.solve_beam``.
+or rounding with ``wwmtc.beam.solve_beam`` or the R_F and R_D forms that
+its table is built from (``arch_shape``).
 
 ``arch_gap`` evaluates g = sqrt(1 - h/L) from the same definition as a
 function of t = -log(1 - p), the variable in which
 ``wwmtc.beam.solve_p_for_height`` evaluates its root, and ``root_table``
 rebuilds that root's piecewise Chebyshev interpolant from 40-digit roots;
 ``format_root_table`` prints it as the literal that ``wwmtc.beam`` holds.
+``forward_table`` and ``format_forward_table`` do the same for the forward
+shape, h/L and (w/L) / d as functions of d = t - t_S, from ``arch_shape``:
+Carlson's R_F and R_D at 40 digits.  Both tables come from one builder,
+``chebyshev_coefficients``.
 
 ``evaluate`` is the design oracle: it re-checks a candidate through the
 forward model (``state_at`` and ``natural_length``) and never uses the

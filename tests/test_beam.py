@@ -166,7 +166,7 @@ def test_height_strictly_decreasing_width_monotone():
 def test_height_within_ulps_of_reference():
     # h = L h/L from the table has no cancellation, even next to the
     # straight end: within one ULP of L of the 40-digit height, the worst
-    # measured (the Carlson pass it replaced was 3)
+    # measured
     ps = ([P_STRAIGHT + float(d) for d in np.logspace(-14, -1, 50)]
           + [float(p) for p in np.linspace(P_STRAIGHT, P_MAX, 60)])
     for L in (1.0, 27.0, 35.0):
@@ -176,7 +176,7 @@ def test_height_within_ulps_of_reference():
 
 
 def test_cached_height_is_solve_beam_height():
-    # h at a cap comes from a cached Carlson pass: the same double for every L
+    # h at a cap comes from a cached table value: the same double for every L
     rng = np.random.default_rng(16)
     ps = [P_STRAIGHT, math.nextafter(P_STRAIGHT, 1.0), 0.75, 0.97, P_MAX]
     ps += [float(p) for p in rng.uniform(P_STRAIGHT, P_MAX, 20)]
@@ -206,8 +206,7 @@ def test_width_matches_reference():
     # w = L d G(d) keeps its relative accuracy down to the straight end, and
     # k and psi0 take q = 2 p^2 - 1 without cancellation: every
     # delta = p - P_STRAIGHT from 1e-16 (the next double) to 0.1, and the
-    # whole range of p.  The Carlson pass was 9.8e-5 off in relative terms
-    # at delta = 1e-12, and returned w = 0 at the next double
+    # whole range of p
     ps = [float(p) for p in np.linspace(P_STRAIGHT, P_MAX, 100)[1:]]
     ps += [P_STRAIGHT + float(d) for d in np.logspace(-16, -1, 60)]
     for L in (1.0, 27.0, 35.0):

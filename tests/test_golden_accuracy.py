@@ -33,12 +33,7 @@ from oracles import arch_reference
 DPS = 40
 
 # (worst ULPs, cells that differ from the correctly rounded model value) of
-# each column, as measured; "h" is the arch height behind the length column.
-# With the Carlson pass that the forward table replaced they were, in this
-# order: beam_solve.txt (1.6, 0), (1.64, 0), (1.42, 0), (1.22, 1), (0.11, 0);
-# the curve (3.1), (65.3, 37), (3.1, 2), (3.1, 58), (32), (28.2, 7); the
-# design JSON (0.5, 0), (1.36, 4), (1.77, 5) and CSV (0.5, 0), (1.36, 1),
-# (1.77, 0)
+# each column, as measured; "h" is the arch height behind the length column
 BOUNDS = {
     "beam_solve.txt": {
         "w_mm": (0.6, 0), "h_mm": (0.37, 0), "k_per_mm": (0.59, 0),

@@ -92,8 +92,7 @@ def test_curve_endpoints_and_ordering(radial_spec):
     assert len(cur.samples) == 100
     # length decreases in exact arithmetic only: with a cap within a few
     # ULPs of the straight end, neighbouring lengths round to one double.
-    # Five ULPs out, n (L - h) is ~1e-28, far below an ULP of 238 (the
-    # Carlson pass put the last length at 237.99999999999994)
+    # Five ULPs out, n (L - h) is ~1e-28, far below an ULP of 238
     cap = math.nextafter(P_STRAIGHT, 1.0)
     assert [s.length for s in curve(radial_spec, 3, cap).samples] == [238.0] * 3
     for _ in range(4):
