@@ -255,8 +255,8 @@ def _shape(p: float) -> tuple[float, float, float, float]:
     ~2 ULPs.  Dekker's product would give 2 p^2 - 1 to half an ULP, at a
     dozen more float operations a call; delta is needed for d anyway.
     psi0 is atan2(q, cos(psi0)), not asin(q): next to P_MAX asin magnifies
-    an error in q by 1 / cos(psi0), ~1e4, which put psi0 5 700 ULPs off
-    at P_MAX.
+    an error in q by 1 / cos(psi0), ~1e4, and would put psi0 ~5 700 ULPs
+    off at P_MAX.
     """
     delta = (p - P_STRAIGHT) - _P_LO
     if delta <= 0.0:

@@ -64,7 +64,8 @@ MUTANTS = [
            "tol_L = 16 * _EPS * (A + B) + _TINY",
            "tol_L = 0.0",
            ["tests/test_design.py"], "killed",
-           "decides counts where the width bounds meet within rounding: the touching sets"),
+           "decides counts where the width bounds meet within rounding: the touching "
+           "sets' pinned example all_touching(1, 15.0, 0.97)"),
     Mutant("design-counts-tol_L-2eps", "src/wwmtc/design.py",
            "tol_L = 16 * _EPS * (A + B) + _TINY",
            "tol_L = 2 * _EPS * (A + B) + _TINY",
@@ -75,6 +76,28 @@ MUTANTS = [
            "tol = 1 * _EPS * (nat_hi + h0 + alpha) + _TINY",
            ["tests/test_design.py"], "survived",
            "below the 4x headroom _counts' docstring claims"),
+    Mutant("beam-forward-coefficient-last-digit", "src/wwmtc/beam.py",
+           "        0.9564034082321919, -0.054676580897382664, -0.009264409771040712,\n",
+           "        0.9564034082321918, -0.054676580897382664, -0.009264409771040712,\n",
+           ["tests/test_beam.py"], "killed",
+           "moves c_0 of h/L on the first piece by an ULP: test_forward_table_rebuild"),
+    Mutant("beam-delta-without-p-lo", "src/wwmtc/beam.py",
+           "    delta = (p - P_STRAIGHT) - _P_LO\n",
+           "    delta = p - P_STRAIGHT\n",
+           ["tests/test_beam.py"], "killed",
+           "takes P_STRAIGHT for 1/sqrt(2): w, k and psi0 next to the straight end, "
+           "test_width_matches_reference and ARCH_HEX"),
+    Mutant("beam-clenshaw-highest-term-dropped", "src/wwmtc/beam.py",
+           "    for c in h_tail:  # Clenshaw, h/L\n",
+           "    for c in h_tail[1:]:  # Clenshaw, h/L\n",
+           ["tests/test_beam.py", "tests/test_golden_accuracy.py"], "killed",
+           "evaluates h/L at degree 16: ARCH_HEX and the height bound"),
+    Mutant("beam-psi0-asin", "src/wwmtc/beam.py",
+           "    psi0 = math.atan2(q, math.sqrt(2.0 * (1.0 - p) * (1.0 + p) * (1.0 + q)))\n",
+           "    psi0 = math.asin(q)\n",
+           ["tests/test_beam.py"], "killed",
+           "magnifies q's rounding by 1 / cos(psi0) next to P_MAX: "
+           "test_width_matches_reference's psi0 bound"),
     Mutant("actuators-rank-tol-halved", "src/wwmtc/actuators.py",
            "_RANK_TOL = 2.0 * math.ulp(1.0)",
            "_RANK_TOL = 1.0 * math.ulp(1.0)",

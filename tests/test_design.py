@@ -504,8 +504,21 @@ def touching_sets(draw) -> tuple[DesignConstraints, int, float, float]:
     return cons, n, L, p_cap
 
 
+def all_touching(n: int, L: float, p_cap: float) -> tuple[DesignConstraints, int, float, float]:
+    """A touching set with every margin of n at L at 0.0, n alone in n_range
+    and L alone in L_range, as touching_sets draws it."""
+    h_unit, w_unit = design._units(p_cap)
+    nat, stroke, width = n * L, n * L * (1.0 - h_unit), L * w_unit
+    return DesignConstraints(natural_length_range=(nat, nat), min_stroke=stroke,
+                             max_width_at_full=width, min_width_at_full=width, h0=0.0,
+                             n_range=(n, n), L_range=(L, L)), n, L, p_cap
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(touching_sets())
+# the width bounds on L meet within rounding: _counts' tol_L must leave n
+# undecided, and at tol_L = 0.0 it drops n
+@example(all_touching(1, 15.0, PCAP))
 def test_touching_sets_are_feasible(case):
     # an arch count is feasible iff some double of L_range passes every
     # margin: no closed-form shortcut may drop it where the margins touch 0
