@@ -41,79 +41,129 @@ def test_frozen_oracle_values(L, p, w, h):
     assert sol.h == pytest.approx(h, rel=1e-6)
 
 
-# solve_beam(27, p) as (p, w, h, psi0, k) hex doubles, from P_STRAIGHT and
-# its neighbours to P_MAX: the arithmetic of solve_beam, pinned to the bit
+# solve_beam(27, p) from P_STRAIGHT and its neighbours to P_MAX, as hex
+# doubles: p, then (w, h, psi0, k) as the Carlson R_F/R_D pass gave them
+# before the forward table, then (w, h, psi0, k) as solve_beam gives them,
+# its arithmetic pinned to the bit
 ARCH_HEX = [
     ("0x1.6a09e667f3bccp-1",
      "0x0.0p+0", "0x1.b000000000000p+4",
+     "0x0.0p+0", "0x0.0p+0",
+     "0x0.0p+0", "0x1.b000000000000p+4",
      "0x0.0p+0", "0x0.0p+0"),
     ("0x1.6a09e667f3bcdp-1",
+     "0x0.0p+0", "0x1.b000000000000p+4",
+     "0x1.0000000000000p-52", "0x1.ad1536fff1778p-31",
      "0x1.62a6db749e66ep-49", "0x1.b000000000000p+4",
      "0x1.3b3efbf5e2229p-53", "0x1.50b0cc29fb266p-31"),
     ("0x1.6a09e667f3bd5p-1",
+     "0x1.b8e87cc2cd6aap-45", "0x1.b000000000000p+4",
+     "0x1.8000000000000p-49", "0x1.7398bf1d1ee6fp-29",
      "0x1.ad7590ec3c1b3p-45", "0x1.b000000000000p+4",
      "0x1.7dbdd62751df3p-49", "0x1.728096f76893bp-29"),
     ("0x1.6a09e667f5efbp-1",
+     "0x1.bfbe068cc74d7p-35", "0x1.b000000000000p+4",
+     "0x1.8e08000000000p-39", "0x1.7a53246e83382p-24",
      "0x1.bfc9351ff4342p-35", "0x1.b000000000000p+4",
      "0x1.8e082f38d911ep-39", "0x1.7a533adface02p-24"),
     ("0x1.6a09e6708ac2bp-1",
+     "0x1.b553fa837c870p-25", "0x1.b000000000000p+4",
+     "0x1.84bc6c0000000p-29", "0x1.75e1943516b39p-19",
      "0x1.b553f9f07e70ap-25", "0x1.b000000000000p+4",
      "0x1.84bc6c63fe9d1p-29", "0x1.75e194652ce7cp-19"),
     ("0x1.6a0a07f5e2fe3p-1",
+     "0x1.ab14186726289p-15", "0x1.affffffffc0acp+4",
+     "0x1.7ba015b0022c9p-19", "0x1.717952d59a79bp-14",
      "0x1.ab141865e6feep-15", "0x1.affffffffc0aap+4",
      "0x1.7ba015afeaf45p-19", "0x1.717952d58f2d2p-14"),
     ("0x1.6a8cf8d68b4a1p-1",
+     "0x1.a15d1c8c540fcp-5", "0x1.afffc38434af1p+4",
+     "0x1.72fd805521cddp-9", "0x1.6d3f899afbd5ap-9",
      "0x1.a15d1c8c5433fp-5", "0x1.afffc38434af0p+4",
      "0x1.72fd805521ddcp-9", "0x1.6d3f899afbdd7p-9"),
     ("0x1.6b851eb851eb8p-1",
+     "0x1.2e494e2571b59p-3", "0x1.affe045837632p+4",
+     "0x1.0cb35b43099c5p-7", "0x1.36d8af5a41a67p-8",
      "0x1.2e494e2571accp-3", "0x1.affe04583762fp+4",
      "0x1.0cb35b4309993p-7", "0x1.36d8af5a41a4bp-8"),
     ("0x1.70a3d70a3d70ap-1",
+     "0x1.532f0e84b9058p-1", "0x1.afd80b9b85cb9p+4",
+     "0x1.2d889f88b1498p-5", "0x1.495e5357868cbp-7",
      "0x1.532f0e84b9056p-1", "0x1.afd80b9b85cbap+4",
      "0x1.2d889f88b1494p-5", "0x1.495e5357868c8p-7"),
     ("0x1.8000000000000p-1",
+     "0x1.205868c645029p+1", "0x1.ae30fca22c15dp+4",
+     "0x1.00abe0c129e1ep-3", "0x1.30aeda37ef158p-6",
      "0x1.205868c645023p+1", "0x1.ae30fca22c15bp+4",
      "0x1.00abe0c129e1ep-3", "0x1.30aeda37ef158p-6"),
     ("0x1.999999999999ap-1",
+     "0x1.448f559fd7158p+2", "0x1.a6be28576c9b5p+4",
+     "0x1.229aec47638e1p-2", "0x1.d00ade1e7444bp-6",
      "0x1.448f559fd7154p+2", "0x1.a6be28576c9b3p+4",
      "0x1.229aec47638dfp-2", "0x1.d00ade1e74449p-6"),
     ("0x1.b333333333333p-1",
+     "0x1.04971641b93c1p+3", "0x1.97a3b753ce117p+4",
+     "0x1.d83e10c02b40fp-2", "0x1.2f56db153d6cfp-5",
      "0x1.04971641b93c0p+3", "0x1.97a3b753ce115p+4",
      "0x1.d83e10c02b411p-2", "0x1.2f56db153d6d1p-5"),
     ("0x1.ccccccccccccdp-1",
+     "0x1.720a1f3e3eee9p+3", "0x1.7d0e2947ff6f1p+4",
+     "0x1.5665718f62b98p-1", "0x1.7f07ab4f1f1cbp-5",
      "0x1.720a1f3e3eeeep+3", "0x1.7d0e2947ff6f2p+4",
      "0x1.5665718f62b98p-1", "0x1.7f07ab4f1f1c9p-5"),
     ("0x1.e666666666666p-1",
+     "0x1.f2b33907ffda0p+3", "0x1.4cf2987ebf9b5p+4",
+     "0x1.df10dadf475f6p-1", "0x1.f3835dae35974p-5",
      "0x1.f2b33907ffda2p+3", "0x1.4cf2987ebf9b6p+4",
      "0x1.df10dadf475f4p-1", "0x1.f3835dae35971p-5"),
     ("0x1.f0a3d70a3d70ap-1",
+     "0x1.18c777311f3d6p+4", "0x1.2c49c773eecd9p+4",
+     "0x1.1464f1cec1077p+0", "0x1.21d433b53a006p-4",
      "0x1.18c777311f3d4p+4", "0x1.2c49c773eecd9p+4",
      "0x1.1464f1cec1077p+0", "0x1.21d433b53a007p-4"),
     ("0x1.fae147ae147aep-1",
      "0x1.426dde97d4a19p+4", "0x1.e60284e335dc1p+3",
+     "0x1.49a7d8a237d22p+0", "0x1.75bb7c75faa28p-4",
+     "0x1.426dde97d4a19p+4", "0x1.e60284e335dc1p+3",
      "0x1.49a7d8a237d22p+0", "0x1.75bb7c75faa28p-4"),
     ("0x1.ff7ced916872bp-1",
+     "0x1.6937425807002p+4", "0x1.5181a6eb989f1p+3",
+     "0x1.7b39805edc2f1p+0", "0x1.120eec770e93dp-3",
      "0x1.6937425807005p+4", "0x1.5181a6eb989f1p+3",
      "0x1.7b39805edc2eep+0", "0x1.120eec770e93ep-3"),
     ("0x1.ffffde7210be9p-1",
+     "0x1.8c2f9e5c63d8ap+4", "0x1.59d78fa026027p+2",
+     "0x1.916658213f9fap+0", "0x1.0bfd1355d8884p-2",
      "0x1.8c2f9e5c63d87p+4", "0x1.59d78fa026025p+2",
      "0x1.916658213fa41p+0", "0x1.0bfd1355d8885p-2"),
     ("0x1.ffffffaa19c47p-1",
+     "0x1.94fd1fbbfb915p+4", "0x1.04d7edb1e8f0dp+2",
+     "0x1.920d2bf40eaa8p+0", "0x1.6350ef4f63cc9p-2",
      "0x1.94fd1fbbfb918p+4", "0x1.04d7edb1e8f0ep+2",
      "0x1.920d2bf40e949p+0", "0x1.6350ef4f63cc8p-2"),
     ("0x1.fffffff768fa0p-1",
+     "0x1.97f1e15ecf853p+4", "0x1.d0981f9af7b02p+1",
+     "0x1.9219d8aab10c0p+0", "0x1.8efae046ebdacp-2",
      "0x1.97f1e15ecf84ep+4", "0x1.d0981f9af7b02p+1",
      "0x1.9219d8aab1124p+0", "0x1.8efae046ebdabp-2"),
     ("0x1.fffffff768fa1p-1",
+     "0x1.97f1e160f0b0cp+4", "0x1.d0981f71d666ap+1",
+     "0x1.9219d8aab6818p+0", "0x1.8efae06a3e199p-2",
      "0x1.97f1e160f0b0fp+4", "0x1.d0981f71d666bp+1",
      "0x1.9219d8aab687dp+0", "0x1.8efae06a3e197p-2"),
 ]
 
 
-@pytest.mark.parametrize("p, w, h, psi0, k", ARCH_HEX)
-def test_solve_beam_is_bit_identical(p, w, h, psi0, k):
+@pytest.mark.parametrize("p, w_rf, h_rf, psi0_rf, k_rf, w, h, psi0, k", ARCH_HEX)
+def test_solve_beam_is_bit_identical(p, w_rf, h_rf, psi0_rf, k_rf, w, h, psi0, k):
     sol = solve_beam(27.0, float.fromhex(p))
     assert [x.hex() for x in sol] == [w, h, psi0, k]
+    # and the row's worst ULP distance from the 40-digit definition is no
+    # larger than the Carlson pass's
+    h_ref, w_ref, k_ref, psi0_ref = arch_reference(27.0, float.fromhex(p))
+    refs = (w_ref, h_ref, psi0_ref, k_ref)
+    carlson = [float.fromhex(x) for x in (w_rf, h_rf, psi0_rf, k_rf)]
+    assert max(map(ulps, sol, refs)) <= max(map(ulps, carlson, refs))
 
 
 def test_tip_angle_is_arcsin_arithmetic():
