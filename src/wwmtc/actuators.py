@@ -34,6 +34,7 @@ from .errors import (
     InsufficientSweepError,
     _make,
     _real,
+    _reals,
 )
 
 
@@ -174,21 +175,21 @@ def fit_tendon(strain, load, cycle) -> TendonFit:
     Gauss-Newton from b = 1 (see ``_vp_fit_exponential``).  A log whose
     strains leave b undetermined, or that no positive a fits, raises
     FitConvergenceError.  A strain outside [0, 0.5], a load below 0, a
-    cycle that is not a whole number below 2**63 in magnitude, or a NaN in
-    any series, is a DomainError.
+    cycle that is not a whole number below 2**63 in magnitude, or a value
+    that is not a finite real number, is a DomainError.
     """
     import numpy as np
 
-    strain = np.asarray(strain, dtype=float)
-    load = np.asarray(load, dtype=float)
-    cycle = np.asarray(cycle, dtype=float)  # tags compared as read_tendon_csv reads them
-    if not (strain.shape == load.shape == cycle.shape) or strain.ndim != 1:
-        raise DomainError("strain, load and cycle must be equal-length 1-D series")
+    shape = "strain, load and cycle must be equal-length 1-D series"
+    strain = np.array(_reals("strains", strain, shape))
+    load = np.array(_reals("loads", load, shape))
+    cycle = np.array(_reals("cycles", cycle, shape))  # as read_tendon_csv reads them
+    if not strain.size == load.size == cycle.size:
+        raise DomainError(shape)
     if strain.size < 10:
         raise InsufficientDataError(
             f"need at least 10 samples, got {strain.size}"
         )
-    # written as "not 0 <= x" so that NaN fails every check
     if not ((0.0 <= strain) & (strain <= 0.5)).all():
         raise DomainError("strains must lie in [0, 0.5]")
     if not (0.0 <= load).all():
@@ -234,8 +235,8 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
     arguments, so only the sign of a zero can depend on how it is written,
     and ``+ 0.0`` fixes it: a simulated tension is never -0.0.  A band
     c*I +- r past the range of doubles gives an infinite tension; the
-    writers in fileio reject it.  ``currents`` is any sequence of numbers,
-    arrays included.
+    writers in fileio reject it.  ``currents`` is any 1-D sequence of real
+    numbers, arrays included.
     """
     c, r, t = params.c, params.r, _real("initial tension", initial_tension)
     if not 0.0 < c < math.inf:
@@ -244,15 +245,10 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
         raise DomainError(f"half-band r={r!r} must be finite and >= 0")
     if not math.isfinite(t):
         raise DomainError(f"initial tension {t!r} must be finite")
-    try:
-        currents = list(map(float, currents))
-    except TypeError:  # not a sequence of numbers: a 2-D array, for one
-        currents = []
+    shape = "current series must be a nonempty 1-D array"
+    currents = _reals("currents", currents, shape)
     if not currents:
-        raise DomainError("current series must be a nonempty 1-D array")
-    # a finite sum has only finite terms; an infinite one may have overflowed
-    if not (math.isfinite(sum(currents)) or all(map(math.isfinite, currents))):
-        raise DomainError("every current must be finite")
+        raise DomainError(shape)
     return _play(c, r, t, currents)
 
 
@@ -352,20 +348,13 @@ def fit_winch(currents, tensions) -> HysteresisParams:
     its value at the range's midpoint.  The reported residual replays the
     fitted operator over the input currents, starting from the first
     measured tension.  ``currents`` and ``tensions`` are any equal-length
-    sequences of numbers, arrays included.
+    1-D sequences of real numbers, arrays included.
     """
     shape = "current and tension series must be equal-length 1-D"
-    try:
-        currents = list(map(float, currents))
-        tensions = list(map(float, tensions))
-    except TypeError as exc:  # not a sequence of numbers: a 2-D array, for one
-        raise DomainError(shape) from exc
+    currents = _reals("currents", currents, shape)
+    tensions = _reals("tensions", tensions, shape)
     if len(currents) != len(tensions):
         raise DomainError(shape)
-    # a finite sum has only finite terms; an infinite one may have overflowed
-    if not (math.isfinite(sum(currents) + sum(tensions))
-            or all(map(math.isfinite, currents + tensions))):
-        raise DomainError("every current and tension must be finite")
 
     branches = _branches(currents)
     directions = {d for _, _, d in branches}

@@ -118,6 +118,8 @@ def solve_beam(L: float, p: float) -> BeamSolution:
     limit (w = 0, h = L, psi0 = 0, k = 0); the general formulas degenerate
     to 0/0 there because k -> 0 with the load.
     """
+    # every argument's type before any range, as in state_for_length
+    L, p = _real("beam length L", L), _real("shape parameter p", p)
     L, p = _check_length(L), _check_shape_param(p)
     h_unit, w_unit, psi0, q = _shape(p)
     return BeamSolution(L * w_unit, L * h_unit, psi0, math.sqrt(2.0 * q) / h_unit / L)
@@ -315,8 +317,8 @@ def solve_p_for_height(L: float, h_target: float) -> float:
     Raises OutOfRangeError when h_target is below the smallest achievable
     height (at p = P_MAX); the error carries the achievable interval.
     """
+    L, h_target = _real("beam length L", L), _real("target height h", h_target)
     L = _check_length(L)
-    h_target = _real("target height h", h_target)
     if not 0.0 < h_target <= L:
         raise DomainError(f"target height {h_target!r} must lie in (0, L={L}]")
 

@@ -42,15 +42,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from collections import namedtuple
 from itertools import chain, combinations
 
 from .beam import _shape_at
-from .errors import DomainError, _make, _real
-from .muscle import (DEFAULT_P_CAP, KINDS, MuscleSpec, _FLOAT_INT_LIMIT, _check_p_cap,
-                     _float_overflow, _is_integer)
+from .errors import DomainError, _count, _make, _real
+from .muscle import DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap
 
 # the widest n_range searched.  A search holds a result or report entry and
 # its output line for every arch count until it returns: ~2.7 µs and ~0.3 kB
@@ -81,7 +79,7 @@ class DesignConstraints(namedtuple(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         nat, min_stroke, max_width, h0, n_range, L_range, min_width, kind = self
-        (nat_lo, nat_hi), (L_lo, L_hi) = nat, L_range
+        (nat_lo, nat_hi), (n_lo, n_hi), (L_lo, L_hi) = nat, n_range, L_range
         if not (type(nat_lo) is type(nat_hi) is type(min_stroke) is type(max_width)
                 is type(h0) is type(L_lo) is type(L_hi) is type(min_width) is float):
             self = super().__new__(
@@ -89,6 +87,9 @@ class DesignConstraints(namedtuple(
                 _real("min_stroke", min_stroke), _real("max_width_at_full", max_width),
                 _real("h0", h0), n_range, (_real("L_range", L_lo), _real("L_range", L_hi)),
                 _real("min_width_at_full", min_width), kind)
+        counts = _count("n_range[0]", n_lo, 1), _count("n_range[1]", n_hi, 1)
+        if not type(n_lo) is type(n_hi) is int:  # a numpy integer is stored as an int
+            self = self._replace(n_range=counts)
         # written as "not ... < inf" so that NaN fails every check
         for name in ("natural_length_range", "n_range", "L_range"):
             lo, hi = getattr(self, name)
@@ -100,17 +101,7 @@ class DesignConstraints(namedtuple(
                 raise DomainError(f"{name}={getattr(self, name)!r} must be finite and >= 0")
         if self.L_range[0] <= 0:
             raise DomainError("L_range must be positive")
-        n_lo, n_hi = self.n_range
-        if not type(n_lo) is type(n_hi) is int:  # a numpy integer is stored as an int
-            if not (_is_integer(n_lo) and _is_integer(n_hi)):
-                raise DomainError(f"n_range={self.n_range!r} must be a pair of integers")
-            n_lo, n_hi = operator.index(n_lo), operator.index(n_hi)
-            self = self._replace(n_range=(n_lo, n_hi))
-        if n_lo < 1:
-            raise DomainError("n_range must start at >= 1")
-        if n_hi >= _FLOAT_INT_LIMIT:
-            raise _float_overflow("the last arch count of n_range", n_hi)
-        if n_hi - n_lo >= _MAX_ARCH_COUNTS:
+        if counts[1] - counts[0] >= _MAX_ARCH_COUNTS:
             raise DomainError(f"n_range={self.n_range!r} spans more than "
                               f"{_MAX_ARCH_COUNTS} arch counts")
         if self.kind not in KINDS:

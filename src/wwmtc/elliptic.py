@@ -2,7 +2,7 @@
 
 All functions take the *modulus* p (the integrands contain p^2 sin^2(theta)),
 not the parameter m = p^2.  Amplitudes are restricted to the first quadrant,
-which is the only region the downstream beam model evaluates.
+where the arch's integrals lie; beam reads those from tables, not from here.
 
 Evaluation is built on Carlson symmetric forms (duplication theorem, the
 SLATEC algorithm; Carlson, Numer. Algorithms 10, 1995), accurate to a few

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and two argument rules:
-a real argument as a float or a DomainError, which the value types and the
-geometry functions share, and the value types' _make."""
+"""Exception types shared across the package, and the argument rules of
+its entry points: a real number as a float, a count as an int and a series
+as a list of finite floats, or a DomainError; and the value types' _make."""
+
+import math
+import operator
 
 
 class WwmtcError(Exception):
@@ -58,6 +61,45 @@ def _real(name: str, x) -> float:
         except OverflowError:  # an int or Fraction past the largest double
             raise DomainError(f"{name} is too large for a float") from None
     raise DomainError(f"{name}={x!r} must be a real number")
+
+
+# The smallest int that float() cannot convert: it rounds past the largest
+# double.  Every use of a count is float arithmetic, which would raise
+# OverflowError on such a count.
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+
+
+def _count(name: str, x, least: int) -> int:
+    """x as an int >= least, for an int or a numpy integer; not a bool nor
+    a float.  One past the range of doubles is reported in bits, since its
+    digits may be too many for repr."""
+    if type(x) is not int and not isinstance(x, bool) and hasattr(x, "__index__"):
+        x = operator.index(x)  # a numpy integer; a numpy bool has no __index__
+    if type(x) is int and not -_FLOAT_INT_LIMIT < x < _FLOAT_INT_LIMIT:
+        raise DomainError(f"{name} has {x.bit_length()} bits, too large for a float")
+    if not (type(x) is int and x >= least):
+        raise DomainError(f"{name}={x!r} must be an integer >= {least}")
+    return x
+
+
+def _reals(name: str, xs, shape: str) -> list[float]:
+    """A 1-D series, numpy's too, as a new list of finite floats, each by
+    _real's rule; name is its plural, for the messages.  A list of floats
+    is checked with no Python call per element.  DomainError(shape) when xs
+    is not a 1-D series; an empty one is the caller's to refuse."""
+    if getattr(xs, "ndim", 1) != 1:
+        raise DomainError(shape)
+    try:
+        xs = xs.tolist() if hasattr(xs, "tolist") else list(xs)
+    except TypeError:  # a number, say
+        raise DomainError(shape) from None
+    if not {float}.issuperset(map(type, xs)):
+        xs = [_real(f"{name}[{i}]", x) for i, x in enumerate(xs)]
+    # a finite sum has only finite terms; an infinite one may have overflowed
+    if not (math.isfinite(sum(xs)) or all(map(math.isfinite, xs))):
+        i = list(map(math.isfinite, xs)).index(False)
+        raise DomainError(f"{name} must be finite: {name}[{i}] is {xs[i]!r}")
+    return xs
 
 
 def _make(cls, iterable):

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from array import array
 from collections import namedtuple
 
 from .beam import P_MAX, P_STRAIGHT, _check_shape_param, _height, _p_for_height, _shape
-from .errors import DomainError, OutOfRangeError, _make, _real
+from .errors import DomainError, OutOfRangeError, _count, _make, _real
 
 # Default contraction cap.  Beyond p ~ 0.97 the tip angle exceeds ~75 deg
 # and neighbouring arches would start to interfere; overridable everywhere
@@ -35,24 +34,6 @@ from .errors import DomainError, OutOfRangeError, _make, _real
 DEFAULT_P_CAP = 0.97
 
 KINDS = ("radial", "planar")
-
-
-def _is_integer(x) -> bool:
-    """Whether x is an integer other than a bool: an int, or a type with
-    __index__, such as a numpy integer."""
-    return hasattr(x, "__index__") and not isinstance(x, bool)
-
-
-# The smallest int that float() cannot convert: it rounds past the largest
-# double.  Every use of an arch count is float arithmetic, which would raise
-# OverflowError on such a count.
-_FLOAT_INT_LIMIT = 2**1024 - 2**970
-
-
-def _float_overflow(name: str, n: int) -> DomainError:
-    """The error for an arch count n >= _FLOAT_INT_LIMIT; its size in bits,
-    since the digits of such an int may be too many for repr."""
-    return DomainError(f"{name} has {n.bit_length()} bits, too large for a float")
 
 
 class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
@@ -69,14 +50,9 @@ class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
     # second frame for namedtuple's __new__: design search builds one spec
     # per result
     def __new__(cls, n, L, h0, kind="radial"):
-        if not (type(n) is int and type(L) is float and type(h0) is float):
-            if type(n) is not int and _is_integer(n):  # say a numpy integer
-                n = operator.index(n)
+        if not type(L) is type(h0) is float:
             L, h0 = _real("beam length L", L), _real("length offset h0", h0)
-        if not (type(n) is int and n >= 1):  # a bool is no arch count
-            raise DomainError(f"arch count n={n!r} must be an integer >= 1")
-        if n >= _FLOAT_INT_LIMIT:
-            raise _float_overflow("arch count n", n)
+        n = _count("arch count n", n, 1)
         if not 0.0 < L < math.inf:
             raise DomainError(f"beam length L={L!r} must be positive and finite")
         if not 0.0 <= h0 < math.inf:
@@ -179,11 +155,8 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
     per sample but the first, none when one of the last four grids
     (num_samples, p_cap) that curves were drawn on is this one.
     """
-    # an integer has __index__, numpy's too; a bool has one but is < 2
-    if not (hasattr(num_samples, "__index__") and num_samples >= 2):
-        raise DomainError(f"num_samples={num_samples!r} must be an integer >= 2")
-    p_cap = _check_p_cap(p_cap)
-    ps, h_units, w_units, psis = _grid(operator.index(num_samples), p_cap)
+    num_samples = _count("num_samples", num_samples, 2)
+    ps, h_units, w_units, psis = _grid(num_samples, _check_p_cap(p_cap))
     n, L, h0, _ = spec
     natural = n * L + h0
     # _state's expressions written out: a _state call per sample made a

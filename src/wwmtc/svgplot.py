@@ -21,16 +21,17 @@ _MARGIN_BOTTOM = 56.0
 
 
 _NOT_FINITE = "cannot plot a value that is not a finite number"
+_TICKS = 6  # the number of ticks an axis aims at
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] at a 1/2/5 step.
 
     Where such a step underflows to 0, or cannot move a tick because it is
     below half an ULP of it (or the tick has passed the largest double),
     the ticks are the axis ends.
     """
-    raw = (hi - lo) / max(1, target - 1)
+    raw = (hi - lo) / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
     step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag)
     if step == 0.0:

@@ -101,13 +101,29 @@ MUTANTS = [
     Mutant("actuators-rank-tol-halved", "src/wwmtc/actuators.py",
            "_RANK_TOL = 2.0 * math.ulp(1.0)",
            "_RANK_TOL = 1.0 * math.ulp(1.0)",
-           ["tests/test_actuators.py"], "survived",
-           "no test sits between np.polyfit's rank threshold and half of it"),
+           ["tests/test_actuators.py"], "killed",
+           "fits a line np.polyfit calls rank deficient: the between-rank-thresholds "
+           "case of test_winch_fit_rejects_what_polyfit_rejects"),
     Mutant("svgplot-seven-ticks", "src/wwmtc/svgplot.py",
-           "def _nice_ticks(lo: float, hi: float, target: int = 6)",
-           "def _nice_ticks(lo: float, hi: float, target: int = 7)",
-           ["tests/test_cli.py"], "survived",
-           "the goldens' axes come out with the same ticks"),
+           "_TICKS = 6\n",
+           "_TICKS = 7\n",
+           ["tests/test_cli.py"], "killed",
+           "steps a span of 12 by 2, not 5: test_axis_ticks_aim_at_six"),
+    Mutant("errors-count-takes-a-bool", "src/wwmtc/errors.py",
+           "if type(x) is not int and not isinstance(x, bool) and hasattr(x, \"__index__\"):",
+           "if type(x) is not int and hasattr(x, \"__index__\"):",
+           ["tests/test_values.py"], "killed",
+           "takes True as the count 1: test_series_and_counts_follow_the_number_rule"),
+    Mutant("errors-reals-fast-path-takes-a-bool", "src/wwmtc/errors.py",
+           "if not {float}.issuperset(map(type, xs)):",
+           "if not {float, bool}.issuperset(map(type, xs)):",
+           ["tests/test_values.py"], "killed",
+           "keeps a bool element of a series: test_series_and_counts_follow_the_number_rule"),
+    Mutant("errors-reals-without-finite-check", "src/wwmtc/errors.py",
+           "    if not (math.isfinite(sum(xs)) or all(map(math.isfinite, xs))):\n",
+           "    if False:\n",
+           ["tests/test_actuators.py"], "killed",
+           "plays a NaN current: test_winch_simulate_validation"),
 ]
 
 

@@ -369,6 +369,10 @@ def bench_log(edit=lambda i, tension: (i, tension)):
 
 RAMP = np.linspace(0.0, 2.0, 20)
 TRIANGLE = make_triangle_profile()
+# a sweep over the currents 1 + 5 * eps * k: each direction's contact half
+# holds six, whose Sxx / sum(x**2) is ~2.03 (6 * eps)**2.  np.polyfit's rank
+# threshold is (2 * n * eps)**2, and half of it would pass them
+CLOSE_K = [*range(11), *range(9, -1, -1)]
 
 
 @pytest.mark.parametrize("currents, tensions, error", [
@@ -384,9 +388,10 @@ TRIANGLE = make_triangle_profile()
     (TRIANGLE, np.append(20.0 * TRIANGLE[1:], math.nan), DomainError),
     (TRIANGLE, 20.0 * TRIANGLE[1:], DomainError),
     (np.ones((3, 2)), np.ones((3, 2)), DomainError),
+    ([1.0 + 5 * math.ulp(1.0) * k for k in CLOSE_K], [20.0 * k for k in CLOSE_K], DomainError),
 ], ids=["flat", "ramp", "one-current-per-direction", "falling-gain", "close-currents",
         "huge-both", "huge-tensions", "subnormal-currents", "nan", "unequal-lengths",
-        "two-dimensional"])
+        "two-dimensional", "between-rank-thresholds"])
 def test_winch_fit_rejects_what_polyfit_rejects(currents, tensions, error):
     with pytest.raises(error):
         oracles.fit_winch_polyfit(currents, tensions)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from wwmtc import svgplot
 from wwmtc.beam import solve_beam
 from wwmtc.cli import dispatch
 from wwmtc.fileio import CURVE_HEADER, read_muscle_spec
@@ -239,6 +240,11 @@ def test_muscle_curve_two_point_svg(tmp_path, capsys):
     assert body.count("<polyline") == 1
     pts = body.split('points="')[1].split('"')[0].split()
     assert len(pts) == 2  # a single segment
+
+
+def test_axis_ticks_aim_at_six():
+    # a span of 12 in five steps takes the 1/2/5 step 5; in six steps, 2
+    assert svgplot._nice_ticks(0.0, 12.0) == [0.0, 5.0, 10.0]
 
 
 def test_unwritable_output_path(tmp_path, capsys):

@@ -487,17 +487,20 @@ REAL_TYPES = {
 
 
 def geometry_call(name, spec, a, b):
-    """The function called name and its real arguments as floats: a and b
-    place a p, a height or a length inside its valid range for a in [0, 1],
-    and outside it otherwise; b places p_cap."""
+    """The function called name and its real arguments as floats: a places
+    a p, a height or a length inside its valid range for a in [0, 1], and
+    outside it otherwise; b places p_cap the same way, and for solve_beam
+    and solve_p_for_height gives the beam length L, or -L for b outside
+    [0, 1]."""
     n, L, h0, _ = spec
     p = P_STRAIGHT + a * (P_MAX - P_STRAIGHT)
     p_cap = P_STRAIGHT + b * (P_MAX - P_STRAIGHT)
+    beam_L = L if 0.0 <= b <= 1.0 else -L
     if name == "solve_beam":
-        return solve_beam, (L, p)
+        return solve_beam, (beam_L, p)
     if name == "solve_p_for_height":
         h_min = solve_beam(L, P_MAX).h
-        return solve_p_for_height, (L, h_min + a * (L - h_min))
+        return solve_p_for_height, (beam_L, h_min + a * (L - h_min))
     if name == "state_at":
         return (lambda p: state_at(spec, p)), (p,)
     if name == "length_range":
@@ -533,7 +536,8 @@ def test_geometry_numbers_are_floats(name, spec, a, b, kinds):
     # one MuscleSpec applies to its fields: a real number of any type is
     # taken as its float, and a str or bool is a DomainError.  A Decimal
     # length target used to raise a bare TypeError, and a str p or height
-    # was parsed
+    # was parsed.  Every argument's type is checked before any range: a
+    # negative L with a bool p used to report L's range
     fn, args = geometry_call(name, MuscleSpec(*spec), a, b)
     given_args = [REAL_TYPES[kind](x) for kind, x in zip(kinds, args)]
     got = outcome(fn, given_args)

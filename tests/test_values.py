@@ -10,12 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wwmtc.actuators import HysteresisParams, TendonFit
+from test_muscle import REAL_TYPES
+from wwmtc.actuators import HysteresisParams, TendonFit, fit_tendon, fit_winch, simulate_winch
 from wwmtc.beam import BeamSolution
 from wwmtc.design import (AchievedMetrics, DesignConstraints, DesignResult, infeasibility_report,
                           search)
-from wwmtc.errors import DomainError
+from wwmtc.errors import DomainError, WwmtcError
 from wwmtc.muscle import (DeformationCurve, MuscleSpec, MuscleState, curve, length_range,
                           state_at)
 
@@ -128,6 +130,9 @@ def test_value_type_semantics(value, text, fields):
     pytest.param(SPEC, "n", 10**5000, id="spec-n-too-many-digits-for-repr"),
     pytest.param(CONSTRAINTS, "n_range", (10**400, 10**400), id="n_range-float-overflow"),
     pytest.param(CONSTRAINTS, "n_range", (1, 10**5000), id="n_range-too-many-digits-for-repr"),
+    # each used to raise a bare TypeError from the range check
+    (CONSTRAINTS, "n_range", ("1", 5)),
+    (CONSTRAINTS, "n_range", (1, None)),
 ])
 def test_replace_and_make_check_like_the_constructor(base, field, bad):
     kwargs = {**base._asdict(), field: bad}
@@ -259,3 +264,62 @@ def test_spec_constructor_behaves_as_the_named_tuple():
         with pytest.raises(DomainError) as got:
             MuscleSpec(*args)
         assert str(got.value) == message
+
+
+def series_and_counts(name, u):
+    """A call of the function called name, and its arguments as lists whose
+    elements the test converts: a list of floats per series, or one list
+    of the counts (ints) that the call takes, built from u, a list of 36
+    numbers in [0, 1]."""
+    if name == "simulate_winch":
+        return (lambda currents: simulate_winch(PARAMS, currents)), [[4 * x - 2 for x in u[:8]]]
+    if name == "fit_winch":
+        sweep = [0.0, 1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+        currents = [i + 0.25 * x for i, x in zip(sweep, u)]
+        return fit_winch, [currents, [20.0 * i + x for i, x in zip(currents, u[9:])]]
+    if name == "fit_tendon":
+        strains = [0.01 * k + 0.005 * x for k, x in enumerate(u[:12])]
+        loads = [10.0 * math.expm1(5.0 * s) + 0.1 * x for s, x in zip(strains, u[12:])]
+        return fit_tendon, [strains, loads, [0.0] * 6 + [1.0] * 6]
+    if name == "MuscleSpec.n":
+        return (lambda ns: MuscleSpec(*ns, 27.0, 22.0)), [[round(12 * u[0]) - 1]]
+    if name == "curve":
+        return (lambda ns: curve(SPEC, *ns)), [[round(6 * u[0])]]
+    return (lambda ns: CONSTRAINTS._replace(n_range=tuple(ns))), [
+        [round(12 * u[0]), round(12 * u[1])]]
+
+
+def outcome(fn, args):
+    """repr of fn(*args), or the type and message of the error it raised."""
+    try:
+        return repr(fn(*args))
+    except WwmtcError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["simulate_winch", "fit_winch", "fit_tendon", "MuscleSpec.n", "curve",
+                          "n_range"]),
+    u=st.lists(st.floats(0.0, 1.0), min_size=36, max_size=36),
+    kind=st.sampled_from(list(REAL_TYPES)),
+    where=st.lists(st.booleans(), min_size=36, max_size=36),
+)
+def test_series_and_counts_follow_the_number_rule(name, u, kind, where):
+    # the elements of a series follow the rule of a real argument: any real
+    # type counts as its float, and a str or bool is a DomainError.  A count
+    # is an int or a numpy integer, stored as an int; any other type is a
+    # DomainError.  simulate_winch and the fits used to parse strings and
+    # take a bool as 0 or 1, and a str in n_range raised a bare TypeError
+    fn, args = series_and_counts(name, u)
+    marks = iter(where)  # which elements are given as kind
+    given_args = [[REAL_TYPES[kind](x) if next(marks) else x for x in arg] for arg in args]
+    converted = any(where[:sum(map(len, args))])
+    got = outcome(fn, given_args)
+    counts = type(args[0][0]) is int
+    if converted and (kind in ("str", "bool") or counts and kind not in ("int", "np.int64")):
+        rule = "must be an integer" if counts else "must be a real number"
+        assert got[0] is DomainError and rule in got[1], got
+    else:
+        plain = int if counts else float
+        assert got == outcome(fn, [[plain(x) for x in arg] for arg in given_args])
