@@ -105,8 +105,8 @@ MUTANTS = [
            "fits a line np.polyfit calls rank deficient: the between-rank-thresholds "
            "case of test_winch_fit_rejects_what_polyfit_rejects"),
     Mutant("svgplot-seven-ticks", "src/wwmtc/svgplot.py",
-           "_TICKS = 6\n",
-           "_TICKS = 7\n",
+           "_TICKS = 6  #",
+           "_TICKS = 7  #",
            ["tests/test_cli.py"], "killed",
            "steps a span of 12 by 2, not 5: test_axis_ticks_aim_at_six"),
     Mutant("errors-count-takes-a-bool", "src/wwmtc/errors.py",
