@@ -5,7 +5,8 @@ stderr), 1 unexpected internal fault.  The contraction cap defaults to
 0.97 and can be overridden by the WWMTC_P_CAP environment variable or a
 ``--p-cap`` flag (the flag wins).
 
-Each handler only renders its outputs; dispatch writes them, the files
+Each command is declared once, in ``_COMMANDS``: its group, name, help,
+handler and arguments.  Each handler only renders its outputs; dispatch writes them, the files
 first, then stdout, then stderr.  Regular files are written to temporary
 files and renamed into place once every write has succeeded.  A file that
 cannot be written, or that two outputs name, exits 2 with no stdout and
@@ -25,11 +26,6 @@ import sys
 from . import actuators, design, elliptic, fileio, muscle, svgplot
 from .beam import solve_beam
 from .errors import WwmtcError
-
-
-def _add_p_cap(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p-cap", type=float, help="shape-parameter cap for full "
-                        "contraction (default 0.97, env WWMTC_P_CAP)")
 
 
 def _resolve_p_cap(args: argparse.Namespace) -> float:
@@ -77,71 +73,6 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
         else:
             out.append(token)
     return out
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="wwmtc",
-        description="Deformation model, actuator fits and design search for "
-        "wire-wound expanding muscle actuators.",
-    )
-    top = parser.add_subparsers(dest="group", required=True)
-
-    p_ell = top.add_parser("elliptic", help="elliptic integral kernels")
-    ell_sub = p_ell.add_subparsers(dest="command", required=True)
-    p_eval = ell_sub.add_parser("eval", help="evaluate one elliptic integral")
-    p_eval.add_argument("--kind", required=True, choices=("F", "E", "K", "Ec"))
-    p_eval.add_argument("--phi", type=float, default=None, help="amplitude, rad")
-    p_eval.add_argument("--p", type=float, required=True, help="modulus")
-
-    p_beam = top.add_parser("beam", help="single-arch elastica solution")
-    beam_sub = p_beam.add_subparsers(dest="command", required=True)
-    p_solve = beam_sub.add_parser("solve", help="deflected arch for (L, p)")
-    p_solve.add_argument("--L", type=float, required=True, help="arc length, mm")
-    p_solve.add_argument("--p", type=float, required=True, help="shape parameter")
-    p_solve.add_argument("--json", action="store_true", help="emit JSON")
-
-    p_mus = top.add_parser("muscle", help="whole-muscle geometry")
-    mus_sub = p_mus.add_subparsers(dest="command", required=True)
-    p_curve = mus_sub.add_parser("curve", help="contraction-expansion curve")
-    p_curve.add_argument("--spec", action="append", required=True,
-                         help="muscle spec JSON file (repeatable for overlays)")
-    p_curve.add_argument("--samples", type=int, default=100)
-    p_curve.add_argument("--out", help="write curve CSV here")
-    p_curve.add_argument("--svg", help="write width-vs-length SVG here")
-    _add_p_cap(p_curve)
-    p_inv = mus_sub.add_parser("invert", help="state for a commanded length")
-    p_inv.add_argument("--spec", required=True)
-    p_inv.add_argument("--length", type=float, required=True, help="target, mm")
-    _add_p_cap(p_inv)
-
-    p_des = top.add_parser("design", help="search arch count and size")
-    des_sub = p_des.add_subparsers(dest="command", required=True)
-    p_search = des_sub.add_parser("search", help="feasible specs for constraints")
-    p_search.add_argument("--constraints", required=True, help="constraints JSON")
-    p_search.add_argument("--out", help="write results JSON here (default stdout)")
-    p_search.add_argument("--csv", help="also write a CSV summary here")
-    _add_p_cap(p_search)
-
-    p_ten = top.add_parser("tendon", help="tendon load-strain model")
-    ten_sub = p_ten.add_subparsers(dest="command", required=True)
-    p_tfit = ten_sub.add_parser("fit", help="fit the stiffening model")
-    p_tfit.add_argument("--data", required=True, help="CSV: " + fileio.TENDON_HEADER)
-
-    p_win = top.add_parser("winch", help="winch tension-current model")
-    win_sub = p_win.add_subparsers(dest="command", required=True)
-    p_wfit = win_sub.add_parser("fit", help="fit the play operator")
-    p_wfit.add_argument("--data", required=True, help="CSV: " + fileio.WINCH_HEADER)
-    p_wsim = win_sub.add_parser("simulate", help="run the play operator")
-    p_wsim.add_argument("--params", required=True, help="fitted-parameter JSON")
-    p_wsim.add_argument("--profile", required=True, help="CSV: " + fileio.WINCH_HEADER)
-    p_wsim.add_argument("--out", help="write tension CSV here (default stdout)")
-    p_wsim.add_argument("--svg", help="write current-tension loop SVG here")
-    p_wsim.add_argument("--initial-tension", type=float, default=None,
-                        help="override the initial tension state, N")
-
-    return parser
 
 
 _STDERR = object()  # destination of the diagnostic lines of a run
@@ -307,16 +238,74 @@ def _cmd_winch_simulate(args) -> Outputs:
     return outputs
 
 
-_HANDLERS = {
-    ("elliptic", "eval"): _cmd_elliptic_eval,
-    ("beam", "solve"): _cmd_beam_solve,
-    ("muscle", "curve"): _cmd_muscle_curve,
-    ("muscle", "invert"): _cmd_muscle_invert,
-    ("design", "search"): _cmd_design_search,
-    ("tendon", "fit"): _cmd_tendon_fit,
-    ("winch", "fit"): _cmd_winch_fit,
-    ("winch", "simulate"): _cmd_winch_simulate,
-}
+# --p-cap, taken by each command that reads a muscle spec or constraints
+_P_CAP = ("--p-cap", dict(type=float, help="shape-parameter cap for full "
+                          "contraction (default 0.97, env WWMTC_P_CAP)"))
+
+# Every command, declared once: (group, its help, its commands), each command
+# (name, help, handler, arguments) and each argument (flag, add_argument's
+# keywords).  _build_parser builds the parsers in this order.
+_COMMANDS = (
+    ("elliptic", "elliptic integral kernels", (
+        ("eval", "evaluate one elliptic integral", _cmd_elliptic_eval, (
+            ("--kind", dict(required=True, choices=("F", "E", "K", "Ec"))),
+            ("--phi", dict(type=float, help="amplitude, rad")),
+            ("--p", dict(type=float, required=True, help="modulus")))),)),
+    ("beam", "single-arch elastica solution", (
+        ("solve", "deflected arch for (L, p)", _cmd_beam_solve, (
+            ("--L", dict(type=float, required=True, help="arc length, mm")),
+            ("--p", dict(type=float, required=True, help="shape parameter")),
+            ("--json", dict(action="store_true", help="emit JSON")))),)),
+    ("muscle", "whole-muscle geometry", (
+        ("curve", "contraction-expansion curve", _cmd_muscle_curve, (
+            ("--spec", dict(action="append", required=True,
+                            help="muscle spec JSON file (repeatable for overlays)")),
+            ("--samples", dict(type=int, default=100)),
+            ("--out", dict(help="write curve CSV here")),
+            ("--svg", dict(help="write width-vs-length SVG here")),
+            _P_CAP)),
+        ("invert", "state for a commanded length", _cmd_muscle_invert, (
+            ("--spec", dict(required=True)),
+            ("--length", dict(type=float, required=True, help="target, mm")),
+            _P_CAP)))),
+    ("design", "search arch count and size", (
+        ("search", "feasible specs for constraints", _cmd_design_search, (
+            ("--constraints", dict(required=True, help="constraints JSON")),
+            ("--out", dict(help="write results JSON here (default stdout)")),
+            ("--csv", dict(help="also write a CSV summary here")),
+            _P_CAP)),)),
+    ("tendon", "tendon load-strain model", (
+        ("fit", "fit the stiffening model", _cmd_tendon_fit, (
+            ("--data", dict(required=True, help="CSV: " + fileio.TENDON_HEADER)),)),)),
+    ("winch", "winch tension-current model", (
+        ("fit", "fit the play operator", _cmd_winch_fit, (
+            ("--data", dict(required=True, help="CSV: " + fileio.WINCH_HEADER)),)),
+        ("simulate", "run the play operator", _cmd_winch_simulate, (
+            ("--params", dict(required=True, help="fitted-parameter JSON")),
+            ("--profile", dict(required=True, help="CSV: " + fileio.WINCH_HEADER)),
+            ("--out", dict(help="write tension CSV here (default stdout)")),
+            ("--svg", dict(help="write current-tension loop SVG here")),
+            ("--initial-tension", dict(type=float,
+                                       help="override the initial tension state, N")))))),
+)
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in _COMMANDS; each command's parser sets
+    args.run to its handler."""
+    parser = _Parser(prog="wwmtc", description="Deformation model, actuator fits and design "
+                     "search for wire-wound expanding muscle actuators.")
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, group_help, commands in _COMMANDS:
+        subparsers = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="command", required=True)
+        for name, command_help, handler, arguments in commands:
+            command = subparsers.add_parser(name, help=command_help)
+            for flag, options in arguments:
+                command.add_argument(flag, **options)
+            command.set_defaults(run=handler)
+    return parser
 
 
 def dispatch(argv: list[str] | None = None) -> int:
@@ -324,7 +313,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(_attach_negative_numbers(argv))
-        _write(_HANDLERS[(args.group, args.command)](args))
+        _write(args.run(args))
     except SystemExit as exc:  # --help, printed on stdout
         return int(exc.code or 0)
     except WwmtcError as exc:

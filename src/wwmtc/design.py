@@ -48,7 +48,7 @@ from itertools import chain, combinations
 
 from .beam import _shape_at
 from .errors import DomainError, _count, _make, _real
-from .muscle import DEFAULT_P_CAP, KINDS, MuscleSpec, _check_p_cap
+from .muscle import DEFAULT_P_CAP, MuscleSpec, _check_p_cap, _kind
 
 # the widest n_range searched.  A search holds a result or report entry and
 # its output line for every arch count until it returns: ~2.7 µs and ~0.3 kB
@@ -68,7 +68,9 @@ class DesignConstraints(namedtuple(
 
     All lengths in mm, ranges (min, max), each stored as a Python float
     whatever real type it was given as; a str, bytes or bool is a
-    DomainError.  ``min_stroke`` is the required contraction at p_cap,
+    DomainError, and so is a range that is not two items.  Each range is
+    stored as a tuple, n_range's ends as ints and kind as a plain str.
+    ``min_stroke`` is the required contraction at p_cap,
     ``max_width_at_full`` the expansion ceiling there (the proxy for
     "gentle expansion": no default is asserted, the user must pick it).
     ``kind`` is the label stamped on emitted specs; no formula effect.
@@ -76,37 +78,42 @@ class DesignConstraints(namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        nat, min_stroke, max_width, h0, n_range, L_range, min_width, kind = self
-        (nat_lo, nat_hi), (n_lo, n_hi), (L_lo, L_hi) = nat, n_range, L_range
-        if not (type(nat_lo) is type(nat_hi) is type(min_stroke) is type(max_width)
-                is type(h0) is type(L_lo) is type(L_hi) is type(min_width) is float):
-            self = super().__new__(
-                cls, (_real("natural_length_range", nat_lo), _real("natural_length_range", nat_hi)),
-                _real("min_stroke", min_stroke), _real("max_width_at_full", max_width),
-                _real("h0", h0), n_range, (_real("L_range", L_lo), _real("L_range", L_hi)),
-                _real("min_width_at_full", min_width), kind)
-        counts = _count("n_range[0]", n_lo, 1), _count("n_range[1]", n_hi, 1)
-        if not type(n_lo) is type(n_hi) is int:  # a numpy integer is stored as an int
-            self = self._replace(n_range=counts)
+    # namedtuple's signature, so calls and their TypeErrors are its own; the
+    # fields are checked in one pass (pair shapes, real types, counts, ranges,
+    # kind) and the tuple is built once they pass
+    def __new__(cls, natural_length_range, min_stroke, max_width_at_full, h0, n_range,
+                L_range, min_width_at_full=0.0, kind="radial"):
+        names = ("natural_length_range", "n_range", "L_range")
+        ends = []
+        for name, pair in zip(names, (natural_length_range, n_range, L_range)):
+            try:
+                lo, hi = pair
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise DomainError(f"{name}={pair!r} must be a (min, max) pair") from None
+            ends += lo, hi
+        nat_lo, nat_hi, n_lo, n_hi, L_lo, L_hi = ends
+        nat = _real("natural_length_range", nat_lo), _real("natural_length_range", nat_hi)
+        min_stroke = _real("min_stroke", min_stroke)
+        max_width = _real("max_width_at_full", max_width_at_full)
+        h0 = _real("h0", h0)
+        L_range = _real("L_range", L_lo), _real("L_range", L_hi)
+        min_width = _real("min_width_at_full", min_width_at_full)
+        n_range = _count("n_range[0]", n_lo, 1), _count("n_range[1]", n_hi, 1)
         # written as "not ... < inf" so that NaN fails every check
-        for name in ("natural_length_range", "n_range", "L_range"):
-            lo, hi = getattr(self, name)
+        for name, (lo, hi) in zip(names, (nat, n_range, L_range)):
             if not 0.0 <= lo <= hi < math.inf:
-                raise DomainError(
-                    f"{name}={getattr(self, name)!r} must satisfy 0 <= min <= max < inf")
-        for name in ("min_stroke", "max_width_at_full", "min_width_at_full", "h0"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"{name}={getattr(self, name)!r} must be finite and >= 0")
-        if self.L_range[0] <= 0:
+                raise DomainError(f"{name}={(lo, hi)!r} must satisfy 0 <= min <= max < inf")
+        for name, value in (("min_stroke", min_stroke), ("max_width_at_full", max_width),
+                            ("min_width_at_full", min_width), ("h0", h0)):
+            if not 0.0 <= value < math.inf:
+                raise DomainError(f"{name}={value!r} must be finite and >= 0")
+        if L_range[0] <= 0:
             raise DomainError("L_range must be positive")
-        if counts[1] - counts[0] >= _MAX_ARCH_COUNTS:
-            raise DomainError(f"n_range={self.n_range!r} spans more than "
+        if n_range[1] - n_range[0] >= _MAX_ARCH_COUNTS:
+            raise DomainError(f"n_range={n_range!r} spans more than "
                               f"{_MAX_ARCH_COUNTS} arch counts")
-        if self.kind not in KINDS:
-            raise DomainError(f"kind={self.kind!r} must be one of {KINDS}")
-        return self
+        return tuple.__new__(cls, (nat, min_stroke, max_width, h0, n_range, L_range, min_width,
+                                   _kind(kind)))
 
     _make = classmethod(_make)  # namedtuple's own, and so _replace, skips __new__
 

@@ -70,11 +70,15 @@ _FLOAT_INT_LIMIT = 2**1024 - 2**970
 
 
 def _count(name: str, x, least: int) -> int:
-    """x as an int >= least, for an int or a numpy integer; not a bool nor
-    a float.  One past the range of doubles is reported in bits, since its
-    digits may be too many for repr."""
+    """x as an int >= least, for an int or a numpy integer (a 0-d integer
+    array too); not a bool, a float nor any other array.  One past the
+    range of doubles is reported in bits, since its digits may be too many
+    for repr."""
     if type(x) is not int and not isinstance(x, bool) and hasattr(x, "__index__"):
-        x = operator.index(x)  # a numpy integer; a numpy bool has no __index__
+        try:
+            x = operator.index(x)  # a numpy integer; a numpy bool has no __index__
+        except TypeError:  # an array's __index__ refuses all but a 0-d integer one
+            pass
     if type(x) is int and not -_FLOAT_INT_LIMIT < x < _FLOAT_INT_LIMIT:
         raise DomainError(f"{name} has {x.bit_length()} bits, too large for a float")
     if not (type(x) is int and x >= least):

@@ -69,9 +69,11 @@ def _json_text(obj) -> str:
 # JSON fields
 # ---------------------------------------------------------------------------
 
-def _read_json_object(path: str | os.PathLike, what: str, fields: tuple[str, ...]) -> dict:
-    """The JSON object in the file at path, whose keys must all be in fields:
-    a misspelled optional field would otherwise be dropped unnoticed."""
+def _read_json(path: str | os.PathLike, what: str, fields: tuple[str, ...], build):
+    """build(raw) for the JSON object raw in the file at path, whose keys
+    must all be in fields: a misspelled optional field would otherwise be
+    dropped unnoticed.  A missing field, and a DomainError from build or the
+    value type it constructs, is reported with the file's name."""
     try:
         with open(path, encoding="utf-8") as file:
             raw = json.load(file)
@@ -84,7 +86,12 @@ def _read_json_object(path: str | os.PathLike, what: str, fields: tuple[str, ...
     for key in raw:
         if key not in fields:
             raise DomainError(f"{what} {path} has unknown field {key!r}")
-    return raw
+    try:
+        return build(raw)
+    except KeyError as exc:
+        raise DomainError(f"{what} {path} missing field {exc}") from exc
+    except DomainError as exc:
+        raise DomainError(f"{what} {path}: {exc}") from exc
 
 
 def _number(value, name: str) -> float:
@@ -119,19 +126,9 @@ def _pair(value, name: str, convert) -> tuple:
 
 def read_muscle_spec(path: str | os.PathLike) -> MuscleSpec:
     """Load a muscle spec from its JSON file schema."""
-    raw = _read_json_object(path, "muscle spec", ("n", "L_mm", "h0_mm", "kind"))
-    try:
-        fields = dict(
-            n=_integer(raw["n"], "n"),
-            L=_number(raw["L_mm"], "L_mm"),
-            h0=_number(raw["h0_mm"], "h0_mm"),
-            kind=str(raw.get("kind", "radial")),
-        )
-    except KeyError as exc:
-        raise DomainError(f"muscle spec {path} missing field {exc}") from exc
-    except DomainError as exc:
-        raise DomainError(f"muscle spec {path}: {exc}") from exc
-    return MuscleSpec(**fields)
+    return _read_json(path, "muscle spec", ("n", "L_mm", "h0_mm", "kind"), lambda raw: MuscleSpec(
+        n=_integer(raw["n"], "n"), L=_number(raw["L_mm"], "L_mm"),
+        h0=_number(raw["h0_mm"], "h0_mm"), kind=raw.get("kind", "radial")))
 
 
 def muscle_spec_to_json(spec: MuscleSpec) -> dict:
@@ -292,12 +289,7 @@ def winch_series_to_csv(time_s, current_a, tension_n) -> str:
 # ---------------------------------------------------------------------------
 
 def tendon_fit_to_json(fit: TendonFit) -> str:
-    obj = {
-        "a_N": float(fit.a),
-        "b": float(fit.b),
-        "eps0": float(fit.eps0),
-        "rms_residual_N": float(fit.rms_residual),
-    }
+    obj = {"a_N": fit.a, "b": fit.b, "eps0": fit.eps0, "rms_residual_N": fit.rms_residual}
     return _json_text(obj)
 
 
@@ -313,17 +305,10 @@ def winch_params_to_json(params: HysteresisParams) -> str:
 def read_winch_params(path: str | os.PathLike) -> tuple[HysteresisParams, float]:
     """-> (params, initial_tension_N); the initial state defaults to 0."""
     # rms_residual_N is not read, but winch fit writes it
-    raw = _read_json_object(path, "winch params", (
-        "c_N_per_A", "r_N", "initial_tension_N", "rms_residual_N"))
-    try:
-        params = HysteresisParams(c=_number(raw["c_N_per_A"], "c_N_per_A"),
-                                  r=_number(raw["r_N"], "r_N"))
-        t0 = _number(raw.get("initial_tension_N", 0.0), "initial_tension_N")
-    except KeyError as exc:
-        raise DomainError(f"winch params {path} missing field {exc}") from exc
-    except DomainError as exc:
-        raise DomainError(f"winch params {path}: {exc}") from exc
-    return params, t0
+    fields = ("c_N_per_A", "r_N", "initial_tension_N", "rms_residual_N")
+    return _read_json(path, "winch params", fields, lambda raw: (
+        HysteresisParams(c=_number(raw["c_N_per_A"], "c_N_per_A"), r=_number(raw["r_N"], "r_N")),
+        _number(raw.get("initial_tension_N", 0.0), "initial_tension_N")))
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +316,18 @@ def read_winch_params(path: str | os.PathLike) -> tuple[HysteresisParams, float]
 # ---------------------------------------------------------------------------
 
 def read_design_constraints(path: str | os.PathLike) -> DesignConstraints:
-    raw = _read_json_object(path, "constraints", (
-        "natural_length_range_mm", "min_stroke_mm", "max_width_at_full_mm",
-        "min_width_at_full_mm", "h0_mm", "n_range", "L_range_mm", "kind"))
-    try:
-        fields = dict(
-            natural_length_range=_pair(raw["natural_length_range_mm"],
-                                       "natural_length_range_mm", _number),
-            min_stroke=_number(raw["min_stroke_mm"], "min_stroke_mm"),
-            max_width_at_full=_number(raw["max_width_at_full_mm"], "max_width_at_full_mm"),
-            min_width_at_full=_number(raw.get("min_width_at_full_mm", 0.0),
-                                      "min_width_at_full_mm"),
-            h0=_number(raw["h0_mm"], "h0_mm"),
-            n_range=_pair(raw["n_range"], "n_range", _integer),
-            L_range=_pair(raw["L_range_mm"], "L_range_mm", _number),
-            kind=str(raw.get("kind", "radial")),
-        )
-    except KeyError as exc:
-        raise DomainError(f"constraints {path} missing field {exc}") from exc
-    except DomainError as exc:
-        raise DomainError(f"constraints {path}: {exc}") from exc
-    return DesignConstraints(**fields)
+    fields = ("natural_length_range_mm", "min_stroke_mm", "max_width_at_full_mm",
+              "min_width_at_full_mm", "h0_mm", "n_range", "L_range_mm", "kind")
+    return _read_json(path, "constraints", fields, lambda raw: DesignConstraints(
+        natural_length_range=_pair(raw["natural_length_range_mm"], "natural_length_range_mm",
+                                   _number),
+        min_stroke=_number(raw["min_stroke_mm"], "min_stroke_mm"),
+        max_width_at_full=_number(raw["max_width_at_full_mm"], "max_width_at_full_mm"),
+        min_width_at_full=_number(raw.get("min_width_at_full_mm", 0.0), "min_width_at_full_mm"),
+        h0=_number(raw["h0_mm"], "h0_mm"),
+        n_range=_pair(raw["n_range"], "n_range", _integer),
+        L_range=_pair(raw["L_range_mm"], "L_range_mm", _number),
+        kind=raw.get("kind", "radial")))
 
 
 def design_results_to_json(results: list[DesignResult]) -> str:

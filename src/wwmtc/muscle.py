@@ -36,11 +36,19 @@ DEFAULT_P_CAP = 0.97
 KINDS = ("radial", "planar")
 
 
+def _kind(kind) -> str:
+    """kind as a plain str, for a str (numpy's too) in KINDS; any other
+    value is a DomainError."""
+    if not (isinstance(kind, str) and kind in KINDS):
+        raise DomainError(f"kind={kind!r} must be one of {KINDS}")
+    return str(kind)
+
+
 class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
     """Arch count, arch beam length (mm), length offset (mm), kind label.
 
     n is stored as an int, and L and h0 as floats, whatever real type they
-    were given as.
+    were given as, and kind as a plain str.
     """
 
     __slots__ = ()
@@ -57,8 +65,8 @@ class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
             raise DomainError(f"beam length L={L!r} must be positive and finite")
         if not 0.0 <= h0 < math.inf:
             raise DomainError(f"length offset h0={h0!r} must be finite and >= 0")
-        if kind not in KINDS:
-            raise DomainError(f"kind={kind!r} must be one of {KINDS}")
+        if type(kind) is not str or kind not in KINDS:
+            kind = _kind(kind)
         return tuple.__new__(cls, (n, L, h0, kind))
 
     _make = classmethod(_make)  # namedtuple's own, and so _replace, skips __new__

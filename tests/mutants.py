@@ -10,6 +10,8 @@ directory, applies the edit there and runs pytest on the named files,
 stopping at the first failure; a failing run kills the mutant.  The
 working tree is never edited.  It prints one line per mutant and exits 1
 when a mutant comes out other than expected, or its edit no longer applies.
+tests/test_float_constants.py requires a mutant here, or a stated reason,
+for every module-level float constant of the package.
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py NAME ...    # the named ones
@@ -124,6 +126,44 @@ MUTANTS = [
            "    if False:\n",
            ["tests/test_actuators.py"], "killed",
            "plays a NaN current: test_winch_simulate_validation"),
+    Mutant("actuators-vp-tol-loose", "src/wwmtc/actuators.py",
+           "_VP_TOL = 1e-14", "_VP_TOL = 1e-6",
+           ["tests/test_actuators.py", "tests/test_cli.py"], "killed",
+           "stops Gauss-Newton while b still moves: test_tendon_fit_reaches_the_optimum"),
+    Mutant("beam-boundary-tol-zero", "src/wwmtc/beam.py",
+           "_BOUNDARY_TOL = 1e-12", "_BOUNDARY_TOL = 0.0",
+           ["tests/test_beam.py"], "killed",
+           "refuses a p that rounds just below P_STRAIGHT: "
+           "test_straight_strip_boundary_is_exact"),
+    Mutant("beam-d-max-last-digit", "src/wwmtc/beam.py",
+           "_D_MAX = 19.495318687928826", "_D_MAX = 19.495318687928822",
+           ["tests/test_beam.py"], "killed",
+           "moves the forward table's domain end by an ULP: test_forward_table_rebuild"),
+    Mutant("beam-u-max-last-digit", "src/wwmtc/beam.py",
+           "_U_MAX = 0.9303595000027977", "_U_MAX = 0.9303595000027975",
+           ["tests/test_beam.py"], "killed",
+           "moves the root table's domain end by an ULP: test_root_table_rebuild"),
+    Mutant("elliptic-tol-tenfold", "src/wwmtc/elliptic.py",
+           "_TOL = 1e-4  #", "_TOL = 1e-3  #",
+           ["tests/test_elliptic.py"], "killed",
+           "stops the Carlson duplication while the series tail is above an ULP: "
+           "test_kernel_returns_frozen_doubles"),
+    Mutant("muscle-default-p-cap", "src/wwmtc/muscle.py",
+           "DEFAULT_P_CAP = 0.97", "DEFAULT_P_CAP = 0.96",
+           ["tests/test_cli.py"], "killed",
+           "another default cap: test_muscle_curve_csv's golden"),
+    Mutant("svgplot-margin-left", "src/wwmtc/svgplot.py",
+           "_MARGIN_LEFT = 72.0", "_MARGIN_LEFT = 73.0",
+           ["tests/test_cli.py"], "killed", "test_muscle_curve_svg_overlay's golden"),
+    Mutant("svgplot-margin-right", "src/wwmtc/svgplot.py",
+           "_MARGIN_RIGHT = 24.0", "_MARGIN_RIGHT = 25.0",
+           ["tests/test_cli.py"], "killed", "test_muscle_curve_svg_overlay's golden"),
+    Mutant("svgplot-margin-top", "src/wwmtc/svgplot.py",
+           "_MARGIN_TOP = 24.0", "_MARGIN_TOP = 25.0",
+           ["tests/test_cli.py"], "killed", "test_muscle_curve_svg_overlay's golden"),
+    Mutant("svgplot-margin-bottom", "src/wwmtc/svgplot.py",
+           "_MARGIN_BOTTOM = 56.0", "_MARGIN_BOTTOM = 57.0",
+           ["tests/test_cli.py"], "killed", "test_muscle_curve_svg_overlay's golden"),
 ]
 
 

@@ -7,6 +7,7 @@ output change, then review the diff.
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -665,6 +666,23 @@ def test_json_inputs_reject_an_unknown_field(tmp_path, capsys, fixture, key, arg
     assert out == "" and f"unknown field {key!r}" in err
 
 
+@pytest.mark.parametrize("fixture, edit, argv, message", [
+    ("radial.json", {"L_mm": -1}, ["muscle", "invert", "--length", "220", "--spec"],
+     "muscle spec {path}: beam length L=-1.0 must be positive and finite"),
+    ("radial.json", {"kind": "spiral"}, ["muscle", "invert", "--length", "220", "--spec"],
+     "muscle spec {path}: kind='spiral' must be one of ('radial', 'planar')"),
+    ("constraints.json", {"L_range_mm": [50, 10]}, ["design", "search", "--constraints"],
+     "constraints {path}: L_range=(50.0, 10.0) must satisfy 0 <= min <= max < inf"),
+], ids=["muscle-spec-L", "muscle-spec-kind", "constraints-L_range"])
+def test_value_type_errors_name_their_file(tmp_path, capsys, fixture, edit, argv, message):
+    # the range checks of MuscleSpec and DesignConstraints used to be
+    # reported without the file, unlike every other error in a JSON input
+    path = tmp_path / fixture
+    path.write_text(json.dumps({**json.loads((DATA_DIR / fixture).read_text()), **edit}))
+    code, out, err = run([*argv, str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+
 def test_winch_simulate_reads_the_params_that_winch_fit_writes(capsys):
     # winch_fit.json holds rms_residual_N besides the parameters
     profile = str(DATA_DIR / "triangle_profile.csv")
@@ -1145,3 +1163,35 @@ def test_help_exits_zero(capsys):
         assert dispatch(argv) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: wwmtc") and captured.err == ""
+
+
+# every group, its commands and each command's flags, in the order of --help
+COMMANDS = {
+    "elliptic": {"eval": ["--kind", "--phi", "--p"]},
+    "beam": {"solve": ["--L", "--p", "--json"]},
+    "muscle": {"curve": ["--spec", "--samples", "--out", "--svg", "--p-cap"],
+               "invert": ["--spec", "--length", "--p-cap"]},
+    "design": {"search": ["--constraints", "--out", "--csv", "--p-cap"]},
+    "tendon": {"fit": ["--data"]},
+    "winch": {"fit": ["--data"],
+              "simulate": ["--params", "--profile", "--out", "--svg", "--initial-tension"]},
+}
+
+
+def test_help_lists_every_group_command_and_flag(capsys):
+    def help_text(*argv):
+        assert dispatch([*argv, "-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    def choices(text):  # the subcommands that the usage line lists
+        return re.search(r"\{([\w,]+)\} \.\.\.", text).group(1).split(",")
+
+    assert choices(help_text()) == list(COMMANDS)
+    for group, commands in COMMANDS.items():
+        assert choices(help_text(group)) == list(commands)
+        for command, flags in commands.items():
+            text = help_text(group, command)
+            assert text.startswith(f"usage: wwmtc {group} {command} [-h] ")
+            assert re.findall(r"^  (-[-\w]+)", text, re.M) == ["-h", *flags]

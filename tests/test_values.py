@@ -133,6 +133,21 @@ def test_value_type_semantics(value, text, fields):
     # each used to raise a bare TypeError from the range check
     (CONSTRAINTS, "n_range", ("1", 5)),
     (CONSTRAINTS, "n_range", (1, None)),
+    # each used to raise a bare ValueError or TypeError from unpacking the pair
+    pytest.param(CONSTRAINTS, "n_range", (1,), id="n_range-one-item"),
+    pytest.param(CONSTRAINTS, "L_range", (1.0, 2.0, 3.0), id="L_range-three-items"),
+    pytest.param(CONSTRAINTS, "natural_length_range", 5.0, id="natural_length_range-a-number"),
+    pytest.param(CONSTRAINTS, "L_range", None, id="L_range-None"),
+    # a count is not a float array nor a 1-d one: numpy's __index__ raised a
+    # bare TypeError; a kind that is not a str was stored, or raised numpy's
+    # ValueError from its truth value
+    pytest.param(SPEC, "n", np.array(8.0), id="spec-n-0d-float-array"),
+    pytest.param(SPEC, "n", np.array([8]), id="spec-n-1d-array"),
+    pytest.param(CONSTRAINTS, "n_range", (np.array(1.0), 5), id="n_range-0d-float-array"),
+    pytest.param(SPEC, "kind", np.array(["radial"]), id="spec-kind-1d-array"),
+    pytest.param(SPEC, "kind", np.array([["radial"]]), id="spec-kind-2d-array"),
+    pytest.param(CONSTRAINTS, "kind", np.array(["radial"]), id="constraints-kind-1d-array"),
+    pytest.param(CONSTRAINTS, "kind", np.array([["radial"]]), id="constraints-kind-2d-array"),
 ])
 def test_replace_and_make_check_like_the_constructor(base, field, bad):
     kwargs = {**base._asdict(), field: bad}
@@ -193,6 +208,26 @@ def test_numpy_integer_arch_counts_are_stored_as_ints(integer):
                                              "n_range": (integer(1), 12)})):
         assert value == CONSTRAINTS and [type(n) for n in value.n_range] == [int, int]
     assert repr(spec) == repr(SPEC)
+
+
+def test_counts_and_kinds_are_stored_as_plain_ints_and_strs():
+    # a 0-d integer array is a count, as operator.index takes it; a numpy
+    # str is a kind, stored as a str: it used to be kept as an np.str_
+    assert MuscleSpec(np.array(8), 27.0, 22.0) == SPEC
+    assert type(MuscleSpec(np.array(8), 27.0, 22.0).n) is int
+    assert curve(SPEC, np.array(5)) == curve(SPEC, 5)
+    with pytest.raises(DomainError, match=r"num_samples=array\(5\.\) must be an integer"):
+        curve(SPEC, np.array(5.0))
+    planar = np.str_("planar")
+    for value in (MuscleSpec(8, 27.0, 22.0, planar), SPEC._replace(kind=planar),
+                  CONSTRAINTS._replace(kind=planar)):
+        assert value.kind == "planar" and type(value.kind) is str
+    # a range given as a list or an array is stored as a tuple, as the
+    # repr shows; a list of floats used to be kept as the list
+    cons = CONSTRAINTS._replace(natural_length_range=[237.2, 238.8], n_range=np.array([1, 12]),
+                                L_range=[10.0, 50.0])
+    assert repr(cons) == repr(CONSTRAINTS)
+    assert [type(v) for v in cons.n_range] == [int, int]
 
 
 def test_the_largest_arch_counts_compute_without_overflow():
@@ -264,6 +299,20 @@ def test_spec_constructor_behaves_as_the_named_tuple():
         with pytest.raises(DomainError) as got:
             MuscleSpec(*args)
         assert str(got.value) == message
+
+
+def test_constraints_constructor_behaves_as_the_named_tuple():
+    # DesignConstraints.__new__ spells out namedtuple's signature, so a
+    # wrong call raises namedtuple's own TypeError
+    plain = namedtuple("DesignConstraints", CONSTRAINTS._fields, defaults=(0.0, "radial"))
+    fields = CONSTRAINTS._asdict()
+    for args, kwargs in (((), {}), ((1, 2, 3), {}), ((), {**fields, "extra": 1}),
+                         ((*fields.values(), 1), {}), (((1.0, 2.0),), fields)):
+        with pytest.raises(TypeError) as got:
+            DesignConstraints(*args, **kwargs)
+        with pytest.raises(TypeError) as want:
+            plain(*args, **kwargs)
+        assert str(got.value) == str(want.value)
 
 
 def series_and_counts(name, u):
