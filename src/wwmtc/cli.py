@@ -6,12 +6,12 @@ stderr), 1 unexpected internal fault.  The contraction cap defaults to
 ``--p-cap`` flag (the flag wins).
 
 Each command is declared once, in ``_COMMANDS``: its group, name, help,
-handler and arguments.  Each handler only renders its outputs; dispatch writes them, the files
-first, then stdout, then stderr.  Regular files are written to temporary
-files and renamed into place once every write has succeeded.  A file that
-cannot be written, or that two outputs name, exits 2 with no stdout and
-leaves no file the run created; a file that existed before keeps its
-content unless a rename fails after another has succeeded.
+handler and arguments.  Each handler only renders its outputs; dispatch
+writes them, the files first, then stdout, then stderr.  Regular files are
+written to temporary files and renamed into place once every write has
+succeeded.  A file that cannot be written, or that two outputs name, exits
+2 with no stdout and leaves no file the run created; a file that existed
+before keeps its content unless a rename fails after another has succeeded.
 """
 
 from __future__ import annotations
@@ -239,8 +239,8 @@ def _cmd_winch_simulate(args) -> Outputs:
 
 
 # --p-cap, taken by each command that reads a muscle spec or constraints
-_P_CAP = ("--p-cap", dict(type=float, help="shape-parameter cap for full "
-                          "contraction (default 0.97, env WWMTC_P_CAP)"))
+_P_CAP = ("--p-cap", dict(type=float, help="shape-parameter cap for full contraction "
+                          f"(default {muscle.DEFAULT_P_CAP!r}, env WWMTC_P_CAP)"))
 
 # Every command, declared once: (group, its help, its commands), each command
 # (name, help, handler, arguments) and each argument (flag, add_argument's
