@@ -67,8 +67,8 @@ class HysteresisParams(namedtuple("HysteresisParams", "c r rms_residual", defaul
     rms_residual  N, of the tension fit; 0.0 when not fitted
 
     Each field is stored as a Python float whatever real type it was given
-    as; a str, bytes or bool is a DomainError.  simulate_winch checks the
-    ranges.
+    as; a str, bytes or bool is a DomainError, and so is a gain c that is
+    not positive and finite or a half-band r that is not finite and >= 0.
     """
 
     __slots__ = ()
@@ -77,6 +77,11 @@ class HysteresisParams(namedtuple("HysteresisParams", "c r rms_residual", defaul
         if not type(c) is type(r) is type(rms_residual) is float:
             c, r = _real("gain c", c), _real("half-band r", r)
             rms_residual = _real("rms_residual", rms_residual)
+        # written as "not ... < inf" so that NaN fails the checks
+        if not 0.0 < c < math.inf:
+            raise DomainError(f"gain c={c!r} must be positive and finite")
+        if not 0.0 <= r < math.inf:
+            raise DomainError(f"half-band r={r!r} must be finite and >= 0")
         return tuple.__new__(cls, (c, r, rms_residual))
 
     _make = classmethod(_make)  # namedtuple's own, and so _replace, skips __new__
@@ -239,10 +244,6 @@ def simulate_winch(params: HysteresisParams, currents, initial_tension: float = 
     numbers, arrays included.
     """
     c, r, t = params.c, params.r, _real("initial tension", initial_tension)
-    if not 0.0 < c < math.inf:
-        raise DomainError(f"gain c={c!r} must be positive and finite")
-    if not 0.0 <= r < math.inf:
-        raise DomainError(f"half-band r={r!r} must be finite and >= 0")
     if not math.isfinite(t):
         raise DomainError(f"initial tension {t!r} must be finite")
     shape = "current series must be a nonempty 1-D array"

@@ -33,9 +33,12 @@ them, so a process evaluates the table once per cap: design search on the
 command line calls search and then infeasibility_report, and the report
 evaluates nothing.
 The binding constraint is computed only where it is returned, by
-infeasibility_report, in one loop over the infeasible counts, _bindings,
-which does once the work that does not depend on n; search does not
-compute it.
+infeasibility_report, in one loop over the infeasible counts, _bindings;
+search does not compute it.  The rounded margins that rise with L and
+those that fall keep their directions, so a count whose maximin is an end
+of L_range, as nearly every count of a wide n_range has, is settled from
+its margins at the two ends.  Only the others run the scan of the
+crossings, whose setup, which does not depend on n, is done once.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ from .errors import DomainError, _count, _make, _real
 from .muscle import DEFAULT_P_CAP, MuscleSpec, _check_p_cap, _kind
 
 # the widest n_range searched.  A search holds a result or report entry and
-# its output line for every arch count until it returns: ~2.7 µs and ~0.3 kB
-# each on a 2-vCPU x86 host, most of it the binding constraint of each
-# infeasible count, so a full-width design search takes ~3 s and ~0.3 GB
-# (design search over [1, 10**6] on tests/data/constraints.json, three fresh
-# processes with site: 2.73-2.75 s and 315 MB peak RSS)
+# its output line for every arch count until it returns: ~1.1 µs and ~0.3 kB
+# each on a 2-vCPU x86 host, a third of the time the binding constraint of
+# each infeasible count and most of the rest its stderr line, so a
+# full-width design search takes ~1.1 s and ~0.3 GB (design search over
+# [1, 10**6] on tests/data/constraints.json, three fresh processes each:
+# 1.07-1.14 s with site and 1.06-1.12 s under -S, 315-317 MB peak RSS)
 _MAX_ARCH_COUNTS = 10**6
 
 
@@ -322,14 +326,79 @@ def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
     largest smallest margin wins, as max(candidates, key=min) picks it.
     Every margin is _slack's expression, the same double.
 
-    The intercepts, and so the numerators of the crossings and the crossing
-    of the two width margins, do not depend on n: they are computed once.
-    A candidate is dropped at its first margin <= the best smallest margin
-    so far, since its own cannot be larger and a tie goes to the earlier
-    candidate.  A NaN margin (the stroke, where n·L overflows and ĥ rounds
-    to 1) drops none, as min passes over it: the first margin is never NaN.
+    Most counts are settled at the ends of L_range alone.  For u = 1 − ĥ >=
+    0 and ŵ >= 0 the rising margins (natural length min, stroke, width min)
+    do not fall as L grows, once rounded, and the falling ones (natural
+    length max, width max) do not rise: rounding is monotone.  So with R
+    the smallest rising margin and F the smallest falling one, R − F does
+    not fall, and the smallest margin, min(R, F), is R up to where they
+    cross and F after it.  Where F <= R at L_min, no L does better than
+    L_min, which comes first and wins.  Where R <= F at L_max, no L does
+    better than L_max, and of the candidates that tie it only L_min comes
+    before it: L_min wins if its smallest margin is as large.  Only the
+    other counts, whose maximin lies inside L_range, run _scan over the
+    crossings, from the better of the two ends.
+
+    A NaN margin (the stroke, where n·L overflows and ĥ rounds to 1) is
+    passed over by min, as it is not min's first argument: the first
+    margin, n·L + h0 − nat_lo, is never NaN.  The NaN only drops the
+    stroke from R where n·L is inf, which cannot make R fall; there the
+    natural length max is -inf, and so is F.  So the ends' argument holds
+    with it.
+
+    The scan's setup, the numerators of the crossings and the crossing of
+    the two width margins, does not depend on n: it is computed once, at
+    the first count that needs it.  A candidate is dropped at its first
+    margin <= the best smallest margin so far, since its own cannot be
+    larger and a tie goes to the earlier candidate; a NaN margin drops
+    none.
     """
     nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
+    L_min, L_max = L_range
+    u = 1.0 - h_unit
+    monotone = u >= 0.0 and w_unit >= 0.0  # each margin rises or falls with L
+    # the width margins at the ends of L_range do not depend on n
+    max_lo, min_lo = max_width - L_min * w_unit, L_min * w_unit - min_width
+    max_hi, min_hi = max_width - L_max * w_unit, L_max * w_unit - min_width
+    pairs = None  # the scan's setup
+    names = {}
+    for n in counts:
+        x = float(n)
+        # R = min(m0, m2, width min) and F = min(m1, width max) at L_min,
+        # each written out as min compares: a later argument replaces the
+        # smallest so far only if it is smaller, so a NaN m2 is passed over
+        nat = x * L_min + h0
+        m0, m1, m2 = nat - nat_lo, nat_hi - nat, x * L_min * u - min_stroke
+        rise = m2 if m2 < m0 else m0
+        rise = min_lo if min_lo < rise else rise
+        fall = max_lo if max_lo < m1 else m1
+        lo = (m0, m1, m2, max_lo, min_lo)
+        if monotone and fall <= rise:
+            margins, best = lo, fall
+        else:  # and at L_max
+            nat = x * L_max + h0
+            m0, m1, m2 = nat - nat_lo, nat_hi - nat, x * L_max * u - min_stroke
+            rise_hi = m2 if m2 < m0 else m0
+            rise_hi = min_hi if min_hi < rise_hi else rise_hi
+            fall_hi = max_hi if max_hi < m1 else m1
+            best_lo = fall if fall < rise else rise
+            best_hi = fall_hi if fall_hi < rise_hi else rise_hi
+            hi = (m0, m1, m2, max_hi, min_hi)
+            margins, best = (hi, best_hi) if best_hi > best_lo else (lo, best_lo)
+            if not (monotone and rise_hi <= fall_hi):
+                if pairs is None:
+                    pairs, width_crossing = _crossings(limits, L_range, h_unit, w_unit)
+                margins, best = _scan(limits, L_range, x, u, w_unit, pairs, width_crossing,
+                                      margins, best)
+        names[n] = _CONSTRAINT_NAMES[margins.index(best)]
+    return names
+
+
+def _crossings(limits: tuple[float, ...], L_range: tuple[float, float],
+               h_unit: float, w_unit: float) -> tuple[list, list]:
+    """_scan's setup, which does not depend on n: (numerator, i, j) of the
+    crossing of margins i and j for each pair of margins but the two width
+    ones, and the crossing of those two if it lies within L_range."""
     L_min, L_max = L_range
     a = _slack(limits, 1, 0.0, h_unit, w_unit)  # the intercepts: n * 0.0 is 0.0
     pairs = [(a[j] - a[i], i, j) for i, j in combinations(range(len(a)), 2) if i < 3]
@@ -338,34 +407,37 @@ def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
         L = (a[4] - a[3]) / (-w_unit - w_unit)
         if L_min <= L <= L_max:
             width_crossing.append(L)
-    u = 1.0 - h_unit
-    names = {}
-    for n in counts:
-        x = float(n)
-        b = (x, -x, x * u, -w_unit, w_unit)  # the slopes in L of _slack's margins
-        candidates = [L_min, L_max]
-        for num, i, j in pairs:
-            if b[i] != b[j]:
-                L = num / (b[i] - b[j])
-                if L_min <= L <= L_max:
-                    candidates.append(L)
-        candidates += width_crossing
-        best_L, best = L_min, -math.inf
-        for L in candidates:
-            nat = x * L + h0
-            if nat - nat_lo <= best or nat_hi - nat <= best:
-                continue
-            stroke = x * L * u - min_stroke
-            if stroke <= best:
-                continue
-            width = L * w_unit
-            if max_width - width <= best or width - min_width <= best:
-                continue
-            best_L = L
-            best = min(nat - nat_lo, nat_hi - nat, stroke, max_width - width, width - min_width)
-        margins = _slack(limits, n, best_L, h_unit, w_unit)
-        names[n] = _CONSTRAINT_NAMES[margins.index(min(margins))]
-    return names
+    return pairs, width_crossing
+
+
+def _scan(limits: tuple[float, ...], L_range: tuple[float, float], x: float, u: float,
+          w_unit: float, pairs: list, width_crossing: list,
+          margins: tuple[float, ...], best: float) -> tuple[tuple[float, ...], float]:
+    """(margins, smallest margin) of the first candidate of arch count x
+    with the largest smallest margin, given those of the better end of
+    L_range: the crossings within L_range are scanned after both ends."""
+    nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
+    L_min, L_max = L_range
+    b = (x, -x, x * u, -w_unit, w_unit)  # the slopes in L of _slack's margins
+    candidates = []
+    for num, i, j in pairs:
+        if b[i] != b[j]:
+            L = num / (b[i] - b[j])
+            if L_min <= L <= L_max:
+                candidates.append(L)
+    for L in candidates + width_crossing:
+        nat = x * L + h0
+        if nat - nat_lo <= best or nat_hi - nat <= best:
+            continue
+        stroke = x * L * u - min_stroke
+        if stroke <= best:
+            continue
+        width = L * w_unit
+        if max_width - width <= best or width - min_width <= best:
+            continue
+        margins = (nat - nat_lo, nat_hi - nat, stroke, max_width - width, width - min_width)
+        best = min(margins)
+    return margins, best
 
 
 # Rounding bounds of _counts: one rounding moves a normal double by at most

@@ -26,7 +26,7 @@ from array import array
 from collections import namedtuple
 
 from .beam import P_MAX, P_STRAIGHT, _check_shape_param, _height, _p_for_height, _shape
-from .errors import DomainError, OutOfRangeError, _count, _make, _real
+from .errors import _FLOAT_INT_LIMIT, DomainError, OutOfRangeError, _count, _make, _real
 
 # Default contraction cap.  Beyond p ~ 0.97 the tip angle exceeds ~75 deg
 # and neighbouring arches would start to interfere; overridable everywhere
@@ -60,7 +60,8 @@ class MuscleSpec(namedtuple("MuscleSpec", "n L h0 kind", defaults=("radial",))):
     def __new__(cls, n, L, h0, kind="radial"):
         if not type(L) is type(h0) is float:
             L, h0 = _real("beam length L", L), _real("length offset h0", h0)
-        n = _count("arch count n", n, 1)
+        if not (type(n) is int and 1 <= n < _FLOAT_INT_LIMIT):  # _count's rule, inline for an int
+            n = _count("arch count n", n, 1)
         if not 0.0 < L < math.inf:
             raise DomainError(f"beam length L={L!r} must be positive and finite")
         if not 0.0 <= h0 < math.inf:

@@ -51,6 +51,26 @@ MUTANTS = [
            ["tests/test_design.py"], "killed",
            "sends a tie to the later candidate: the rounding-plateau case of "
            "test_bindings_are_the_maximin_at_ties"),
+    Mutant("design-bindings-end-tie-to-L_max", "src/wwmtc/design.py",
+           "if best_hi > best_lo else", "if best_hi >= best_lo else",
+           ["tests/test_design.py"], "killed",
+           "gives L_max a tie with L_min: the flat-width-tie case of "
+           "test_bindings_settle_a_count_at_an_end_or_by_the_scan"),
+    Mutant("design-bindings-L_max-without-its-test", "src/wwmtc/design.py",
+           "if not (monotone and rise_hi <= fall_hi):", "if not monotone:",
+           ["tests/test_design.py"], "killed",
+           "takes the better end where the maximin lies inside L_range: the interior "
+           "case of test_bindings_settle_a_count_at_an_end_or_by_the_scan"),
+    Mutant("design-bindings-ends-admit-falling-stroke", "src/wwmtc/design.py",
+           "monotone = u >= 0.0 and w_unit >= 0.0", "monotone = w_unit >= 0.0",
+           ["tests/test_design.py"], "killed",
+           "settles a count at L_max where 1 - ĥ < 0: the stroke-falls case of "
+           "test_bindings_settle_a_count_at_an_end_or_by_the_scan"),
+    Mutant("design-bindings-ends-admit-swapped-width", "src/wwmtc/design.py",
+           "monotone = u >= 0.0 and w_unit >= 0.0", "monotone = u >= 0.0",
+           ["tests/test_design.py"], "killed",
+           "settles a count at L_max where ŵ < 0: the width-margins-swap case of "
+           "test_bindings_settle_a_count_at_an_end_or_by_the_scan"),
     Mutant("actuators-tendonfit-without-real", "src/wwmtc/actuators.py",
            '            a, b, eps0 = _real("a", a), _real("b", b), _real("eps0", eps0)\n'
            '            rms_residual = _real("rms_residual", rms_residual)\n',

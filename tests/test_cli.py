@@ -666,6 +666,10 @@ def test_json_inputs_reject_an_unknown_field(tmp_path, capsys, fixture, key, arg
     assert out == "" and f"unknown field {key!r}" in err
 
 
+WINCH_SIMULATE = ["winch", "simulate", "--profile", str(DATA_DIR / "triangle_profile.csv"),
+                  "--params"]
+
+
 @pytest.mark.parametrize("fixture, edit, argv, message", [
     ("radial.json", {"L_mm": -1}, ["muscle", "invert", "--length", "220", "--spec"],
      "muscle spec {path}: beam length L=-1.0 must be positive and finite"),
@@ -673,10 +677,16 @@ def test_json_inputs_reject_an_unknown_field(tmp_path, capsys, fixture, key, arg
      "muscle spec {path}: kind='spiral' must be one of ('radial', 'planar')"),
     ("constraints.json", {"L_range_mm": [50, 10]}, ["design", "search", "--constraints"],
      "constraints {path}: L_range=(50.0, 10.0) must satisfy 0 <= min <= max < inf"),
-], ids=["muscle-spec-L", "muscle-spec-kind", "constraints-L_range"])
+    ("winch_params.json", {"c_N_per_A": -1, "r_N": 1}, WINCH_SIMULATE,
+     "winch params {path}: gain c=-1.0 must be positive and finite"),
+    ("winch_params.json", {"r_N": -0.5}, WINCH_SIMULATE,
+     "winch params {path}: half-band r=-0.5 must be finite and >= 0"),
+], ids=["muscle-spec-L", "muscle-spec-kind", "constraints-L_range", "winch-params-c",
+        "winch-params-r"])
 def test_value_type_errors_name_their_file(tmp_path, capsys, fixture, edit, argv, message):
-    # the range checks of MuscleSpec and DesignConstraints used to be
-    # reported without the file, unlike every other error in a JSON input
+    # the range checks of MuscleSpec, DesignConstraints and HysteresisParams
+    # used to be reported without the file, unlike every other error in a
+    # JSON input
     path = tmp_path / fixture
     path.write_text(json.dumps({**json.loads((DATA_DIR / fixture).read_text()), **edit}))
     code, out, err = run([*argv, str(path)], capsys)

@@ -607,6 +607,146 @@ def test_bindings_are_the_maximin_next_to_the_straight_end(case):
     assert_matches_the_scan(at_a_tie(case, p_cap), p_cap)
 
 
+def bindings_branch(limits: tuple[float, ...], L_range: tuple[float, float], n: int,
+                    h_unit: float, w_unit: float) -> str:
+    """Where the maximin of arch count n lies, read off its margins at the
+    ends of L_range: "L_min" where the smallest falling margin (natural
+    length max, width max) is at most the smallest rising one (natural
+    length min, stroke, width min) at L_min; "L_max" where the rising one
+    is at most the falling one at L_max, or "tie" where L_min's smallest
+    margin equals L_max's then; "scan" where only the crossings inside
+    L_range can tell, and wherever a stroke or width margin would not rise
+    or fall as its group does (1 − ĥ < 0 or ŵ < 0)."""
+    if not (1.0 - h_unit >= 0.0 and w_unit >= 0.0):
+        return "scan"
+    (rise_lo, fall_lo), (rise_hi, fall_hi) = (
+        (min(m[0], m[2], m[4]), min(m[1], m[3]))
+        for m in (_slack(limits, n, L, h_unit, w_unit) for L in L_range))
+    if fall_lo <= rise_lo:
+        return "L_min"
+    if rise_hi <= fall_hi:
+        return "tie" if rise_lo == rise_hi else "L_max"
+    return "scan"
+
+
+def count_scans(monkeypatch) -> list[float]:
+    """The arch counts, as floats, that design._scan is called for from now on."""
+    scan, counts = design._scan, []
+
+    def counting_scan(limits, L_range, x, *args):
+        counts.append(x)
+        return scan(limits, L_range, x, *args)
+
+    monkeypatch.setattr(design, "_scan", counting_scan)
+    return counts
+
+
+def end_name(limits, L_range, n, h_unit, w_unit, end: int) -> str:
+    margins = _slack(limits, n, L_range[end], h_unit, w_unit)
+    return design._CONSTRAINT_NAMES[margins.index(min(margins))]
+
+
+def branch_case(case: str) -> tuple[tuple[float, ...], tuple[float, float], int, float, float]:
+    """(limits, L_range, n, ĥ, ŵ) of one arch count for each way _bindings
+    settles a count.  The last two have a ĥ above 1 or a ŵ below 0, which
+    the table does not give, to show where the ends cannot decide."""
+    fixture = radial_roundtrip_constraints()
+    h_unit, w_unit = design._units(PCAP)
+    if case == "L_max-end":  # an arch too few: the natural length min rises to L_max
+        return _limits(fixture), fixture.L_range, 1, h_unit, w_unit
+    if case == "L_min-end":  # arches too many: the natural length max falls from L_min
+        return _limits(fixture), fixture.L_range, 30, h_unit, w_unit
+    if case == "one-point-L-range":
+        return _limits(fixture), (27.0, 27.0), 1, h_unit, w_unit
+    if case == "flat-width-tie":  # -1 at L_min's natural length min and at the flat width min
+        return _limits(at_a_tie("flat-width-margin", PCAP)), (9.0, 20.0), 1, h_unit, 0.0
+    if case == "interior":  # the stroke and the width max cross inside L_range
+        return (240.0, 310.0, 75.0, 34.0, 3.0, 10.0), (20.0, 70.0), 4, h_unit, w_unit
+    if case == "stroke-falls":  # 1 − ĥ < 0
+        return (240.0, 360.0, 40.0, 14.0, 4.0, 0.0), (15.0, 40.0), 5, 1.25, 0.5
+    if case == "width-margins-swap":  # ŵ < 0: the width min falls, the width max rises
+        return (240.0, 310.0, 75.0, 34.0, 3.0, 10.0), (20.0, 70.0), 4, h_unit, -0.5
+    raise ValueError(case)
+
+
+BRANCHES = [  # (case, how _bindings settles it, the maximin's name, the names at the ends)
+    ("L_max-end", "L_max", "natural_length_min", ["natural_length_min"] * 2),
+    ("L_min-end", "L_min", "natural_length_max", ["natural_length_max"] * 2),
+    ("one-point-L-range", "tie", "natural_length_min", ["natural_length_min"] * 2),
+    ("flat-width-tie", "tie", "natural_length_min", ["natural_length_min", "min_width_at_full"]),
+    ("interior", "scan", "min_stroke", ["natural_length_min", "max_width_at_full"]),
+    ("stroke-falls", "scan", "natural_length_min", ["natural_length_min", "min_stroke"]),
+    ("width-margins-swap", "scan", "natural_length_min",
+     ["natural_length_min", "min_width_at_full"]),
+]
+
+
+@pytest.mark.parametrize("case, branch, name, at_ends", BRANCHES, ids=[b[0] for b in BRANCHES])
+def test_bindings_settle_a_count_at_an_end_or_by_the_scan(monkeypatch, case, branch, name,
+                                                          at_ends):
+    # at_ends names the smallest margin at L_min and at L_max: a tie goes to
+    # L_min, and where the scan runs, L_max's is not the maximin's name,
+    # although its smallest margin is the larger one of the two ends
+    limits, L_range, n, h_unit, w_unit = args = branch_case(case)
+    assert bindings_branch(*args) == branch
+    assert binding_maximin(*args) == name
+    assert [end_name(*args, end) for end in (0, 1)] == at_ends
+    scanned = count_scans(monkeypatch)
+    assert design._bindings(limits, L_range, [n], h_unit, w_unit) == {n: name}
+    assert scanned == ([n] if branch == "scan" else [])
+
+
+@pytest.mark.parametrize("p_cap", [PCAP, math.nextafter(P_STRAIGHT, 1.0)],
+                         ids=["inf-margins", "nan-stroke"])
+def test_bindings_where_arch_stacks_overflow(monkeypatch, p_cap):
+    # n·L is inf: the natural length margins are ±inf, and at ĥ = 1 the
+    # stroke n·L·0 is NaN, which min passes over.  Overflowing at L_min,
+    # a count is settled there; overflowing only past it, by the scan
+    h_unit, w_unit = design._units(p_cap)
+    assert (1.0 - h_unit == 0.0) == (p_cap != PCAP)
+    wide = DesignConstraints(natural_length_range=(0.0, 1.7e308), min_stroke=0.0,
+                             max_width_at_full=1e300, h0=0.0, n_range=(2**1000, 2**1000),
+                             L_range=(1.0, 1.7e308))
+    scanned = count_scans(monkeypatch)
+    for cons, branch in ((at_a_tie("overflowing-margins", p_cap), "L_min"), (wide, "scan")):
+        limits, L_range = _limits(cons), cons.L_range
+        counts = range(cons.n_range[0], cons.n_range[1] + 1)
+        assert math.isinf(float(counts[0]) * L_range[1])
+        assert {bindings_branch(limits, L_range, n, h_unit, w_unit) for n in counts} == {branch}
+        scanned.clear()
+        assert_bindings_are_the_maximin(cons, h_unit, w_unit)
+        assert len(scanned) == (len(counts) if branch == "scan" else 0)
+    if p_cap != PCAP:
+        assert math.isnan(_slack(_limits(wide), 2**1000, 1.7e308, h_unit, w_unit)[2])
+
+
+def test_bindings_over_a_million_arch_counts():
+    # the fixture over [1, 10**6]: every infeasible count is named in one
+    # _bindings call, nearly all of them at L_min; a seeded sample of them
+    # is checked against the maximin
+    cons = read_design_constraints(DATA_DIR / "constraints.json")._replace(n_range=(1, 10**6))
+    h_unit, w_unit = design._units(PCAP)
+    limits, L_range = _limits(cons), cons.L_range
+    calls = []
+    bindings = design._bindings
+
+    def counting_bindings(*args):
+        calls.append(args)
+        return bindings(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(design, "_bindings", counting_bindings)
+        report = infeasibility_report(cons, PCAP)
+    assert len(calls) == 1 and len(report) == 999_986
+    rng = np.random.default_rng(42)
+    sample = sorted(set(rng.integers(1, 10**6 + 1, 12_000).tolist()) & set(report))
+    assert len(sample) >= 10_000
+    assert {n: report[n] for n in sample} == {
+        n: binding_maximin(limits, L_range, n, h_unit, w_unit) for n in sample}
+    branches = [bindings_branch(limits, L_range, n, h_unit, w_unit) for n in sample]
+    assert branches.count("L_min") >= len(sample) - 10
+
+
 @pytest.mark.parametrize("n_range", [(1, 12), (1, 400)], ids=["fixture", "wide"])
 def test_report_decides_most_counts_in_closed_form(monkeypatch, n_range):
     # the scan solved every arch count for its interval: 12 and 400 of them

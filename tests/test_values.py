@@ -148,6 +148,15 @@ def test_value_type_semantics(value, text, fields):
     pytest.param(SPEC, "kind", np.array([["radial"]]), id="spec-kind-2d-array"),
     pytest.param(CONSTRAINTS, "kind", np.array(["radial"]), id="constraints-kind-1d-array"),
     pytest.param(CONSTRAINTS, "kind", np.array([["radial"]]), id="constraints-kind-2d-array"),
+    # the winch model's ranges used to be checked by simulate_winch alone, so
+    # read_winch_params took them and its error did not name the file
+    pytest.param(PARAMS, "c", -1.0, id="params-c-negative"),
+    pytest.param(PARAMS, "c", 0.0, id="params-c-zero"),
+    pytest.param(PARAMS, "c", math.inf, id="params-c-inf"),
+    pytest.param(PARAMS, "c", math.nan, id="params-c-nan"),
+    pytest.param(PARAMS, "r", -0.5, id="params-r-negative"),
+    pytest.param(PARAMS, "r", math.inf, id="params-r-inf"),
+    pytest.param(PARAMS, "r", math.nan, id="params-r-nan"),
 ])
 def test_replace_and_make_check_like_the_constructor(base, field, bad):
     kwargs = {**base._asdict(), field: bad}
