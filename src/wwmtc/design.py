@@ -375,7 +375,7 @@ def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
         lo = (m0, m1, m2, max_lo, min_lo)
         if monotone and fall <= rise:
             margins, best = lo, fall
-        else:  # and at L_max
+        else:  # the same at L_max
             nat = x * L_max + h0
             m0, m1, m2 = nat - nat_lo, nat_hi - nat, x * L_max * u - min_stroke
             rise_hi = m2 if m2 < m0 else m0
