@@ -155,11 +155,15 @@ def _vp_fit_exponential(u, load) -> tuple[float, float, float]:
             b_new = b + step
             if b_new > 0.0:
                 a_new, g_new, gg_new, resid_new = project(b_new)
-                # near the optimum the cost's change is below the rounding
-                # of the cost itself, but not below that of this sum
-                change = a_new * e * np.expm1((b_new - b) * u) + (a_new - a) * g
-                if a_new > 0.0 and (last or change @ (change - 2.0 * resid) <= 0.0):
-                    break
+                if a_new > 0.0:
+                    if last:
+                        break
+                    # near the optimum the cost's change is below the
+                    # rounding of the cost itself, but not below that of
+                    # this sum
+                    change = a_new * e * np.expm1((b_new - b) * u) + (a_new - a) * g
+                    if change @ (change - 2.0 * resid) <= 0.0:
+                        break
             step *= 0.5
         else:
             break  # a halved step no longer changes b

@@ -166,7 +166,9 @@ def _cmd_beam_solve(args) -> Outputs:
 
 
 # The most curve samples one run holds, over all its specs: each takes about
-# 0.5 kB until the outputs are written.
+# 0.65 kB, its grid's table row included, until the outputs are written
+# (muscle curve --samples 1000000 on tests/data/radial.json: 653 MB peak RSS
+# with a CSV, 560 MB with an SVG).
 _MAX_CURVE_SAMPLES = 10**6
 
 
@@ -207,8 +209,10 @@ def _cmd_design_search(args) -> Outputs:
     outputs = [(args.out or None, fileio.design_results_to_json(results))]
     if args.csv:
         outputs.append((args.csv, fileio.design_results_to_csv(results)))
-    return outputs + [(_STDERR, f"n={n}: infeasible, binding constraint {report[n]}\n")
-                      for n in sorted(report)]
+    # the report's keys are the infeasible counts in increasing order
+    outputs.append((_STDERR, "".join([f"n={n}: infeasible, binding constraint {name}\n"
+                                      for n, name in report.items()])))
+    return outputs
 
 
 def _cmd_tendon_fit(args) -> Outputs:

@@ -54,12 +54,12 @@ from .errors import DomainError, _count, _make, _real
 from .muscle import DEFAULT_P_CAP, MuscleSpec, _check_p_cap, _kind
 
 # the widest n_range searched.  A search holds a result or report entry and
-# its output line for every arch count until it returns: ~1.1 µs and ~0.3 kB
-# each on a 2-vCPU x86 host, a third of the time the binding constraint of
-# each infeasible count and most of the rest its stderr line, so a
-# full-width design search takes ~1.1 s and ~0.3 GB (design search over
-# [1, 10**6] on tests/data/constraints.json, three fresh processes each:
-# 1.07-1.14 s with site and 1.06-1.12 s under -S, 315-317 MB peak RSS)
+# its output line for every arch count until it returns: ~0.6 µs and
+# ~0.25 kB each on a 2-vCPU x86 host, half of the time the binding
+# constraint of each infeasible count and most of the rest its stderr line,
+# so a full-width design search takes ~0.9 s and ~0.26 GB (design search
+# over [1, 10**6] on tests/data/constraints.json, fresh processes: 0.83-1.13 s
+# with site and 0.87-1.09 s under -S, 258-262 MB peak RSS)
 _MAX_ARCH_COUNTS = 10**6
 
 

@@ -14,15 +14,15 @@ opposed arch pairs.
 The arch's shape depends on p alone, and w and h scale linearly with L.
 So a curve is a table over its p grid (num_samples, p_cap), one
 evaluation of beam's forward table per sample, scaled by each spec's L.
-The tables of the last four grids are kept, 32 bytes per sample: a curve
-on any of those grids evaluates no shape.
+The tables of the last four grids are kept, ~176 bytes per sample: a curve
+on any of those grids evaluates no shape, and its samples share the
+table's p and psi0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from array import array
 from collections import namedtuple
 
 from .beam import P_MAX, P_STRAIGHT, _check_shape_param, _height, _p_for_height, _shape
@@ -127,30 +127,28 @@ def _state(n: int, L: float, h0: float, p: float, shape) -> MuscleState:
 # Four entries.  A caller that checks the expansion at more than one
 # resolution alternates grids: a dense curve between a few coarse ones, on
 # one cap.  With one entry every coarse curve evicted the dense table, and
-# the next dense curve evaluated all its shapes again.  A table is 32 B per
-# sample, about a sixth of the curve drawn from it, and no more than four
-# are kept for the life of the process: 1.3 MB for four grids of 10 000
-# samples.
+# the next dense curve evaluated all its shapes again.  A table is ~176 B
+# per sample, a row tuple and its four floats, whose p and psi0 every curve
+# drawn from it shares; no more than four are kept for the life of the
+# process: ~7 MB for four grids of 10 000 samples.
 @functools.lru_cache(maxsize=4)
-def _grid(num_samples: int, p_cap: float) -> tuple[array, array, array, array]:
+def _grid(num_samples: int, p_cap: float) -> tuple[tuple[float, float, float, float], ...]:
     """The part of curve that depends on its grid alone: beam._shape at
     every sample.
 
-    Returns the p of every sample and beam._shape's h/L, w/L and psi0 at
-    each, as columns, which every curve on the grid shares and only reads.
-    A straight sample's p is P_STRAIGHT exactly, where h/L is 1.0.  For a
+    Returns one row (p, h/L, w/L, psi0) per sample, beam._shape's at that
+    p, which every curve on the grid shares and only reads.  A straight
+    sample's p is P_STRAIGHT exactly, where h/L is 1.0.  For a
     num_samples >= 2 and a float p_cap that _check_p_cap passed.
     """
     step = (p_cap - P_STRAIGHT) / (num_samples - 1)
-    ps = array("d", [P_STRAIGHT + i * step for i in range(num_samples - 1)])
+    ps = [P_STRAIGHT + i * step for i in range(num_samples - 1)]
     ps.append(p_cap)
-    h_units, w_units, psis = array("d"), array("d"), array("d")
+    rows = []
     for p in ps:
         h_unit, w_unit, psi0, _ = _shape(p)
-        h_units.append(h_unit)
-        w_units.append(w_unit)
-        psis.append(psi0)
-    return ps, h_units, w_units, psis
+        rows.append((p, h_unit, w_unit, psi0))
+    return tuple(rows)
 
 
 def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> DeformationCurve:
@@ -160,21 +158,21 @@ def curve(spec: MuscleSpec, num_samples: int, p_cap: float = DEFAULT_P_CAP) -> D
     Length decreases along the samples in exact arithmetic; neighbours can
     be equal doubles when p_cap is within rounding of P_STRAIGHT.  Each
     sample is state_at's at its p, the same doubles: _grid's table scaled
-    by L with _state's expressions.  One evaluation of beam's forward table
-    per sample but the first, none when one of the last four grids
-    (num_samples, p_cap) that curves were drawn on is this one.
+    by L with _state's expressions, its p and psi0 the table's own floats.
+    One evaluation of beam's forward table per sample but the first, none
+    when one of the last four grids (num_samples, p_cap) that curves were
+    drawn on is this one.
     """
     num_samples = _count("num_samples", num_samples, 2)
-    ps, h_units, w_units, psis = _grid(num_samples, _check_p_cap(p_cap))
+    rows = _grid(num_samples, _check_p_cap(p_cap))
     n, L, h0, _ = spec
     natural = n * L + h0
     # _state's expressions written out: a _state call per sample made a
     # warm curve ~40 % slower
     new = tuple.__new__
-    samples = []
-    for p, h_unit, w_unit, psi0 in zip(ps, h_units, w_units, psis):
-        length = n * (L * h_unit) + h0
-        samples.append(new(MuscleState, (p, L * w_unit, length, natural - length, psi0)))
+    samples = [new(MuscleState, (p, L * w_unit, (length := n * (L * h_unit) + h0),
+                                 natural - length, psi0))
+               for p, h_unit, w_unit, psi0 in rows]
     return DeformationCurve(spec, tuple(samples))
 
 

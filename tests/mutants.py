@@ -172,6 +172,16 @@ MUTANTS = [
            "DEFAULT_P_CAP = 0.97", "DEFAULT_P_CAP = 0.96",
            ["tests/test_cli.py"], "killed",
            "another default cap: test_muscle_curve_csv's golden"),
+    Mutant("muscle-curve-row-swapped", "src/wwmtc/muscle.py",
+           "for p, h_unit, w_unit, psi0 in rows]", "for p, w_unit, h_unit, psi0 in rows]",
+           ["tests/test_muscle.py"], "killed",
+           "reads a table row's h/L as w/L: test_curve_endpoints_and_ordering"),
+    Mutant("muscle-curve-length-regrouped", "src/wwmtc/muscle.py",
+           "(length := n * (L * h_unit) + h0)", "(length := n * L * h_unit + h0)",
+           ["tests/test_muscle.py"], "killed",
+           "rounds n L before h/L, not state_at's L h/L first: "
+           "test_dense_curve_is_state_at_sample_by_sample and the 1001-sample "
+           "curves of test_curve_kernel_budget"),
     Mutant("svgplot-margin-left", "src/wwmtc/svgplot.py",
            "_MARGIN_LEFT = 72.0", "_MARGIN_LEFT = 73.0",
            ["tests/test_cli.py"], "killed", "test_muscle_curve_svg_overlay's golden"),

@@ -377,6 +377,27 @@ def test_curve_is_bit_identical_to_state_by_state(specs, num, p_cap):
         assert_samples_are_solve_beams(spec, num, p_cap, curve(spec, num, p_cap).samples)
 
 
+def test_curves_on_one_grid_share_its_p_and_psi0(radial_spec, planar_spec):
+    # p and psi0 do not depend on the spec: every curve on a grid holds the
+    # table's own floats, and only width, length and contraction are new
+    muscle._grid.cache_clear()
+    first = curve(radial_spec, 100, 0.9).samples
+    second = curve(planar_spec, 100, 0.9).samples
+    for a, b in zip(first, second, strict=True):
+        assert a.p is b.p and a.psi0 is b.psi0, (a, b)
+        assert all(type(v) is float for v in a + b), (a, b)
+
+
+def test_dense_curve_is_state_at_sample_by_sample(radial_spec, planar_spec):
+    # the geometry benchmark's dense curve, every sample against state_at
+    for spec in (radial_spec, planar_spec, MuscleSpec(5, 19.5, 8.0)):
+        samples = curve(spec, 10_000).samples
+        assert len(samples) == 10_000
+        for i, sample in enumerate(samples):
+            want = state_at(spec, sample.p)
+            assert [v.hex() for v in sample] == [v.hex() for v in want], (i, sample, want)
+
+
 def test_invert_rejects_bad_p_cap(radial_spec):
     # the same rule as curve's; p_cap = P_STRAIGHT is no cap at all, and
     # length_range used to return (238.0, 238.0) for it
