@@ -53,9 +53,8 @@ class TendonFit(namedtuple("TendonFit", "a b eps0 rms_residual")):
     __slots__ = ()
 
     def __new__(cls, a, b, eps0, rms_residual):
-        if not type(a) is type(b) is type(eps0) is type(rms_residual) is float:
-            a, b, eps0 = _real("a", a), _real("b", b), _real("eps0", eps0)
-            rms_residual = _real("rms_residual", rms_residual)
+        a, b, eps0 = _real("a", a), _real("b", b), _real("eps0", eps0)
+        rms_residual = _real("rms_residual", rms_residual)
         return tuple.__new__(cls, (a, b, eps0, rms_residual))
 
     _make = classmethod(_make)  # namedtuple's own, and so _replace, skips __new__
@@ -74,9 +73,8 @@ class HysteresisParams(namedtuple("HysteresisParams", "c r rms_residual", defaul
     __slots__ = ()
 
     def __new__(cls, c, r, rms_residual=0.0):
-        if not type(c) is type(r) is type(rms_residual) is float:
-            c, r = _real("gain c", c), _real("half-band r", r)
-            rms_residual = _real("rms_residual", rms_residual)
+        c, r = _real("gain c", c), _real("half-band r", r)
+        rms_residual = _real("rms_residual", rms_residual)
         # written as "not ... < inf" so that NaN fails the checks
         if not 0.0 < c < math.inf:
             raise DomainError(f"gain c={c!r} must be positive and finite")

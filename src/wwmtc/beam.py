@@ -248,7 +248,10 @@ def _shape(p: float) -> tuple[float, float, float, float]:
 
     Returns (h/L, w/L, psi0, q), from which solve_beam scales by L: h and w
     are L times the first two, and k = sqrt(2 q) / (h/L) / L.  _STRAIGHT
-    for the straight strip.  For a valid p; it is not checked.
+    for the straight strip.  For a valid p; it is not checked.  For every
+    float p in (P_STRAIGHT, P_MAX], h/L <= 1 and w/L > 0, which design
+    relies on: tests/test_beam.py::test_shape_range_from_the_table_digits
+    proves both from _SHAPE_TABLE's digits.
 
     delta = p - 1/sqrt(2) is rounded once, d = log1p(delta / (1 - p)) with
     1 - p exact, and q = 2 delta (p + 1/sqrt(2)) is computed as

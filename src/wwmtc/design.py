@@ -28,10 +28,13 @@ iff some double of L_range passes every margin as _slack computes it: the
 closed forms only say where to look.
 
 beam's forward table at p_cap, beam._shape_at, gives ĥ and ŵ, and every
-result's achieved values scale from them by the result's L.  beam caches
-them, so a process evaluates the table once per cap: design search on the
-command line calls search and then infeasibility_report, and the report
-evaluates nothing.
+result's achieved values scale from them by the result's L.  At every
+valid p_cap, ĥ <= 1 and ŵ > 0, which tests/test_beam.py::
+test_shape_range_from_the_table_digits proves from the table's digits, so
+no function here handles another shape.  beam caches ĥ and ŵ, so a
+process evaluates the table once per cap: design search on the command
+line calls search and then infeasibility_report, and the report evaluates
+nothing.
 The binding constraint is computed only where it is returned, by
 infeasibility_report, in one loop over the infeasible counts, _bindings;
 search does not compute it.  The rounded margins that rise with L and
@@ -225,40 +228,34 @@ def _intervals(limits: tuple[float, ...], L_range: tuple[float, float], counts,
 
     Margin i is a_i + b_i·L: a positive slope b_i bounds L from below at
     -a_i / b_i, a negative one from above, and a zero one rejects every L
-    if a_i < 0.  The intercepts a_i and the width slopes ±ŵ do not depend
-    on n, so the width bounds and the rejections by a flat margin are
-    computed once; per count only -a0/n, -a1/-n and -a2/(n·u) remain, with
-    u = 1 − ĥ.  Where ĥ rounds above 1 the stroke margin falls with L from
-    -min_stroke, and no count has a feasible L.
+    if a_i < 0.  The slopes are n, -n, n·u, -ŵ and ŵ, with u = 1 − ĥ >= 0
+    and ŵ > 0, so only the stroke's can be zero, where ĥ rounds to 1.  The
+    intercepts a_i and the width slopes do not depend on n, so the width
+    bounds, min_width/ŵ and max_width/ŵ, and the rejection by a flat
+    stroke are computed once; per count only -a0/n, -a1/-n and -a2/(n·u)
+    remain.
 
     Margins that rise with L bound it from below (the floor: natural
     length min, stroke, width min), falling ones from above (the ceiling),
-    for every n >= 1, u >= 0 and ŵ > 0.  Rounding is monotone, so no
-    computed floor margin falls as L grows and no ceiling margin rises:
-    each group passes on one side of a single boundary, and each end is
-    moved to the outermost double that passes its group, with _slack's
-    expressions written out in the loop.  Each walk starts from its closed
-    form clamped into L_range.  An end that passes walks outward while the
-    next double passes, one that fails walks inward until one does, at most
-    _WALK doubles either way; _snap, with the same checks as predicates,
-    settles an end that is further off.  So the ends are _snap's doubles,
-    found without its calls where they are within _WALK, and a count has an
-    interval iff they are in order: iff some double of L_range passes every
-    margin, whether or not the rounded closed-form ends cross.
+    for every n >= 1.  Rounding keeps order, so no computed floor margin
+    falls as L grows and no ceiling margin rises: each group passes on one
+    side of a single boundary, and each end is moved to the outermost
+    double that passes its group, with _slack's expressions written out in
+    the loop.  Each walk starts from its closed form clamped into L_range.
+    An end that passes walks outward while the next double passes, one that
+    fails walks inward until one does, at most _WALK doubles either way;
+    _snap, with the same checks as predicates, settles an end that is
+    further off.  So the ends are _snap's doubles, found without its calls
+    where they are within _WALK, and a count has an interval iff they are
+    in order: iff some double of L_range passes every margin, whether or
+    not the rounded closed-form ends cross.
     """
     nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
     L_min, L_max = L_range
     u = 1.0 - h_unit
-    a0, a1, a2, a3, a4 = _slack(limits, 1, 0.0, h_unit, w_unit)  # n * 0.0 is 0.0
-    lo_w, hi_w = L_min, L_max
-    for a_i, b_i in ((a3, -w_unit), (a4, w_unit)):
-        if b_i > 0.0:
-            lo_w = max(lo_w, -a_i / b_i)
-        elif b_i < 0.0:
-            hi_w = min(hi_w, -a_i / b_i)
-        elif a_i < 0.0:
-            return
-    if u < 0.0 or (u == 0.0 and a2 < 0.0):
+    a0, a1, a2, _, _ = _slack(limits, 1, 0.0, h_unit, w_unit)  # n * 0.0 is 0.0
+    lo_w, hi_w = max(L_min, min_width / w_unit), min(L_max, max_width / w_unit)
+    if u == 0.0 and a2 < 0.0:
         return
 
     def above_floor(x: float, L: float) -> bool:  # _snap's predicates
@@ -326,10 +323,10 @@ def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
     largest smallest margin wins, as max(candidates, key=min) picks it.
     Every margin is _slack's expression, the same double.
 
-    Most counts are settled at the ends of L_range alone.  For u = 1 − ĥ >=
-    0 and ŵ >= 0 the rising margins (natural length min, stroke, width min)
+    Most counts are settled at the ends of L_range alone.  As 1 − ĥ >= 0
+    and ŵ > 0, the rising margins (natural length min, stroke, width min)
     do not fall as L grows, once rounded, and the falling ones (natural
-    length max, width max) do not rise: rounding is monotone.  So with R
+    length max, width max) do not rise: rounding keeps order.  So with R
     the smallest rising margin and F the smallest falling one, R − F does
     not fall, and the smallest margin, min(R, F), is R up to where they
     cross and F after it.  Where F <= R at L_min, no L does better than
@@ -356,7 +353,6 @@ def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
     nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
     L_min, L_max = L_range
     u = 1.0 - h_unit
-    monotone = u >= 0.0 and w_unit >= 0.0  # each margin rises or falls with L
     # the width margins at the ends of L_range do not depend on n
     max_lo, min_lo = max_width - L_min * w_unit, L_min * w_unit - min_width
     max_hi, min_hi = max_width - L_max * w_unit, L_max * w_unit - min_width
@@ -373,7 +369,7 @@ def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
         rise = min_lo if min_lo < rise else rise
         fall = max_lo if max_lo < m1 else m1
         lo = (m0, m1, m2, max_lo, min_lo)
-        if monotone and fall <= rise:
+        if fall <= rise:
             margins, best = lo, fall
         else:  # the same at L_max
             nat = x * L_max + h0
@@ -385,7 +381,7 @@ def _bindings(limits: tuple[float, ...], L_range: tuple[float, float], counts,
             best_hi = fall_hi if fall_hi < rise_hi else rise_hi
             hi = (m0, m1, m2, max_hi, min_hi)
             margins, best = (hi, best_hi) if best_hi > best_lo else (lo, best_lo)
-            if not (monotone and rise_hi <= fall_hi):
+            if not rise_hi <= fall_hi:
                 if pairs is None:
                     pairs, width_crossing = _crossings(limits, L_range, h_unit, w_unit)
                 margins, best = _scan(limits, L_range, x, u, w_unit, pairs, width_crossing,
@@ -398,16 +394,13 @@ def _crossings(limits: tuple[float, ...], L_range: tuple[float, float],
                h_unit: float, w_unit: float) -> tuple[list, list]:
     """_scan's setup, which does not depend on n: (numerator, i, j) of the
     crossing of margins i and j for each pair of margins but the two width
-    ones, and the crossing of those two if it lies within L_range."""
+    ones, and the crossing of those two, whose slopes -ŵ and ŵ differ, if
+    it lies within L_range."""
     L_min, L_max = L_range
     a = _slack(limits, 1, 0.0, h_unit, w_unit)  # the intercepts: n * 0.0 is 0.0
     pairs = [(a[j] - a[i], i, j) for i, j in combinations(range(len(a)), 2) if i < 3]
-    width_crossing = []  # pair (3, 4): slopes -ŵ and ŵ
-    if -w_unit != w_unit:
-        L = (a[4] - a[3]) / (-w_unit - w_unit)
-        if L_min <= L <= L_max:
-            width_crossing.append(L)
-    return pairs, width_crossing
+    L = (a[4] - a[3]) / (-w_unit - w_unit)  # pair (3, 4): slopes -ŵ and ŵ
+    return pairs, [L] if L_min <= L <= L_max else []
 
 
 def _scan(limits: tuple[float, ...], L_range: tuple[float, float], x: float, u: float,
@@ -472,7 +465,7 @@ def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
     n·B − α and β − n·A are >= 0: iff the L-interval [max(A, α/n),
     min(B, β/n)] is not empty.  _intervals departs from that by rounding
     alone: it finds an interval iff a double L in L_range passes every
-    rounded margin.  Rounding is monotone, so each rounded margin passes on
+    rounded margin.  Rounding keeps order, so each rounded margin passes on
     one side of a single boundary, and next to its real end a margin is
     within _EPS·nat_hi of the real one for the natural length (n·L + h0 <=
     nat_hi), 1.5·_EPS·n·L for the stroke and _EPS·L / 2 for the width.
@@ -489,15 +482,15 @@ def _counts(limits: tuple[float, ...], L_range: tuple[float, float],
     B − A and β − α do not depend on n, n·B − α rises with it and β − n·A
     falls, so maybe and sure are runs of n: holes in n are possible only
     when A ≈ B or α ≈ β, and then every count is undecided.  So is every
-    count when ĥ rounds to 1 or ŵ to 0 (p_cap next to P_STRAIGHT), or when
-    n_range reaches 2**53, where n itself is rounded.
+    count when ĥ rounds to 1 (p_cap next to P_STRAIGHT), or when n_range
+    reaches 2**53, where n itself is rounded.
     """
     nat_lo, nat_hi, min_stroke, max_width, min_width, h0 = limits
     L_min, L_max = L_range
     n_lo, n_hi = n_range
     every, none = range(n_lo, n_hi + 1), range(n_lo, n_lo)
     u = 1.0 - h_unit
-    if not (u > 0.0 and w_unit > 0.0 and n_hi < 2**53):
+    if not (u > 0.0 and n_hi < 2**53):
         return every, none
     A, B = max(L_min, min_width / w_unit), min(L_max, max_width / w_unit)
     alpha, beta = max(nat_lo - h0, min_stroke / u), nat_hi - h0

@@ -176,7 +176,7 @@ def test_tendon_input_validation():
     series = dict(strain=s, load=10.0 * np.expm1(5.0 * s), cycle=[0.0] * 20 + [1.0] * 20)
     for name, k, value in [("strain", 25, math.nan), ("load", 25, math.nan),
                            ("cycle", 5, math.nan), ("cycle", 5, math.inf),
-                           ("cycle", 5, 1e300), ("cycle", 5, 0.5)]:
+                           ("cycle", 5, 1e300), ("cycle", 5, 0.5), ("load", 25, -1.0)]:
         bad = dict(series, **{name: np.array(series[name], dtype=float)})
         bad[name][k] = value
         with pytest.raises(DomainError, match=f"^{name}s "):
@@ -311,7 +311,7 @@ def test_winch_simulate_validation():
                  (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(DomainError):
             simulate_winch(HysteresisParams(c=c, r=r), [0.0])
-    for currents in ([], np.zeros((2, 3))):
+    for currents in ([], np.zeros((2, 3)), 1.0):
         with pytest.raises(DomainError, match="nonempty 1-D"):
             simulate_winch(WINCH_TRUE, currents)
     # float() would parse the strings, and take the bool as 1

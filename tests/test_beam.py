@@ -1,6 +1,7 @@
 """Single-arch elastica: boundary case, oracle agreement, inversion, properties."""
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -374,6 +375,124 @@ def test_forward_table_rebuild():
     # the double d of P_MAX falls in the last piece, past its end at most
     delta = (P_MAX - P_STRAIGHT) - beam._P_LO
     assert table[-1][0] < math.log1p(delta / (1.0 - P_MAX)) <= math.nextafter(beam._D_MAX, 20.0)
+
+
+def chebyshev_values(x: Fraction, count: int, second_kind: bool = False) -> list[Fraction]:
+    """T_0(x), ..., T_{count-1}(x), or U_0(x), ..., U_{count-1}(x), exactly."""
+    values = [Fraction(1), (2 if second_kind else 1) * x]
+    while len(values) < count:
+        values.append(2 * x * values[-1] - values[-2])
+    return values[:count]
+
+
+def chebyshev_derivative(cs: list[Fraction]) -> list[Fraction]:
+    """The Chebyshev coefficients of the derivative of sum c_k T_k, exactly."""
+    n = len(cs) - 1
+    ds = [Fraction(0)] * (n + 2)
+    for k in range(n, 0, -1):
+        ds[k - 1] = ds[k + 1] + 2 * k * cs[k]
+    ds[0] /= 2
+    return ds[:n]
+
+
+def chebyshev_sum(cs: list[Fraction], x: Fraction) -> Fraction:
+    return sum(c * t for c, t in zip(cs, chebyshev_values(x, len(cs))))
+
+
+def clenshaw_rounding_bound(cs: list[Fraction], X: Fraction) -> Fraction:
+    """A bound on the rounding error of beam._shape's Clenshaw sum before
+    its last "+ c_0", fl(fl(x·b_1) − b_2), at any double x with |x| <= X,
+    for X >= 1.
+
+    Rounding adds some ε_k to each b_k, which is adding ε_k to c_k: the sum
+    moves by at most Σ |ε_k| T_k(X).  The computed b_k is Σ_{j>=k} (c_j +
+    ε_j) U_{j-k}(x), so at most Σ (|c_j| + |ε_j|) U_{j-k}(X) in size, and
+    one rounding to nearest moves a result r by at most 2**-53·|r|, plus
+    2**-1074 if r is subnormal.
+    """
+    u, tiny = Fraction(1, 2**53), Fraction(1, 2**1074)
+    n = len(cs) - 1
+    T, U = chebyshev_values(X, n + 1), chebyshev_values(X, n + 1, second_kind=True)
+    size = [abs(c) for c in cs]
+    eps = [Fraction(0)] * (n + 1)
+    b = [Fraction(0)] * (n + 3)  # bounds on the computed |b_k|
+    for k in range(n, 0, -1):  # b_k = fl(fl(fl(2x·b_{k+1}) − b_{k+2}) + c_k)
+        r1 = 2 * X * b[k + 1] * (1 + u) + tiny
+        r2 = (r1 + b[k + 2]) * (1 + u) + tiny
+        r3 = (r2 + size[k]) * (1 + u) + tiny
+        eps[k] = u * (r1 + r2 + r3) + 3 * tiny
+        b[k] = sum((size[j] + eps[j]) * U[j - k] for j in range(k, n + 1))
+    r1 = X * b[1] * (1 + u) + tiny
+    r2 = (r1 + b[2]) * (1 + u) + tiny
+    return sum(e * t for e, t in zip(eps[1:], T[1:])) + u * (r1 + r2) + 2 * tiny
+
+
+def test_shape_range_from_the_table_digits():
+    # _shape(p) gives h/L <= 1 and w/L > 0 for every float p in
+    # (P_STRAIGHT, P_MAX], proved in exact arithmetic from _SHAPE_TABLE's
+    # literal digits, with no sampling; design relies on both.  u is half an
+    # ULP of 1.  x lies in [-1, 1] on the first five pieces: there d is in
+    # (lo, hi], and 2d, lo + hi and hi - lo are exact, so each rounding
+    # stays within [-1, 1].  On the last, lo + hi is rounded and d may round
+    # past _D_MAX (test_forward_table_rebuild): |x| <= 1 + 2**-44, and
+    # X = 1 + 2**-40 bounds it.
+    u = Fraction(1, 2**53)
+    pieces = []
+    for lo, hi, hs, gs in beam._SHAPE_TABLE:
+        exact = (Fraction(lo + hi) == Fraction(lo) + Fraction(hi)
+                 and Fraction(hi - lo) == Fraction(hi) - Fraction(lo))
+        X = Fraction(1) if exact else 1 + Fraction(1, 2**40)
+        pieces.append((X, [Fraction(c) for c in hs], [Fraction(c) for c in gs]))
+    assert [X == 1 for X, _, _ in pieces] == [True] * 5 + [False]
+
+    # w/L = d·G.  On each piece G's Clenshaw sum is at least c_0 − Σ |c_k|
+    # T_k(X) less its rounding bound, above 0.04, and so is the rounded
+    # "+ c_0".  delta = p − 1/sqrt(2) is positive from the first float p
+    # past P_STRAIGHT on, since p − P_STRAIGHT is exact and rounding is
+    # monotone, and so d = log1p(delta / (1 − p)) >= (1 − 2u)·log1p(z_1)
+    # with z_1 its argument there: log1p is within an ULP.  d·G is then far
+    # above the smallest normal double and cannot round to 0.
+    g_lows = []
+    for X, _, gs in pieces:
+        T = chebyshev_values(X, len(gs))
+        low = gs[0] - sum(abs(c) * t for c, t in zip(gs[1:], T[1:]))
+        g_lows.append((low - clenshaw_rounding_bound(gs, X)) * (1 - u))
+    assert min(g_lows) > Fraction(4, 100)
+    p_1 = math.nextafter(P_STRAIGHT, 1.0)
+    z_1 = Fraction(((p_1 - P_STRAIGHT) - beam._P_LO) / (1.0 - p_1))
+    assert z_1 > 0
+    d_low = (1 - 2 * u) * (z_1 - z_1 * z_1 / 2)  # log1p(z) >= z − z²/2
+    assert d_low * Fraction(4, 100) > Fraction(1, 2**1022)
+
+    # h/L on the last five pieces: c_0 + Σ |c_k| T_k(X) and the rounding
+    # bound stay below 0.9
+    for X, hs, _ in pieces[1:]:
+        T = chebyshev_values(X, len(hs))
+        high = hs[0] + sum(abs(c) * t for c, t in zip(hs[1:], T[1:]))
+        assert high + clenshaw_rounding_bound(hs, X) < Fraction(9, 10)
+
+    # h/L on the first piece, which reaches 1 at the straight end: its
+    # interpolant S falls on the whole of [-1, 1].  S'(-1) < 0, S'' < 0 on
+    # [-1, -1/2] (S''(-1) plus half the bound Σ |c'''| of |S'''|), and on
+    # [-1/2, 1] S' at a grid of step 1/20 plus the step times the bound
+    # Σ |c''| of |S''| is below 0.  So S <= S(-1) < 1, and the sum before
+    # "+ c_0" is within 2**-53 of S − c_0: the sum rounds to at most 1.0
+    _, hs, _ = pieces[0]
+    d1 = chebyshev_derivative(hs)
+    d2 = chebyshev_derivative(d1)
+    d3 = chebyshev_derivative(d2)
+    assert chebyshev_sum(d1, Fraction(-1)) < 0
+    assert chebyshev_sum(d2, Fraction(-1)) + sum(map(abs, d3)) / 2 < 0
+    step = Fraction(1, 20)
+    grid = [Fraction(-1, 2) + i * step for i in range(30)]
+    assert grid[-1] + step == 1
+    assert max(chebyshev_sum(d1, x) for x in grid) + step * sum(map(abs, d2)) < 0
+    assert chebyshev_sum(hs, Fraction(-1)) < 1
+    assert clenshaw_rounding_bound(hs, Fraction(1)) < u
+
+    # the straight end, where both bounds are closest
+    h_unit, w_unit, _, _ = beam._shape(p_1)
+    assert h_unit == 1.0 and 0.0 < w_unit == pytest.approx(9.1144e-17, rel=1e-4)
 
 
 def test_invert_needs_no_lower_clamp():

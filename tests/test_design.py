@@ -466,7 +466,7 @@ def test_closed_form_matches_the_scan_at_its_edges(case, p_cap):
 
 @pytest.mark.parametrize("p_cap", [np.nextafter(P_STRAIGHT, 1.0), P_STRAIGHT + 1e-12])
 def test_closed_form_matches_the_scan_next_to_the_straight_end(p_cap):
-    # ĥ rounds to 1, and ŵ to 0 or to ~2e-12: every count is undecided.  In
+    # ĥ rounds to 1, and ŵ to ~9e-17 or ~2e-12: every count is undecided.  In
     # the last set L = 1 passes, and above L ~ 1.6e7, where n·L overflows,
     # the stroke n·L·0 is NaN at ĥ = 1
     fixture = radial_roundtrip_constraints()
@@ -558,9 +558,10 @@ def at_a_tie(case: str, p_cap: float) -> DesignConstraints:
             min_stroke=5 * 20.0 * (1.0 - h_unit) + d, max_width_at_full=20.0 * w_unit - d,
             min_width_at_full=0.0, L_range=(5.0, 60.0), n_range=(1, 12))
     if case in ("flat-width-margin", "flat-stroke-margin"):
-        # at ŵ = 0 the min-width margin is flat, at ĥ = 1 the stroke: -1 at
-        # every L.  For n = 1, L_min = 9 reads -1 at the natural length min
-        # too, which names it; L_max reads -1 at the flat margin alone and
+        # at ĥ = 1 the stroke is flat, -1 at every L, and next to the
+        # straight end the min-width margin all but flat, just above -1.  For
+        # n = 1, L_min = 9 reads -1 at the natural length min too, which
+        # names it; at ĥ = 1, L_max reads -1 at the flat stroke alone and
         # ties, so it must not win
         flat_width = case == "flat-width-margin"
         return DesignConstraints(natural_length_range=(10.0, 100.0),
@@ -589,11 +590,7 @@ TIES = ["one-point-L-range", "crossings-at-both-ends", "three-margins-through-on
 @pytest.mark.parametrize("p_cap", P_CAPS)
 @pytest.mark.parametrize("case", TIES)
 def test_bindings_are_the_maximin_at_ties(case, p_cap):
-    cons = at_a_tie(case, p_cap)
-    assert_matches_the_scan(cons, p_cap)
-    # and with ŵ = 0, which the width margins share with the straight end
-    h_unit, _ = design._units(p_cap)
-    assert_bindings_are_the_maximin(cons, h_unit, 0.0)
+    assert_matches_the_scan(at_a_tie(case, p_cap), p_cap)
 
 
 @pytest.mark.parametrize("case", TIES)
@@ -615,10 +612,7 @@ def bindings_branch(limits: tuple[float, ...], L_range: tuple[float, float], n: 
     length min, stroke, width min) at L_min; "L_max" where the rising one
     is at most the falling one at L_max, or "tie" where L_min's smallest
     margin equals L_max's then; "scan" where only the crossings inside
-    L_range can tell, and wherever a stroke or width margin would not rise
-    or fall as its group does (1 − ĥ < 0 or ŵ < 0)."""
-    if not (1.0 - h_unit >= 0.0 and w_unit >= 0.0):
-        return "scan"
+    L_range can tell."""
     (rise_lo, fall_lo), (rise_hi, fall_hi) = (
         (min(m[0], m[2], m[4]), min(m[1], m[3]))
         for m in (_slack(limits, n, L, h_unit, w_unit) for L in L_range))
@@ -648,8 +642,7 @@ def end_name(limits, L_range, n, h_unit, w_unit, end: int) -> str:
 
 def branch_case(case: str) -> tuple[tuple[float, ...], tuple[float, float], int, float, float]:
     """(limits, L_range, n, ĥ, ŵ) of one arch count for each way _bindings
-    settles a count.  The last two have a ĥ above 1 or a ŵ below 0, which
-    the table does not give, to show where the ends cannot decide."""
+    settles a count."""
     fixture = radial_roundtrip_constraints()
     h_unit, w_unit = design._units(PCAP)
     if case == "L_max-end":  # an arch too few: the natural length min rises to L_max
@@ -658,14 +651,12 @@ def branch_case(case: str) -> tuple[tuple[float, ...], tuple[float, float], int,
         return _limits(fixture), fixture.L_range, 30, h_unit, w_unit
     if case == "one-point-L-range":
         return _limits(fixture), (27.0, 27.0), 1, h_unit, w_unit
-    if case == "flat-width-tie":  # -1 at L_min's natural length min and at the flat width min
-        return _limits(at_a_tie("flat-width-margin", PCAP)), (9.0, 20.0), 1, h_unit, 0.0
+    if case == "flat-stroke-tie":  # -1 at L_min's natural length min and at the flat stroke
+        p_cap = math.nextafter(P_STRAIGHT, 1.0)  # where ĥ = 1
+        return (_limits(at_a_tie("flat-stroke-margin", p_cap)), (9.0, 20.0), 1,
+                *design._units(p_cap))
     if case == "interior":  # the stroke and the width max cross inside L_range
         return (240.0, 310.0, 75.0, 34.0, 3.0, 10.0), (20.0, 70.0), 4, h_unit, w_unit
-    if case == "stroke-falls":  # 1 − ĥ < 0
-        return (240.0, 360.0, 40.0, 14.0, 4.0, 0.0), (15.0, 40.0), 5, 1.25, 0.5
-    if case == "width-margins-swap":  # ŵ < 0: the width min falls, the width max rises
-        return (240.0, 310.0, 75.0, 34.0, 3.0, 10.0), (20.0, 70.0), 4, h_unit, -0.5
     raise ValueError(case)
 
 
@@ -673,11 +664,8 @@ BRANCHES = [  # (case, how _bindings settles it, the maximin's name, the names a
     ("L_max-end", "L_max", "natural_length_min", ["natural_length_min"] * 2),
     ("L_min-end", "L_min", "natural_length_max", ["natural_length_max"] * 2),
     ("one-point-L-range", "tie", "natural_length_min", ["natural_length_min"] * 2),
-    ("flat-width-tie", "tie", "natural_length_min", ["natural_length_min", "min_width_at_full"]),
+    ("flat-stroke-tie", "tie", "natural_length_min", ["natural_length_min", "min_stroke"]),
     ("interior", "scan", "min_stroke", ["natural_length_min", "max_width_at_full"]),
-    ("stroke-falls", "scan", "natural_length_min", ["natural_length_min", "min_stroke"]),
-    ("width-margins-swap", "scan", "natural_length_min",
-     ["natural_length_min", "min_width_at_full"]),
 ]
 
 
