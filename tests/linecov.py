@@ -12,8 +12,8 @@ that line; module-level code runs at import and is not listed.
 Tests that run the command line in a child process (``subprocess``) are not
 traced, so code that only they reach is listed as not executed; so is code
 that a test reaches only as a user without root's permissions, when run as
-root.  Standard library and pytest only, since no coverage tool is
-installed, and not collected by pytest (the file name does not start with
+root.  Standard library and pytest only, so that no coverage package is
+needed, and not collected by pytest (the file name does not start with
 ``test_``).  The trace slows the suite down about threefold: ~2 min for the
 whole of it.
 """
